@@ -52,7 +52,7 @@
 
 use defacto::cache::PersistentCache;
 use defacto::engine::EvalEngine;
-use defacto::trace::JsonlSink;
+use defacto::trace::{termination_label, JsonlSink};
 use defacto::{audit_search_trace, prelude::*, to_jsonl, Axis, Fidelity};
 use defacto_synth::{describe_schedule, emit_vhdl, main_body_schedule};
 use std::fmt::Write as _;
@@ -643,7 +643,7 @@ pub fn run(cli: &Cli, source: &str) -> Result<String, Box<dyn std::error::Error>
                     "selected": r.selected,
                     "visited": r.visited.len(),
                     "space_size": r.space_size,
-                    "termination": format!("{:?}", r.termination),
+                    "termination": termination_label(r.termination),
                     "verified_each_pass": cli.verify,
                     "fidelity": cli.fidelity.label(),
                     "stats": serde_json::json!({
@@ -652,6 +652,7 @@ pub fn run(cli: &Cli, source: &str) -> Result<String, Box<dyn std::error::Error>
                         "persist_hits": r.stats.persist_hits,
                         "persist_misses": r.stats.persist_misses,
                         "persist_hit_rate": r.stats.persist_hit_rate(),
+                        "persist_flush_failed": r.stats.persist_flush_failed,
                         "tier0_evaluated": r.stats.tier0_evaluated,
                         "tier0_promoted": r.stats.tier0_promoted,
                         "tier0_pruned": r.stats.tier0_pruned,
@@ -737,7 +738,7 @@ pub fn run(cli: &Cli, source: &str) -> Result<String, Box<dyn std::error::Error>
                         .iter()
                         .map(|v| v.to_string())
                         .collect::<Vec<_>>(),
-                    "termination": format!("{:?}", r.termination),
+                    "termination": termination_label(r.termination),
                     "selected": r.selected.unroll,
                 }))?);
             } else {
@@ -968,12 +969,10 @@ pub fn run(cli: &Cli, source: &str) -> Result<String, Box<dyn std::error::Error>
     Ok(out)
 }
 
-/// The `watch` subcommand: poll `cli.file`, re-explore on every content
-/// change through an [`IncrementalSession`], and stream one line of
-/// per-edit stats to `out` as each exploration finishes. A revision that
-/// fails to parse (a save mid-edit) is reported and skipped — the
-/// session keeps its warm state. Exits after `--max-runs` explorations
-/// (runs forever without it).
+/// The `watch` subcommand: poll `cli.file` every `--poll-ms`, feed each
+/// read to a [`WatchLoop`], and stream the line it reports for every new
+/// revision to `out`. Exits after `--max-runs` explorations (runs
+/// forever without it).
 ///
 /// # Errors
 ///
@@ -983,30 +982,16 @@ pub fn run_watch(
     cli: &Cli,
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let threads = effective_threads(cli)?;
-    let store = open_store(cli)?.ok_or_else(|| {
-        UsageError("watch requires a cache directory (--cache-dir or DEFACTO_CACHE_DIR)".into())
-    })?;
-    let mut session = IncrementalSession::new(store)
-        .memory(cli.memory.clone())
-        .device(cli.device.clone())
-        .fidelity(cli.fidelity);
-    if let Some(n) = threads {
-        session = session.engine(Arc::new(EvalEngine::new(n)));
-    }
-    let mut last: Option<String> = None;
-    let mut runs = 0u64;
-    let mut revision = 0u64;
+    let mut watch = WatchLoop::new(cli)?;
+    let mut read_once = false;
     loop {
-        let text = match std::fs::read_to_string(&cli.file) {
-            Ok(t) => t,
-            Err(e) if last.is_some() => {
-                // Transient: editors replace files non-atomically.
-                writeln!(out, "watch: cannot read `{}`: {e}", cli.file)?;
-                out.flush()?;
-                std::thread::sleep(std::time::Duration::from_millis(cli.poll_ms));
-                continue;
+        let line = match std::fs::read_to_string(&cli.file) {
+            Ok(text) => {
+                read_once = true;
+                watch.step(&text)?.map(|r| r.line)
             }
+            // Transient: editors replace files non-atomically.
+            Err(e) if read_once => Some(format!("watch: cannot read `{}`: {e}", cli.file)),
             Err(e) => {
                 return Err(Box::new(UsageError(format!(
                     "cannot read `{}`: {e}",
@@ -1014,70 +999,138 @@ pub fn run_watch(
                 ))))
             }
         };
-        if last.as_deref() != Some(text.as_str()) {
-            last = Some(text.clone());
-            revision += 1;
-            match parse_kernel(&text) {
-                Err(e) => {
-                    writeln!(out, "rev {revision}: parse error: {e}")?;
-                }
-                Ok(kernel) => {
-                    let o = session.explore(&kernel)?;
-                    runs += 1;
-                    let r = &o.result;
-                    if cli.json {
-                        writeln!(
-                            out,
-                            "{}",
-                            serde_json::to_string(&serde_json::json!({
-                                "revision": revision,
-                                "kernel": kernel.name(),
-                                "selected": r.selected.unroll.factors(),
-                                "cycles": r.selected.estimate.cycles,
-                                "slices": r.selected.estimate.slices,
-                                "termination": format!("{:?}", r.termination),
-                                "warm": o.warm,
-                                "reused_analyses": o.reused_analyses,
-                                "changed": o.changed,
-                                "preloaded": o.preloaded,
-                                "evaluated": r.stats.evaluated,
-                                "cache_hits": r.stats.cache_hits,
-                                "persist_hits": r.stats.persist_hits,
-                                "persist_misses": r.stats.persist_misses,
-                                "persist_hit_rate": r.stats.persist_hit_rate(),
-                                "wall_ms": o.wall.as_secs_f64() * 1e3,
-                            }))?
-                        )?;
-                    } else {
-                        writeln!(
-                            out,
-                            "rev {revision} ({}): selected {} -> {} cycles, {} slices; \
-                             evaluated {}, persist {}/{}, {:.1} ms{}",
-                            if o.warm { "warm" } else { "cold" },
-                            r.selected.unroll,
-                            r.selected.estimate.cycles,
-                            r.selected.estimate.slices,
-                            r.stats.evaluated,
-                            r.stats.persist_hits,
-                            r.stats.persist_hits + r.stats.persist_misses,
-                            o.wall.as_secs_f64() * 1e3,
-                            if o.changed.is_empty() {
-                                String::new()
-                            } else {
-                                format!("; changed: {}", o.changed.join(","))
-                            }
-                        )?;
-                    }
-                }
-            }
+        if let Some(line) = line {
+            writeln!(out, "{line}")?;
             out.flush()?;
         }
-        if let Some(max) = cli.max_runs {
-            if runs >= max {
-                return Ok(());
-            }
+        if cli.max_runs.is_some_and(|max| watch.runs() >= max) {
+            return Ok(());
         }
         std::thread::sleep(std::time::Duration::from_millis(cli.poll_ms));
+    }
+}
+
+/// What `watch` reports for one new revision of the watched file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RevisionReport {
+    /// 1-based count of distinct texts seen so far.
+    pub revision: u64,
+    /// The rendered report line: JSON under `--json`, else human text.
+    pub line: String,
+}
+
+/// The pure half of `watch`: an [`IncrementalSession`] fed one file text
+/// at a time. A text equal to the previous one is no revision; a text
+/// that fails to parse (a save mid-edit) is reported and skipped, and the
+/// session keeps its warm state.
+pub struct WatchLoop {
+    session: IncrementalSession,
+    json: bool,
+    last: Option<String>,
+    revision: u64,
+    runs: u64,
+}
+
+impl WatchLoop {
+    /// A loop over a session configured from `cli`.
+    ///
+    /// # Errors
+    ///
+    /// Malformed thread or cache-directory settings, an unopenable store,
+    /// or no cache directory at all.
+    pub fn new(cli: &Cli) -> Result<WatchLoop, Box<dyn std::error::Error>> {
+        let threads = effective_threads(cli)?;
+        let store = open_store(cli)?.ok_or_else(|| {
+            UsageError("watch requires a cache directory (--cache-dir or DEFACTO_CACHE_DIR)".into())
+        })?;
+        let mut session = IncrementalSession::new(store)
+            .memory(cli.memory.clone())
+            .device(cli.device.clone())
+            .fidelity(cli.fidelity);
+        if let Some(n) = threads {
+            session = session.engine(Arc::new(EvalEngine::new(n)));
+        }
+        Ok(WatchLoop {
+            session,
+            json: cli.json,
+            last: None,
+            revision: 0,
+            runs: 0,
+        })
+    }
+
+    /// Explorations run so far.
+    pub fn runs(&self) -> u64 {
+        self.runs
+    }
+
+    /// Consume one read of the file: `None` when the text has not
+    /// changed, else the report of the new revision.
+    ///
+    /// # Errors
+    ///
+    /// Propagates exploration failures.
+    pub fn step(
+        &mut self,
+        text: &str,
+    ) -> Result<Option<RevisionReport>, Box<dyn std::error::Error>> {
+        if self.last.as_deref() == Some(text) {
+            return Ok(None);
+        }
+        self.last = Some(text.to_string());
+        self.revision += 1;
+        let revision = self.revision;
+        let kernel = match parse_kernel(text) {
+            Ok(kernel) => kernel,
+            Err(e) => {
+                return Ok(Some(RevisionReport {
+                    revision,
+                    line: format!("rev {revision}: parse error: {e}"),
+                }))
+            }
+        };
+        let o = self.session.explore(&kernel)?;
+        self.runs += 1;
+        let r = &o.result;
+        let line = if self.json {
+            serde_json::to_string(&serde_json::json!({
+                "revision": revision,
+                "kernel": kernel.name(),
+                "selected": r.selected.unroll.factors(),
+                "cycles": r.selected.estimate.cycles,
+                "slices": r.selected.estimate.slices,
+                "termination": termination_label(r.termination),
+                "warm": o.warm,
+                "reused_analyses": o.reused_analyses,
+                "changed": o.changed,
+                "preloaded": o.preloaded,
+                "evaluated": r.stats.evaluated,
+                "cache_hits": r.stats.cache_hits,
+                "persist_hits": r.stats.persist_hits,
+                "persist_misses": r.stats.persist_misses,
+                "persist_hit_rate": r.stats.persist_hit_rate(),
+                "wall_ms": o.wall.as_secs_f64() * 1e3,
+            }))?
+        } else {
+            format!(
+                "rev {revision} ({}): selected {} -> {} cycles, {} slices; \
+                 evaluated {}, persist {}/{}, {:.1} ms{}",
+                if o.warm { "warm" } else { "cold" },
+                r.selected.unroll,
+                r.selected.estimate.cycles,
+                r.selected.estimate.slices,
+                r.stats.evaluated,
+                r.stats.persist_hits,
+                r.stats.persist_hits + r.stats.persist_misses,
+                o.wall.as_secs_f64() * 1e3,
+                if o.changed.is_empty() {
+                    String::new()
+                } else {
+                    format!("; changed: {}", o.changed.join(","))
+                }
+            )
+        };
+        Ok(Some(RevisionReport { revision, line }))
     }
 }
 
@@ -1775,43 +1828,50 @@ mod tests {
     #[test]
     fn watch_second_edit_is_warm_and_parse_errors_are_skipped() {
         let dir = tmpdir("watch-edit");
-        let file = dir.join("fir.kernel");
-        std::fs::write(&file, FIR).unwrap();
-        let args = format!(
-            "watch {} --cache-dir {} --poll-ms 1 --max-runs 2 --json",
-            file.display(),
-            dir.display()
-        );
-        let cli = parse_args(&argv(&args)).unwrap();
-        // Edit the file from a helper thread: first a mid-save torn write
-        // (parse error, must be skipped), then an alpha-renamed kernel.
-        let edited = FIR
+        let args = format!("watch fir.kernel --cache-dir {} --json", dir.display());
+        let mut watch = WatchLoop::new(&parse_args(&argv(&args)).unwrap()).unwrap();
+        let renamed = FIR
             .replace(" i ", " q ")
             .replace("C[i]", "C[q]")
             .replace("S[i + j]", "S[q + j]");
-        let path = file.clone();
-        let writer = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(60));
-            std::fs::write(&path, "kernel fir {").unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(60));
-            std::fs::write(&path, &edited).unwrap();
-        });
-        let mut buf = Vec::new();
-        run_watch(&cli, &mut buf).unwrap();
-        writer.join().unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let jsons: Vec<serde_json::Value> = text
-            .lines()
-            .filter(|l| l.starts_with('{'))
-            .map(|l| serde_json::from_str(l).unwrap())
+        // The saved kernel, an unchanged re-read, a torn mid-save write,
+        // then an alpha-renamed kernel.
+        let reports: Vec<Option<RevisionReport>> = [FIR, FIR, "kernel fir {", renamed.as_str()]
+            .into_iter()
+            .map(|text| watch.step(text).unwrap())
             .collect();
-        assert_eq!(jsons.len(), 2, "{text}");
-        assert!(text.contains("parse error"), "{text}");
-        assert_eq!(jsons[0]["warm"], serde_json::Value::Bool(false));
-        assert_eq!(jsons[1]["warm"], serde_json::Value::Bool(true));
+        assert_eq!(reports[1], None, "an unchanged text is no revision");
+        let torn = reports[2].as_ref().unwrap();
+        assert_eq!(torn.revision, 2);
+        assert!(torn.line.contains("parse error"), "{}", torn.line);
+        assert_eq!(watch.runs(), 2);
+        let json = |r: &Option<RevisionReport>| -> serde_json::Value {
+            serde_json::from_str(&r.as_ref().unwrap().line).unwrap()
+        };
+        let (cold, warm) = (json(&reports[0]), json(&reports[3]));
+        assert_eq!(cold["revision"].as_u64(), Some(1));
+        assert_eq!(warm["revision"].as_u64(), Some(3));
+        assert_eq!(cold["warm"], serde_json::Value::Bool(false));
+        assert_eq!(warm["warm"], serde_json::Value::Bool(true));
         // The alpha-rename is canonically identical: fully served from cache.
-        assert_eq!(jsons[1]["evaluated"].as_u64(), Some(0), "{text}");
-        assert_eq!(jsons[0]["selected"], jsons[1]["selected"]);
+        assert_eq!(warm["evaluated"].as_u64(), Some(0), "{warm:?}");
+        assert_eq!(cold["selected"], warm["selected"]);
+        assert_eq!(cold["termination"], "space-constrained");
+        assert_eq!(warm["termination"], "space-constrained");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn json_outputs_carry_the_stable_termination_label() {
+        let explore = run(
+            &parse_args(&argv("explore fir.kernel --json")).unwrap(),
+            FIR,
+        )
+        .unwrap();
+        let audit = run(&parse_args(&argv("audit fir.kernel --json")).unwrap(), FIR).unwrap();
+        for out in [explore, audit] {
+            let v: serde_json::Value = serde_json::from_str(&out).unwrap();
+            assert_eq!(v["termination"], "space-constrained", "{out}");
+        }
     }
 }

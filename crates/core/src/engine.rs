@@ -207,6 +207,9 @@ pub struct EvalStats {
     /// Joint points a strategy's tier-0 bound excluded without a tier-1
     /// evaluation (guided joint runs only).
     pub bounded_pruned: u64,
+    /// Persistent-store flushes that failed at the end of a search. The
+    /// search still answers; its entries are just not on disk.
+    pub persist_flush_failed: u64,
 }
 
 impl EvalStats {
@@ -257,6 +260,7 @@ impl PartialEq for EvalStats {
             && self.persist_misses == other.persist_misses
             && self.strategy_visited == other.strategy_visited
             && self.bounded_pruned == other.bounded_pruned
+            && self.persist_flush_failed == other.persist_flush_failed
     }
 }
 

@@ -16,6 +16,9 @@ pub enum DseError {
     Xform(defacto_xform::XformError),
     /// An unroll vector outside the design space was requested.
     OutsideSpace(String),
+    /// A search had no design to choose from: an empty space or a zero
+    /// evaluation budget.
+    EmptySpace,
 }
 
 impl fmt::Display for DseError {
@@ -25,6 +28,7 @@ impl fmt::Display for DseError {
             DseError::NoLoops => write!(f, "kernel has no loops to explore"),
             DseError::Xform(e) => write!(f, "transformation failed: {e}"),
             DseError::OutsideSpace(m) => write!(f, "unroll vector outside design space: {m}"),
+            DseError::EmptySpace => write!(f, "no design to search: empty space or zero budget"),
         }
     }
 }

@@ -7,7 +7,7 @@ use crate::saturation::{saturation_analysis, SaturationInfo};
 use crate::search::{
     doubling_frontier, run_search_instrumented, SearchConfig, SearchResult, VisitOutcome,
 };
-use crate::space::{Axis, DesignSpace, JointPoint};
+use crate::space::{sibling_groups, Axis, DesignSpace, JointPoint};
 use crate::strategy::{strategy_for, StrategyContext, StrategyKind};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use defacto_cache::{AnalysisSummary, ContextKey, PersistentCache, SelectionRecord};
@@ -22,7 +22,7 @@ use defacto_xform::{
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Evaluation fidelity policy (see DESIGN.md §10).
@@ -700,14 +700,15 @@ impl<'k> Explorer<'k> {
         result.stats = self.engine.stats_since(before, started.elapsed());
         result.stats.tier0_evaluated = counts.evaluated;
         result.stats.tier0_promoted = counts.promoted;
-        self.persist_result(&result);
+        self.persist_result(&mut result);
         Ok(result)
     }
 
     /// Record the search outcome (and a summary of the point-invariant
     /// analyses) into the persistent store, then flush it. Best-effort:
-    /// persistence failures never fail a search.
-    fn persist_result(&self, result: &SearchResult) {
+    /// persistence failures never fail a search, but a failed flush is
+    /// counted in `result.stats.persist_flush_failed`.
+    fn persist_result(&self, result: &mut SearchResult) {
         let Some(store) = &self.store else { return };
         let key = self.persist_key();
         store.record_selection(
@@ -736,7 +737,9 @@ impl<'k> Explorer<'k> {
                 );
             }
         }
-        let _ = store.flush();
+        if store.flush().is_err() {
+            result.stats.persist_flush_failed += 1;
+        }
     }
 
     /// The tier-0-only search: the Figure-2 algorithm over synthetic
@@ -846,14 +849,7 @@ impl<'k> Explorer<'k> {
     /// typed error rather than being skipped.
     pub fn joint_sweep(&self) -> Result<Vec<EvaluatedJointDesign>> {
         let space = self.joint_space()?;
-        let points: Vec<JointPoint> = space.joint_points().to_vec();
-        let results = self
-            .engine
-            .parallel_map(&points, |p| self.evaluate_joint(p));
-        let mut sweep = Vec::with_capacity(points.len());
-        for r in results {
-            sweep.push(r?);
-        }
+        let sweep = self.evaluate_joint_points(space.joint_points(), None)?;
         if self.sink.enabled() {
             for d in &sweep {
                 self.sink.record(&TraceEvent::AxisVisit {
@@ -889,9 +885,11 @@ impl<'k> Explorer<'k> {
         let started = Instant::now();
         let before = self.engine.counters();
         let space = self.joint_space()?;
+        let points = space.joint_points().to_vec();
         let cx = ExplorerStrategyCx {
             ex: self,
-            points: space.joint_points().to_vec(),
+            memo: DesignMemo::new(&points),
+            points,
             seed: self.joint_seed(&space),
             model: self.joint_analytic_model().cloned(),
             bands_priced: Cell::new(0),
@@ -931,69 +929,107 @@ impl<'k> Explorer<'k> {
         space.contains_joint(&candidate).then_some(candidate)
     }
 
-    /// Evaluate one joint point: apply its interchange/tiling to the
-    /// kernel, run the classic unroll pipeline on the variant, and
-    /// estimate with the point's narrowing/packing flags overriding the
-    /// explorer's synthesis options.
-    ///
-    /// The variant (and its point-invariant preparation) comes from the
-    /// shared [`VariantCache`] — bit-identical to the former scratch
-    /// pipeline (the [`PreparedKernel::transform`] equivalence contract)
-    /// but derived once per variant instead of once per point. Under
-    /// [`Fidelity::Analytic`] the estimate is the joint tier-0 band
-    /// midpoint instead (`provenance.segments == 0`).
-    fn evaluate_joint(&self, p: &JointPoint) -> Result<EvaluatedJointDesign> {
-        let unroll = joint_unroll(p);
-        if self.fidelity == Fidelity::Analytic {
-            if let Some(m) = self.joint_analytic_model() {
-                if let Some(band) = m.band(&p.permutation, p.tile, p.narrow, p.pack, &unroll) {
-                    if let Some(estimate) =
-                        m.synthetic_estimate(&p.permutation, p.tile, p.narrow, p.pack, &band)
-                    {
-                        return Ok(EvaluatedJointDesign {
-                            point: p.clone(),
-                            estimate,
-                        });
-                    }
-                }
-            }
+    /// Evaluate joint points in order, fanning their sibling groups (see
+    /// [`sibling_groups`]) out across the engine's workers; `memo` lends
+    /// designs to groups a caller hands over piecemeal. Fails with the
+    /// earliest failure in `points` order.
+    fn evaluate_joint_points(
+        &self,
+        points: &[JointPoint],
+        memo: Option<&DesignMemo>,
+    ) -> Result<Vec<EvaluatedJointDesign>> {
+        let groups: Vec<&[JointPoint]> = sibling_groups(points).collect();
+        let mut evaluated = Vec::with_capacity(points.len());
+        for r in self
+            .engine
+            .parallel_map(&groups, |g| self.evaluate_group(g, memo))
+        {
+            evaluated.extend(r?);
         }
-        let design = match self.variant_cache() {
-            Some(cache) => {
-                let variant = cache.get(&p.permutation, p.tile)?;
-                match &variant.prepared {
-                    Some(prepared) => prepared.transform(&unroll, &self.opts)?,
-                    // A variant that does not prepare falls back to the
-                    // scratch pipeline (same result, reproduced error).
-                    None => transform(&variant.kernel, &unroll, &self.opts)?,
-                }
-            }
-            None => transform(&self.joint_variant(p)?, &unroll, &self.opts)?,
-        };
-        let mut synthesis = self.synthesis.clone();
-        if p.narrow {
-            synthesis.bitwidth_narrowing = true;
-        }
-        if p.pack {
-            synthesis.pack_small_types = true;
-        }
-        let estimate = estimate_opts(&design, &self.mem, &self.device, &synthesis);
-        Ok(EvaluatedJointDesign {
-            point: p.clone(),
-            estimate,
-        })
+        Ok(evaluated)
     }
 
-    /// The kernel variant a joint point's non-unroll loop axes describe.
-    fn joint_variant(&self, p: &JointPoint) -> Result<Kernel> {
-        let mut variant = defacto_xform::normalize_loops(self.kernel)?;
-        if !p.identity_permutation() {
-            variant = defacto_xform::interchange(&variant, &p.permutation)?;
+    /// Evaluate one sibling group: transform its variant (from the shared
+    /// [`VariantCache`]) at its unroll vector once, and estimate each
+    /// sibling with its narrowing/packing flags overriding the
+    /// explorer's synthesis options. The flags are synthesis options, so
+    /// they cannot change the transformed design. Under
+    /// [`Fidelity::Analytic`] a sibling's estimate is its joint tier-0
+    /// band midpoint instead (`provenance.segments == 0`), and only the
+    /// siblings no band prices pay for the transform.
+    fn evaluate_group(
+        &self,
+        group: &[JointPoint],
+        memo: Option<&DesignMemo>,
+    ) -> Result<Vec<EvaluatedJointDesign>> {
+        let first = &group[0];
+        let mut tier0: Vec<Option<Estimate>> = vec![None; group.len()];
+        if self.fidelity == Fidelity::Analytic {
+            if let Some(m) = self.joint_analytic_model() {
+                for ((slot, band), p) in tier0.iter_mut().zip(group_bands(m, group)).zip(group) {
+                    *slot = band.and_then(|b| {
+                        m.synthetic_estimate(&p.permutation, p.tile, p.narrow, p.pack, &b)
+                    });
+                }
+            }
         }
-        if let Some((level, tile)) = p.tile {
-            variant = defacto_xform::tiling::tile_for_registers(&variant, level, tile)?;
+        let mut design: Option<Arc<TransformedDesign>> = None;
+        let mut evaluated = Vec::with_capacity(group.len());
+        for (p, priced) in group.iter().zip(tier0) {
+            let estimate = match priced {
+                Some(estimate) => estimate,
+                None => {
+                    let design = match design {
+                        Some(ref d) => d,
+                        None => design.insert(self.group_design(first, memo)?),
+                    };
+                    let mut synthesis = self.synthesis.clone();
+                    synthesis.bitwidth_narrowing |= p.narrow;
+                    synthesis.pack_small_types |= p.pack;
+                    estimate_opts(design, &self.mem, &self.device, &synthesis)
+                }
+            };
+            evaluated.push(EvaluatedJointDesign {
+                point: p.clone(),
+                estimate,
+            });
         }
-        Ok(variant)
+        if let Some(memo) = memo {
+            memo.settle(first, group.len(), design);
+        }
+        Ok(evaluated)
+    }
+
+    /// The transformed design of `p`'s sibling group, from `memo` when a
+    /// sibling already paid for it.
+    fn group_design(
+        &self,
+        p: &JointPoint,
+        memo: Option<&DesignMemo>,
+    ) -> Result<Arc<TransformedDesign>> {
+        if let Some(design) = memo.and_then(|m| m.get(p)) {
+            return Ok(design);
+        }
+        #[cfg(test)]
+        tests::TRANSFORMS.with(|n| n.set(n.get() + 1));
+        let unroll = joint_unroll(p);
+        let fresh;
+        let cache = match self.variant_cache() {
+            Some(cache) => cache.as_ref(),
+            // Building the cache fails deterministically; reproduce its error.
+            None => {
+                fresh = VariantCache::new(self.kernel)?;
+                &fresh
+            }
+        };
+        let variant = cache.get(&p.permutation, p.tile)?;
+        let design = match &variant.prepared {
+            Some(prepared) => prepared.transform(&unroll, &self.opts)?,
+            // A variant that does not prepare falls back to the scratch
+            // pipeline (same result, reproduced error).
+            None => transform(&variant.kernel, &unroll, &self.opts)?,
+        };
+        Ok(Arc::new(design))
     }
 
     /// Execute the transformed design at `unroll` on concrete inputs
@@ -1222,6 +1258,80 @@ fn joint_unroll(p: &JointPoint) -> UnrollVector {
     }
 }
 
+/// Tier-0 bands of one sibling group, one per point: a single census
+/// priced under each sibling's flags.
+fn group_bands(model: &JointAnalyticModel, group: &[JointPoint]) -> Vec<Option<AnalyticBand>> {
+    let first = &group[0];
+    #[cfg(test)]
+    tests::CENSUSES.with(|n| n.set(n.get() + 1));
+    let flags: Vec<(bool, bool)> = group.iter().map(|p| (p.narrow, p.pack)).collect();
+    model.bands(&first.permutation, first.tile, &joint_unroll(first), &flags)
+}
+
+/// The transformed designs one guided search shares between siblings it
+/// evaluates at different times. Each sibling group's entry counts its
+/// open siblings, those neither evaluated nor pruned yet, and keeps the
+/// group's design only while some stay open; the memo is dropped with
+/// the search.
+#[derive(Debug)]
+struct DesignMemo {
+    groups: Mutex<HashMap<JointPoint, MemoEntry>>,
+}
+
+/// One sibling group's [`DesignMemo`] entry.
+#[derive(Debug)]
+struct MemoEntry {
+    open: usize,
+    design: Option<Arc<TransformedDesign>>,
+}
+
+impl DesignMemo {
+    /// A memo over `points`, every sibling open and no design held.
+    fn new(points: &[JointPoint]) -> DesignMemo {
+        let groups = sibling_groups(points)
+            .map(|g| {
+                let entry = MemoEntry {
+                    open: g.len(),
+                    design: None,
+                };
+                (group_key(&g[0]), entry)
+            })
+            .collect();
+        DesignMemo {
+            groups: Mutex::new(groups),
+        }
+    }
+
+    /// The held design of `p`'s group.
+    fn get(&self, p: &JointPoint) -> Option<Arc<TransformedDesign>> {
+        let groups = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
+        groups.get(&group_key(p))?.design.clone()
+    }
+
+    /// Close `n` siblings of `p`'s group, holding `design` (when given)
+    /// while any sibling stays open and dropping it once none does.
+    fn settle(&self, p: &JointPoint, n: usize, design: Option<Arc<TransformedDesign>>) {
+        let mut groups = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(entry) = groups.get_mut(&group_key(p)) {
+            entry.open = entry.open.saturating_sub(n);
+            if entry.open == 0 {
+                entry.design = None;
+            } else if design.is_some() {
+                entry.design = design;
+            }
+        }
+    }
+}
+
+/// The representative of `p`'s sibling group: `p` with its flags off.
+fn group_key(p: &JointPoint) -> JointPoint {
+    JointPoint {
+        narrow: false,
+        pack: false,
+        ..p.clone()
+    }
+}
+
 /// The explorer-backed [`StrategyContext`]: tier-1 batches fan out
 /// across the engine's workers (order-preserving, so the strategy's
 /// serial commit order — and the trace — is identical at any worker
@@ -1229,6 +1339,7 @@ fn joint_unroll(p: &JointPoint) -> UnrollVector {
 /// go to the trace sink.
 struct ExplorerStrategyCx<'a, 'k> {
     ex: &'a Explorer<'k>,
+    memo: DesignMemo,
     points: Vec<JointPoint>,
     seed: Option<JointPoint>,
     model: Option<Arc<JointAnalyticModel>>,
@@ -1246,25 +1357,20 @@ impl StrategyContext for ExplorerStrategyCx<'_, '_> {
     }
 
     fn evaluate_batch(&self, points: &[JointPoint]) -> Result<Vec<EvaluatedJointDesign>> {
-        self.ex
-            .engine
-            .parallel_map(points, |p| self.ex.evaluate_joint(p))
-            .into_iter()
-            .collect()
+        self.ex.evaluate_joint_points(points, Some(&self.memo))
     }
 
     fn bound_batch(&self, points: &[JointPoint]) -> Vec<Option<AnalyticBand>> {
         let Some(model) = &self.model else {
             return vec![None; points.len()];
         };
+        let groups: Vec<&[JointPoint]> = sibling_groups(points).collect();
         let bands: Vec<Option<AnalyticBand>> = self
             .ex
             .engine
-            .parallel_map(points, |p| {
-                Ok(model.band(&p.permutation, p.tile, p.narrow, p.pack, &joint_unroll(p)))
-            })
+            .parallel_map(&groups, |g| Ok(group_bands(model, g)))
             .into_iter()
-            .map(|r| r.unwrap_or(None))
+            .flat_map(|r| r.unwrap_or_default())
             .collect();
         self.bands_priced
             .set(self.bands_priced.get() + bands.iter().flatten().count() as u64);
@@ -1284,6 +1390,7 @@ impl StrategyContext for ExplorerStrategyCx<'_, '_> {
     }
 
     fn record_prune(&self, point: &JointPoint, band: &AnalyticBand, threshold: Option<u64>) {
+        self.memo.settle(point, 1, None);
         if self.ex.sink.enabled() {
             self.ex.sink.record(&TraceEvent::BoundPrune {
                 point: point.clone(),
@@ -1299,6 +1406,47 @@ impl StrategyContext for ExplorerStrategyCx<'_, '_> {
 mod tests {
     use super::*;
     use defacto_ir::parse_kernel;
+
+    thread_local! {
+        /// Sibling-group transforms this thread ran.
+        pub(super) static TRANSFORMS: Cell<u64> = const { Cell::new(0) };
+        /// Sibling-group censuses this thread ran.
+        pub(super) static CENSUSES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `f`'s result with the transforms and censuses it ran on this
+    /// thread (all of them, at one worker).
+    fn layer_calls<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+        let before = (TRANSFORMS.with(Cell::get), CENSUSES.with(Cell::get));
+        let out = f();
+        let transforms = TRANSFORMS.with(Cell::get) - before.0;
+        (out, transforms, CENSUSES.with(Cell::get) - before.1)
+    }
+
+    /// SOBEL offers both flags, so its 320 joint points are 80 sibling
+    /// groups of four, and each group is transformed or censused once.
+    #[test]
+    fn sobel_siblings_share_one_transform_and_one_census() {
+        let k = defacto_kernels::sobel::kernel();
+        let ex = || Explorer::new(&k).axes(&Axis::ALL).threads(1);
+        let (sweep, transforms, censuses) = layer_calls(|| ex().joint_sweep().unwrap());
+        assert_eq!(sweep.len(), 320);
+        assert_eq!((transforms, censuses), (80, 0));
+
+        let (guided, transforms, censuses) =
+            layer_calls(|| ex().joint_explore(StrategyKind::BranchAndBound).unwrap());
+        assert_eq!(guided.evaluated.len(), 57);
+        // One census per group; the search's memo lets siblings evaluated
+        // at different steps share a transform.
+        assert_eq!((transforms, censuses), (25, 80));
+        let truth = crate::exhaustive::best_joint_performance(&sweep);
+        assert_eq!(guided.selected.as_ref(), truth);
+
+        let (analytic, transforms, censuses) =
+            layer_calls(|| ex().fidelity(Fidelity::Analytic).joint_sweep().unwrap());
+        assert!(analytic.iter().all(|d| d.estimate.provenance.segments == 0));
+        assert_eq!((transforms, censuses), (0, 80));
+    }
 
     const FIR: &str = "kernel fir { in S: i32[96]; in C: i32[32]; inout D: i32[64];
        for j in 0..64 { for i in 0..32 {
@@ -1603,6 +1751,39 @@ mod tests {
         assert_eq!(r.stats.evaluated, 0);
         // Tier-0 search results stay out of the shared memo cache.
         assert_eq!(ex.engine_ref().cache().len(), 0);
+    }
+
+    #[test]
+    fn a_failed_store_flush_is_counted_not_dropped() {
+        let dir = std::env::temp_dir().join(format!("defacto-flush-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let k = parse_kernel(FIR).unwrap();
+        let explore = || {
+            let store = Arc::new(PersistentCache::open(&dir).unwrap());
+            Explorer::new(&k)
+                .threads(1)
+                .persistent(store)
+                .explore()
+                .unwrap()
+        };
+        let healthy = explore();
+        assert_eq!(healthy.stats.persist_flush_failed, 0);
+        // A store opened over an empty directory that then turns into a
+        // plain file: nothing can be written under it, whoever runs the
+        // test.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let store = Arc::new(PersistentCache::open(&dir).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, "not a directory").unwrap();
+        let r = Explorer::new(&k)
+            .threads(1)
+            .persistent(store)
+            .explore()
+            .unwrap();
+        std::fs::remove_file(&dir).ok();
+        assert_eq!(r.stats.persist_flush_failed, 1);
+        // The search itself is unaffected.
+        assert_eq!(r.selected, healthy.selected);
     }
 
     /// A second sweep through the same explorer answers entirely from the

@@ -136,6 +136,16 @@ impl JointPoint {
     }
 }
 
+/// Split `points` into sibling groups: maximal runs that share
+/// permutation, tile and unroll, and so the transformed code, and differ
+/// only in the narrow/pack flags, which are synthesis options.
+/// [`DesignSpace::with_axes`] enumerates the flags innermost, so over
+/// [`DesignSpace::joint_points`] every group is a single run.
+pub(crate) fn sibling_groups(points: &[JointPoint]) -> impl Iterator<Item = &[JointPoint]> {
+    points
+        .chunk_by(|a, b| a.unroll == b.unroll && a.permutation == b.permutation && a.tile == b.tile)
+}
+
 /// How many candidate coordinates legality analysis excluded while the
 /// joint space was built — the static pruning that keeps joint sweeps
 /// tractable (each count is work the engine never has to evaluate *or*
@@ -324,6 +334,16 @@ impl DesignSpace {
                 points,
                 pruned,
             }),
+        }
+    }
+
+    /// A space with one level and no allowed factor, which no public
+    /// constructor builds: the edge case searches must refuse.
+    #[cfg(test)]
+    pub(crate) fn empty() -> Self {
+        DesignSpace {
+            factors_per_level: vec![Vec::new()],
+            joint: None,
         }
     }
 
@@ -787,5 +807,27 @@ mod tests {
         // collapses back to off.
         let narrow_only = DesignSpace::with_axes(&[64], &[true], &summary, &Axis::ALL, 8);
         assert!(narrow_only.joint_points().iter().all(|p| !p.pack));
+    }
+
+    #[test]
+    fn sibling_groups_are_contiguous_in_enumeration_order() {
+        let k = defacto_ir::parse_kernel(
+            "kernel p { in A: u8[8][64]; out B: i32[8][64] range 0..100;
+               for r in 0..8 { for i in 0..64 { B[r][i] = A[r][i] + 1; } } }",
+        )
+        .unwrap();
+        let summary = LegalitySummary::analyze(&k).unwrap();
+        let joint = DesignSpace::with_axes(&[8, 64], &[true, true], &summary, &Axis::ALL, 32);
+        let points = joint.joint_points();
+        let groups: Vec<&[JointPoint]> = sibling_groups(points).collect();
+        // Both flags apply, so every group holds all four flag pairs...
+        assert!(groups.iter().all(|g| g.len() == 4), "{groups:?}");
+        assert_eq!(groups.iter().map(|g| g.len()).sum::<usize>(), points.len());
+        // ...and no group's code shows up in a second run.
+        let keys: std::collections::HashSet<_> = groups
+            .iter()
+            .map(|g| (&g[0].unroll, &g[0].permutation, g[0].tile))
+            .collect();
+        assert_eq!(keys.len(), groups.len());
     }
 }

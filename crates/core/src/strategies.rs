@@ -8,7 +8,7 @@
 //! criteria directly (min cycles among fitting designs; ties to the
 //! smaller design).
 
-use crate::error::Result;
+use crate::error::{DseError, Result};
 use crate::explorer::EvaluatedDesign;
 use crate::space::DesignSpace;
 use defacto_synth::Estimate;
@@ -48,11 +48,8 @@ fn best_of(evaluated: &[EvaluatedDesign]) -> EvaluatedDesign {
 ///
 /// # Errors
 ///
-/// Propagates evaluation failures.
-///
-/// # Panics
-///
-/// Panics if the space is empty.
+/// [`DseError::EmptySpace`] when there is nothing to draw (an empty space
+/// or a zero budget); otherwise propagates evaluation failures.
 pub fn random_search<E>(
     space: &DesignSpace,
     seed: u64,
@@ -62,7 +59,10 @@ pub fn random_search<E>(
 where
     E: FnMut(&UnrollVector) -> Result<Estimate>,
 {
-    assert!(space.size() > 0, "empty design space");
+    let budget = budget.min(space.size() as usize);
+    if budget == 0 {
+        return Err(DseError::EmptySpace);
+    }
     let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
     let mut next = move || {
         // xorshift64*
@@ -73,7 +73,6 @@ where
     };
     let mut seen: HashSet<UnrollVector> = HashSet::new();
     let mut evaluated = Vec::new();
-    let budget = budget.min(space.size() as usize);
     let mut guard = 0usize;
     while evaluated.len() < budget && guard < budget * 64 {
         guard += 1;
@@ -214,6 +213,20 @@ mod tests {
                 .map(|d| d.unroll.clone())
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn random_search_over_nothing_is_a_typed_error() {
+        let never = |_: &UnrollVector| -> Result<Estimate> { unreachable!("nothing to draw") };
+        let empty = DesignSpace::empty();
+        assert_eq!(empty.size(), 0);
+        let err = random_search(&empty, 1, 8, never).unwrap_err();
+        assert_eq!(err, DseError::EmptySpace);
+        // A zero budget leaves nothing to select from either.
+        let k = fir();
+        let (_, space) = Explorer::new(&k).analyze().unwrap();
+        let err = random_search(&space, 1, 0, never).unwrap_err();
+        assert_eq!(err, DseError::EmptySpace);
     }
 
     #[test]

@@ -28,10 +28,13 @@ use std::sync::Arc;
 use defacto::cache::PersistentCache;
 use defacto::exhaustive::{best_joint_performance, best_performance};
 use defacto::{
-    audit_search_trace, to_jsonl, DseError, Explorer, Fidelity, MemorySink, StrategyKind,
+    audit_search_trace, strategy_for, to_jsonl, DseError, EvaluatedJointDesign, Explorer, Fidelity,
+    JointPoint, MemorySink, StrategyContext, StrategyKind,
 };
 use defacto_ir::{canonicalize, parse_kernel, run_with_inputs, ArrayKind, Kernel};
-use defacto_synth::{estimate_opts, AnalyticModel, FpgaDevice, MemoryModel, SynthesisOptions};
+use defacto_synth::{
+    estimate_opts, AnalyticBand, AnalyticModel, FpgaDevice, MemoryModel, SynthesisOptions,
+};
 use defacto_xform::{PreparedKernel, UnrollVector, XformError};
 
 use crate::rng::SplitMix64;
@@ -58,8 +61,10 @@ pub enum Oracle {
     /// error.
     Legality,
     /// A guided search strategy broke its contract: branch-and-bound
-    /// selected a different design than the exhaustive joint sweep, or
-    /// coordinate descent landed outside its reported optimality gap.
+    /// selected a different design than the exhaustive joint sweep,
+    /// coordinate descent landed outside its reported optimality gap, or
+    /// the explorer's sibling-grouped evaluation disagreed with a
+    /// per-point reference.
     Strategy,
     /// A panic escaped a compiler pass — the catch-all robustness oracle.
     Crash,
@@ -679,6 +684,43 @@ fn check_case_inner(
                 }))
             }
         };
+        // The explorer evaluates narrow/pack siblings as one group; a
+        // reference that pays every layer call per point must agree bit
+        // for bit, on the sweep and on branch-and-bound's decisions.
+        let per_point = guarded("strategy-reference", || {
+            let seed = gex.analyze()?.0.u_init;
+            let seed = JointPoint {
+                unroll: seed.factors().to_vec(),
+                ..JointPoint::baseline(seed.factors().len())
+            };
+            let reference = PerPoint {
+                explorer: &gex,
+                mem: profile.memory.clone(),
+                variants: defacto_xform::VariantCache::new(&kernel)?,
+                points: jpoints.to_vec(),
+                seed: jspace.contains_joint(&seed).then_some(seed),
+            };
+            let sweep = reference.evaluate_batch(jpoints)?;
+            let guided = strategy_for(StrategyKind::BranchAndBound).run(&reference)?;
+            Ok::<_, DseError>((sweep, guided))
+        })?;
+        let (ref_sweep, ref_guided) = match per_point {
+            Ok(r) => r,
+            Err(e) => {
+                return Ok(CaseOutcome::Violation(Violation {
+                    oracle: Oracle::Strategy,
+                    stage: "strategy-reference".to_string(),
+                    detail: format!("per-point reference failed: {e}"),
+                }))
+            }
+        };
+        if ref_sweep != sweep {
+            return Ok(CaseOutcome::Violation(Violation {
+                oracle: Oracle::Strategy,
+                stage: "strategy-grouping".to_string(),
+                detail: "joint sweep differs from its per-point reference".to_string(),
+            }));
+        }
         let truth = best_joint_performance(&sweep);
         let bnb = match guarded("strategy-bnb", || {
             gex.joint_explore(StrategyKind::BranchAndBound)
@@ -697,6 +739,21 @@ fn check_case_inner(
             (None, None) => true,
             _ => false,
         };
+        if bnb.evaluated != ref_guided.evaluated || bnb.pruned != ref_guided.pruned {
+            return Ok(CaseOutcome::Violation(Violation {
+                oracle: Oracle::Strategy,
+                stage: "strategy-grouping".to_string(),
+                detail: format!(
+                    "branch-and-bound evaluated {} and pruned {}, its per-point reference \
+                     evaluated {} and pruned {}",
+                    bnb.evaluated.len(),
+                    bnb.pruned,
+                    ref_guided.evaluated.len(),
+                    ref_guided.pruned
+                ),
+            }));
+        }
+        checks += 1;
         if !identical {
             return Ok(CaseOutcome::Violation(Violation {
                 oracle: Oracle::Strategy,
@@ -785,6 +842,94 @@ fn check_case_inner(
     }
 
     Ok(CaseOutcome::Passed { checks })
+}
+
+/// The per-point reference for the strategy oracle: each point pays its
+/// own variant lookup, transform and estimate, and its own member model,
+/// census and pricing for a band, through the layers' public calls. The
+/// explorer shares that work across narrow/pack siblings; this does not.
+struct PerPoint<'a> {
+    explorer: &'a Explorer<'a>,
+    mem: MemoryModel,
+    variants: defacto_xform::VariantCache,
+    points: Vec<JointPoint>,
+    seed: Option<JointPoint>,
+}
+
+impl PerPoint<'_> {
+    fn unroll(p: &JointPoint) -> UnrollVector {
+        match p.tile {
+            Some(_) => UnrollVector::ones(p.unroll.len() + 1),
+            None => p.unroll_vector(),
+        }
+    }
+
+    fn synthesis(p: &JointPoint) -> SynthesisOptions {
+        SynthesisOptions {
+            bitwidth_narrowing: p.narrow,
+            pack_small_types: p.pack,
+            ..SynthesisOptions::default()
+        }
+    }
+}
+
+impl StrategyContext for PerPoint<'_> {
+    fn points(&self) -> &[JointPoint] {
+        &self.points
+    }
+
+    fn seed(&self) -> Option<JointPoint> {
+        self.seed.clone()
+    }
+
+    fn evaluate_batch(&self, points: &[JointPoint]) -> defacto::Result<Vec<EvaluatedJointDesign>> {
+        let topts = self.explorer.transform_options();
+        points
+            .iter()
+            .map(|p| {
+                let variant = self.variants.get(&p.permutation, p.tile)?;
+                let design = match &variant.prepared {
+                    Some(prepared) => prepared.transform(&Self::unroll(p), topts)?,
+                    None => defacto_xform::transform(&variant.kernel, &Self::unroll(p), topts)?,
+                };
+                Ok(EvaluatedJointDesign {
+                    point: p.clone(),
+                    estimate: estimate_opts(
+                        &design,
+                        &self.mem,
+                        self.explorer.device_ref(),
+                        &Self::synthesis(p),
+                    ),
+                })
+            })
+            .collect()
+    }
+
+    fn bound_batch(&self, points: &[JointPoint]) -> Vec<Option<AnalyticBand>> {
+        let topts = self.explorer.transform_options();
+        points
+            .iter()
+            .map(|p| {
+                let model = AnalyticModel::new(
+                    self.variants
+                        .get(&p.permutation, p.tile)
+                        .ok()?
+                        .prepared
+                        .clone()?,
+                    self.mem.clone(),
+                    self.explorer.device_ref().clone(),
+                    topts.clone(),
+                    Self::synthesis(p),
+                )?;
+                let census = model.prepared().census(&Self::unroll(p), topts).ok()?;
+                Some(model.price(&census))
+            })
+            .collect()
+    }
+
+    fn record_step(&self, _: &EvaluatedJointDesign, _: Option<u64>) {}
+
+    fn record_prune(&self, _: &JointPoint, _: &AnalyticBand, _: Option<u64>) {}
 }
 
 /// A permutation of the nest the summary proves illegal, if any exists
@@ -969,9 +1114,9 @@ mod tests {
 
     #[test]
     fn strategy_oracle_fires_on_small_joint_spaces() {
-        // With an uncapped budget the oracle must add exactly its two
-        // checks (branch-and-bound identity, coordinate-descent gap)
-        // over a run with the oracle disabled.
+        // With an uncapped budget the oracle must add exactly its three
+        // checks (per-point reference, branch-and-bound identity,
+        // coordinate-descent gap) over a run with the oracle disabled.
         let profile = &Profile::standard()[0];
         let with = OracleConfig {
             max_strategy_points: 1000,
@@ -989,7 +1134,7 @@ mod tests {
             CaseOutcome::Passed { checks } => checks,
             other => panic!("fir should pass: {other:?}"),
         };
-        assert_eq!(checks_with, checks_without + 2);
+        assert_eq!(checks_with, checks_without + 3);
     }
 
     #[test]

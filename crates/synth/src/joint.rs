@@ -7,7 +7,8 @@
 //! `(permutation, tile, narrow, pack)` — each one built over the
 //! variant's [`PreparedKernel`](defacto_xform::PreparedKernel) (served
 //! by a shared [`VariantCache`]) with the flag-adjusted options — and
-//! prices any joint point through the matching member.
+//! prices joint points through the matching members, one sibling group
+//! (same variant and unroll, any flags) per census.
 //!
 //! Soundness is inherited wholesale: each member model's band provably
 //! brackets `estimate_opts` of the fully transformed variant design
@@ -119,21 +120,36 @@ impl JointAnalyticModel {
         cache.entry(key).or_insert(built).clone()
     }
 
-    /// Price one joint point: the band of the variant's unroll point
-    /// under the flag-adjusted options. `unroll` must already be the
-    /// vector the joint evaluator transforms with (all-ones one level
-    /// deeper for tiled points). `None` when the member model declined
-    /// or the band errored — callers must fall back to tier 1.
-    pub fn band(
+    /// Price one sibling group: the joint points that share a variant
+    /// and an unroll vector and differ only in their `(narrow, pack)`
+    /// flags, one band per entry of `flags`. The census counts the
+    /// transformed code, which the flags never change, so it is taken
+    /// once and priced by each flag pair's member model. `unroll` must
+    /// already be the vector the joint evaluator transforms with (all-ones
+    /// one level deeper for tiled points). An entry is `None` when its
+    /// member model declined or the census errored — callers must fall
+    /// back to tier 1 for that point.
+    pub fn bands(
         &self,
         permutation: &[usize],
         tile: Option<(usize, i64)>,
-        narrow: bool,
-        pack: bool,
         unroll: &UnrollVector,
-    ) -> Option<AnalyticBand> {
-        let model = self.member(permutation, tile, narrow, pack)?;
-        model.evaluate(unroll).ok()
+        flags: &[(bool, bool)],
+    ) -> Vec<Option<AnalyticBand>> {
+        let members: Vec<Option<Arc<AnalyticModel>>> = flags
+            .iter()
+            .map(|&(narrow, pack)| self.member(permutation, tile, narrow, pack))
+            .collect();
+        // Every member of one variant prices the same prepared kernel.
+        let census = members
+            .iter()
+            .flatten()
+            .next()
+            .and_then(|m| m.prepared().census(unroll, &self.topts).ok());
+        members
+            .iter()
+            .map(|m| Some(m.as_ref()?.price(census.as_ref()?)))
+            .collect()
     }
 
     /// The member model's synthetic band-midpoint estimate (see
@@ -200,7 +216,9 @@ mod tests {
             variant = defacto_xform::tiling::tile_for_registers(&variant, level, t).unwrap();
         }
         let u = UnrollVector(unroll);
-        let band = m.band(perm, tile, narrow, pack, &u).expect("band");
+        let band = m.bands(perm, tile, &u, &[(narrow, pack)])[0]
+            .clone()
+            .expect("band");
         let design = transform(&variant, &u, &TransformOptions::default()).unwrap();
         let sopts = m.flagged_options(narrow, pack);
         let e = estimate_opts(
@@ -246,11 +264,26 @@ mod tests {
     }
 
     #[test]
+    fn a_group_prices_like_its_points_one_at_a_time() {
+        let m = model(PACKABLE);
+        let flags = [(false, false), (false, true), (true, false), (true, true)];
+        for unroll in [vec![1], vec![4]] {
+            let u = UnrollVector(unroll);
+            let group = m.bands(&[0], None, &u, &flags);
+            assert_eq!(group.len(), flags.len());
+            for (band, &flag) in group.iter().zip(&flags) {
+                assert!(band.is_some());
+                assert_eq!(*band, m.bands(&[0], None, &u, &[flag])[0], "{flag:?}");
+            }
+        }
+    }
+
+    #[test]
     fn members_are_cached_per_key() {
         let m = model(FIR);
         let u = UnrollVector(vec![2, 2]);
-        assert!(m.band(&[1, 0], None, false, false, &u).is_some());
-        assert!(m.band(&[1, 0], None, false, false, &u).is_some());
+        assert!(m.bands(&[1, 0], None, &u, &[(false, false)])[0].is_some());
+        assert!(m.bands(&[1, 0], None, &u, &[(false, false)])[0].is_some());
         assert_eq!(
             m.models.lock().unwrap().len(),
             1,

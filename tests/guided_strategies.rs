@@ -11,6 +11,9 @@
 
 use defacto::exhaustive::best_joint_performance;
 use defacto::prelude::*;
+use defacto::synth::{estimate_opts, AnalyticBand, AnalyticModel, SynthesisOptions};
+use defacto::xform::{transform, VariantCache};
+use defacto::{strategy_for, StrategyContext};
 
 const WORKER_COUNTS: [usize; 2] = [1, 8];
 
@@ -151,6 +154,160 @@ fn guided_decisions_are_identical_at_every_worker_count() {
                     "{name} {kind}: decisions differ at {workers} workers"
                 );
             }
+        }
+    }
+}
+
+/// The per-point reference the explorer's grouped evaluation must match:
+/// every point pays its own variant lookup, transform and estimate, and
+/// its own member model, census and pricing for a band, through the
+/// layers' public calls only. It groups nothing.
+struct PerPoint<'a> {
+    explorer: &'a Explorer<'a>,
+    variants: VariantCache,
+    points: Vec<JointPoint>,
+    seed: Option<JointPoint>,
+}
+
+impl<'a> PerPoint<'a> {
+    fn new(explorer: &'a Explorer<'a>) -> PerPoint<'a> {
+        let space = explorer.joint_space().expect("joint space");
+        let u_init = explorer.analyze().expect("analysis").0.u_init;
+        let seed = JointPoint {
+            unroll: u_init.factors().to_vec(),
+            ..JointPoint::baseline(u_init.factors().len())
+        };
+        PerPoint {
+            explorer,
+            variants: VariantCache::new(explorer.kernel_ref()).expect("variants"),
+            points: space.joint_points().to_vec(),
+            seed: space.contains_joint(&seed).then_some(seed),
+        }
+    }
+
+    fn unroll(p: &JointPoint) -> UnrollVector {
+        match p.tile {
+            Some(_) => UnrollVector::ones(p.unroll.len() + 1),
+            None => p.unroll_vector(),
+        }
+    }
+
+    fn synthesis(p: &JointPoint) -> SynthesisOptions {
+        SynthesisOptions {
+            bitwidth_narrowing: p.narrow,
+            pack_small_types: p.pack,
+            ..SynthesisOptions::default()
+        }
+    }
+
+    fn estimate(&self, p: &JointPoint) -> EvaluatedJointDesign {
+        let topts = self.explorer.transform_options();
+        let variant = self.variants.get(&p.permutation, p.tile).expect("variant");
+        let design = match &variant.prepared {
+            Some(prepared) => prepared.transform(&Self::unroll(p), topts),
+            None => transform(&variant.kernel, &Self::unroll(p), topts),
+        }
+        .expect("members transform");
+        EvaluatedJointDesign {
+            point: p.clone(),
+            estimate: estimate_opts(
+                &design,
+                &MemoryModel::wildstar_pipelined(),
+                self.explorer.device_ref(),
+                &Self::synthesis(p),
+            ),
+        }
+    }
+
+    /// The point's own member model and its band.
+    fn band(&self, p: &JointPoint) -> Option<(AnalyticModel, AnalyticBand)> {
+        let prepared = self
+            .variants
+            .get(&p.permutation, p.tile)
+            .ok()?
+            .prepared
+            .clone()?;
+        let topts = self.explorer.transform_options();
+        let model = AnalyticModel::new(
+            prepared,
+            MemoryModel::wildstar_pipelined(),
+            self.explorer.device_ref().clone(),
+            topts.clone(),
+            Self::synthesis(p),
+        )?;
+        let census = model.prepared().census(&Self::unroll(p), topts).ok()?;
+        let band = model.price(&census);
+        Some((model, band))
+    }
+
+    /// What a [`Fidelity::Analytic`] sweep reports for the point: its
+    /// band midpoint, or the tier-1 estimate where no band prices it.
+    fn analytic(&self, p: &JointPoint) -> EvaluatedJointDesign {
+        match self.band(p) {
+            Some((model, band)) => EvaluatedJointDesign {
+                point: p.clone(),
+                estimate: model.synthetic_estimate(&band),
+            },
+            None => self.estimate(p),
+        }
+    }
+}
+
+impl StrategyContext for PerPoint<'_> {
+    fn points(&self) -> &[JointPoint] {
+        &self.points
+    }
+
+    fn seed(&self) -> Option<JointPoint> {
+        self.seed.clone()
+    }
+
+    fn evaluate_batch(&self, points: &[JointPoint]) -> defacto::Result<Vec<EvaluatedJointDesign>> {
+        Ok(points.iter().map(|p| self.estimate(p)).collect())
+    }
+
+    fn bound_batch(&self, points: &[JointPoint]) -> Vec<Option<AnalyticBand>> {
+        points.iter().map(|p| Some(self.band(p)?.1)).collect()
+    }
+
+    fn record_step(&self, _: &EvaluatedJointDesign, _: Option<u64>) {}
+
+    fn record_prune(&self, _: &JointPoint, _: &AnalyticBand, _: Option<u64>) {}
+}
+
+#[test]
+fn grouped_evaluation_matches_a_per_point_reference_bit_for_bit() {
+    for (name, kernel, levels) in suite() {
+        for workers in WORKER_COUNTS {
+            let ex = explorer(&kernel, &levels, workers);
+            let reference = PerPoint::new(&ex);
+            let all: Vec<EvaluatedJointDesign> = reference
+                .points
+                .iter()
+                .map(|p| reference.estimate(p))
+                .collect();
+            assert_eq!(
+                ex.joint_sweep().unwrap(),
+                all,
+                "{name} at {workers} workers"
+            );
+            let guided = strategy_for(StrategyKind::BranchAndBound)
+                .run(&reference)
+                .expect("reference search");
+            let r = ex.joint_explore(StrategyKind::BranchAndBound).unwrap();
+            assert_eq!(r.evaluated, guided.evaluated, "{name} at {workers} workers");
+            assert_eq!(r.pruned, guided.pruned, "{name} at {workers} workers");
+            let analytic: Vec<EvaluatedJointDesign> = reference
+                .points
+                .iter()
+                .map(|p| reference.analytic(p))
+                .collect();
+            let tier0 = ex
+                .clone()
+                .fidelity(Fidelity::Analytic)
+                .joint_sweep()
+                .unwrap();
+            assert_eq!(tier0, analytic, "{name} at {workers} workers");
         }
     }
 }
