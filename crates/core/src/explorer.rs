@@ -13,8 +13,8 @@ use crate::trace::{NullSink, TraceEvent, TraceSink};
 use defacto_cache::{AnalysisSummary, ContextKey, PersistentCache, SelectionRecord};
 use defacto_ir::{ContentHash, Kernel};
 use defacto_synth::{
-    estimate_opts, AnalyticBand, AnalyticModel, Estimate, FpgaDevice, JointAnalyticModel,
-    MemoryModel, SynthesisOptions,
+    estimate_opts, AnalyticBand, AnalyticModel, Estimate, EstimatePlan, FpgaDevice,
+    JointAnalyticModel, MemoryModel, SynthesisOptions,
 };
 use defacto_xform::{
     transform, PreparedKernel, TransformOptions, TransformedDesign, UnrollVector, VariantCache,
@@ -950,13 +950,14 @@ impl<'k> Explorer<'k> {
     }
 
     /// Evaluate one sibling group: transform its variant (from the shared
-    /// [`VariantCache`]) at its unroll vector once, and estimate each
-    /// sibling with its narrowing/packing flags overriding the
-    /// explorer's synthesis options. The flags are synthesis options, so
-    /// they cannot change the transformed design. Under
-    /// [`Fidelity::Analytic`] a sibling's estimate is its joint tier-0
-    /// band midpoint instead (`provenance.segments == 0`), and only the
-    /// siblings no band prices pay for the transform.
+    /// [`VariantCache`]) at its unroll vector once, plan its estimation
+    /// once, and estimate every sibling from that plan with its
+    /// narrowing/packing flags added to the explorer's synthesis
+    /// options. The flags are synthesis options, so they cannot change
+    /// the transformed design. Under [`Fidelity::Analytic`] a sibling's
+    /// estimate is its joint tier-0 band midpoint instead
+    /// (`provenance.segments == 0`), and only the siblings no band prices
+    /// pay for the plan.
     fn evaluate_group(
         &self,
         group: &[JointPoint],
@@ -973,45 +974,53 @@ impl<'k> Explorer<'k> {
                 }
             }
         }
-        let mut design: Option<Arc<TransformedDesign>> = None;
-        let mut evaluated = Vec::with_capacity(group.len());
-        for (p, priced) in group.iter().zip(tier0) {
-            let estimate = match priced {
-                Some(estimate) => estimate,
-                None => {
-                    let design = match design {
-                        Some(ref d) => d,
-                        None => design.insert(self.group_design(first, memo)?),
-                    };
-                    let mut synthesis = self.synthesis.clone();
-                    synthesis.bitwidth_narrowing |= p.narrow;
-                    synthesis.pack_small_types |= p.pack;
-                    estimate_opts(design, &self.mem, &self.device, &synthesis)
-                }
-            };
-            evaluated.push(EvaluatedJointDesign {
+        let flags: Vec<(bool, bool)> = group
+            .iter()
+            .zip(&tier0)
+            .filter(|(_, priced)| priced.is_none())
+            .map(|(p, _)| (p.narrow, p.pack))
+            .collect();
+        let plan = if flags.is_empty() {
+            None
+        } else {
+            Some(self.group_plan(first, &flags, memo)?)
+        };
+        let mut tier1 = plan
+            .as_ref()
+            .map(|plan| plan.estimates(&flags))
+            .unwrap_or_default()
+            .into_iter();
+        let evaluated = group
+            .iter()
+            .zip(tier0)
+            .map(|(p, priced)| EvaluatedJointDesign {
                 point: p.clone(),
-                estimate,
-            });
-        }
+                estimate: priced
+                    .or_else(|| tier1.next())
+                    .expect("one tier-1 estimate per unpriced sibling"),
+            })
+            .collect();
         if let Some(memo) = memo {
-            memo.settle(first, group.len(), design);
+            memo.settle(first, group.len(), plan);
         }
         Ok(evaluated)
     }
 
-    /// The transformed design of `p`'s sibling group, from `memo` when a
-    /// sibling already paid for it.
-    fn group_design(
+    /// The estimation plan of `p`'s sibling group, from `memo` when a
+    /// sibling already paid for it. A fresh plan narrows when a sibling
+    /// of the whole group does (the memo's record) or, without a memo,
+    /// when one of `flags` does.
+    fn group_plan(
         &self,
         p: &JointPoint,
+        flags: &[(bool, bool)],
         memo: Option<&DesignMemo>,
-    ) -> Result<Arc<TransformedDesign>> {
-        if let Some(design) = memo.and_then(|m| m.get(p)) {
-            return Ok(design);
-        }
-        #[cfg(test)]
-        tests::TRANSFORMS.with(|n| n.set(n.get() + 1));
+    ) -> Result<Arc<EstimatePlan>> {
+        let narrow = match memo.map(|m| m.get(p)) {
+            Some((Some(plan), _)) => return Ok(plan),
+            Some((None, narrow)) => narrow,
+            None => flags.iter().any(|&(narrow, _)| narrow),
+        };
         let unroll = joint_unroll(p);
         let fresh;
         let cache = match self.variant_cache() {
@@ -1029,7 +1038,13 @@ impl<'k> Explorer<'k> {
             // pipeline (same result, reproduced error).
             None => transform(&variant.kernel, &unroll, &self.opts)?,
         };
-        Ok(Arc::new(design))
+        Ok(Arc::new(EstimatePlan::new(
+            &design,
+            &self.mem,
+            &self.device,
+            &self.synthesis,
+            narrow,
+        )))
     }
 
     /// Execute the transformed design at `unroll` on concrete inputs
@@ -1268,11 +1283,11 @@ fn group_bands(model: &JointAnalyticModel, group: &[JointPoint]) -> Vec<Option<A
     model.bands(&first.permutation, first.tile, &joint_unroll(first), &flags)
 }
 
-/// The transformed designs one guided search shares between siblings it
+/// The estimation plans one guided search shares between siblings it
 /// evaluates at different times. Each sibling group's entry counts its
 /// open siblings, those neither evaluated nor pruned yet, and keeps the
-/// group's design only while some stay open; the memo is dropped with
-/// the search.
+/// group's plan only while some stay open; the memo is dropped with the
+/// search.
 #[derive(Debug)]
 struct DesignMemo {
     groups: Mutex<HashMap<JointPoint, MemoEntry>>,
@@ -1282,17 +1297,20 @@ struct DesignMemo {
 #[derive(Debug)]
 struct MemoEntry {
     open: usize,
-    design: Option<Arc<TransformedDesign>>,
+    /// Some sibling of the group narrows, so its plan must too.
+    narrow: bool,
+    plan: Option<Arc<EstimatePlan>>,
 }
 
 impl DesignMemo {
-    /// A memo over `points`, every sibling open and no design held.
+    /// A memo over `points`, every sibling open and no plan held.
     fn new(points: &[JointPoint]) -> DesignMemo {
         let groups = sibling_groups(points)
             .map(|g| {
                 let entry = MemoEntry {
                     open: g.len(),
-                    design: None,
+                    narrow: g.iter().any(|p| p.narrow),
+                    plan: None,
                 };
                 (group_key(&g[0]), entry)
             })
@@ -1302,22 +1320,25 @@ impl DesignMemo {
         }
     }
 
-    /// The held design of `p`'s group.
-    fn get(&self, p: &JointPoint) -> Option<Arc<TransformedDesign>> {
+    /// The held plan of `p`'s group, and whether a fresh one must narrow.
+    fn get(&self, p: &JointPoint) -> (Option<Arc<EstimatePlan>>, bool) {
         let groups = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
-        groups.get(&group_key(p))?.design.clone()
+        match groups.get(&group_key(p)) {
+            Some(entry) => (entry.plan.clone(), entry.narrow),
+            None => (None, p.narrow),
+        }
     }
 
-    /// Close `n` siblings of `p`'s group, holding `design` (when given)
+    /// Close `n` siblings of `p`'s group, holding `plan` (when given)
     /// while any sibling stays open and dropping it once none does.
-    fn settle(&self, p: &JointPoint, n: usize, design: Option<Arc<TransformedDesign>>) {
+    fn settle(&self, p: &JointPoint, n: usize, plan: Option<Arc<EstimatePlan>>) {
         let mut groups = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(entry) = groups.get_mut(&group_key(p)) {
             entry.open = entry.open.saturating_sub(n);
             if entry.open == 0 {
-                entry.design = None;
-            } else if design.is_some() {
-                entry.design = design;
+                entry.plan = None;
+            } else if plan.is_some() {
+                entry.plan = plan;
             }
         }
     }
@@ -1406,46 +1427,78 @@ impl StrategyContext for ExplorerStrategyCx<'_, '_> {
 mod tests {
     use super::*;
     use defacto_ir::parse_kernel;
+    use defacto_synth::{estimator_work, EstimatorWork};
 
     thread_local! {
-        /// Sibling-group transforms this thread ran.
-        pub(super) static TRANSFORMS: Cell<u64> = const { Cell::new(0) };
         /// Sibling-group censuses this thread ran.
         pub(super) static CENSUSES: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// `f`'s result with the transforms and censuses it ran on this
-    /// thread (all of them, at one worker).
-    fn layer_calls<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-        let before = (TRANSFORMS.with(Cell::get), CENSUSES.with(Cell::get));
+    /// `f`'s result with the estimator work and the censuses it ran on
+    /// this thread (all of them, at one worker).
+    fn layer_calls<T>(f: impl FnOnce() -> T) -> (T, EstimatorWork, u64) {
+        let (work, censuses) = (estimator_work(), CENSUSES.with(Cell::get));
         let out = f();
-        let transforms = TRANSFORMS.with(Cell::get) - before.0;
-        (out, transforms, CENSUSES.with(Cell::get) - before.1)
+        let work = estimator_work().since(&work);
+        (out, work, CENSUSES.with(Cell::get) - censuses)
+    }
+
+    fn work(
+        plans: u64,
+        range_inferences: u64,
+        full_schedules: u64,
+        allocation_schedules: u64,
+    ) -> EstimatorWork {
+        EstimatorWork {
+            plans,
+            range_inferences,
+            full_schedules,
+            allocation_schedules,
+        }
     }
 
     /// SOBEL offers both flags, so its 320 joint points are 80 sibling
-    /// groups of four, and each group is transformed or censused once.
+    /// groups of four. Each group is censused once, or transformed and
+    /// planned once with one range inference; every segment's narrowed
+    /// views keep their operator latencies, so they reuse the wide
+    /// schedules and only reallocate operators.
     #[test]
     fn sobel_siblings_share_one_transform_and_one_census() {
         let k = defacto_kernels::sobel::kernel();
         let ex = || Explorer::new(&k).axes(&Axis::ALL).threads(1);
-        let (sweep, transforms, censuses) = layer_calls(|| ex().joint_sweep().unwrap());
+        let (sweep, done, censuses) = layer_calls(|| ex().joint_sweep().unwrap());
         assert_eq!(sweep.len(), 320);
-        assert_eq!((transforms, censuses), (80, 0));
+        assert_eq!((done, censuses), (work(80, 80, 296, 296), 0));
 
-        let (guided, transforms, censuses) =
+        let (guided, done, censuses) =
             layer_calls(|| ex().joint_explore(StrategyKind::BranchAndBound).unwrap());
         assert_eq!(guided.evaluated.len(), 57);
         // One census per group; the search's memo lets siblings evaluated
-        // at different steps share a transform.
-        assert_eq!((transforms, censuses), (25, 80));
+        // at different steps share a plan.
+        assert_eq!((done.plans, censuses), (25, 80));
         let truth = crate::exhaustive::best_joint_performance(&sweep);
         assert_eq!(guided.selected.as_ref(), truth);
 
-        let (analytic, transforms, censuses) =
+        let (analytic, done, censuses) =
             layer_calls(|| ex().fidelity(Fidelity::Analytic).joint_sweep().unwrap());
         assert!(analytic.iter().all(|d| d.estimate.provenance.segments == 0));
-        assert_eq!((transforms, censuses), (0, 80));
+        assert_eq!((done, censuses), (EstimatorWork::default(), 80));
+    }
+
+    /// Without flag axes every group is one point: one plan per estimate,
+    /// and no range inference.
+    #[test]
+    fn flagless_kernels_plan_once_per_estimate() {
+        for k in [
+            defacto_kernels::fir::kernel(),
+            defacto_kernels::matmul::kernel(),
+        ] {
+            let ex = Explorer::new(&k).axes(&Axis::ALL).threads(1);
+            let (sweep, done, _) = layer_calls(|| ex.joint_sweep().unwrap());
+            assert_eq!(done.plans, sweep.len() as u64, "{}", k.name());
+            assert_eq!(done.range_inferences, 0, "{}", k.name());
+            assert_eq!(done.allocation_schedules, 0, "{}", k.name());
+        }
     }
 
     const FIR: &str = "kernel fir { in S: i32[96]; in C: i32[32]; inout D: i32[64];

@@ -7,13 +7,20 @@
 //! are data dependences plus the memory-ordering edges needed for
 //! same-array accesses.
 //!
+//! The builder lowers a segment once for every synthesis-flag view
+//! (`FlagDfg`): bit-width narrowing and small-type packing change only
+//! operator widths and load placements, never the graph's shape, so one
+//! node set carries both annotations and each view reads its own.
+//!
 //! `if` statements lower to predicated form: both branches evaluate,
 //! scalar targets merge through multiplexers, and memory accesses issue
 //! unconditionally — the paper's generated code "always performs
 //! conditional memory accesses" precisely so scheduling sees a uniform
 //! body.
 
-use crate::oplib::HwOp;
+use crate::memory::MemoryModel;
+use crate::oplib::{op_spec, HwOp};
+use crate::schedule::{SchedNode, Step};
 use defacto_analysis::{Interval, RangeInfo};
 use defacto_ir::{ArrayAccess, BinOp, Expr, Kernel, LValue, Stmt};
 use defacto_xform::layout::ArrayLayout;
@@ -103,13 +110,21 @@ pub struct Node {
     pub preds: Vec<NodeId>,
 }
 
-/// A dataflow graph for one straight-line segment.
+/// A dataflow graph for one straight-line segment: one view of its
+/// flag-annotated graph.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dfg {
     nodes: Vec<Node>,
+    graph: FlagDfg,
+    view: View,
 }
 
 impl Dfg {
+    /// Every node as the scheduler sees it.
+    pub(crate) fn resolve(&self, mem: &MemoryModel) -> Vec<SchedNode<'_>> {
+        self.graph.resolve(self.view, mem)
+    }
+
     /// All nodes, in creation (topological) order.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
@@ -130,12 +145,6 @@ impl Dfg {
         self.nodes
             .iter()
             .filter(|n| matches!(n.kind, NodeKind::Load { .. } | NodeKind::Store { .. }))
-    }
-
-    fn push(&mut self, kind: NodeKind, preds: Vec<NodeId>) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Node { id, kind, preds });
-        id
     }
 }
 
@@ -183,85 +192,332 @@ pub fn build_dfg_ranged(
     )
 }
 
-/// The most general DFG construction entry point.
+/// The most general DFG construction entry point: the flag-annotated
+/// graph of the segment, viewed under the narrowing/packing `opts` ask
+/// for.
 pub fn build_dfg_opts(
     stmts: &[Stmt],
     kernel: &Kernel,
     binding: &MemoryBinding,
     opts: &DfgOptions<'_>,
 ) -> Dfg {
-    build_dfg_stmts(stmts, kernel, binding, opts)
-}
-
-/// [`build_dfg_opts`] over any iterator of borrowed statements, so
-/// callers walking a body can feed straight-line segments without
-/// cloning them into a contiguous buffer first.
-pub(crate) fn build_dfg_stmts<'s>(
-    stmts: impl IntoIterator<Item = &'s Stmt>,
-    kernel: &Kernel,
-    binding: &MemoryBinding,
-    opts: &DfgOptions<'_>,
-) -> Dfg {
-    let mut b = Builder {
-        dfg: Dfg::default(),
-        kernel,
-        binding,
-        ranges: opts.ranges,
-        pack_word_bits: opts.pack_word_bits,
-        defs: HashMap::new(),
-        def_ranges: HashMap::new(),
-        source: None,
-        last_store: HashMap::new(),
-        loads_since_store: HashMap::new(),
+    let view = View {
+        narrow: opts.ranges.is_some(),
+        pack: opts.pack_word_bits.is_some(),
     };
-    for s in stmts {
-        b.stmt(s);
-    }
-    b.dfg
+    FlagDfg::build(stmts, kernel, binding, opts.ranges, opts.pack_word_bits).project(view)
 }
 
-struct Builder<'a> {
-    dfg: Dfg,
+/// Which synthesis flags a [`FlagDfg`] is read under: bit-width
+/// narrowing (paper §2.4) and small-type packing (paper §4). Ordered
+/// wide before narrow, so a narrow view follows its wide twin.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct View {
+    pub narrow: bool,
+    pub pack: bool,
+}
+
+/// An operator width under both views of narrowing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Widths {
+    wide: u32,
+    narrow: u32,
+}
+
+impl Widths {
+    fn same(bits: u32) -> Widths {
+        Widths {
+            wide: bits,
+            narrow: bits,
+        }
+    }
+
+    fn at(self, view: View) -> u32 {
+        if view.narrow {
+            self.narrow
+        } else {
+            self.wide
+        }
+    }
+}
+
+/// Where a load fetches from: its bank and memory-word class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Place {
+    bank: usize,
+    word: i64,
+}
+
+/// A [`FlagDfg`] node's work, with every flag-dependent field annotated
+/// for both values of its flag. Arrays are indices into
+/// [`FlagDfg::arrays`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FlagKind {
+    Source,
+    Load {
+        array: u32,
+        bits: u32,
+        unpacked: Place,
+        packed: Place,
+    },
+    Store {
+        array: u32,
+        bank: usize,
+        bits: u32,
+    },
+    Op {
+        op: HwOp,
+        bits: Widths,
+    },
+    Rotate {
+        regs: usize,
+        bits: Widths,
+    },
+}
+
+/// The DFG of one straight-line segment under every narrowing/packing
+/// view at once. Only operator widths and load placements depend on the
+/// flags, so the node set, the edges and the node ids are shared; each
+/// node carries its wide and narrowed width and its unpacked and packed
+/// `(bank, word)`. Predecessors are stored flat.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct FlagDfg {
+    kinds: Vec<FlagKind>,
+    /// Node `i`'s predecessors are `preds[pred_ends[i - 1]..pred_ends[i]]`.
+    preds: Vec<NodeId>,
+    pred_ends: Vec<usize>,
+    arrays: Vec<String>,
+    /// No operator's latency differs between its wide and narrowed
+    /// width, so a narrow view schedules exactly like its wide twin.
+    narrow_keeps_timing: bool,
+}
+
+impl FlagDfg {
+    /// Lower a straight-line segment. Narrowed widths come from `ranges`
+    /// and packed placements from `pack_word_bits`; without them the
+    /// narrowed (packed) annotation equals the wide (unpacked) one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stmts` contains a `For` statement.
+    pub(crate) fn build<'s>(
+        stmts: impl IntoIterator<Item = &'s Stmt>,
+        kernel: &Kernel,
+        binding: &MemoryBinding,
+        ranges: Option<&RangeInfo>,
+        pack_word_bits: Option<u32>,
+    ) -> FlagDfg {
+        let mut b = Builder {
+            dfg: FlagDfg {
+                kinds: Vec::new(),
+                preds: Vec::new(),
+                pred_ends: Vec::new(),
+                arrays: Vec::new(),
+                narrow_keeps_timing: true,
+            },
+            kernel,
+            binding,
+            ranges,
+            pack_word_bits,
+            array_names: Vec::new(),
+            defs: HashMap::new(),
+            def_ranges: HashMap::new(),
+            source: None,
+            last_store: Vec::new(),
+            loads_since_store: Vec::new(),
+        };
+        for s in stmts {
+            b.stmt(s);
+        }
+        let mut dfg = b.dfg;
+        dfg.arrays = b.array_names.into_iter().map(str::to_owned).collect();
+        dfg.narrow_keeps_timing = dfg.kinds.iter().all(|k| match *k {
+            FlagKind::Op { op, bits } => {
+                op_spec(op, bits.wide).latency == op_spec(op, bits.narrow).latency
+            }
+            _ => true,
+        });
+        dfg
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    pub(crate) fn narrow_keeps_timing(&self) -> bool {
+        self.narrow_keeps_timing
+    }
+
+    fn preds(&self, i: usize) -> &[NodeId] {
+        let start = if i == 0 { 0 } else { self.pred_ends[i - 1] };
+        &self.preds[start..self.pred_ends[i]]
+    }
+
+    /// Every node as the scheduler sees it under `view`.
+    pub(crate) fn resolve(&self, view: View, mem: &MemoryModel) -> Vec<SchedNode<'_>> {
+        (0..self.len())
+            .map(|i| {
+                let step = match self.kinds[i] {
+                    FlagKind::Source => Step::Source,
+                    FlagKind::Load {
+                        array,
+                        bits,
+                        unpacked,
+                        packed,
+                    } => {
+                        let place = if view.pack { packed } else { unpacked };
+                        Step::Load {
+                            array,
+                            bank: place.bank,
+                            bits,
+                            word: place.word,
+                        }
+                    }
+                    FlagKind::Store { bank, bits, .. } => Step::Store { bank, bits },
+                    FlagKind::Op { op, bits } => Step::Op {
+                        op,
+                        bits: bits.at(view),
+                    },
+                    FlagKind::Rotate { .. } => Step::Rotate,
+                };
+                SchedNode::new(self.preds(i), step, mem)
+            })
+            .collect()
+    }
+
+    /// The operator nodes under `view`: `(node index, class, width)`.
+    pub(crate) fn ops(&self, view: View) -> impl Iterator<Item = (usize, HwOp, u32)> + '_ {
+        self.kinds
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, k)| match *k {
+                FlagKind::Op { op, bits } => Some((i, op, bits.at(view))),
+                _ => None,
+            })
+    }
+
+    /// The plain [`Dfg`] of `view`.
+    fn project(self, view: View) -> Dfg {
+        let nodes = (0..self.len())
+            .map(|i| {
+                let kind = match self.kinds[i] {
+                    FlagKind::Source => NodeKind::Source,
+                    FlagKind::Load {
+                        array,
+                        bits,
+                        unpacked,
+                        packed,
+                    } => {
+                        let place = if view.pack { packed } else { unpacked };
+                        NodeKind::Load {
+                            array: self.arrays[array as usize].clone(),
+                            bank: place.bank,
+                            bits,
+                            word: place.word,
+                        }
+                    }
+                    FlagKind::Store { array, bank, bits } => NodeKind::Store {
+                        array: self.arrays[array as usize].clone(),
+                        bank,
+                        bits,
+                    },
+                    FlagKind::Op { op, bits } => NodeKind::Op {
+                        op,
+                        bits: bits.at(view),
+                    },
+                    FlagKind::Rotate { regs, bits } => NodeKind::Rotate {
+                        regs,
+                        bits: bits.at(view),
+                    },
+                };
+                Node {
+                    id: NodeId(i),
+                    kind,
+                    preds: self.preds(i).to_vec(),
+                }
+            })
+            .collect();
+        Dfg {
+            nodes,
+            graph: self,
+            view,
+        }
+    }
+
+    fn push(&mut self, kind: FlagKind, preds: &[NodeId]) -> NodeId {
+        let id = NodeId(self.kinds.len());
+        self.kinds.push(kind);
+        self.preds.extend_from_slice(preds);
+        self.pred_ends.push(self.preds.len());
+        id
+    }
+}
+
+/// Lowers one segment into a [`FlagDfg`]. Names are borrowed from the
+/// statements (`'s`); arrays are numbered in order of first access.
+struct Builder<'s, 'a> {
+    dfg: FlagDfg,
     kernel: &'a Kernel,
     binding: &'a MemoryBinding,
-    /// Value-range information for bit-width narrowing, when enabled.
+    /// Value-range information for the narrowed annotation.
     ranges: Option<&'a RangeInfo>,
-    /// Memory word width for small-type packing, when enabled.
+    /// Memory word width for the packed annotation.
     pack_word_bits: Option<u32>,
+    /// Array names, indexed by their number.
+    array_names: Vec<&'s str>,
     /// Current producer of each scalar.
-    defs: HashMap<String, NodeId>,
+    defs: HashMap<&'s str, NodeId>,
     /// Value interval of each scalar's current definition (narrowing).
-    def_ranges: HashMap<String, Interval>,
+    def_ranges: HashMap<&'s str, Interval>,
     /// Lazily created shared source node.
     source: Option<NodeId>,
-    /// Last store per array (for load→store ordering).
-    last_store: HashMap<String, NodeId>,
-    /// Loads since the last store, per array (for store→load ordering).
-    loads_since_store: HashMap<String, Vec<NodeId>>,
+    /// Last store per array number (for load→store ordering).
+    last_store: Vec<Option<NodeId>>,
+    /// Loads since the last store, per array number (for store→load
+    /// ordering).
+    loads_since_store: Vec<Vec<NodeId>>,
 }
 
-impl Builder<'_> {
+impl<'s> Builder<'s, '_> {
     fn source(&mut self) -> NodeId {
         match self.source {
             Some(s) => s,
             None => {
-                let s = self.dfg.push(NodeKind::Source, vec![]);
+                let s = self.dfg.push(FlagKind::Source, &[]);
                 self.source = Some(s);
                 s
             }
         }
     }
 
-    fn scalar_bits(&self, name: &str) -> u32 {
+    /// The number of `array`, assigned on first access.
+    fn array_number(&mut self, array: &'s str) -> u32 {
+        match self.array_names.iter().position(|a| *a == array) {
+            Some(n) => n as u32,
+            None => {
+                self.array_names.push(array);
+                self.last_store.push(None);
+                self.loads_since_store.push(Vec::new());
+                (self.array_names.len() - 1) as u32
+            }
+        }
+    }
+
+    /// A scalar's register width, declared and narrowed.
+    fn scalar_bits(&self, name: &str) -> Widths {
         let declared = self
             .kernel
             .scalar(name)
             .map(|d| d.ty.bits())
             // Loop index variables: 16-bit counters.
             .unwrap_or(16);
-        match self.ranges {
-            Some(info) => info.var(name).bits().min(declared),
-            None => declared,
+        Widths {
+            wide: declared,
+            narrow: match self.ranges {
+                Some(info) => info.var(name).bits().min(declared),
+                None => declared,
+            },
         }
     }
 
@@ -280,22 +536,21 @@ impl Builder<'_> {
         self.kernel.array(array).map(|a| a.ty.bits()).unwrap_or(32)
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &'s Stmt) {
         match s {
             Stmt::Assign { lhs, rhs } => {
                 let (v, _, iv) = self.expr(rhs);
                 match lhs {
                     LValue::Scalar(n) => {
-                        self.defs.insert(n.clone(), v);
-                        if let (Some(info), Some(iv)) = (self.ranges, iv) {
+                        self.defs.insert(n, v);
+                        if let Some(iv) = iv {
                             // Values wrap at the declared register width.
                             let ty = self
                                 .kernel
                                 .scalar(n)
                                 .map(|d| d.ty)
                                 .unwrap_or(defacto_ir::ScalarType::I32);
-                            let _ = info;
-                            self.def_ranges.insert(n.clone(), iv.clamp_to(ty));
+                            self.def_ranges.insert(n, iv.clamp_to(ty));
                         }
                     }
                     LValue::Array(a) => {
@@ -313,7 +568,7 @@ impl Builder<'_> {
                 // defs, issue memory accesses unconditionally. Two clones
                 // of the def map (pre-branch state for each branch); the
                 // merge mutates the restored map in place.
-                let saved: HashMap<String, NodeId> = self.defs.clone();
+                let saved = self.defs.clone();
                 for st in then_body {
                     self.stmt(st);
                 }
@@ -330,12 +585,13 @@ impl Builder<'_> {
                 // by both branches merge to their own value, so walking
                 // only branch-assigned names is equivalent to walking
                 // every defined name.
-                let mut touched: Vec<&String> = Vec::new();
+                let mut touched: Vec<&'s String> = Vec::new();
                 collect_scalar_defs(then_body, &mut touched);
                 collect_scalar_defs(else_body, &mut touched);
                 let mut seen = std::collections::HashSet::new();
                 touched.retain(|n| seen.insert(*n));
                 for name in touched {
+                    let name = name.as_str();
                     let t = then_defs.get(name).copied();
                     let e = else_defs.get(name).copied();
                     // `self.defs` holds the pre-branch defs again; the
@@ -345,42 +601,45 @@ impl Builder<'_> {
                     let (t, e) = (t.or(pre), e.or(pre));
                     match (t, e) {
                         (Some(tv), Some(ev)) if tv == ev => {
-                            self.defs.insert(name.clone(), tv);
+                            self.defs.insert(name, tv);
                         }
                         (Some(tv), Some(ev)) => {
                             let bits = self.scalar_bits(name);
                             let mux = self.dfg.push(
-                                NodeKind::Op {
+                                FlagKind::Op {
                                     op: HwOp::Mux,
                                     bits,
                                 },
-                                vec![c, tv, ev],
+                                &[c, tv, ev],
                             );
-                            self.defs.insert(name.clone(), mux);
+                            self.defs.insert(name, mux);
                         }
                         (Some(tv), None) | (None, Some(tv)) => {
                             // Defined on one path only and not before:
                             // keep the defined value (estimation only).
-                            self.defs.insert(name.clone(), tv);
+                            self.defs.insert(name, tv);
                         }
                         (None, None) => {}
                     }
                 }
             }
             Stmt::Rotate(regs) => {
-                let bits = regs.first().map(|r| self.scalar_bits(r)).unwrap_or(32);
+                let bits = regs
+                    .first()
+                    .map(|r| self.scalar_bits(r))
+                    .unwrap_or(Widths::same(32));
                 let mut preds: Vec<NodeId> = regs
                     .iter()
-                    .filter_map(|r| self.defs.get(r).copied())
+                    .filter_map(|r| self.defs.get(r.as_str()).copied())
                     .collect();
                 preds.sort();
                 preds.dedup();
                 let rot = self.dfg.push(
-                    NodeKind::Rotate {
+                    FlagKind::Rotate {
                         regs: regs.len(),
                         bits,
                     },
-                    preds,
+                    &preds,
                 );
                 // The rotation redefines every register in the chain.
                 if self.ranges.is_some() {
@@ -390,58 +649,57 @@ impl Builder<'_> {
                         .reduce(Interval::union);
                     if let Some(all) = all {
                         for r in regs {
-                            self.def_ranges.insert(r.clone(), all);
+                            self.def_ranges.insert(r, all);
                         }
                     }
                 }
                 for r in regs {
-                    self.defs.insert(r.clone(), rot);
+                    self.defs.insert(r, rot);
                 }
             }
             Stmt::For(_) => panic!("build_dfg: loops must be handled by the estimator"),
         }
     }
 
-    fn store(&mut self, a: &ArrayAccess, value: NodeId) {
+    fn store(&mut self, a: &'s ArrayAccess, value: NodeId) {
         let bits = self.array_bits(&a.array);
         let bank = self.binding.bank_of(a);
+        let array = self.array_number(&a.array);
+        let n = array as usize;
         let mut preds = vec![value];
-        if let Some(&prev) = self.last_store.get(&a.array) {
+        if let Some(prev) = self.last_store[n] {
             preds.push(prev);
         }
-        preds.extend(self.loads_since_store.remove(&a.array).unwrap_or_default());
+        preds.append(&mut self.loads_since_store[n]);
         preds.sort();
         preds.dedup();
-        let st = self.dfg.push(
-            NodeKind::Store {
-                array: a.array.clone(),
-                bank,
-                bits,
-            },
-            preds,
-        );
-        self.last_store.insert(a.array.clone(), st);
+        let st = self.dfg.push(FlagKind::Store { array, bank, bits }, &preds);
+        self.last_store[n] = Some(st);
     }
 
     /// Returns the producing node, the operator width to price it at,
     /// and (under narrowing) the value interval.
-    fn expr(&mut self, e: &Expr) -> (NodeId, u32, Option<Interval>) {
+    fn expr(&mut self, e: &'s Expr) -> (NodeId, Widths, Option<Interval>) {
         match e {
             Expr::Int(v) => {
                 let iv = self.ranges.map(|_| Interval::point(*v));
-                let bits = match iv {
-                    Some(i) => i.bits(),
-                    None => 32,
+                let bits = Widths {
+                    wide: 32,
+                    narrow: iv.map(Interval::bits).unwrap_or(32),
                 };
                 (self.source(), bits, iv)
             }
             Expr::Scalar(n) => {
                 let iv = self.scalar_interval(n);
-                let bits = match iv {
-                    Some(i) => i.bits().min(self.scalar_bits(n).max(1)),
-                    None => self.scalar_bits(n),
+                let declared = self.scalar_bits(n);
+                let bits = Widths {
+                    wide: declared.wide,
+                    narrow: match iv {
+                        Some(i) => i.bits().min(declared.narrow.max(1)),
+                        None => declared.narrow,
+                    },
                 };
-                match self.defs.get(n).copied() {
+                match self.defs.get(n.as_str()).copied() {
                     Some(d) => (d, bits, iv),
                     None => (self.source(), bits, iv),
                 }
@@ -451,16 +709,21 @@ impl Builder<'_> {
                 // *value* may be narrower under an annotation.
                 let mem_bits = self.array_bits(&a.array);
                 let iv = self.ranges.map(|info| info.array(&a.array));
-                let bits = match iv {
-                    Some(i) => i.bits().min(mem_bits),
-                    None => mem_bits,
+                let bits = Widths {
+                    wide: mem_bits,
+                    narrow: iv.map(|i| i.bits().min(mem_bits)).unwrap_or(mem_bits),
                 };
-                // Word class: elements of a small-typed array packed into
-                // one memory word share a fetch; otherwise every load is
-                // its own word. Packing also changes the layout — packed
-                // arrays distribute cyclically by *word* (phaseless), so
-                // the elements of one word actually live together.
-                let (bank, word) = match self.pack_word_bits {
+                // Word class: unpacked, every load is its own word.
+                // Packed, elements of a small-typed array share the fetch
+                // of their memory word, and packing also changes the
+                // layout — packed arrays distribute cyclically by *word*
+                // (phaseless), so the elements of one word actually live
+                // together.
+                let unpacked = Place {
+                    bank: self.binding.bank_of(a),
+                    word: self.dfg.len() as i64 + (1 << 40),
+                };
+                let packed = match self.pack_word_bits {
                     Some(word_bits) if mem_bits < word_bits => {
                         let epw = (word_bits / mem_bits).max(1) as i64;
                         let word = self.binding.flat_offset(a).div_euclid(epw);
@@ -470,27 +733,23 @@ impl Builder<'_> {
                                 word.rem_euclid(self.binding.num_memories().max(1) as i64) as usize
                             }
                         };
-                        (bank, word)
+                        Place { bank, word }
                     }
-                    _ => (self.binding.bank_of(a), self.dfg.len() as i64 + (1 << 40)),
+                    _ => unpacked,
                 };
-                let mut preds = Vec::new();
-                if let Some(&prev) = self.last_store.get(&a.array) {
-                    preds.push(prev);
-                }
+                let array = self.array_number(&a.array);
+                let n = array as usize;
+                let prev = self.last_store[n];
                 let ld = self.dfg.push(
-                    NodeKind::Load {
-                        array: a.array.clone(),
-                        bank,
+                    FlagKind::Load {
+                        array,
                         bits: mem_bits,
-                        word,
+                        unpacked,
+                        packed,
                     },
-                    preds,
+                    prev.as_slice(),
                 );
-                self.loads_since_store
-                    .entry(a.array.clone())
-                    .or_default()
-                    .push(ld);
+                self.loads_since_store[n].push(ld);
                 (ld, bits, iv)
             }
             Expr::Unary(op, inner) => {
@@ -503,13 +762,16 @@ impl Builder<'_> {
                         i.lo.saturating_neg().saturating_sub(1),
                     ),
                 });
-                let rbits = riv.map(Interval::bits).unwrap_or(bits);
+                let rbits = Widths {
+                    wide: bits.wide,
+                    narrow: riv.map(Interval::bits).unwrap_or(bits.narrow),
+                };
                 let node = self.dfg.push(
-                    NodeKind::Op {
+                    FlagKind::Op {
                         op: HwOp::of_unop(*op),
                         bits: rbits,
                     },
-                    vec![v],
+                    &[v],
                 );
                 (node, rbits, riv)
             }
@@ -559,18 +821,27 @@ impl Builder<'_> {
                     }),
                     _ => None,
                 };
-                // Operator width: interval-driven under narrowing (the
-                // wider operand still has to flow through the unit),
-                // declared-width rule otherwise.
-                let bits = match (riv, ia, ib) {
-                    (Some(r), Some(x), Some(y)) => {
-                        r.bits().max(x.bits()).max(y.bits()).min(ba.max(bb).max(1))
-                    }
-                    _ => ba.max(bb),
+                // Operator width: declared-width rule when wide;
+                // interval-driven when narrowed (the wider operand still
+                // has to flow through the unit).
+                let bits = Widths {
+                    wide: ba.wide.max(bb.wide),
+                    narrow: match (riv, ia, ib) {
+                        (Some(r), Some(x), Some(y)) => r
+                            .bits()
+                            .max(x.bits())
+                            .max(y.bits())
+                            .min(ba.narrow.max(bb.narrow).max(1)),
+                        _ => ba.narrow.max(bb.narrow),
+                    },
                 };
                 let hw = HwOp::of_binop(*op, const_side, pow2);
-                let node = self.dfg.push(NodeKind::Op { op: hw, bits }, vec![a, b]);
-                let out_bits = if op.is_comparison() { 1 } else { bits };
+                let node = self.dfg.push(FlagKind::Op { op: hw, bits }, &[a, b]);
+                let out_bits = if op.is_comparison() {
+                    Widths::same(1)
+                } else {
+                    bits
+                };
                 (node, out_bits, riv)
             }
             Expr::Select(c, t, f) => {
@@ -581,13 +852,18 @@ impl Builder<'_> {
                     (Some(x), Some(y)) => Some(x.union(y)),
                     _ => None,
                 };
-                let bits = riv.map(Interval::bits).unwrap_or_else(|| bt.max(bf));
+                let bits = Widths {
+                    wide: bt.wide.max(bf.wide),
+                    narrow: riv
+                        .map(Interval::bits)
+                        .unwrap_or_else(|| bt.narrow.max(bf.narrow)),
+                };
                 let node = self.dfg.push(
-                    NodeKind::Op {
+                    FlagKind::Op {
                         op: HwOp::Mux,
                         bits,
                     },
-                    vec![cn, tn, fn_],
+                    &[cn, tn, fn_],
                 );
                 (node, bits, riv)
             }

@@ -12,17 +12,26 @@
 //!   allocation (shared across segments, as behavioral synthesis reuses
 //!   operators between peeled and steady bodies), registers, memory
 //!   interfaces, loop counters and the control FSM.
+//!
+//! Estimation runs in two stages. [`EstimatePlan::new`] does the work
+//! the narrowing/packing flags cannot change, once per design: the loop
+//! walk, one flag-annotated DFG per segment and, when some sibling
+//! narrows, one value-range inference. [`EstimatePlan::estimates`] then
+//! schedules the segments under each requested flag pair.
+//! [`estimate_opts`] is the plan of a single flag pair.
 
 use crate::constraints::ResourceConstraints;
 use crate::device::FpgaDevice;
+use crate::dfg::{FlagDfg, View};
 use crate::memory::MemoryModel;
 use crate::oplib::{
     fsm_state_slices, op_spec, register_slices, HwOp, FSM_BASE_SLICES, MEMORY_INTERFACE_SLICES,
 };
-use crate::schedule::{schedule_dfg_prioritized, ListPriority, OpUsage};
+use crate::schedule::{allocate, schedule_nodes, ListPriority, OpUsage, Schedule};
 use defacto_analysis::{infer_ranges, RangeInfo};
-use defacto_ir::{Kernel, Stmt};
+use defacto_ir::Stmt;
 use defacto_xform::TransformedDesign;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// One FSM cycle per loop iteration (index update + branch).
@@ -94,40 +103,6 @@ impl Estimate {
     }
 }
 
-#[derive(Default)]
-struct Aggregate {
-    // Dynamic quantities (scaled by trip counts).
-    cycles: u64,
-    mem_busy: u64,
-    comp_busy: u64,
-    bits: u64,
-    // Static quantities (structural, not scaled).
-    op_usage: HashMap<(HwOp, u32), OpUsage>,
-    fsm_states: u64,
-    loops: u32,
-    segments: u32,
-}
-
-impl Aggregate {
-    fn merge_static(&mut self, other: &Aggregate) {
-        self.merge_op_usage(&other.op_usage);
-        self.fsm_states += other.fsm_states;
-        self.loops += other.loops;
-        self.segments += other.segments;
-    }
-
-    fn merge_op_usage(&mut self, usage: &HashMap<(HwOp, u32), OpUsage>) {
-        for (k, u) in usage {
-            let e = self.op_usage.entry(*k).or_default();
-            // Operators are shared across segments: allocation is the max
-            // concurrency anywhere; uses accumulate (they contend for the
-            // shared units through multiplexers).
-            e.max_concurrent = e.max_concurrent.max(u.max_concurrent);
-            e.total_uses += u.total_uses;
-        }
-    }
-}
-
 /// Estimate a transformed design against a memory model and device.
 ///
 /// The balance metric compares the design's aggregate fetch rate `F`
@@ -174,148 +149,407 @@ pub struct SynthesisOptions {
     pub priority: ListPriority,
 }
 
-/// The most general estimation entry point.
+/// The most general estimation entry point: the one-flag-pair
+/// [`EstimatePlan`] of `opts`.
 pub fn estimate_opts(
     design: &TransformedDesign,
     mem: &MemoryModel,
     dev: &FpgaDevice,
     opts: &SynthesisOptions,
 ) -> Estimate {
-    let ranges = opts
-        .bitwidth_narrowing
-        .then(|| infer_ranges(&design.kernel));
-    let pack = opts.pack_small_types.then_some(mem.width_bits);
-    let agg = walk(
-        design.kernel.body(),
-        &WalkCtx {
-            kernel: &design.kernel,
-            design,
-            mem,
-            constraints: &opts.constraints,
-            ranges: ranges.as_ref(),
-            pack,
-            priority: opts.priority,
-        },
-    );
-
-    let balance = match (agg.comp_busy, agg.mem_busy) {
-        (0, 0) => 1.0,
-        (_, 0) => f64::INFINITY,
-        (c, m) => c as f64 / m as f64,
-    };
-
-    // Area. Accumulated in u64 with saturating arithmetic: a heavily
-    // unrolled kernel can push any single term past u32 range, and the
-    // clamp back to the `Estimate::slices` width must happen exactly
-    // once, visibly, at the end.
-    let mut area: u64 = 0;
-    for ((op, bits), usage) in &agg.op_usage {
-        let spec = op_spec(*op, *bits);
-        area = area.saturating_add(spec.area_slices as u64 * usage.max_concurrent as u64);
-        // Sharing multiplexers: each use beyond the allocated instances
-        // steers operands through a mux tree.
-        let shared = usage.total_uses.saturating_sub(usage.max_concurrent);
-        area = area.saturating_add(shared as u64 * (bits / 4 + 1) as u64);
-    }
-    let mut registers = 0usize;
-    for s in design.kernel.scalars() {
-        registers += 1;
-        let bits = match &ranges {
-            Some(info) => info.var(&s.name).bits().min(s.ty.bits()),
-            None => s.ty.bits(),
-        };
-        area = area.saturating_add(register_slices(bits) as u64);
-    }
-    area = area.saturating_add(mem.num_memories as u64 * MEMORY_INTERFACE_SLICES as u64);
-    area = area.saturating_add(agg.loops as u64 * LOOP_CONTROL_SLICES as u64);
-    area = area
-        .saturating_add(FSM_BASE_SLICES as u64)
-        .saturating_add(fsm_state_slices(agg.fsm_states));
-    let slices = area.min(u32::MAX as u64) as u32;
-
-    Estimate {
-        cycles: agg.cycles,
-        slices,
-        memory_busy_cycles: agg.mem_busy,
-        compute_busy_cycles: agg.comp_busy,
-        bits_from_memory: agg.bits,
-        registers,
-        balance,
-        clock_ns: dev.clock_ns,
-        fits: dev.fits(slices),
-        provenance: Provenance {
-            segments: agg.segments,
-            constrained: opts.constraints != ResourceConstraints::default(),
-            bitwidth_narrowed: opts.bitwidth_narrowing,
-            packed: opts.pack_small_types,
-        },
-    }
+    EstimatePlan::new(design, mem, dev, opts, false)
+        .estimates(&[(false, false)])
+        .pop()
+        .expect("one estimate per flag pair")
 }
 
-/// Everything [`walk`] needs besides the statements themselves — fixed
-/// for a whole estimate, threaded unchanged through the loop recursion.
-struct WalkCtx<'a> {
-    kernel: &'a Kernel,
-    design: &'a TransformedDesign,
-    mem: &'a MemoryModel,
-    constraints: &'a ResourceConstraints,
-    ranges: Option<&'a RangeInfo>,
-    pack: Option<u32>,
+/// Everything needed to estimate one transformed design under any of
+/// its narrowing/packing flag pairs — the flag-independent half of
+/// estimation, done once for a whole sibling group.
+///
+/// The plan walks the loop structure and lowers every straight-line
+/// segment into one DFG whose nodes carry both the declared and the
+/// narrowed operator width and both the unpacked and the packed load
+/// placement. Value ranges are inferred once, and only when the plan
+/// narrows. The plan owns all of this and borrows nothing from the
+/// design.
+#[derive(Debug, Clone)]
+pub struct EstimatePlan {
+    mem: MemoryModel,
+    dev: FpgaDevice,
+    constraints: ResourceConstraints,
     priority: ListPriority,
+    /// The flags `opts` turned on for every sibling.
+    always: View,
+    /// Narrowed annotations were built: some view may narrow.
+    narrowable: bool,
+    segments: Vec<FlagDfg>,
+    /// The loop structure over `segments`.
+    body: Vec<Block>,
+    loops: u32,
+    registers: usize,
+    /// Register area at declared widths.
+    register_slices_wide: u64,
+    /// Register area at narrowed widths.
+    register_slices_narrow: u64,
 }
 
-fn walk(stmts: &[Stmt], ctx: &WalkCtx<'_>) -> Aggregate {
-    let mut agg = Aggregate::default();
-    // Straight-line statements are borrowed from the body, not cloned:
-    // segments only feed the DFG builder, which reads them.
-    let mut segment: Vec<&Stmt> = Vec::new();
+/// One statement run of the loop structure: a straight-line segment
+/// (an index into [`EstimatePlan::segments`]) or a loop over blocks.
+#[derive(Debug, Clone)]
+enum Block {
+    Segment(usize),
+    Loop { trips: u64, body: Vec<Block> },
+}
 
-    let flush = |segment: &mut Vec<&Stmt>, agg: &mut Aggregate| {
+/// Dynamic quantities: one segment schedule's, or the trip-scaled
+/// totals of a block list.
+#[derive(Debug, Clone, Copy, Default)]
+struct Times {
+    cycles: u64,
+    mem_busy: u64,
+    comp_busy: u64,
+    bits: u64,
+}
+
+impl Times {
+    fn of(s: &Schedule) -> Times {
+        Times {
+            cycles: s.length,
+            mem_busy: s.t_mem,
+            comp_busy: s.t_comp,
+            bits: s.bits_transferred,
+        }
+    }
+}
+
+/// One view's schedules, segment by segment: times in segment order, and
+/// the operator usage shared across all segments.
+struct ViewSchedules {
+    times: Vec<Times>,
+    op_usage: HashMap<(HwOp, u32), OpUsage>,
+}
+
+impl ViewSchedules {
+    fn push(&mut self, time: Times, usage: &HashMap<(HwOp, u32), OpUsage>) {
+        self.times.push(time);
+        for (k, u) in usage {
+            let e = self.op_usage.entry(*k).or_default();
+            // Operators are shared across segments: allocation is the max
+            // concurrency anywhere; uses accumulate (they contend for the
+            // shared units through multiplexers).
+            e.max_concurrent = e.max_concurrent.max(u.max_concurrent);
+            e.total_uses += u.total_uses;
+        }
+    }
+}
+
+impl EstimatePlan {
+    /// Plan the estimation of `design` under `opts`. `narrow` asks for
+    /// the narrowed annotations some sibling will need beyond what
+    /// `opts.bitwidth_narrowing` already turns on; packed placements are
+    /// always annotated, as they cost one offset per small-typed load.
+    pub fn new(
+        design: &TransformedDesign,
+        mem: &MemoryModel,
+        dev: &FpgaDevice,
+        opts: &SynthesisOptions,
+        narrow: bool,
+    ) -> EstimatePlan {
+        let always = View {
+            narrow: opts.bitwidth_narrowing,
+            pack: opts.pack_small_types,
+        };
+        let narrowable = always.narrow || narrow;
+        tally(|w| w.plans += 1);
+        let ranges = narrowable.then(|| {
+            tally(|w| w.range_inferences += 1);
+            infer_ranges(&design.kernel)
+        });
+        let mut lower = Lower {
+            design,
+            ranges: ranges.as_ref(),
+            pack_word_bits: mem.width_bits,
+            segments: Vec::new(),
+            loops: 0,
+        };
+        let body = lower.blocks(design.kernel.body());
+        // Saturating sums of non-negative terms, so adding the register
+        // area as one term is the same as adding it register by register.
+        let (mut wide, mut narrowed) = (0u64, 0u64);
+        for s in design.kernel.scalars() {
+            let declared = s.ty.bits();
+            wide = wide.saturating_add(register_slices(declared) as u64);
+            let bits = match &ranges {
+                Some(info) => info.var(&s.name).bits().min(declared),
+                None => declared,
+            };
+            narrowed = narrowed.saturating_add(register_slices(bits) as u64);
+        }
+        EstimatePlan {
+            mem: mem.clone(),
+            dev: dev.clone(),
+            constraints: opts.constraints.clone(),
+            priority: opts.priority,
+            always,
+            narrowable,
+            segments: lower.segments,
+            body,
+            loops: lower.loops,
+            registers: design.kernel.scalars().len(),
+            register_slices_wide: wide,
+            register_slices_narrow: narrowed,
+        }
+    }
+
+    /// One estimate per `(narrow, pack)` pair in `flags`, in order; each
+    /// flag adds to the plan's options like the matching
+    /// [`SynthesisOptions`] field. Every segment is list-scheduled once
+    /// per distinct flag pair, except that a narrowed pair whose segment
+    /// keeps every operator latency at its narrowed widths reuses its
+    /// wide twin's timing and only reallocates operators.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair narrows but the plan was built without
+    /// narrowing.
+    pub fn estimates(&self, flags: &[(bool, bool)]) -> Vec<Estimate> {
+        let views: Vec<View> = flags
+            .iter()
+            .map(|&(narrow, pack)| View {
+                narrow: self.always.narrow || narrow,
+                pack: self.always.pack || pack,
+            })
+            .collect();
+        assert!(
+            self.narrowable || views.iter().all(|v| !v.narrow),
+            "EstimatePlan: a flag pair narrows but the plan was built without narrowing"
+        );
+        let mut distinct = views.clone();
+        distinct.sort();
+        distinct.dedup();
+        let mut schedules: Vec<ViewSchedules> = distinct
+            .iter()
+            .map(|_| ViewSchedules {
+                times: Vec::with_capacity(self.segments.len()),
+                op_usage: HashMap::new(),
+            })
+            .collect();
+        // This segment's full schedule per view, for narrow twins to share.
+        let mut timed: Vec<Option<Schedule>> = vec![None; distinct.len()];
+        for seg in &self.segments {
+            for (i, &view) in distinct.iter().enumerate() {
+                // Views are sorted wide first, so the wide twin (if
+                // requested) is already scheduled.
+                let twin = View {
+                    narrow: false,
+                    ..view
+                };
+                let shared = (view.narrow && seg.narrow_keeps_timing())
+                    .then(|| distinct[..i].iter().position(|&v| v == twin))
+                    .flatten()
+                    .and_then(|j| timed[j].as_ref());
+                match shared {
+                    Some(wide) => {
+                        tally(|w| w.allocation_schedules += 1);
+                        let usage = allocate(seg.ops(view), &wide.start, &wide.finish);
+                        schedules[i].push(Times::of(wide), &usage);
+                    }
+                    None => {
+                        tally(|w| w.full_schedules += 1);
+                        let nodes = seg.resolve(view, &self.mem);
+                        let s = schedule_nodes(&nodes, &self.mem, &self.constraints, self.priority);
+                        schedules[i].push(Times::of(&s), &s.op_usage);
+                        timed[i] = Some(s);
+                    }
+                }
+            }
+        }
+        let estimates: Vec<Estimate> = distinct
+            .iter()
+            .zip(&schedules)
+            .map(|(&view, s)| self.estimate(view, s))
+            .collect();
+        views
+            .iter()
+            .map(|v| estimates[distinct.partition_point(|d| d < v)].clone())
+            .collect()
+    }
+
+    /// Aggregate one view's segment schedules over the loop structure.
+    fn estimate(&self, view: View, s: &ViewSchedules) -> Estimate {
+        let totals = fold(&self.body, &s.times);
+        let balance = match (totals.comp_busy, totals.mem_busy) {
+            (0, 0) => 1.0,
+            (_, 0) => f64::INFINITY,
+            (c, m) => c as f64 / m as f64,
+        };
+
+        // Area. Accumulated in u64 with saturating arithmetic: a heavily
+        // unrolled kernel can push any single term past u32 range, and the
+        // clamp back to the `Estimate::slices` width must happen exactly
+        // once, visibly, at the end.
+        let mut area: u64 = 0;
+        for ((op, bits), usage) in &s.op_usage {
+            let spec = op_spec(*op, *bits);
+            area = area.saturating_add(spec.area_slices as u64 * usage.max_concurrent as u64);
+            // Sharing multiplexers: each use beyond the allocated instances
+            // steers operands through a mux tree.
+            let shared = usage.total_uses.saturating_sub(usage.max_concurrent);
+            area = area.saturating_add(shared as u64 * (bits / 4 + 1) as u64);
+        }
+        area = area.saturating_add(if view.narrow {
+            self.register_slices_narrow
+        } else {
+            self.register_slices_wide
+        });
+        area = area.saturating_add(self.mem.num_memories as u64 * MEMORY_INTERFACE_SLICES as u64);
+        area = area.saturating_add(self.loops as u64 * LOOP_CONTROL_SLICES as u64);
+        let fsm_states: u64 = s.times.iter().map(|t| t.cycles).sum();
+        area = area
+            .saturating_add(FSM_BASE_SLICES as u64)
+            .saturating_add(fsm_state_slices(fsm_states));
+        let slices = area.min(u32::MAX as u64) as u32;
+
+        Estimate {
+            cycles: totals.cycles,
+            slices,
+            memory_busy_cycles: totals.mem_busy,
+            compute_busy_cycles: totals.comp_busy,
+            bits_from_memory: totals.bits,
+            registers: self.registers,
+            balance,
+            clock_ns: self.dev.clock_ns,
+            fits: self.dev.fits(slices),
+            provenance: Provenance {
+                segments: self.segments.len() as u32,
+                constrained: self.constraints != ResourceConstraints::default(),
+                bitwidth_narrowed: view.narrow,
+                packed: view.pack,
+            },
+        }
+    }
+}
+
+/// The trip-scaled totals of `blocks`, given every segment's times.
+fn fold(blocks: &[Block], times: &[Times]) -> Times {
+    let mut t = Times::default();
+    for block in blocks {
+        match block {
+            Block::Segment(i) => {
+                let s = &times[*i];
+                t.cycles += s.cycles;
+                t.mem_busy += s.mem_busy;
+                t.comp_busy += s.comp_busy;
+                t.bits += s.bits;
+            }
+            Block::Loop { trips, body } => {
+                let inner = fold(body, times);
+                t.cycles += LOOP_SETUP_OVERHEAD + trips * (inner.cycles + LOOP_ITER_OVERHEAD);
+                t.mem_busy += trips * inner.mem_busy;
+                t.comp_busy += trips * inner.comp_busy;
+                t.bits += trips * inner.bits;
+            }
+        }
+    }
+    t
+}
+
+/// The loop walk of [`EstimatePlan::new`]: lowers each straight-line
+/// segment into a [`FlagDfg`] and records the loops around them.
+struct Lower<'a> {
+    design: &'a TransformedDesign,
+    ranges: Option<&'a RangeInfo>,
+    pack_word_bits: u32,
+    segments: Vec<FlagDfg>,
+    loops: u32,
+}
+
+impl Lower<'_> {
+    fn blocks(&mut self, stmts: &[Stmt]) -> Vec<Block> {
+        let mut blocks = Vec::new();
+        // Straight-line statements are borrowed from the body, not cloned:
+        // segments only feed the DFG builder, which reads them.
+        let mut segment: Vec<&Stmt> = Vec::new();
+        for s in stmts {
+            match s {
+                Stmt::For(l) => {
+                    self.flush(&mut segment, &mut blocks);
+                    let body = self.blocks(&l.body);
+                    // `trip_count` is non-negative by definition (degenerate
+                    // loops report zero and are rejected up front by lint
+                    // DF010), so this conversion is lossless.
+                    let trips = u64::try_from(l.trip_count()).unwrap_or(0);
+                    blocks.push(Block::Loop { trips, body });
+                    self.loops += 1;
+                }
+                other => segment.push(other),
+            }
+        }
+        self.flush(&mut segment, &mut blocks);
+        blocks
+    }
+
+    fn flush(&mut self, segment: &mut Vec<&Stmt>, blocks: &mut Vec<Block>) {
         if segment.is_empty() {
             return;
         }
-        let dfg = crate::dfg::build_dfg_stmts(
-            segment.iter().copied(),
-            ctx.kernel,
-            &ctx.design.binding,
-            &crate::dfg::DfgOptions {
-                ranges: ctx.ranges,
-                pack_word_bits: ctx.pack,
-            },
+        let dfg = FlagDfg::build(
+            segment.drain(..),
+            &self.design.kernel,
+            &self.design.binding,
+            self.ranges,
+            Some(self.pack_word_bits),
         );
-        let sched = schedule_dfg_prioritized(&dfg, ctx.mem, ctx.constraints, ctx.priority);
-        agg.cycles += sched.length;
-        agg.mem_busy += sched.t_mem;
-        agg.comp_busy += sched.t_comp;
-        agg.bits += sched.bits_transferred;
-        agg.fsm_states += sched.length;
-        agg.segments += 1;
-        agg.merge_op_usage(&sched.op_usage);
-        segment.clear();
-    };
+        blocks.push(Block::Segment(self.segments.len()));
+        self.segments.push(dfg);
+    }
+}
 
-    for s in stmts {
-        match s {
-            Stmt::For(l) => {
-                flush(&mut segment, &mut agg);
-                let inner = walk(&l.body, ctx);
-                // `trip_count` is non-negative by definition (degenerate
-                // loops report zero and are rejected up front by lint
-                // DF010), so this conversion is lossless — the old
-                // `.max(0) as u64` sign-clamp hid that contract.
-                let trips = u64::try_from(l.trip_count()).unwrap_or(0);
-                agg.cycles += LOOP_SETUP_OVERHEAD + trips * (inner.cycles + LOOP_ITER_OVERHEAD);
-                agg.mem_busy += trips * inner.mem_busy;
-                agg.comp_busy += trips * inner.comp_busy;
-                agg.bits += trips * inner.bits;
-                agg.merge_static(&inner);
-                agg.loops += 1;
-            }
-            other => segment.push(other),
+/// Estimator work done on one thread: plans built, value-range
+/// inferences, and segment schedules — full list schedules and
+/// allocation-only ones that reuse a wide twin's timing. See
+/// [`estimator_work`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EstimatorWork {
+    /// [`EstimatePlan`]s built.
+    pub plans: u64,
+    /// `infer_ranges` runs.
+    pub range_inferences: u64,
+    /// Segments list-scheduled.
+    pub full_schedules: u64,
+    /// Segments that only reallocated operators over a shared schedule.
+    pub allocation_schedules: u64,
+}
+
+impl EstimatorWork {
+    /// The work done between `earlier` and `self`.
+    pub fn since(&self, earlier: &EstimatorWork) -> EstimatorWork {
+        EstimatorWork {
+            plans: self.plans - earlier.plans,
+            range_inferences: self.range_inferences - earlier.range_inferences,
+            full_schedules: self.full_schedules - earlier.full_schedules,
+            allocation_schedules: self.allocation_schedules - earlier.allocation_schedules,
         }
     }
-    flush(&mut segment, &mut agg);
-    agg
+}
+
+thread_local! {
+    static WORK: Cell<EstimatorWork> = Cell::new(EstimatorWork::default());
+}
+
+/// The estimator work the calling thread has done so far. Take the
+/// [`EstimatorWork::since`] of two readings to count one call's work.
+pub fn estimator_work() -> EstimatorWork {
+    WORK.with(Cell::get)
+}
+
+fn tally(f: impl FnOnce(&mut EstimatorWork)) {
+    WORK.with(|w| {
+        let mut work = w.get();
+        f(&mut work);
+        w.set(work);
+    });
 }
 
 #[cfg(test)]
@@ -620,6 +854,126 @@ mod tests {
             &ResourceConstraints::new().with_limit(HwOp::Mul, 2),
         );
         assert!(capped.provenance.constrained);
+    }
+
+    const FLAGS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+
+    /// `plan`'s estimates for all four flag pairs at once, with the work
+    /// they took, checked field for field against a plan built for each
+    /// pair alone.
+    fn estimates_match_single_pair_plans(design: &TransformedDesign) -> EstimatorWork {
+        let mem = MemoryModel::wildstar_pipelined();
+        let dev = FpgaDevice::virtex1000();
+        let opts = SynthesisOptions::default();
+        let plan = EstimatePlan::new(design, &mem, &dev, &opts, true);
+        let before = estimator_work();
+        let grouped = plan.estimates(&FLAGS);
+        let work = estimator_work().since(&before);
+        assert_eq!(grouped.len(), FLAGS.len());
+        for (&(narrow, pack), estimate) in FLAGS.iter().zip(&grouped) {
+            let alone = EstimatePlan::new(design, &mem, &dev, &opts, narrow)
+                .estimates(&[(narrow, pack)])
+                .remove(0);
+            assert_eq!(*estimate, alone, "flags ({narrow}, {pack})");
+            assert_eq!(estimate.provenance.bitwidth_narrowed, narrow);
+            assert_eq!(estimate.provenance.packed, pack);
+            let sopts = SynthesisOptions {
+                bitwidth_narrowing: narrow,
+                pack_small_types: pack,
+                ..SynthesisOptions::default()
+            };
+            assert_eq!(*estimate, estimate_opts(design, &mem, &dev, &sopts));
+        }
+        work
+    }
+
+    /// SOBEL's narrowed operators keep their latencies, so its narrow
+    /// siblings reuse the wide schedules and only reallocate operators.
+    #[test]
+    fn sobel_narrow_siblings_share_wide_timing() {
+        let k = parse_kernel(
+            "kernel sobel { in I: u8[34][34]; out E: i16[34][34];
+               var gx: i16; var gy: i16; var mag: i16;
+               for i in 1..33 { for j in 1..33 {
+                 gx = (I[i - 1][j + 1] + 2 * I[i][j + 1] + I[i + 1][j + 1])
+                    - (I[i - 1][j - 1] + 2 * I[i][j - 1] + I[i + 1][j - 1]);
+                 gy = (I[i + 1][j - 1] + 2 * I[i + 1][j] + I[i + 1][j + 1])
+                    - (I[i - 1][j - 1] + 2 * I[i - 1][j] + I[i - 1][j + 1]);
+                 mag = abs(gx) + abs(gy);
+                 E[i][j] = mag > 255 ? 255 : mag; } } }",
+        )
+        .unwrap();
+        let design =
+            transform(&k, &UnrollVector(vec![2, 4]), &TransformOptions::default()).unwrap();
+        let work = estimates_match_single_pair_plans(&design);
+        let segments = estimate(
+            &design,
+            &MemoryModel::wildstar_pipelined(),
+            &FpgaDevice::virtex1000(),
+        )
+        .provenance
+        .segments as u64;
+        assert!(segments > 1, "a jammed SOBEL has a peeled prologue");
+        assert_eq!(work.full_schedules, 2 * segments);
+        assert_eq!(work.allocation_schedules, 2 * segments);
+    }
+
+    /// A narrowed multiplier of 8 bits or fewer is faster, so the narrow
+    /// siblings schedule the segments that multiply on their own.
+    #[test]
+    fn faster_narrow_multipliers_schedule_separately() {
+        let k = parse_kernel(
+            "kernel fir {
+               in S: i32[96] range -8..7;
+               in C: i32[32] range -8..7;
+               inout D: i32[64];
+               for j in 0..64 { for i in 0..32 {
+                 D[j] = D[j] + S[i + j] * C[i]; } } }",
+        )
+        .unwrap();
+        let design =
+            transform(&k, &UnrollVector(vec![2, 4]), &TransformOptions::default()).unwrap();
+        let work = estimates_match_single_pair_plans(&design);
+        let segments = estimate(
+            &design,
+            &MemoryModel::wildstar_pipelined(),
+            &FpgaDevice::virtex1000(),
+        )
+        .provenance
+        .segments as u64;
+        // Segments without a multiply still share their wide timing.
+        assert_eq!(
+            work.full_schedules + work.allocation_schedules,
+            4 * segments
+        );
+        assert!(work.full_schedules > 2 * segments, "{work:?}");
+    }
+
+    #[test]
+    fn plans_infer_ranges_only_when_narrowing() {
+        let d = fir_design(vec![2, 2]);
+        let mem = MemoryModel::wildstar_pipelined();
+        let dev = FpgaDevice::virtex1000();
+        let opts = SynthesisOptions::default();
+        let before = estimator_work();
+        EstimatePlan::new(&d, &mem, &dev, &opts, false);
+        EstimatePlan::new(&d, &mem, &dev, &opts, true);
+        let work = estimator_work().since(&before);
+        assert_eq!((work.plans, work.range_inferences), (2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "built without narrowing")]
+    fn unplanned_narrowing_is_refused() {
+        let d = fir_design(vec![2, 2]);
+        let plan = EstimatePlan::new(
+            &d,
+            &MemoryModel::wildstar_pipelined(),
+            &FpgaDevice::virtex1000(),
+            &SynthesisOptions::default(),
+            false,
+        );
+        plan.estimates(&[(true, false)]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::estimate::SynthesisOptions;
 use crate::memory::MemoryModel;
 use defacto_xform::{TransformOptions, UnrollVector, VariantCache};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The coordinates selecting one member model: `(permutation, tile,
 /// narrow, pack)`.
@@ -41,7 +41,9 @@ pub struct JointAnalyticModel {
     topts: TransformOptions,
     sopts: SynthesisOptions,
     /// `None` inside means the member declined (the variant does not
-    /// prepare) — such points must take the full tier-1 path.
+    /// prepare) — such points must take the full tier-1 path. Entries
+    /// are pure values inserted whole, so a poisoned lock still guards
+    /// valid data and is recovered.
     models: Mutex<HashMap<JointModelKey, Option<Arc<AnalyticModel>>>>,
 }
 
@@ -96,7 +98,7 @@ impl JointAnalyticModel {
         if let Some(m) = self
             .models
             .lock()
-            .expect("joint model cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
         {
             return m.clone();
@@ -116,7 +118,7 @@ impl JointAnalyticModel {
                 )
             })
             .map(Arc::new);
-        let mut cache = self.models.lock().expect("joint model cache poisoned");
+        let mut cache = self.models.lock().unwrap_or_else(PoisonError::into_inner);
         cache.entry(key).or_insert(built).clone()
     }
 

@@ -48,7 +48,8 @@ pub use dfg::{
     build_dfg, build_dfg_opts, build_dfg_ranged, Dfg, DfgOptions, Node, NodeId, NodeKind,
 };
 pub use estimate::{
-    estimate, estimate_constrained, estimate_opts, Estimate, Provenance, SynthesisOptions,
+    estimate, estimate_constrained, estimate_opts, estimator_work, Estimate, EstimatePlan,
+    EstimatorWork, Provenance, SynthesisOptions,
 };
 pub use joint::{JointAnalyticModel, JointModelKey};
 pub use memory::MemoryModel;

@@ -11,7 +11,7 @@
 //! bounded classes serialize onto their units instead.
 
 use crate::constraints::ResourceConstraints;
-use crate::dfg::{Dfg, NodeKind};
+use crate::dfg::{Dfg, NodeId};
 use crate::memory::MemoryModel;
 use crate::oplib::{op_spec, HwOp};
 use std::cmp::Reverse;
@@ -91,14 +91,82 @@ pub fn schedule_dfg_constrained(
 }
 
 /// The most general scheduling entry point: resource constraints plus a
-/// ready-list priority policy.
+/// ready-list priority policy. Schedules `dfg` as built, the identity
+/// view of the estimator's flag-annotated graphs.
 pub fn schedule_dfg_prioritized(
     dfg: &Dfg,
     mem: &MemoryModel,
     constraints: &ResourceConstraints,
     priority: ListPriority,
 ) -> Schedule {
-    let n = dfg.len();
+    schedule_nodes(&dfg.resolve(mem), mem, constraints, priority)
+}
+
+/// What a node does, as far as scheduling and allocation care: one
+/// view of a DFG node, with arrays numbered.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step {
+    Source,
+    /// Loads of the same `(array, bank, word)` share one fetch.
+    Load {
+        array: u32,
+        bank: usize,
+        bits: u32,
+        word: i64,
+    },
+    Store {
+        bank: usize,
+        bits: u32,
+    },
+    Op {
+        op: HwOp,
+        bits: u32,
+    },
+    Rotate,
+}
+
+/// A DFG node resolved for one schedule: its predecessors, its step and
+/// the latency that step takes against the memory model.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SchedNode<'g> {
+    pub preds: &'g [NodeId],
+    pub step: Step,
+    pub latency: u64,
+}
+
+impl<'g> SchedNode<'g> {
+    pub(crate) fn new(preds: &'g [NodeId], step: Step, mem: &MemoryModel) -> SchedNode<'g> {
+        let latency = match step {
+            Step::Load { .. } => mem.read_latency as u64,
+            Step::Store { .. } => mem.write_latency as u64,
+            Step::Op { op, bits } => op_spec(op, bits).latency as u64,
+            Step::Rotate => 1,
+            Step::Source => 0,
+        };
+        SchedNode {
+            preds,
+            step,
+            latency,
+        }
+    }
+
+    /// Latency on the compute critical path: operators only.
+    fn op_latency(&self) -> u64 {
+        match self.step {
+            Step::Op { .. } => self.latency,
+            _ => 0,
+        }
+    }
+}
+
+/// The list scheduler over resolved nodes (in topological order).
+pub(crate) fn schedule_nodes(
+    nodes: &[SchedNode<'_>],
+    mem: &MemoryModel,
+    constraints: &ResourceConstraints,
+    priority: ListPriority,
+) -> Schedule {
+    let n = nodes.len();
     let mut sched = Schedule {
         start: vec![0; n],
         finish: vec![0; n],
@@ -111,54 +179,62 @@ pub fn schedule_dfg_prioritized(
 
     // Unconstrained ASAP levels for priority.
     let mut asap = vec![0u64; n];
-    for node in dfg.nodes() {
-        let ready = node
+    for (i, node) in nodes.iter().enumerate() {
+        asap[i] = node
             .preds
             .iter()
-            .map(|p| asap[p.0] + latency(&dfg.nodes()[p.0].kind, mem))
+            .map(|p| asap[p.0] + nodes[p.0].latency)
             .max()
             .unwrap_or(0);
-        asap[node.id.0] = ready;
     }
 
     // Slack = ALAP − ASAP: the scheduling freedom of each node. The
     // reverse longest path gives ALAP against the unconstrained critical
     // path length.
     let slack: Vec<u64> = match priority {
-        ListPriority::Asap => vec![0; n],
+        ListPriority::Asap => Vec::new(),
         ListPriority::Slack => {
-            let total = asap
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| a + latency(&dfg.nodes()[i].kind, mem))
+            let total = (0..n)
+                .map(|i| asap[i] + nodes[i].latency)
                 .max()
                 .unwrap_or(0);
             let mut tail = vec![0u64; n]; // longest path from node to a sink
-            for node in dfg.nodes().iter().rev() {
+            for (i, node) in nodes.iter().enumerate().rev() {
                 // Successor tails were already computed (reverse order of a
                 // topologically ordered node list).
-                let lat = latency(&node.kind, mem);
-                for p in &node.preds {
-                    tail[p.0] = tail[p.0].max(tail[node.id.0] + lat);
+                for p in node.preds {
+                    tail[p.0] = tail[p.0].max(tail[i] + node.latency);
                 }
             }
             (0..n)
                 .map(|i| {
-                    let lat = latency(&dfg.nodes()[i].kind, mem);
-                    let alap = total.saturating_sub(tail[i] + lat);
+                    let alap = total.saturating_sub(tail[i] + nodes[i].latency);
                     alap.saturating_sub(asap[i])
                 })
                 .collect()
         }
     };
 
-    // Kahn's algorithm with a priority heap.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Kahn's algorithm with a priority heap; successors stored flat.
     let mut indeg = vec![0usize; n];
-    for node in dfg.nodes() {
-        indeg[node.id.0] = node.preds.len();
-        for p in &node.preds {
-            succs[p.0].push(node.id.0);
+    let mut succ_ends = vec![0usize; n];
+    for node in nodes {
+        for p in node.preds {
+            succ_ends[p.0] += 1;
+        }
+    }
+    for i in 1..n {
+        succ_ends[i] += succ_ends[i - 1];
+    }
+    let mut succs = vec![0usize; succ_ends[n - 1]];
+    let mut fill: Vec<usize> = (0..n)
+        .map(|i| if i == 0 { 0 } else { succ_ends[i - 1] })
+        .collect();
+    for (i, node) in nodes.iter().enumerate() {
+        indeg[i] = node.preds.len();
+        for p in node.preds {
+            succs[fill[p.0]] = i;
+            fill[p.0] += 1;
         }
     }
     // Max-heap: invert ordering (smallest ASAP first, reads before
@@ -180,32 +256,20 @@ pub fn schedule_dfg_prioritized(
         }
     }
 
-    let class = |kind: &NodeKind| -> u8 {
-        match kind {
-            NodeKind::Load { .. } => 0,
-            NodeKind::Store { .. } => 1,
-            _ => 0,
-        }
-    };
-
-    let key = |id: usize, kind: &NodeKind| -> Prio {
+    let key = |id: usize| -> Prio {
+        let class = matches!(nodes[id].step, Step::Store { .. }) as u8;
         match priority {
-            ListPriority::Asap => Prio(asap[id], class(kind), id),
-            ListPriority::Slack => Prio(slack[id], class(kind), id),
+            ListPriority::Asap => Prio(asap[id], class, id),
+            ListPriority::Slack => Prio(slack[id], class, id),
         }
     };
-    let mut heap: BinaryHeap<Prio> = BinaryHeap::new();
-    for node in dfg.nodes() {
-        if indeg[node.id.0] == 0 {
-            heap.push(key(node.id.0, &node.kind));
-        }
-    }
+    let mut heap: BinaryHeap<Prio> = (0..n).filter(|&i| indeg[i] == 0).map(key).collect();
 
     let mut bank_free: Vec<u64> = vec![0; mem.num_memories.max(1)];
     // Packed-word fetches already issued: (array, bank, word) → the
     // fetch's start cycle. Follow-up loads of the same word ride along
     // without occupying the port again.
-    let mut fetched_words: HashMap<(&str, usize, i64), u64> = HashMap::new();
+    let mut fetched_words: HashMap<(u32, usize, i64), u64> = HashMap::new();
     // Bounded operator classes: a min-heap of unit-free times per class.
     let mut unit_pools: HashMap<HwOp, BinaryHeap<Reverse<u64>>> = HashMap::new();
     for (op, units) in constraints.iter() {
@@ -216,113 +280,120 @@ pub fn schedule_dfg_prioritized(
         unit_pools.insert(op, pool);
     }
     while let Some(Prio(_, _, id)) = heap.pop() {
-        let node = &dfg.nodes()[id];
+        let node = &nodes[id];
         let data_ready = node
             .preds
             .iter()
             .map(|p| sched.finish[p.0])
             .max()
             .unwrap_or(0);
-        let (start, fin) = match &node.kind {
-            NodeKind::Load {
+        let (start, fin) = match node.step {
+            Step::Load {
                 array,
                 bank,
                 bits,
                 word,
             } => {
-                let bank = (*bank) % bank_free.len();
-                let key = (array.as_str(), bank, *word);
-                match fetched_words.get(&key) {
+                let bank = bank % bank_free.len();
+                match fetched_words.get(&(array, bank, word)) {
                     // The word is already being fetched: ride along.
                     Some(&fetch_start) => {
                         let start = data_ready.max(fetch_start);
-                        (start, fetch_start.max(start) + mem.read_latency as u64)
+                        (start, fetch_start.max(start) + node.latency)
                     }
                     None => {
                         let start = data_ready.max(bank_free[bank]);
                         bank_free[bank] = start + mem.read_occupancy() as u64;
                         sched.mem_busy_per_bank[bank] += mem.read_occupancy() as u64;
-                        sched.bits_transferred += *bits as u64;
+                        sched.bits_transferred += bits as u64;
                         sched.reads += 1;
-                        fetched_words.insert(key, start);
-                        (start, start + mem.read_latency as u64)
+                        fetched_words.insert((array, bank, word), start);
+                        (start, start + node.latency)
                     }
                 }
             }
-            NodeKind::Store { bank, bits, .. } => {
-                let bank = (*bank) % bank_free.len();
+            Step::Store { bank, bits } => {
+                let bank = bank % bank_free.len();
                 let start = data_ready.max(bank_free[bank]);
                 bank_free[bank] = start + mem.write_occupancy() as u64;
                 sched.mem_busy_per_bank[bank] += mem.write_occupancy() as u64;
-                sched.bits_transferred += *bits as u64;
+                sched.bits_transferred += bits as u64;
                 sched.writes += 1;
-                (start, start + mem.write_latency as u64)
+                (start, start + node.latency)
             }
-            NodeKind::Op { op, bits } => {
-                let lat = op_spec(*op, *bits).latency as u64;
-                match unit_pools.get_mut(op) {
-                    Some(pool) => {
-                        let Reverse(unit_free) = pool.pop().expect("pool non-empty");
-                        let start = data_ready.max(unit_free);
-                        // A unit is occupied for at least one cycle even
-                        // for combinational (0-latency) classes.
-                        pool.push(Reverse(start + lat.max(1)));
-                        (start, start + lat)
-                    }
-                    None => (data_ready, data_ready + lat),
+            Step::Op { op, .. } => match unit_pools.get_mut(&op) {
+                Some(pool) => {
+                    let Reverse(unit_free) = pool.pop().expect("pool non-empty");
+                    let start = data_ready.max(unit_free);
+                    // A unit is occupied for at least one cycle even
+                    // for combinational (0-latency) classes.
+                    pool.push(Reverse(start + node.latency.max(1)));
+                    (start, start + node.latency)
                 }
-            }
-            NodeKind::Rotate { .. } => (data_ready, data_ready + 1),
-            NodeKind::Source => (0, 0),
+                None => (data_ready, data_ready + node.latency),
+            },
+            Step::Rotate => (data_ready, data_ready + node.latency),
+            Step::Source => (0, 0),
         };
         sched.start[id] = start;
         sched.finish[id] = fin;
         sched.length = sched.length.max(fin);
-        for &s in &succs[id] {
+        let first = if id == 0 { 0 } else { succ_ends[id - 1] };
+        for &s in &succs[first..succ_ends[id]] {
             indeg[s] -= 1;
             if indeg[s] == 0 {
-                heap.push(key(s, &dfg.nodes()[s].kind));
+                heap.push(key(s));
             }
         }
     }
 
     sched.t_mem = sched.mem_busy_per_bank.iter().copied().max().unwrap_or(0);
-    sched.t_comp = compute_critical_path(dfg);
-    sched.op_usage = allocate(dfg, &sched);
+    sched.t_comp = compute_critical_path(nodes);
+    sched.op_usage = allocate(
+        nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, node)| match node.step {
+                Step::Op { op, bits } => Some((i, op, bits)),
+                _ => None,
+            }),
+        &sched.start,
+        &sched.finish,
+    );
     sched
 }
 
 /// Longest chain of operator latencies through the graph (memory and
 /// rotation nodes contribute zero) — the "computational delay" of the
 /// balance metric's consumption rate.
-fn compute_critical_path(dfg: &Dfg) -> u64 {
-    let mut cpl = vec![0u64; dfg.len()];
+fn compute_critical_path(nodes: &[SchedNode<'_>]) -> u64 {
+    let mut cpl = vec![0u64; nodes.len()];
     let mut best = 0;
-    for node in dfg.nodes() {
-        let here = match &node.kind {
-            NodeKind::Op { op, bits } => op_spec(*op, *bits).latency as u64,
-            _ => 0,
-        };
+    for (i, node) in nodes.iter().enumerate() {
         let pred_max = node.preds.iter().map(|p| cpl[p.0]).max().unwrap_or(0);
-        cpl[node.id.0] = pred_max + here;
-        best = best.max(cpl[node.id.0]);
+        cpl[i] = pred_max + node.op_latency();
+        best = best.max(cpl[i]);
     }
     best
 }
 
-/// Derive operator allocation from schedule concurrency.
-fn allocate(dfg: &Dfg, sched: &Schedule) -> HashMap<(HwOp, u32), OpUsage> {
+/// Derive operator allocation from schedule concurrency: `ops` are the
+/// operator nodes as `(node index, class, width)`, timed by `start` and
+/// `finish`.
+pub(crate) fn allocate(
+    ops: impl Iterator<Item = (usize, HwOp, u32)>,
+    start: &[u64],
+    finish: &[u64],
+) -> HashMap<(HwOp, u32), OpUsage> {
     // Sweep-line concurrency per (op, width).
     let mut events: HashMap<(HwOp, u32), Vec<(u64, i64)>> = HashMap::new();
-    for node in dfg.nodes() {
-        if let NodeKind::Op { op, bits } = &node.kind {
-            let s = sched.start[node.id.0];
-            // Zero-latency units still occupy their wiring for the cycle.
-            let f = sched.finish[node.id.0].max(s + 1);
-            let ev = events.entry((*op, *bits)).or_default();
-            ev.push((s, 1));
-            ev.push((f, -1));
-        }
+    for (i, op, bits) in ops {
+        let s = start[i];
+        // Zero-latency units still occupy their wiring for the cycle.
+        let f = finish[i].max(s + 1);
+        let ev = events.entry((op, bits)).or_default();
+        ev.push((s, 1));
+        ev.push((f, -1));
     }
     let mut usage = HashMap::new();
     for ((op, bits), mut ev) in events {
@@ -346,16 +417,6 @@ fn allocate(dfg: &Dfg, sched: &Schedule) -> HashMap<(HwOp, u32), OpUsage> {
         );
     }
     usage
-}
-
-fn latency(kind: &NodeKind, mem: &MemoryModel) -> u64 {
-    match kind {
-        NodeKind::Load { .. } => mem.read_latency as u64,
-        NodeKind::Store { .. } => mem.write_latency as u64,
-        NodeKind::Op { op, bits } => op_spec(*op, *bits).latency as u64,
-        NodeKind::Rotate { .. } => 1,
-        NodeKind::Source => 0,
-    }
 }
 
 #[cfg(test)]

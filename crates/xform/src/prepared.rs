@@ -52,7 +52,7 @@ use defacto_ir::visit::offset_vars_stmts;
 use defacto_ir::{Kernel, Loop, Stmt};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// All point-invariant artifacts of one kernel's design-space walk; see
 /// the module docs. Shared across evaluation workers behind an `Arc` —
@@ -87,7 +87,9 @@ pub struct PreparedKernel {
     /// Offset copies of `base_body`, keyed by full offset tuple. Copies
     /// are made directly from the base body (never from another copy:
     /// offsetting an already-offset copy would nest scalar-read rewrites
-    /// differently than the scratch pipeline).
+    /// differently than the scratch pipeline). Entries are pure values
+    /// inserted whole, so a poisoned lock still guards valid data and is
+    /// recovered.
     copies: Mutex<HashMap<Vec<i64>, Arc<Vec<Stmt>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -214,7 +216,11 @@ impl PreparedKernel {
             let bounds: Vec<(i64, i64)> = loops.iter().map(|l| (l.lower, l.upper - 1)).collect();
             analyze_dependences_with_bounds(&prev.base_table, &var_refs, &bounds)
         };
-        let copies = prev.copies.lock().expect("copy cache poisoned").clone();
+        let copies = prev
+            .copies
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         // The summary's packing/narrowing facts read the array decls
         // (types, range annotations), which the body/vars gate above does
         // not cover — require decl equality too before reusing it.
@@ -389,7 +395,7 @@ impl PreparedKernel {
         // point's tuples.
         let tuples = offset_tuples(factors);
         let copies: Vec<Arc<Vec<Stmt>>> = {
-            let mut cache = self.copies.lock().expect("copy cache poisoned");
+            let mut cache = self.copies.lock().unwrap_or_else(PoisonError::into_inner);
             tuples
                 .iter()
                 .map(|t| {

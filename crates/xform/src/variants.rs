@@ -26,7 +26,7 @@ use crate::prepared::PreparedKernel;
 use crate::tiling::tile_for_registers;
 use defacto_ir::Kernel;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The non-unroll loop coordinates selecting one kernel variant: the
 /// nest permutation and the optional `(level, tile-size)` register tile.
@@ -51,6 +51,8 @@ pub struct PreparedVariant {
 pub struct VariantCache {
     normalized: Kernel,
     depth: usize,
+    /// Entries are pure values inserted whole, so a poisoned lock still
+    /// guards valid data and is recovered.
     variants: Mutex<HashMap<VariantKey, Arc<PreparedVariant>>>,
 }
 
@@ -97,7 +99,7 @@ impl VariantCache {
         if let Some(v) = self
             .variants
             .lock()
-            .expect("variant cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
         {
             return Ok(Arc::clone(v));
@@ -115,7 +117,7 @@ impl VariantCache {
         }
         let prepared = PreparedKernel::prepare(&kernel).ok().map(Arc::new);
         let variant = Arc::new(PreparedVariant { kernel, prepared });
-        let mut cache = self.variants.lock().expect("variant cache poisoned");
+        let mut cache = self.variants.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(Arc::clone(
             cache.entry(key).or_insert_with(|| Arc::clone(&variant)),
         ))
@@ -180,6 +182,27 @@ mod tests {
             a.kernel,
             interchange(&normalize_loops(&k).unwrap(), &[1, 0]).unwrap()
         );
+    }
+
+    #[test]
+    fn poisoned_lock_still_answers() {
+        let k = parse_kernel(FIR).unwrap();
+        let cache = VariantCache::new(&k).unwrap();
+        let before = cache.get(&[1, 0], None).unwrap();
+        // A worker that panics while holding the lock poisons it; the
+        // cache holds only pure derived values, so it stays usable.
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = cache.variants.lock().unwrap();
+                panic!("worker panics while holding the variant lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.variants.is_poisoned());
+        let after = cache.get(&[1, 0], None).unwrap();
+        assert!(Arc::ptr_eq(&before, &after));
+        let fresh = cache.get(&[0, 1], None).unwrap();
+        assert_eq!(fresh.kernel, normalize_loops(&k).unwrap());
     }
 
     #[test]
