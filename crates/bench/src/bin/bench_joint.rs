@@ -37,8 +37,6 @@
 //!   coordinate descent landed within its reported gap; in full mode
 //!   the paper-suite aggregate evaluation reduction must also clear the
 //!   ≥5× headline;
-//! - `--fidelity full|multi|analytic` — evaluation fidelity (default
-//!   full);
 //! - `--workers N` — evaluation worker threads (default 1);
 //! - `--out PATH` — where to write the JSON report.
 
@@ -111,7 +109,6 @@ struct JointReport {
 struct Args {
     smoke: bool,
     check: bool,
-    fidelity: Fidelity,
     workers: usize,
     out: String,
 }
@@ -120,7 +117,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
         check: false,
-        fidelity: Fidelity::Full,
         workers: 1,
         out: "BENCH_joint.json".to_string(),
     };
@@ -129,10 +125,6 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--smoke" => args.smoke = true,
             "--check" => args.check = true,
-            "--fidelity" => {
-                let v = it.next().expect("--fidelity needs a value");
-                args.fidelity = v.parse().expect("--fidelity needs full|multi|analytic");
-            }
             "--workers" => {
                 let v = it.next().expect("--workers needs a value");
                 args.workers = v.parse().expect("--workers needs an integer");
@@ -140,10 +132,7 @@ fn parse_args() -> Args {
             "--out" => args.out = it.next().expect("--out needs a path"),
             other => {
                 eprintln!("unknown flag `{other}`");
-                eprintln!(
-                    "usage: bench_joint [--smoke] [--check] \
-                     [--fidelity full|multi|analytic] [--workers N] [--out PATH]"
-                );
+                eprintln!("usage: bench_joint [--smoke] [--check] [--workers N] [--out PATH]");
                 std::process::exit(1);
             }
         }
@@ -196,9 +185,7 @@ fn main() {
             levels
         };
         let explorer = || {
-            let mut ex = Explorer::new(kernel)
-                .threads(args.workers)
-                .fidelity(args.fidelity);
+            let mut ex = Explorer::new(kernel).threads(args.workers);
             if let Some(levels) = levels_override {
                 ex = ex.explore_levels(levels);
             } else if args.smoke {
@@ -217,18 +204,12 @@ fn main() {
             .axes(&[Axis::Unroll])
             .joint_sweep()
             .expect("unroll-only joint sweep");
-        // Estimate bit-identity is a full-fidelity contract. Under
-        // `multi` the classic sweep substitutes synthetic tier-0
-        // estimates for the points it prunes (the winner is still the
-        // full-fidelity one), so only the coordinates are comparable;
-        // under `analytic` every estimate is a model midpoint and only
-        // the enumeration itself is checked.
         let mut identical = classic.len() == unroll_only.len();
         if identical {
             for (j, c) in unroll_only.iter().zip(&classic) {
                 if !j.point.is_unroll_only()
                     || j.point.unroll_vector() != c.unroll
-                    || (args.fidelity == Fidelity::Full && j.estimate != c.estimate)
+                    || j.estimate != c.estimate
                 {
                     identical = false;
                     break;
@@ -236,10 +217,10 @@ fn main() {
             }
         }
         let classic_best = best_performance(&classic).expect("classic winner");
-        if identical && args.fidelity != Fidelity::Analytic {
+        if identical {
             let uo_best = best_joint_performance(&unroll_only).expect("unroll-only winner");
             identical = uo_best.point.unroll_vector() == classic_best.unroll
-                && (args.fidelity != Fidelity::Full || uo_best.estimate == classic_best.estimate);
+                && uo_best.estimate == classic_best.estimate;
         }
         if !identical {
             eprintln!(
@@ -371,7 +352,7 @@ fn main() {
     let report = JointReport {
         schema: SCHEMA.to_string(),
         mode: if args.smoke { "smoke" } else { "full" }.to_string(),
-        fidelity: args.fidelity.label().to_string(),
+        fidelity: Fidelity::Full.label().to_string(),
         workers: args.workers,
         total_joint_points: rows.iter().map(|r| r.joint_points).sum(),
         total_pruned: rows.iter().map(|r| r.pruned_total).sum(),

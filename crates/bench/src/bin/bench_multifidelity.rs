@@ -1,53 +1,51 @@
-//! Wall-clock benchmark of multi-fidelity design-space exploration.
+//! Wall-clock benchmark of tier-0 and tier-1 design-space exploration.
 //!
-//! Sweeps the five paper kernels' design spaces three times per kernel,
-//! each through a fresh explorer (cold caches):
+//! Searches the five paper kernels' unroll spaces three times per
+//! kernel, each through a fresh explorer (cold caches):
 //!
-//! 1. **full** — every point pays the tier-1 transform + behavioral
-//!    estimate pipeline (the exhaustive baseline);
-//! 2. **multi** — the whole space is ranked by the tier-0 analytic band
-//!    first; only points the band cannot rule out are promoted to
-//!    tier 1. The selected design must be bit-identical to the full
-//!    sweep's (the band provably brackets the full estimate);
-//! 3. **analytic** — tier 0 only: the throughput ceiling of the
+//! 1. **full** — a sweep where every point pays the tier-1 transform +
+//!    behavioral estimate pipeline (the exhaustive baseline);
+//! 2. **guided** — branch-and-bound over the unroll-only joint space:
+//!    tier-0 analytic bands prune the points that provably cannot win,
+//!    and only the rest pay tier 1. The selected design must be
+//!    bit-identical to the full sweep's;
+//! 3. **analytic** — a tier-0-only sweep: the throughput ceiling of the
 //!    closed-form model, which is what "effective full-space points/sec
 //!    at tier 0" measures.
 //!
 //! Output: a human-readable table on stdout and a JSON report (schema
-//! `defacto-bench-multifidelity/v1`) written to `--out` (default
+//! `defacto-bench-multifidelity/v2`) written to `--out` (default
 //! `BENCH_multifidelity.json`).
 //!
 //! Flags:
 //!
 //! - `--smoke` — reduced spaces (outermost loop only) for CI;
-//! - `--check` — exit 2 unless the multi-fidelity selection matches the
-//!   full selection bit for bit on every kernel;
+//! - `--check` — exit 2 unless the guided selection matches the full
+//!   selection bit for bit on every kernel;
 //! - `--workers N` — evaluation worker threads (default 1);
 //! - `--out PATH` — where to write the JSON report.
 
 use defacto::exhaustive::best_performance;
 use defacto::prelude::*;
-use defacto::Fidelity;
+use defacto::{Axis, Fidelity, StrategyKind};
 use serde::Serialize;
 use std::time::Instant;
 
-const SCHEMA: &str = "defacto-bench-multifidelity/v1";
+const SCHEMA: &str = "defacto-bench-multifidelity/v2";
 
 #[derive(Serialize)]
 struct KernelRow {
     name: String,
     points: u64,
     full_ms: f64,
-    multi_ms: f64,
+    guided_ms: f64,
     analytic_ms: f64,
     full_pts_per_sec: f64,
     tier0_pts_per_sec: f64,
     tier0_throughput_x: f64,
-    multi_speedup: f64,
     tier0_evaluated: u64,
-    tier0_promoted: u64,
-    tier0_pruned: u64,
-    pruned_fraction: f64,
+    guided_evaluations: u64,
+    guided_pruned: u64,
     selected_unroll: Vec<i64>,
     selected_cycles: u64,
     selected_slices: u32,
@@ -61,7 +59,6 @@ struct MultiFidelityReport {
     workers: usize,
     kernels: Vec<KernelRow>,
     geomean_tier0_throughput_x: f64,
-    geomean_multi_speedup: f64,
     all_selected_agree: bool,
 }
 
@@ -140,10 +137,11 @@ fn main() {
         let full_wall = t0.elapsed();
 
         let t1 = Instant::now();
-        let (multi, multi_stats) = explorer(Fidelity::Multi)
-            .sweep_with_stats()
-            .expect("multi sweep");
-        let multi_wall = t1.elapsed();
+        let guided = explorer(Fidelity::Full)
+            .axes(&[Axis::Unroll])
+            .joint_explore(StrategyKind::BranchAndBound)
+            .expect("guided search");
+        let guided_wall = t1.elapsed();
 
         let t2 = Instant::now();
         let (analytic, analytic_stats) = explorer(Fidelity::Analytic)
@@ -152,21 +150,25 @@ fn main() {
         let analytic_wall = t2.elapsed();
 
         let points = full.len();
-        assert_eq!(points, multi.len(), "{}: multi point count", bk.name);
+        assert_eq!(
+            points as u64, guided.space_points,
+            "{}: guided space",
+            bk.name
+        );
         assert_eq!(points, analytic.len(), "{}: analytic point count", bk.name);
 
         let full_best = best_performance(&full).expect("full winner");
-        let multi_best = best_performance(&multi).expect("multi winner");
-        let agree =
-            full_best.unroll == multi_best.unroll && full_best.estimate == multi_best.estimate;
+        let guided_best = guided.selected.as_ref().expect("guided winner");
+        let agree = full_best.unroll.factors() == guided_best.point.unroll
+            && full_best.estimate == guided_best.estimate;
         if !agree {
             eprintln!(
-                "{}: selection diverged: full {} ({} cycles) vs multi {} ({} cycles)",
+                "{}: selection diverged: full {} ({} cycles) vs guided {:?} ({} cycles)",
                 bk.name,
                 full_best.unroll,
                 full_best.estimate.cycles,
-                multi_best.unroll,
-                multi_best.estimate.cycles
+                guided_best.point.unroll,
+                guided_best.estimate.cycles
             );
             disagreements += 1;
         }
@@ -177,18 +179,14 @@ fn main() {
             name: bk.name.to_string(),
             points: points as u64,
             full_ms: ms(full_wall),
-            multi_ms: ms(multi_wall),
+            guided_ms: ms(guided_wall),
             analytic_ms: ms(analytic_wall),
             full_pts_per_sec: full_pts,
             tier0_pts_per_sec: tier0_pts,
             tier0_throughput_x: tier0_pts / full_pts.max(1e-12),
-            multi_speedup: full_wall.as_secs_f64() / multi_wall.as_secs_f64().max(1e-12),
-            tier0_evaluated: analytic_stats
-                .tier0_evaluated
-                .max(multi_stats.tier0_evaluated),
-            tier0_promoted: multi_stats.tier0_promoted,
-            tier0_pruned: multi_stats.tier0_pruned,
-            pruned_fraction: multi_stats.tier0_pruned as f64 / (points as f64).max(1.0),
+            tier0_evaluated: analytic_stats.tier0_evaluated,
+            guided_evaluations: guided.stats.strategy_visited,
+            guided_pruned: guided.pruned,
             selected_unroll: full_best.unroll.factors().to_vec(),
             selected_cycles: full_best.estimate.cycles,
             selected_slices: full_best.estimate.slices,
@@ -208,7 +206,6 @@ fn main() {
         mode: if args.smoke { "smoke" } else { "full" }.to_string(),
         workers: args.workers,
         geomean_tier0_throughput_x: geomean(&|r| r.tier0_throughput_x),
-        geomean_multi_speedup: geomean(&|r| r.multi_speedup),
         all_selected_agree: disagreements == 0,
         kernels: rows,
     };
@@ -221,11 +218,11 @@ fn main() {
                 r.name.clone(),
                 r.points.to_string(),
                 defacto_bench::report::fnum(r.full_ms, 1),
-                defacto_bench::report::fnum(r.multi_ms, 1),
+                defacto_bench::report::fnum(r.guided_ms, 1),
                 defacto_bench::report::fnum(r.analytic_ms, 2),
                 defacto_bench::report::fnum(r.tier0_pts_per_sec, 0),
                 defacto_bench::report::fnum(r.tier0_throughput_x, 1),
-                format!("{}/{}", r.tier0_pruned, r.points),
+                format!("{}/{}", r.guided_pruned, r.points),
                 if r.selected_agree { "yes" } else { "NO" }.to_string(),
             ]
         })
@@ -237,7 +234,7 @@ fn main() {
                 "kernel",
                 "points",
                 "full ms",
-                "multi ms",
+                "guided ms",
                 "tier0 ms",
                 "tier0 pts/s",
                 "tier0 x",
@@ -248,9 +245,8 @@ fn main() {
         )
     );
     println!(
-        "geomean tier-0 throughput: {}x, multi-fidelity sweep speedup: {}x ({} mode, {} workers)",
+        "geomean tier-0 throughput: {}x ({} mode, {} workers)",
         defacto_bench::report::fnum(report.geomean_tier0_throughput_x, 1),
-        defacto_bench::report::fnum(report.geomean_multi_speedup, 2),
         report.mode,
         report.workers
     );

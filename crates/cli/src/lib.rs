@@ -26,7 +26,7 @@
 //!                                      (default: DEFACTO_THREADS or all cores)
 //!   --trace FILE                       write the search trace as JSONL
 //!   --verify                           re-verify IR invariants after every pass
-//!   --fidelity full|multi|analytic     evaluation fidelity (default full)
+//!   --fidelity full|analytic           evaluation fidelity (default full)
 //!   --cache-dir DIR                    persistent content-addressed estimate
 //!                                      cache (default: DEFACTO_CACHE_DIR)
 //!   --json                             machine-readable output
@@ -84,7 +84,7 @@ pub struct Cli {
     pub trace: Option<String>,
     /// Run the IR verifier after every transformation pass.
     pub verify: bool,
-    /// Evaluation fidelity (tier-0 analytic / multi-fidelity / full).
+    /// Evaluation fidelity (tier-0 analytic / full).
     pub fidelity: Fidelity,
     /// Persistent estimate-cache directory (`None`: `DEFACTO_CACHE_DIR`
     /// or no persistence).
@@ -176,7 +176,7 @@ pub const USAGE: &str = "usage: defacto <explore|lint|audit|sweep|analyze|vhdl|s
 <file.kernel> [--memory pipelined|non-pipelined] [--memories N] \
 [--device xcv300|xcv1000|xc2v6000] [--unroll a,b,...] [--axes a,b,...|all] \
 [--strategy exhaustive|coordinate-descent|branch-and-bound] [--threads N] \
-[--trace FILE] [--verify] [--fidelity full|multi|analytic] [--cache-dir DIR] [--json]\n\
+[--trace FILE] [--verify] [--fidelity full|analytic] [--cache-dir DIR] [--json]\n\
        defacto watch <file.kernel> [--cache-dir DIR] [--poll-ms N] [--max-runs N] [--json]\n\
        defacto fuzz [--seed N] [--count M] [--smoke] [--json]";
 
@@ -316,7 +316,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, UsageError> {
             "--fidelity" => {
                 let v = it
                     .next()
-                    .ok_or_else(|| UsageError("--fidelity expects full|multi|analytic".into()))?;
+                    .ok_or_else(|| UsageError("--fidelity expects full|analytic".into()))?;
                 fidelity = v.parse::<Fidelity>().map_err(UsageError)?;
             }
             "--cache-dir" => {
@@ -654,8 +654,6 @@ pub fn run(cli: &Cli, source: &str) -> Result<String, Box<dyn std::error::Error>
                         "persist_hit_rate": r.stats.persist_hit_rate(),
                         "persist_flush_failed": r.stats.persist_flush_failed,
                         "tier0_evaluated": r.stats.tier0_evaluated,
-                        "tier0_promoted": r.stats.tier0_promoted,
-                        "tier0_pruned": r.stats.tier0_pruned,
                         "workers": r.stats.workers,
                         "wall_ms": r.stats.wall.as_secs_f64() * 1e3,
                     }),
@@ -690,11 +688,8 @@ pub fn run(cli: &Cli, source: &str) -> Result<String, Box<dyn std::error::Error>
                 if cli.fidelity != Fidelity::Full {
                     writeln!(
                         out,
-                        "tier 0 ({}): {} banded, {} promoted, {} pruned",
-                        cli.fidelity,
-                        r.stats.tier0_evaluated,
-                        r.stats.tier0_promoted,
-                        r.stats.tier0_pruned
+                        "tier 0 ({}): {} banded",
+                        cli.fidelity, r.stats.tier0_evaluated
                     )?;
                 }
                 if let Some(store) = &store {
@@ -1261,7 +1256,7 @@ mod tests {
     fn parses_full_command_line() {
         let cli = parse_args(&argv(
             "explore fir.kernel --memory non-pipelined --memories 2 --device xcv300 \
-             --fidelity multi --json",
+             --fidelity analytic --json",
         ))
         .unwrap();
         assert_eq!(cli.command, Command::Explore);
@@ -1269,7 +1264,7 @@ mod tests {
         assert!(!cli.memory.pipelined);
         assert_eq!(cli.memory.num_memories, 2);
         assert_eq!(cli.device.name, "XCV300");
-        assert_eq!(cli.fidelity, Fidelity::Multi);
+        assert_eq!(cli.fidelity, Fidelity::Analytic);
         assert!(cli.json);
     }
 
@@ -1286,6 +1281,11 @@ mod tests {
         assert!(parse_args(&argv("explore f --threads two")).is_err());
         assert!(parse_args(&argv("explore f --trace")).is_err());
         assert!(parse_args(&argv("explore f --fidelity sideways")).is_err());
+        let multi = parse_args(&argv("explore f --fidelity multi")).unwrap_err();
+        assert!(
+            multi.to_string().contains("expected full|analytic"),
+            "{multi}"
+        );
         assert!(parse_args(&argv("explore f --fidelity")).is_err());
         assert!(parse_args(&argv("explore f --what")).is_err());
     }
@@ -1482,7 +1482,7 @@ mod tests {
 
     #[test]
     fn audit_multi_fidelity_trace_is_clean() {
-        let cli = parse_args(&argv("audit fir.kernel --fidelity multi")).unwrap();
+        let cli = parse_args(&argv("audit fir.kernel --fidelity analytic")).unwrap();
         let out = run(&cli, FIR).unwrap();
         assert!(out.contains("0 invariant violations"), "{out}");
     }
@@ -1535,23 +1535,23 @@ mod tests {
 
     #[test]
     fn explore_multi_fidelity_agrees_with_full_and_reports_tiers() {
-        let full = run(
-            &parse_args(&argv("explore fir.kernel --json")).unwrap(),
-            FIR,
-        )
-        .unwrap();
-        let multi = run(
-            &parse_args(&argv("explore fir.kernel --fidelity multi --json")).unwrap(),
-            FIR,
-        )
-        .unwrap();
-        let f: serde_json::Value = serde_json::from_str(&full).unwrap();
-        let m: serde_json::Value = serde_json::from_str(&multi).unwrap();
-        assert_eq!(f["selected"], m["selected"]);
-        assert_eq!(f["fidelity"], "full");
-        assert_eq!(m["fidelity"], "multi");
-        assert_eq!(f["stats"]["tier0_evaluated"].as_u64(), Some(0));
-        assert!(m["stats"]["tier0_promoted"].as_u64().unwrap() > 0);
+        // Unroll-only branch-and-bound: the exhaustive answer, paying
+        // tier 1 only for the points tier 0 cannot rule out.
+        let json = |args: &str| -> serde_json::Value {
+            let out = run(&parse_args(&argv(args)).unwrap(), FIR).unwrap();
+            serde_json::from_str(&out).unwrap()
+        };
+        let guided = json("explore fir.kernel --axes unroll --json");
+        let exhaustive = json("explore fir.kernel --axes unroll --strategy exhaustive --json");
+        assert_eq!(guided["selected"], exhaustive["selected"]);
+        assert_eq!(guided["strategy"], "branch-and-bound");
+        assert_eq!(guided["fidelity"], "full");
+        assert!(guided["pruned"].as_u64().unwrap() > 0, "{guided:?}");
+        assert_eq!(exhaustive["pruned"].as_u64(), Some(0));
+        assert_eq!(
+            guided["visited"].as_u64().unwrap() + guided["pruned"].as_u64().unwrap(),
+            exhaustive["visited"].as_u64().unwrap()
+        );
     }
 
     #[test]

@@ -30,13 +30,11 @@
 //! - **terminate-final** — exactly one `Terminate` event, last in the
 //!   stream;
 //! - **selected-valid** — the selected design was visited, fits the
-//!   device, and is a member of the space;
-//! - **tier-promotion** — in a multi-fidelity trace (one containing
-//!   `TierPromote`/`TierPrune` events), every first-visited point was
-//!   promoted beforehand and no tier-0-pruned point was ever paid a
-//!   tier-1 evaluation. Together with selected-valid this certifies the
-//!   full path never ran on a point the analytic band pruned. Traces
-//!   without tier events are exempt.
+//!   device, and is a member of the space.
+//!
+//! Tier-0 pruning is audited on guided-strategy traces by
+//! [`audit_strategy_trace`]: no bound-pruned point is ever paid a
+//! tier-1 evaluation.
 
 use crate::saturation::SaturationInfo;
 use crate::space::DesignSpace;
@@ -54,7 +52,8 @@ const BALANCE_EPS: f64 = 1e-9;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Invariant {
     /// A design point was first-visited more than once, or a revisit
-    /// refers to a point never visited.
+    /// refers to a point never visited. In a guided-strategy trace: a
+    /// point was both stepped and bound-pruned, or pruned twice.
     VisitUnique,
     /// A traced point is not a member of the design space.
     MemberOfSpace,
@@ -73,9 +72,6 @@ pub enum Invariant {
     /// The selected design is unvisited, does not fit, or is outside the
     /// space.
     SelectedValid,
-    /// In a multi-fidelity trace, a point was tier-1-visited without a
-    /// prior `TierPromote`, or after being tier-0-pruned.
-    TierPromotion,
     /// In a joint-sweep trace, an `AxisVisit` point is outside the joint
     /// space, a member was visited twice, or a member was never visited.
     /// Because an `AxisVisit` is only emitted after its point
@@ -110,7 +106,6 @@ impl Invariant {
             Invariant::FrontierChain => "frontier-chain",
             Invariant::TerminateFinal => "terminate-final",
             Invariant::SelectedValid => "selected-valid",
-            Invariant::TierPromotion => "tier-promotion",
             Invariant::JointMembership => "joint-membership",
             Invariant::StrategyMonotone => "strategy-monotone",
             Invariant::PruneExcludesSelected => "prune-excludes-selected",
@@ -202,16 +197,6 @@ pub fn audit_search_trace(
     let mut increases: Vec<(usize, UnrollVector, UnrollVector)> = Vec::new();
     let mut terminate_at: Option<usize> = None;
     let u_init_product = sat.u_init.product().max(1);
-    // The tier-promotion invariant only binds multi-fidelity traces:
-    // one tier event anywhere makes every first visit accountable.
-    let has_tier = events.iter().any(|e| {
-        matches!(
-            e,
-            TraceEvent::TierPromote { .. } | TraceEvent::TierPrune { .. }
-        )
-    });
-    // Latest tier-0 verdict per point: true = promoted, false = pruned.
-    let mut tier_state: HashMap<UnrollVector, bool> = HashMap::new();
 
     let fail = |report: &mut AuditReport,
                 invariant: Invariant,
@@ -256,26 +241,6 @@ pub fn audit_search_trace(
                     );
                 } else {
                     first_visit.insert(unroll.clone(), (i, *balance, *fits));
-                    if has_tier {
-                        report.checks += 1;
-                        match tier_state.get(unroll) {
-                            Some(true) => {}
-                            Some(false) => fail(
-                                &mut report,
-                                Invariant::TierPromotion,
-                                i,
-                                e,
-                                format!("tier-1 visit of {unroll} after it was tier-0-pruned"),
-                            ),
-                            None => fail(
-                                &mut report,
-                                Invariant::TierPromotion,
-                                i,
-                                e,
-                                format!("tier-1 visit of {unroll} without a TierPromote"),
-                            ),
-                        }
-                    }
                 }
                 if !space.contains(unroll) {
                     fail(
@@ -427,12 +392,6 @@ pub fn audit_search_trace(
                     );
                 }
             }
-            TraceEvent::TierPromote { unroll, .. } => {
-                tier_state.insert(unroll.clone(), true);
-            }
-            TraceEvent::TierPrune { unroll, .. } => {
-                tier_state.insert(unroll.clone(), false);
-            }
             // Warm-start markers precede the search proper and carry no
             // obligations: the events after them are a complete search
             // that must (and does) justify its selection on its own.
@@ -570,6 +529,9 @@ pub fn audit_joint_trace(events: &[TraceEvent], space: &DesignSpace) -> AuditRep
 ///   incumbent sequence is monotone non-increasing, and `None` appears
 ///   only before the first fitting evaluation), and no point is stepped
 ///   twice;
+/// - **visit-unique** — no point is both stepped and bound-pruned (in
+///   either order) or pruned twice: a bound-pruned point is never paid
+///   a tier-1 evaluation;
 /// - **prune-excludes-selected** — no `BoundPrune` discarded the design
 ///   the strategy ultimately selected, and every prune with a recorded
 ///   cycle threshold is justified by it (`cycles_lo > threshold`);
@@ -591,6 +553,7 @@ pub fn audit_strategy_trace(
     // Replayed incumbent: min fitting cycles over the steps seen so far.
     let mut replayed: Option<u64> = None;
     let mut stepped: Vec<&crate::space::JointPoint> = Vec::new();
+    let mut pruned: Vec<&crate::space::JointPoint> = Vec::new();
     let mut selected_stepped = false;
     for (i, e) in events.iter().enumerate() {
         match e {
@@ -601,7 +564,7 @@ pub fn audit_strategy_trace(
                 incumbent,
                 ..
             } => {
-                report.checks += 3;
+                report.checks += 4;
                 if *incumbent != replayed {
                     report.violations.push(AuditViolation {
                         invariant: Invariant::StrategyMonotone,
@@ -624,6 +587,14 @@ pub fn audit_strategy_trace(
                         detail: format!("point {point:?} stepped twice"),
                     });
                 }
+                if pruned.contains(&point) {
+                    report.violations.push(AuditViolation {
+                        invariant: Invariant::VisitUnique,
+                        event_index: Some(i),
+                        event: Some(e.clone()),
+                        detail: format!("point {point:?} stepped after it was bound-pruned"),
+                    });
+                }
                 stepped.push(point);
                 if !space.contains_joint(point) {
                     report.violations.push(AuditViolation {
@@ -643,7 +614,23 @@ pub fn audit_strategy_trace(
                 threshold,
                 ..
             } => {
-                report.checks += 3;
+                report.checks += 4;
+                let earlier = if stepped.contains(&point) {
+                    Some("stepped")
+                } else if pruned.contains(&point) {
+                    Some("pruned")
+                } else {
+                    None
+                };
+                if let Some(earlier) = earlier {
+                    report.violations.push(AuditViolation {
+                        invariant: Invariant::VisitUnique,
+                        event_index: Some(i),
+                        event: Some(e.clone()),
+                        detail: format!("point {point:?} bound-pruned after it was {earlier}"),
+                    });
+                }
+                pruned.push(point);
                 if selected == Some(point) {
                     report.violations.push(AuditViolation {
                         invariant: Invariant::PruneExcludesSelected,
@@ -872,80 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn tier_promoted_visits_are_clean() {
-        let (space, sat) = synthetic();
-        let events = vec![
-            TraceEvent::TierPromote {
-                unroll: UnrollVector(vec![4, 1]),
-                forced: false,
-            },
-            visit(&[4, 1], 2.0, true),
-            TraceEvent::TierPrune {
-                unroll: UnrollVector(vec![8, 4]),
-                slices_lo: 14000,
-                cycles_lo: 512,
-            },
-            terminate(&[4, 1]),
-        ];
-        let report = audit_search_trace(&events, &space, &sat);
-        assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn visit_without_promotion_is_flagged() {
-        let (space, sat) = synthetic();
-        let events = vec![
-            TraceEvent::TierPromote {
-                unroll: UnrollVector(vec![4, 1]),
-                forced: false,
-            },
-            visit(&[4, 1], 2.0, true),
-            visit(&[4, 2], 1.5, true),
-            terminate(&[4, 1]),
-        ];
-        let report = audit_search_trace(&events, &space, &sat);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].invariant, Invariant::TierPromotion);
-        assert_eq!(report.violations[0].event_index, Some(2));
-        assert!(report.violations[0]
-            .detail
-            .contains("without a TierPromote"));
-    }
-
-    #[test]
-    fn visit_of_pruned_point_is_flagged() {
-        let (space, sat) = synthetic();
-        let events = vec![
-            TraceEvent::TierPromote {
-                unroll: UnrollVector(vec![4, 1]),
-                forced: false,
-            },
-            TraceEvent::TierPrune {
-                unroll: UnrollVector(vec![4, 2]),
-                slices_lo: 14000,
-                cycles_lo: 512,
-            },
-            visit(&[4, 1], 2.0, true),
-            visit(&[4, 2], 1.5, true),
-            terminate(&[4, 1]),
-        ];
-        let report = audit_search_trace(&events, &space, &sat);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].invariant, Invariant::TierPromotion);
-        assert!(report.violations[0].detail.contains("tier-0-pruned"));
-    }
-
-    #[test]
-    fn tier_free_traces_are_exempt_from_promotion_checks() {
-        // Same trace as `clean_trace_passes`: no tier events, so plain
-        // full-fidelity visits need no promotion records.
-        let (space, sat) = synthetic();
-        let events = vec![visit(&[4, 1], 2.0, true), terminate(&[4, 1])];
-        let report = audit_search_trace(&events, &space, &sat);
-        assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
     fn joint_trace_membership_is_audited() {
         use crate::space::{Axis, JointPoint};
         let k = defacto_ir::parse_kernel(
@@ -1158,6 +1071,89 @@ mod tests {
         ];
         let selected = joint(&[1, 1]);
         assert!(audit_strategy_trace(&events, &space, Some(&selected)).is_clean());
+    }
+
+    #[test]
+    fn tier_promoted_visits_are_clean() {
+        // Every point is decided once: stepped at tier 1 or pruned at
+        // tier 0, never both.
+        let space = strategy_space();
+        let events = vec![
+            step(&[1, 1], 500, true, None),
+            prune(&[8, 1], 9000, Some(500)),
+            step(&[2, 1], 300, true, Some(500)),
+            prune(&[4, 1], 400, Some(300)),
+        ];
+        let selected = joint(&[2, 1]);
+        let report = audit_strategy_trace(&events, &space, Some(&selected));
+        assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn visit_without_promotion_is_flagged() {
+        // Step then prune: the prune comes too late to spare tier 1.
+        let space = strategy_space();
+        let events = vec![
+            step(&[1, 1], 300, true, None),
+            step(&[2, 1], 500, true, Some(300)),
+            prune(&[2, 1], 600, Some(300)),
+        ];
+        let report = audit_strategy_trace(&events, &space, None);
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert_eq!(report.violations[0].invariant, Invariant::VisitUnique);
+        assert_eq!(report.violations[0].event_index, Some(2));
+        assert!(report.violations[0]
+            .detail
+            .contains("bound-pruned after it was stepped"));
+        // Pruning one point twice is flagged the same way.
+        let events = vec![
+            step(&[1, 1], 300, true, None),
+            prune(&[2, 1], 600, Some(300)),
+            prune(&[2, 1], 600, Some(300)),
+        ];
+        let report = audit_strategy_trace(&events, &space, None);
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert_eq!(report.violations[0].invariant, Invariant::VisitUnique);
+        assert!(report.violations[0]
+            .detail
+            .contains("bound-pruned after it was pruned"));
+    }
+
+    #[test]
+    fn visit_of_pruned_point_is_flagged() {
+        // Prune then step: a tier-0-pruned point was paid tier 1.
+        let space = strategy_space();
+        let events = vec![
+            step(&[1, 1], 300, true, None),
+            prune(&[2, 1], 600, Some(300)),
+            step(&[2, 1], 500, true, Some(300)),
+        ];
+        let report = audit_strategy_trace(&events, &space, None);
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert_eq!(report.violations[0].invariant, Invariant::VisitUnique);
+        assert_eq!(report.violations[0].event_index, Some(2));
+        assert!(report.violations[0]
+            .detail
+            .contains("stepped after it was bound-pruned"));
+    }
+
+    #[test]
+    fn tier_free_traces_are_exempt_from_promotion_checks() {
+        // Classic search events are ignored by the strategy auditor, so
+        // a point a classic search visited (twice, even) and a guided
+        // run pruned side by side is no conflict.
+        let space = strategy_space();
+        let events = vec![
+            visit(&[4, 1], 2.0, true),
+            visit(&[4, 1], 2.0, true),
+            terminate(&[4, 1]),
+            prune(&[4, 1], 900, Some(500)),
+            step(&[1, 1], 500, true, None),
+        ];
+        let selected = joint(&[1, 1]);
+        let report = audit_strategy_trace(&events, &space, Some(&selected));
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.events, 5);
     }
 
     #[test]

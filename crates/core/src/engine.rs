@@ -182,15 +182,11 @@ pub struct EvalStats {
     pub eval_wall: Duration,
     /// Worker threads the engine was configured with.
     pub workers: usize,
-    /// Tier-0 analytic bands computed (multi-fidelity runs only; zero on
-    /// [`crate::Fidelity::Full`] runs). Tier-0 work bypasses the memo
-    /// cache, so it is counted here and *not* in `evaluated`.
+    /// Tier-0 analytic bands computed (analytic-fidelity and guided
+    /// joint runs; zero on classic [`crate::Fidelity::Full`] runs).
+    /// Tier-0 work bypasses the memo cache, so it is counted here and
+    /// *not* in `evaluated`.
     pub tier0_evaluated: u64,
-    /// Tier-0 points promoted to a full tier-1 evaluation (forced
-    /// promotions included).
-    pub tier0_promoted: u64,
-    /// Tier-0 points pruned without a tier-1 evaluation.
-    pub tier0_pruned: u64,
     /// Memo-cache misses answered by a persistent store instead of an
     /// evaluation (see [`Self::persist_hit_rate`]). Persistent hits are
     /// *not* counted in `evaluated` or `cache_hits` — they are a third
@@ -254,8 +250,6 @@ impl PartialEq for EvalStats {
             && self.cache_hits == other.cache_hits
             && self.workers == other.workers
             && self.tier0_evaluated == other.tier0_evaluated
-            && self.tier0_promoted == other.tier0_promoted
-            && self.tier0_pruned == other.tier0_pruned
             && self.persist_hits == other.persist_hits
             && self.persist_misses == other.persist_misses
             && self.strategy_visited == other.strategy_visited
@@ -378,7 +372,7 @@ impl EvalEngine {
             persist_hits: now.persist_hits - before.persist_hits,
             persist_misses: now.persist_misses - before.persist_misses,
             // Tier-0 work never flows through the engine's counters;
-            // multi-fidelity callers fill these in themselves.
+            // tier-0 callers fill these in themselves.
             ..EvalStats::default()
         }
     }

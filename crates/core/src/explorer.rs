@@ -20,7 +20,7 @@ use defacto_xform::{
     transform, PreparedKernel, TransformOptions, TransformedDesign, UnrollVector, VariantCache,
 };
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -35,12 +35,6 @@ pub enum Fidelity {
     /// Every point pays the full tier-1 pipeline (the default).
     #[default]
     Full,
-    /// Sweeps rank the whole space at tier 0 first and promote only the
-    /// points the analytic band cannot rule out; searches replay the
-    /// Figure-2 algorithm at tier 1 unchanged while recording tier-0
-    /// verdicts. Selected designs are identical to [`Fidelity::Full`]
-    /// (the band provably brackets the full estimate).
-    Multi,
     /// Everything stays at tier 0: estimates are synthetic band
     /// midpoints. Fast and approximate — selections may differ from
     /// [`Fidelity::Full`].
@@ -52,7 +46,6 @@ impl Fidelity {
     pub fn label(self) -> &'static str {
         match self {
             Fidelity::Full => "full",
-            Fidelity::Multi => "multi",
             Fidelity::Analytic => "analytic",
         }
     }
@@ -70,21 +63,12 @@ impl std::str::FromStr for Fidelity {
     fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
         match s {
             "full" => Ok(Fidelity::Full),
-            "multi" => Ok(Fidelity::Multi),
             "analytic" => Ok(Fidelity::Analytic),
             other => Err(format!(
-                "unknown fidelity `{other}` (expected full|multi|analytic)"
+                "unknown fidelity `{other}` (expected full|analytic)"
             )),
         }
     }
-}
-
-/// Tier-0 accounting of one multi-fidelity run.
-#[derive(Debug, Clone, Copy, Default)]
-struct TierCounts {
-    evaluated: u64,
-    promoted: u64,
-    pruned: u64,
 }
 
 /// One evaluated design point.
@@ -617,15 +601,11 @@ impl<'k> Explorer<'k> {
     /// single-threaded run. `result.stats` reports the engine-wide
     /// counters for this call, speculative evaluations included.
     ///
-    /// Fidelity: under [`Fidelity::Multi`] the visited sequence,
-    /// selection and termination stay bit-identical to
-    /// [`Fidelity::Full`] — the search replays at tier 1 — but each
-    /// first visit is preceded by a [`TraceEvent::TierPromote`]
-    /// recording the tier-0 verdict (`forced` when the analytic band
-    /// would not have kept the point on its own), and the per-tier
-    /// stats are filled in. Under [`Fidelity::Analytic`] the search
-    /// itself runs on synthetic tier-0 estimates — fast, approximate,
-    /// and possibly selecting a different design.
+    /// Fidelity: under [`Fidelity::Analytic`] the search runs on
+    /// synthetic tier-0 estimates — fast, approximate, and possibly
+    /// selecting a different design. Tier-0 pruning that selects what a
+    /// full sweep would is [`StrategyKind::BranchAndBound`] through
+    /// [`Explorer::joint_explore`].
     ///
     /// # Errors
     ///
@@ -660,46 +640,14 @@ impl<'k> Explorer<'k> {
                 }
             }
         }
-        let tier0 = match self.fidelity {
-            Fidelity::Multi => self.analytic_model().cloned(),
-            _ => None,
-        };
-        let mut counts = TierCounts::default();
-        let mut promoted: HashSet<UnrollVector> = HashSet::new();
         let mut result = run_search_instrumented(
             &space,
             &sat,
             &self.config,
-            |u| {
-                if let Some(model) = &tier0 {
-                    if promoted.insert(u.clone()) {
-                        // The Figure-2 replay must stay bit-identical to
-                        // the full-fidelity run, so every point it visits
-                        // is promoted to tier 1; the band records whether
-                        // tier 0 would have kept it on its own merits.
-                        let forced = match model.evaluate(u) {
-                            Ok(band) => {
-                                counts.evaluated += 1;
-                                !band.fits_possible
-                            }
-                            Err(_) => true,
-                        };
-                        counts.promoted += 1;
-                        if self.sink.enabled() {
-                            self.sink.record(&TraceEvent::TierPromote {
-                                unroll: u.clone(),
-                                forced,
-                            });
-                        }
-                    }
-                }
-                self.evaluate_flagged(u)
-            },
+            |u| self.evaluate_flagged(u),
             self.sink.as_ref(),
         )?;
         result.stats = self.engine.stats_since(before, started.elapsed());
-        result.stats.tier0_evaluated = counts.evaluated;
-        result.stats.tier0_promoted = counts.promoted;
         self.persist_result(&mut result);
         Ok(result)
     }
@@ -900,7 +848,6 @@ impl<'k> Explorer<'k> {
         stats.strategy_visited = outcome.evaluated.len() as u64;
         stats.bounded_pruned = outcome.pruned;
         stats.tier0_evaluated = cx.bands_priced.get();
-        stats.tier0_pruned = outcome.pruned;
         Ok(JointSearchResult {
             strategy: kind,
             selected,
@@ -1079,14 +1026,8 @@ impl<'k> Explorer<'k> {
     /// [`Explorer::sweep`], also reporting the evaluation counters for
     /// this call.
     ///
-    /// Fidelity: under [`Fidelity::Multi`] the whole space is ranked at
-    /// tier 0 first and only the points the analytic band cannot rule
-    /// out are promoted to tier 1 (see [`Explorer::multi_sweep`]); the
-    /// pruned points appear in the output with synthetic tier-0
-    /// estimates (`provenance.segments == 0`), placed so
-    /// [`crate::exhaustive::best_performance`] selects the same design
-    /// as a full sweep, bit-identically. Under [`Fidelity::Analytic`]
-    /// every estimate is a synthetic tier-0 band midpoint.
+    /// Fidelity: under [`Fidelity::Analytic`] every estimate is a
+    /// synthetic tier-0 band midpoint.
     ///
     /// # Errors
     ///
@@ -1097,32 +1038,29 @@ impl<'k> Explorer<'k> {
         let (_, space) = self.analyze()?;
         let model = match self.fidelity {
             Fidelity::Full => None,
-            Fidelity::Multi | Fidelity::Analytic => self.analytic_model().cloned(),
+            Fidelity::Analytic => self.analytic_model().cloned(),
         };
-        let (sweep, counts) = match (self.fidelity, model) {
-            (Fidelity::Analytic, Some(model)) => self.analytic_sweep(&space, &model)?,
-            (Fidelity::Multi, Some(model)) => self.multi_sweep(&space, &model)?,
+        let (sweep, tier0_evaluated) = match model {
+            Some(model) => self.analytic_sweep(&space, &model)?,
             // Full fidelity, or the model declined the configuration.
-            _ => (
+            None => (
                 crate::exhaustive::parallel_sweep(&space, &self.engine, |u| self.evaluate(u))?,
-                TierCounts::default(),
+                0,
             ),
         };
         let mut stats = self.engine.stats_since(before, started.elapsed());
-        stats.tier0_evaluated = counts.evaluated;
-        stats.tier0_promoted = counts.promoted;
-        stats.tier0_pruned = counts.pruned;
+        stats.tier0_evaluated = tier0_evaluated;
         Ok((sweep, stats))
     }
 
     /// Tier-0-only sweep: a synthetic band-midpoint estimate per point,
     /// fanned out across the engine's workers but bypassing its memo
-    /// cache and counters.
+    /// cache and counters. Also returns the number of bands priced.
     fn analytic_sweep(
         &self,
         space: &DesignSpace,
         model: &Arc<AnalyticModel>,
-    ) -> Result<(Vec<EvaluatedDesign>, TierCounts)> {
+    ) -> Result<(Vec<EvaluatedDesign>, u64)> {
         let points: Vec<UnrollVector> = space.iter().collect();
         let results = self.engine.parallel_map(&points, |u| {
             let band = model.evaluate(u)?;
@@ -1135,131 +1073,8 @@ impl<'k> Explorer<'k> {
         for r in results {
             sweep.push(r?);
         }
-        let counts = TierCounts {
-            evaluated: sweep.len() as u64,
-            promoted: 0,
-            pruned: 0,
-        };
-        Ok((sweep, counts))
-    }
-
-    /// The multi-fidelity sweep. Tier-0 bands are computed for the whole
-    /// space in one parallel pass, then a point is pruned iff the band
-    /// *proves* it cannot be selected by
-    /// [`crate::exhaustive::best_performance`]:
-    ///
-    /// - `slices_lo > capacity`: the point certainly does not fit, so
-    ///   its synthetic stand-in (`fits == false`) is filtered exactly
-    ///   like its true estimate would be; or
-    /// - `cycles_lo > T`, where `T` is the exact tier-1 cycle count of a
-    ///   *probe*: a point whose band says `fits_certain`, evaluated in
-    ///   full before the pass. The full-sweep winner is at least as fast
-    ///   as any fitting point, so `winner.cycles ≤ T`, while the pruned
-    ///   point's synthetic cycles (≥ its `cycles_lo`) are *strictly*
-    ///   greater — never selected, never even tied. Probing with an
-    ///   exact count instead of a band upper bound is what makes the
-    ///   threshold bite; two probes are taken (the certainly-fitting
-    ///   bands with the smallest `cycles_lo` and smallest `cycles_hi`)
-    ///   and the faster one wins.
-    ///
-    /// Everything else is promoted to a full tier-1 evaluation (points
-    /// whose band errored are force-promoted), so the selected design is
-    /// bit-identical to a [`Fidelity::Full`] sweep. Probes satisfy the
-    /// keep rule by construction (`slices_lo ≤ cap`, `cycles_lo ≤ T`),
-    /// so they are among the promoted points and their early evaluation
-    /// is just a warm cache entry. [`TraceEvent`]s are emitted serially
-    /// in space iteration order for the auditor.
-    fn multi_sweep(
-        &self,
-        space: &DesignSpace,
-        model: &Arc<AnalyticModel>,
-    ) -> Result<(Vec<EvaluatedDesign>, TierCounts)> {
-        let points: Vec<UnrollVector> = space.iter().collect();
-        let bands: Vec<Option<AnalyticBand>> = self
-            .engine
-            .parallel_map(&points, |u| Ok(model.evaluate(u).ok()))
-            .into_iter()
-            .map(|r| r.unwrap_or(None))
-            .collect();
-        let mut counts = TierCounts {
-            evaluated: bands.iter().flatten().count() as u64,
-            ..TierCounts::default()
-        };
-        let certain = || {
-            points
-                .iter()
-                .zip(&bands)
-                .filter_map(|(u, b)| b.as_ref().filter(|b| b.fits_certain).map(|b| (u, b)))
-        };
-        let probes: Vec<&UnrollVector> = [
-            certain().min_by_key(|(_, b)| b.cycles_lo).map(|(u, _)| u),
-            certain().min_by_key(|(_, b)| b.cycles_hi).map(|(u, _)| u),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        let mut threshold = u64::MAX;
-        for probe in probes {
-            let d = self.evaluate(probe)?;
-            if d.estimate.fits {
-                threshold = threshold.min(d.estimate.cycles);
-            }
-        }
-        let cap = self.device.capacity_slices;
-        let keep_flags: Vec<(bool, bool)> = bands
-            .iter()
-            .map(|band| match band {
-                // Band evaluation failed: promote unconditionally so the
-                // tier-1 pass reproduces whatever the full sweep does.
-                None => (true, true),
-                Some(b) => (!(b.slices_lo > cap || b.cycles_lo > threshold), false),
-            })
-            .collect();
-        if self.sink.enabled() {
-            for ((u, band), &(keep, forced)) in points.iter().zip(&bands).zip(&keep_flags) {
-                if keep {
-                    self.sink.record(&TraceEvent::TierPromote {
-                        unroll: u.clone(),
-                        forced,
-                    });
-                } else {
-                    let b = band.as_ref().expect("pruned points have bands");
-                    self.sink.record(&TraceEvent::TierPrune {
-                        unroll: u.clone(),
-                        slices_lo: b.slices_lo,
-                        cycles_lo: b.cycles_lo,
-                    });
-                }
-            }
-        }
-        let kept: Vec<UnrollVector> = points
-            .iter()
-            .zip(&keep_flags)
-            .filter(|(_, &(keep, _))| keep)
-            .map(|(u, _)| u.clone())
-            .collect();
-        counts.promoted = kept.len() as u64;
-        counts.pruned = (points.len() - kept.len()) as u64;
-        let mut full = Vec::with_capacity(kept.len());
-        for r in self.engine.parallel_map(&kept, |u| self.evaluate(u)) {
-            full.push(r?);
-        }
-        // Reassemble in space iteration order: promoted points carry
-        // tier-1 estimates, pruned points their tier-0 stand-ins.
-        let mut full_iter = full.into_iter();
-        let mut sweep = Vec::with_capacity(points.len());
-        for ((u, band), (keep, _)) in points.into_iter().zip(bands).zip(keep_flags) {
-            if keep {
-                sweep.push(full_iter.next().expect("one tier-1 result per kept point"));
-            } else {
-                let band = band.expect("pruned points have bands");
-                sweep.push(EvaluatedDesign {
-                    unroll: u,
-                    estimate: model.synthetic_estimate(&band),
-                });
-            }
-        }
-        Ok((sweep, counts))
+        let priced = sweep.len() as u64;
+        Ok((sweep, priced))
     }
 }
 
@@ -1727,40 +1542,41 @@ mod tests {
 
     #[test]
     fn fidelity_labels_round_trip() {
-        for f in [Fidelity::Full, Fidelity::Multi, Fidelity::Analytic] {
+        for f in [Fidelity::Full, Fidelity::Analytic] {
             assert_eq!(f.label().parse::<Fidelity>().unwrap(), f);
         }
         assert!("sideways".parse::<Fidelity>().is_err());
+        // Tier-0 pruning is branch-and-bound's job, not a fidelity.
+        let err = "multi".parse::<Fidelity>().unwrap_err();
+        assert!(err.contains("expected full|analytic"), "{err}");
     }
 
     #[test]
     fn multi_sweep_selects_the_full_sweep_design() {
+        // Pruned sweep-equivalent answers come from branch-and-bound over
+        // the unroll-only joint space.
         let k = parse_kernel(FIR).unwrap();
-        let full_ex = Explorer::new(&k).threads(1);
-        let multi_ex = Explorer::new(&k).threads(1).fidelity(Fidelity::Multi);
-        let (full, full_stats) = full_ex.sweep_with_stats().unwrap();
-        let (multi, multi_stats) = multi_ex.sweep_with_stats().unwrap();
-        assert_eq!(full.len(), multi.len());
+        let (full, full_stats) = Explorer::new(&k).threads(1).sweep_with_stats().unwrap();
+        let guided = Explorer::new(&k)
+            .threads(1)
+            .axes(&[Axis::Unroll])
+            .joint_explore(StrategyKind::BranchAndBound)
+            .unwrap();
         let fw = crate::exhaustive::best_performance(&full).unwrap();
-        let mw = crate::exhaustive::best_performance(&multi).unwrap();
-        assert_eq!(fw.unroll, mw.unroll);
-        // The winner was promoted, so its estimate is the tier-1 one —
-        // bit-identical to the full sweep's.
-        assert_eq!(fw.estimate, mw.estimate);
+        let gw = guided.selected.expect("a fitting design");
+        assert_eq!(fw.unroll, UnrollVector(gw.point.unroll.clone()));
+        // The winner paid tier 1, so its estimate is bit-identical to the
+        // full sweep's.
+        assert_eq!(fw.estimate, gw.estimate);
         assert_eq!(full_stats.tier0_evaluated, 0);
-        assert_eq!(multi_stats.tier0_evaluated, 42);
         assert_eq!(
-            multi_stats.tier0_promoted + multi_stats.tier0_pruned,
-            multi_stats.tier0_evaluated
+            guided.stats.strategy_visited + guided.stats.bounded_pruned,
+            42
         );
         assert!(
-            multi_stats.tier0_pruned > 0,
+            guided.stats.bounded_pruned > 0,
             "expected the band to prune part of the FIR space"
         );
-        // Only promoted points paid tier 1: each missed the memo cache
-        // exactly once (probes re-resolve as cache hits).
-        assert_eq!(multi_stats.evaluated, multi_stats.tier0_promoted);
-        assert!(multi_stats.cache_hits <= 2, "{}", multi_stats.cache_hits);
     }
 
     #[test]
@@ -1780,18 +1596,19 @@ mod tests {
     #[test]
     fn multi_explore_matches_full_explore() {
         let k = parse_kernel(FIR).unwrap();
-        let full = Explorer::new(&k).explore().unwrap();
-        let ex = Explorer::new(&k).fidelity(Fidelity::Multi);
-        let multi = ex.explore().unwrap();
-        assert_eq!(full.selected.unroll, multi.selected.unroll);
-        assert_eq!(full.selected.estimate, multi.selected.estimate);
-        assert_eq!(full.visited, multi.visited);
-        // Every distinct visited point was promoted (and band-priced).
-        let distinct: std::collections::HashSet<_> =
-            multi.visited.iter().map(|v| &v.unroll).collect();
-        assert_eq!(multi.stats.tier0_promoted, distinct.len() as u64);
-        assert_eq!(multi.stats.tier0_evaluated, multi.stats.tier0_promoted);
-        assert_eq!(multi.stats.tier0_pruned, 0);
+        let fig2 = Explorer::new(&k).explore().unwrap();
+        let guided = Explorer::new(&k)
+            .axes(&[Axis::Unroll])
+            .joint_explore(StrategyKind::BranchAndBound)
+            .unwrap()
+            .selected
+            .expect("a fitting design");
+        assert_eq!(fig2.selected.unroll, UnrollVector(vec![8, 8]));
+        assert_eq!(fig2.selected.estimate.cycles, 524);
+        assert_eq!(fig2.selected.unroll, UnrollVector(guided.point.unroll));
+        assert_eq!(fig2.selected.estimate, guided.estimate);
+        // The Figure-2 search never touches tier 0 at full fidelity.
+        assert_eq!(fig2.stats.tier0_evaluated, 0);
     }
 
     #[test]

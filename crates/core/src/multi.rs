@@ -17,7 +17,7 @@
 
 use crate::engine::EvalEngine;
 use crate::error::{DseError, Result};
-use crate::explorer::{EvaluatedDesign, Explorer, Fidelity};
+use crate::explorer::{EvaluatedDesign, Explorer};
 use crate::search::SearchResult;
 use crate::strategies::hill_climb;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
@@ -114,11 +114,6 @@ pub struct PipelineOptions {
     /// [`TraceEvent::StageRebalanced`]), emitted by the deterministic
     /// serial placement and rebalance loops.
     pub trace: Arc<dyn TraceSink>,
-    /// Evaluation fidelity for every per-stage search (see
-    /// [`crate::Fidelity`]). Searches promote every visited point, so
-    /// [`crate::Fidelity::Multi`] mappings are bit-identical to
-    /// [`crate::Fidelity::Full`] ones.
-    pub fidelity: Fidelity,
 }
 
 impl Default for PipelineOptions {
@@ -131,7 +126,6 @@ impl Default for PipelineOptions {
             rebalance: true,
             threads: None,
             trace: Arc::new(NullSink),
-            fidelity: Fidelity::Full,
         }
     }
 }
@@ -216,7 +210,6 @@ pub fn map_pipeline(
                     .memory(opts.memory.clone())
                     .device(opts.device.clone())
                     .options(opts.transform.clone())
-                    .fidelity(opts.fidelity)
                     .threads(1)
                     .explore()
             })
@@ -246,7 +239,6 @@ pub fn map_pipeline(
                     .memory(opts.memory.clone())
                     .device(device)
                     .options(opts.transform.clone())
-                    .fidelity(opts.fidelity)
                     .explore()?
             }
         };
@@ -308,8 +300,7 @@ pub fn map_pipeline(
             let ex = Explorer::new(&stage.kernel)
                 .memory(opts.memory.clone())
                 .device(device)
-                .options(opts.transform.clone())
-                .fidelity(opts.fidelity);
+                .options(opts.transform.clone());
             let (_, space) = ex.analyze()?;
             let start = p.design.unroll.clone();
             let climbed = hill_climb(&space, &start, 16, |u| Ok(ex.evaluate(u)?.estimate))?;
@@ -473,19 +464,19 @@ mod tests {
 
     #[test]
     fn multi_fidelity_mapping_matches_full() {
+        // Speculative parallel stage searches never change the mapping.
         let stages = image_pipeline();
-        let full = map_pipeline(&stages, 2, &PipelineOptions::default()).unwrap();
-        let multi = map_pipeline(
-            &stages,
-            2,
-            &PipelineOptions {
-                fidelity: Fidelity::Multi,
+        let at = |threads| {
+            let opts = PipelineOptions {
+                threads: Some(threads),
                 ..PipelineOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(full.throughput_cycles, multi.throughput_cycles);
-        for (f, m) in full.placements.iter().zip(&multi.placements) {
+            };
+            map_pipeline(&stages, 2, &opts).unwrap()
+        };
+        let (serial, parallel) = (at(1), at(4));
+        assert_eq!(serial.throughput_cycles, parallel.throughput_cycles);
+        assert_eq!(serial.placements.len(), parallel.placements.len());
+        for (f, m) in serial.placements.iter().zip(&parallel.placements) {
             assert_eq!(f.fpga, m.fpga);
             assert_eq!(f.design.unroll, m.design.unroll);
             assert_eq!(f.design.estimate, m.design.estimate);

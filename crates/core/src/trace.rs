@@ -98,30 +98,6 @@ pub enum TraceEvent {
         /// The selected design point.
         selected: UnrollVector,
     },
-    /// Multi-fidelity: a point cleared (or was forced past) the tier-0
-    /// analytic filter and will receive a full tier-1 evaluation.
-    /// Emitted before the corresponding `Visit` (searches) or before the
-    /// tier-1 batch (sweeps), in the space's iteration order.
-    TierPromote {
-        /// The promoted design point.
-        unroll: UnrollVector,
-        /// True when the tier-0 filter did *not* keep the point but a
-        /// tier-1 evaluation happened anyway — the Figure-2 replay
-        /// demanded it, or the tier-0 model declined the point.
-        forced: bool,
-    },
-    /// Multi-fidelity: the tier-0 analytic band proved a point cannot
-    /// win, so it never reaches tier 1. The recorded lower bounds are
-    /// the proof obligations: `slices_lo` exceeds device capacity, or
-    /// `cycles_lo` exceeds the best certain-to-fit upper cycle bound.
-    TierPrune {
-        /// The pruned design point.
-        unroll: UnrollVector,
-        /// Tier-0 lower bound on slices.
-        slices_lo: u32,
-        /// Tier-0 lower bound on cycles.
-        cycles_lo: u64,
-    },
     /// Incremental re-exploration: the search was warm-started from a
     /// previous run's persistent state. Emitted by
     /// [`crate::incremental::IncrementalSession`] *before* the search's
@@ -323,21 +299,6 @@ impl TraceEvent {
                 "{{\"event\":\"terminate\",\"reason\":\"{}\",\"selected\":{}}}",
                 termination_label(*reason),
                 json_factors(selected),
-            ),
-            TraceEvent::TierPromote { unroll, forced } => format!(
-                "{{\"event\":\"tier_promote\",\"unroll\":{},\"product\":{},\"forced\":{forced}}}",
-                json_factors(unroll),
-                unroll.product(),
-            ),
-            TraceEvent::TierPrune {
-                unroll,
-                slices_lo,
-                cycles_lo,
-            } => format!(
-                "{{\"event\":\"tier_prune\",\"unroll\":{},\"product\":{},\
-                 \"slices_lo\":{slices_lo},\"cycles_lo\":{cycles_lo}}}",
-                json_factors(unroll),
-                unroll.product(),
             ),
             TraceEvent::WarmStart {
                 previous,
@@ -618,23 +579,28 @@ mod tests {
 
     #[test]
     fn tier_event_schema_is_stable() {
-        let promote = TraceEvent::TierPromote {
-            unroll: UnrollVector(vec![4, 2]),
-            forced: false,
+        let warm = TraceEvent::WarmStart {
+            previous: UnrollVector(vec![8, 8]),
+            preloaded: 6,
+            changed: vec!["innermost".into(), "decls".into()],
         };
         assert_eq!(
-            promote.to_json(),
-            "{\"event\":\"tier_promote\",\"unroll\":[4,2],\"product\":8,\"forced\":false}"
+            warm.to_json(),
+            "{\"event\":\"warm_start\",\"previous\":[8,8],\"preloaded\":6,\
+             \"changed\":[\"innermost\",\"decls\"]}"
         );
-        let prune = TraceEvent::TierPrune {
-            unroll: UnrollVector(vec![8, 4]),
-            slices_lo: 14000,
-            cycles_lo: 512,
+        let cold = TraceEvent::WarmStart {
+            previous: UnrollVector(vec![4, 2]),
+            preloaded: 0,
+            changed: vec![],
+        };
+        assert!(cold.to_json().ends_with("\"preloaded\":0,\"changed\":[]}"));
+        let frontier = TraceEvent::Frontier {
+            points: vec![UnrollVector(vec![1, 1]), UnrollVector(vec![2, 1])],
         };
         assert_eq!(
-            prune.to_json(),
-            "{\"event\":\"tier_prune\",\"unroll\":[8,4],\"product\":32,\
-             \"slices_lo\":14000,\"cycles_lo\":512}"
+            frontier.to_json(),
+            "{\"event\":\"frontier\",\"points\":[[1,1],[2,1]]}"
         );
     }
 

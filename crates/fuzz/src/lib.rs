@@ -2,8 +2,8 @@
 //!
 //! The design-space explorer rests on a chain of trust: the transformation
 //! pipeline preserves kernel semantics, the per-pass IR verifier would
-//! notice if it didn't, the multi-fidelity search selects exactly what an
-//! exhaustive full-fidelity sweep would, and the search trace honors its
+//! notice if it didn't, tier-0-pruned branch-and-bound selects exactly what
+//! an exhaustive full-fidelity sweep would, and the search trace honors its
 //! audit invariants at any worker count. This crate stress-tests the whole
 //! chain with generated inputs rather than the handful of paper kernels:
 //!
@@ -14,8 +14,9 @@
 //!    degenerate injections that must be *rejected, not crash*.
 //! 2. [`oracle`] — the six-way differential check per kernel × design
 //!    point × device profile: interpreter semantics of original vs. fully
-//!    transformed designs, per-pass verification, full-vs-multi fidelity
-//!    agreement plus tier-0 band containment of the exact estimate, and
+//!    transformed designs, per-pass verification, full sweep vs. pruned
+//!    branch-and-bound agreement plus tier-0 band containment of the exact
+//!    estimate, and
 //!    clean deterministic search traces at 1 and 8 workers. Every stage
 //!    runs under a panic guard: a panic is always a violation.
 //! 3. [`shrink`] — greedy minimization of failures into small, parseable

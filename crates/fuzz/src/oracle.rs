@@ -10,8 +10,9 @@
 //! - **Passed** — every oracle dimension held.
 //! - **Violation** — a real bug: a semantics divergence between the
 //!   interpreter on the original kernel and on the fully transformed
-//!   design, a per-pass IR-verifier failure, a full/multi fidelity
-//!   disagreement or analytic band that excludes the exact estimate, a
+//!   design, a per-pass IR-verifier failure, a full-sweep vs. pruned
+//!   branch-and-bound disagreement or analytic band that excludes the
+//!   exact estimate, a
 //!   dirty or nondeterministic search trace, a canonicalization break
 //!   (an alpha-renamed variant hashing differently, or a warm persistent
 //!   cache changing the selection), a legality break (a statically-legal
@@ -28,7 +29,7 @@ use std::sync::Arc;
 use defacto::cache::PersistentCache;
 use defacto::exhaustive::{best_joint_performance, best_performance};
 use defacto::{
-    audit_search_trace, strategy_for, to_jsonl, DseError, EvaluatedJointDesign, Explorer, Fidelity,
+    audit_search_trace, strategy_for, to_jsonl, DseError, EvaluatedJointDesign, Explorer,
     JointPoint, MemorySink, StrategyContext, StrategyKind,
 };
 use defacto_ir::{canonicalize, parse_kernel, run_with_inputs, ArrayKind, Kernel};
@@ -46,8 +47,9 @@ pub enum Oracle {
     Semantics,
     /// The IR verifier flagged a pipeline stage's output.
     Verify,
-    /// Full vs. multi fidelity disagreement, or a tier-0 band that fails
-    /// to contain the exact tier-1 estimate.
+    /// The full sweep and tier-0-pruned branch-and-bound over the same
+    /// unroll-only space disagree, or a tier-0 band fails to contain the
+    /// exact tier-1 estimate.
     Fidelity,
     /// A search trace failed its audit or differed across worker counts.
     Audit,
@@ -340,7 +342,9 @@ fn check_case_inner(
         checks += 1;
     }
 
-    // Oracle 3a: full and multi fidelity must select bit-identical bests.
+    // Oracle 3a: branch-and-bound over the unroll-only joint space,
+    // pruning with tier-0 bands, must select the full sweep's best bit
+    // for bit.
     let full = match guarded("sweep-full", || explorer.sweep_with_stats())? {
         Ok((sweep, _)) => sweep,
         Err(e) => {
@@ -350,27 +354,31 @@ fn check_case_inner(
             })
         }
     };
-    let multi_explorer = explorer.clone().fidelity(Fidelity::Multi);
-    let multi = match guarded("sweep-multi", || multi_explorer.sweep_with_stats())? {
-        Ok((sweep, _)) => sweep,
+    let unroll_only = explorer.clone().axes(&[defacto::Axis::Unroll]);
+    let pruned = match guarded("unroll-bnb", || {
+        unroll_only.joint_explore(StrategyKind::BranchAndBound)
+    })? {
+        Ok(r) => r.selected,
         Err(e) => {
             return Ok(CaseOutcome::Rejected {
                 stage: "transform",
-                detail: format!("multi sweep: {e}"),
+                detail: format!("unroll-only branch-and-bound: {e}"),
             })
         }
     };
-    match (best_performance(&full), best_performance(&multi)) {
-        (Some(f), Some(m)) if f.unroll == m.unroll && f.estimate == m.estimate => checks += 1,
+    match (best_performance(&full), &pruned) {
+        (Some(f), Some(p)) if f.unroll.factors() == p.point.unroll && f.estimate == p.estimate => {
+            checks += 1
+        }
         (None, None) => {}
-        (f, m) => {
+        (f, p) => {
             return Ok(CaseOutcome::Violation(Violation {
                 oracle: Oracle::Fidelity,
-                stage: "full-vs-multi".to_string(),
+                stage: "full-vs-bnb".to_string(),
                 detail: format!(
-                    "full selects {:?}, multi selects {:?}",
+                    "full sweep selects {:?}, unroll-only branch-and-bound selects {:?}",
                     f.map(|d| d.unroll.factors().to_vec()),
-                    m.map(|d| d.unroll.factors().to_vec()),
+                    p.as_ref().map(|d| &d.point.unroll),
                 ),
             }))
         }

@@ -19,7 +19,7 @@
 //!   traffic classes (exact without small-type packing, banded with it);
 //! - **registers**: exact (the census mirrors scalar replacement).
 //!
-//! The band's soundness is what the multi-fidelity search's pruning proof
+//! The band's soundness is what branch-and-bound's pruning proof
 //! rests on (see `defacto-core`): a point whose `cycles_lo` already
 //! exceeds the best certainly-fitting `cycles_hi` can never win the
 //! paper's best-performance selection, so it is safe to skip its tier-1
@@ -91,7 +91,7 @@ pub struct AnalyticBand {
 
 impl AnalyticBand {
     /// Does this band bracket a full tier-1 estimate? This is the
-    /// soundness invariant of the multi-fidelity search.
+    /// soundness invariant of tier-0 pruning.
     pub fn contains(&self, e: &Estimate) -> bool {
         self.cycles_lo <= e.cycles
             && e.cycles <= self.cycles_hi

@@ -5,8 +5,8 @@
 //! shapes (FIR accumulation, stencil windows, matrix product, shifted
 //! copies with a conditional clamp), with random sizes, element types,
 //! constants, and unroll factors, under random transformation and
-//! synthesis options. This is the soundness property the multi-fidelity
-//! search's pruning rule depends on (see `defacto-core`).
+//! synthesis options. This is the soundness property branch-and-bound's
+//! pruning rule depends on (see `defacto-core`).
 
 use defacto_ir::parse_kernel;
 use defacto_synth::analytic::AnalyticModel;

@@ -376,7 +376,6 @@ proptest! {
             // construction.
             prop_assert_eq!(rc.stats.evaluated, rj.stats.evaluated);
             prop_assert_eq!(rc.stats.tier0_evaluated, rj.stats.tier0_evaluated);
-            prop_assert_eq!(rc.stats.tier0_pruned, rj.stats.tier0_pruned);
             let trace = classic_sink.to_jsonl();
             prop_assert_eq!(&trace, &joint_sink.to_jsonl());
             per_workers.push((rc.selected.unroll.clone(), trace));
