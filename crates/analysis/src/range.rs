@@ -19,7 +19,7 @@
 //! - everything is clamped to the declared type — the hardware wraps at
 //!   that width anyway, so the declared range is always sound.
 
-use defacto_ir::{ArrayKind, BinOp, Expr, Kernel, LValue, ScalarType, Stmt, UnOp};
+use defacto_ir::{ArrayKind, BinOp, DeclIndex, Expr, Kernel, LValue, ScalarType, Stmt, UnOp};
 use std::collections::HashMap;
 
 /// An inclusive integer interval.
@@ -301,6 +301,12 @@ impl RangeInfo {
 /// scalar is clamped to its declared type, which the wrapping hardware
 /// makes sound.
 pub fn infer_ranges(kernel: &Kernel) -> RangeInfo {
+    infer_ranges_indexed(kernel, &DeclIndex::new(kernel))
+}
+
+/// [`infer_ranges`] resolving declared types through `decls`, an index
+/// of `kernel`'s declarations the caller already holds.
+pub fn infer_ranges_indexed(kernel: &Kernel, decls: &DeclIndex<'_>) -> RangeInfo {
     let mut info = RangeInfo {
         vars: HashMap::new(),
         arrays: HashMap::new(),
@@ -327,31 +333,42 @@ pub fn infer_ranges(kernel: &Kernel) -> RangeInfo {
     }
 
     for _ in 0..3 {
-        walk(kernel.body(), kernel, 1, &mut info);
+        walk(kernel.body(), decls, 1, &mut info);
     }
     info
 }
 
-fn walk(stmts: &[Stmt], kernel: &Kernel, trip_product: i64, info: &mut RangeInfo) {
+/// `map[name] = value`, allocating the key only the first time `name`
+/// is seen.
+fn set(map: &mut HashMap<String, Interval>, name: &str, value: Interval) {
+    match map.get_mut(name) {
+        Some(slot) => *slot = value,
+        None => {
+            map.insert(name.to_owned(), value);
+        }
+    }
+}
+
+fn walk(stmts: &[Stmt], decls: &DeclIndex<'_>, trip_product: i64, info: &mut RangeInfo) {
     for s in stmts {
         match s {
             Stmt::For(l) => {
                 let trips = l.trip_count().max(1);
-                if trips > 1 {
-                    info.vars
-                        .insert(l.var.clone(), Interval::new(l.lower, l.upper - 1));
+                let range = if trips > 1 {
+                    Interval::new(l.lower, l.upper - 1)
                 } else {
-                    info.vars.insert(l.var.clone(), Interval::point(l.lower));
-                }
-                walk(&l.body, kernel, trip_product.saturating_mul(trips), info);
+                    Interval::point(l.lower)
+                };
+                set(&mut info.vars, &l.var, range);
+                walk(&l.body, decls, trip_product.saturating_mul(trips), info);
             }
             Stmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                walk(then_body, kernel, trip_product, info);
-                walk(else_body, kernel, trip_product, info);
+                walk(then_body, decls, trip_product, info);
+                walk(else_body, decls, trip_product, info);
             }
             Stmt::Rotate(regs) => {
                 // Rotation permutes values: every register can hold any of
@@ -362,18 +379,19 @@ fn walk(stmts: &[Stmt], kernel: &Kernel, trip_product: i64, info: &mut RangeInfo
                     .reduce(Interval::union)
                     .unwrap_or(Interval::point(0));
                 for r in regs {
-                    info.vars.insert(r.clone(), all);
+                    set(&mut info.vars, r, all);
                 }
             }
             Stmt::Assign { lhs, rhs } => {
                 let self_update = self_update_delta(lhs, rhs);
-                let value = match &self_update {
+                let value = match self_update {
                     // s = s ± e executed up to `trip_product` times: widen
                     // the pre-accumulation base by the accumulated delta
                     // (the base, not the current value, keeps repeated
                     // passes idempotent).
-                    Some(delta) => {
+                    Some((delta, negate)) => {
                         let d = info.expr(delta);
+                        let d = if negate { d.neg() } else { d };
                         let spread = Interval::new(
                             d.lo.saturating_mul(trip_product).min(0),
                             d.hi.saturating_mul(trip_product).max(0),
@@ -395,48 +413,41 @@ fn walk(stmts: &[Stmt], kernel: &Kernel, trip_product: i64, info: &mut RangeInfo
                     }
                     None => info.expr(rhs),
                 };
-                match lhs {
-                    LValue::Scalar(n) => {
-                        let ty = kernel.scalar(n).map(|d| d.ty).unwrap_or(ScalarType::I32);
-                        let joined = info.var(n).union(value).clamp_to(ty);
-                        info.vars.insert(n.clone(), joined);
-                        if self_update.is_none() {
-                            let base = info
-                                .var_base
-                                .get(n)
-                                .copied()
-                                .unwrap_or(Interval::point(0))
-                                .union(value)
-                                .clamp_to(ty);
-                            info.var_base.insert(n.clone(), base);
-                        }
-                    }
-                    LValue::Array(a) => {
-                        let ty = kernel
-                            .array(&a.array)
-                            .map(|d| d.ty)
-                            .unwrap_or(ScalarType::I32);
-                        let joined = info.array(&a.array).union(value).clamp_to(ty);
-                        info.arrays.insert(a.array.clone(), joined);
-                        if self_update.is_none() {
-                            let base = info
-                                .array_base
-                                .get(&a.array)
-                                .copied()
-                                .unwrap_or(Interval::point(0))
-                                .union(value)
-                                .clamp_to(ty);
-                            info.array_base.insert(a.array.clone(), base);
-                        }
-                    }
+                let (name, ty, current, values, bases) = match lhs {
+                    LValue::Scalar(n) => (
+                        n,
+                        decls.scalar(n).map(|d| d.ty),
+                        info.var(n),
+                        &mut info.vars,
+                        &mut info.var_base,
+                    ),
+                    LValue::Array(a) => (
+                        &a.array,
+                        decls.array(&a.array).map(|d| d.ty),
+                        info.array(&a.array),
+                        &mut info.arrays,
+                        &mut info.array_base,
+                    ),
+                };
+                let ty = ty.unwrap_or(ScalarType::I32);
+                set(values, name, current.union(value).clamp_to(ty));
+                if self_update.is_none() {
+                    let base = bases
+                        .get(name.as_str())
+                        .copied()
+                        .unwrap_or(Interval::point(0))
+                        .union(value)
+                        .clamp_to(ty);
+                    set(bases, name, base);
                 }
             }
         }
     }
 }
 
-/// Detect `target = target ± e` (the accumulator pattern), returning `e`.
-fn self_update_delta(lhs: &LValue, rhs: &Expr) -> Option<Expr> {
+/// Detect `target = target ± e` (the accumulator pattern), returning `e`
+/// and whether it is subtracted.
+fn self_update_delta<'e>(lhs: &LValue, rhs: &'e Expr) -> Option<(&'e Expr, bool)> {
     let is_target = |e: &Expr| -> bool {
         match (lhs, e) {
             (LValue::Scalar(n), Expr::Scalar(m)) => n == m,
@@ -445,9 +456,9 @@ fn self_update_delta(lhs: &LValue, rhs: &Expr) -> Option<Expr> {
         }
     };
     match rhs {
-        Expr::Binary(BinOp::Add, a, b) if is_target(a) => Some((**b).clone()),
-        Expr::Binary(BinOp::Add, a, b) if is_target(b) => Some((**a).clone()),
-        Expr::Binary(BinOp::Sub, a, b) if is_target(a) => Some(Expr::Unary(UnOp::Neg, b.clone())),
+        Expr::Binary(BinOp::Add, a, b) if is_target(a) => Some((b, false)),
+        Expr::Binary(BinOp::Add, a, b) if is_target(b) => Some((a, false)),
+        Expr::Binary(BinOp::Sub, a, b) if is_target(a) => Some((b, true)),
         _ => None,
     }
 }

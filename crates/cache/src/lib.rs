@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Schema tag of the on-disk format. Bump on any layout change.
 pub const SCHEMA_TAG: &str = "defacto-cache/v1";
@@ -198,12 +198,25 @@ impl PersistentCache {
         &self.path
     }
 
+    /// The store, recovered if a thread panicked while holding it.
+    ///
+    /// Recovery is sound because every record is self-contained: each
+    /// map entry and each pending line stands alone, and no operation
+    /// relies on an invariant spanning two of them. A critical section
+    /// torn by a panic therefore leaves at worst a pending line whose
+    /// map entry is missing (the next insert appends a duplicate line,
+    /// and loading keeps the last) or a map entry whose line is missing
+    /// (a later process misses and recomputes it) — never a wrong answer.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn load(&self) {
         let text = match std::fs::read_to_string(&self.path) {
             Ok(t) => t,
             Err(_) => return,
         };
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.bytes = text.len() as u64;
         let mut loaded = 0u64;
         let mut skipped = 0u64;
@@ -248,7 +261,7 @@ impl PersistentCache {
     /// Look up an estimate. Counts a hit or miss and refreshes the
     /// entry's LRU position.
     pub fn lookup_estimate(&self, key: ContextKey, unroll: &[i64]) -> Option<Estimate> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.estimates.get_mut(&(key, unroll.to_vec())) {
@@ -267,13 +280,13 @@ impl PersistentCache {
     /// Number of estimates stored for `key` (how warm a re-exploration
     /// will start). Does not count as lookups.
     pub fn estimates_for(&self, key: ContextKey) -> usize {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         inner.estimates.keys().filter(|(k, _)| *k == key).count()
     }
 
     /// Insert an estimate (no-op when an identical entry exists).
     pub fn insert_estimate(&self, key: ContextKey, unroll: &[i64], estimate: &Estimate) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         let map_key = (key, unroll.to_vec());
         if let Some(existing) = inner.estimates.get(&map_key) {
             if existing.estimate == *estimate {
@@ -296,13 +309,13 @@ impl PersistentCache {
 
     /// The selected-design record for `key`, if one was stored.
     pub fn selection(&self, key: ContextKey) -> Option<SelectionRecord> {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         inner.selections.get(&key).cloned()
     }
 
     /// Store the selected design of a finished search.
     pub fn record_selection(&self, key: ContextKey, record: &SelectionRecord) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         if inner.selections.get(&key) == Some(record) {
             return;
         }
@@ -314,7 +327,7 @@ impl PersistentCache {
 
     /// The analysis summary for `(kernel, subtree)`, if one was stored.
     pub fn analysis(&self, kernel: ContentHash, subtree: ContentHash) -> Option<AnalysisSummary> {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         inner.analyses.get(&(kernel, subtree)).cloned()
     }
 
@@ -325,7 +338,7 @@ impl PersistentCache {
         subtree: ContentHash,
         summary: &AnalysisSummary,
     ) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         if inner.analyses.get(&(kernel, subtree)) == Some(summary) {
             return;
         }
@@ -343,7 +356,7 @@ impl PersistentCache {
     /// Propagates I/O failures; the in-memory view stays intact, so a
     /// failed flush loses durability, never correctness.
     pub fn flush(&self) -> std::io::Result<()> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         if inner.bytes > self.max_bytes {
             return self.compact(&mut inner);
         }
@@ -415,7 +428,7 @@ impl PersistentCache {
 
     /// Current telemetry counters.
     pub fn telemetry(&self) -> CacheTelemetry {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         CacheTelemetry {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -740,6 +753,36 @@ mod tests {
         );
         let size = std::fs::metadata(cache.path()).unwrap().len();
         assert!(size <= 2048, "cache file not bounded: {size}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_store_lock_is_recovered() {
+        let dir = tmp_dir("poison");
+        let key = sample_key(11);
+        let cache = PersistentCache::open(&dir).unwrap();
+        cache.insert_estimate(key, &[1, 1], &sample_estimate(100));
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.inner.lock().unwrap();
+                panic!("worker panics while holding the store lock");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && cache.inner.is_poisoned());
+        assert_eq!(
+            cache.lookup_estimate(key, &[1, 1]),
+            Some(sample_estimate(100))
+        );
+        cache.insert_estimate(key, &[2, 1], &sample_estimate(200));
+        cache.flush().unwrap();
+        let reopened = PersistentCache::open(&dir).unwrap();
+        assert_eq!(reopened.telemetry().loaded, 2);
+        assert_eq!(
+            reopened.lookup_estimate(key, &[2, 1]),
+            Some(sample_estimate(200))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

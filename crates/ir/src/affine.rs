@@ -7,16 +7,26 @@
 //! set classification, and data layout possible, and the parser rejects any
 //! subscript that cannot be normalized into this shape.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, Mul, Neg, Sub};
+use std::sync::Arc;
+
+/// One `(variable, coefficient)` term.
+type Term = (Arc<str>, i64);
 
 /// An affine (linear + constant) integer expression over named loop
 /// variables.
 ///
-/// Coefficients are stored sparsely; a variable absent from the map has
-/// coefficient zero. The representation is canonical: zero coefficients are
-/// never stored, so `==` is structural equality of the mathematical object.
+/// Coefficients are stored sparsely, as an immutable slice of
+/// `(variable, coefficient)` terms sorted by variable name and shared
+/// between clones; a variable absent from the slice has coefficient
+/// zero. Cloning, and rewrites that only move the constant
+/// ([`AffineExpr::offset_var`], [`AffineExpr::offset_vars`]) or leave
+/// the terms alone, copy a pointer instead of the terms. The
+/// representation is canonical: zero coefficients are never stored, so
+/// `==` is structural equality of the mathematical object.
 ///
 /// ```
 /// use defacto_ir::AffineExpr;
@@ -26,9 +36,10 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// assert_eq!(e.coeff("j"), 2);
 /// assert_eq!(e.constant_term(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
+#[derive(Clone, Default)]
 pub struct AffineExpr {
-    coeffs: BTreeMap<String, i64>,
+    /// Non-zero terms in variable-name order; `None` when there are none.
+    coeffs: Option<Arc<[Term]>>,
     constant: i64,
 }
 
@@ -41,17 +52,16 @@ impl AffineExpr {
     /// A constant expression `c`.
     pub fn constant(c: i64) -> Self {
         AffineExpr {
-            coeffs: BTreeMap::new(),
+            coeffs: None,
             constant: c,
         }
     }
 
     /// The expression `1 * name`.
     pub fn var(name: impl Into<String>) -> Self {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(name.into(), 1);
+        let name: String = name.into();
         AffineExpr {
-            coeffs,
+            coeffs: Some(Arc::from([(Arc::from(name), 1)])),
             constant: 0,
         }
     }
@@ -64,16 +74,39 @@ impl AffineExpr {
         I: IntoIterator<Item = (S, i64)>,
         S: Into<String>,
     {
-        let mut e = AffineExpr::constant(constant);
-        for (v, c) in terms {
-            e.add_term(v.into(), c);
+        let mut raw: Vec<(String, i64)> = terms.into_iter().map(|(v, c)| (v.into(), c)).collect();
+        // Stable, so equal names are summed in the order they came.
+        raw.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut out: Vec<Term> = Vec::with_capacity(raw.len());
+        for (v, c) in raw {
+            match out.last_mut() {
+                Some((last, sum)) if **last == *v => *sum += c,
+                _ => out.push((Arc::from(v), c)),
+            }
         }
-        e
+        out.retain(|&(_, c)| c != 0);
+        AffineExpr {
+            coeffs: shared(out),
+            constant,
+        }
+    }
+
+    /// The terms as a (possibly empty) sorted slice.
+    fn term_slice(&self) -> &[Term] {
+        self.coeffs.as_deref().unwrap_or(&[])
+    }
+
+    /// Position of `var` in the term slice, or where it would go.
+    fn find(&self, var: &str) -> Result<usize, usize> {
+        self.term_slice().binary_search_by(|(v, _)| (**v).cmp(var))
     }
 
     /// Coefficient of `var` (zero if absent).
     pub fn coeff(&self, var: &str) -> i64 {
-        self.coeffs.get(var).copied().unwrap_or(0)
+        match self.find(var) {
+            Ok(i) => self.term_slice()[i].1,
+            Err(_) => 0,
+        }
     }
 
     /// The constant term `b`.
@@ -84,22 +117,22 @@ impl AffineExpr {
     /// Iterate over `(variable, coefficient)` pairs with non-zero
     /// coefficients, in variable-name order.
     pub fn terms(&self) -> impl Iterator<Item = (&str, i64)> + '_ {
-        self.coeffs.iter().map(|(v, c)| (v.as_str(), *c))
+        self.term_slice().iter().map(|(v, c)| (&**v, *c))
     }
 
     /// Names of variables with non-zero coefficient.
     pub fn vars(&self) -> impl Iterator<Item = &str> + '_ {
-        self.coeffs.keys().map(String::as_str)
+        self.term_slice().iter().map(|(v, _)| &**v)
     }
 
     /// Number of variables with non-zero coefficient.
     pub fn num_vars(&self) -> usize {
-        self.coeffs.len()
+        self.term_slice().len()
     }
 
     /// True if the expression is a constant (no variable terms).
     pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
+        self.coeffs.is_none()
     }
 
     /// True if `var` does not appear (coefficient zero) — i.e. the
@@ -120,18 +153,25 @@ impl AffineExpr {
         if c == 0 {
             return;
         }
-        use std::collections::btree_map::Entry;
-        match self.coeffs.entry(var) {
-            Entry::Occupied(mut o) => {
-                *o.get_mut() += c;
-                if *o.get() == 0 {
-                    o.remove();
-                }
+        let terms = self.term_slice();
+        let (at, term, skip) = match self.find(&var) {
+            Ok(i) => {
+                let sum = terms[i].1 + c;
+                (i, (sum != 0).then(|| (terms[i].0.clone(), sum)), 1)
             }
-            Entry::Vacant(v) => {
-                v.insert(c);
-            }
-        }
+            Err(i) => (i, Some((Arc::from(var), c)), 0),
+        };
+        let len = terms.len() + usize::from(term.is_some()) - skip;
+        // Chained slice and `Option` iterators have a trusted length, so
+        // the shared slice is allocated once, at its final size.
+        self.coeffs = (len > 0).then(|| {
+            terms[..at]
+                .iter()
+                .cloned()
+                .chain(term)
+                .chain(terms[at + skip..].iter().cloned())
+                .collect()
+        });
     }
 
     /// Evaluate with a lookup for variable values.
@@ -157,8 +197,8 @@ impl AffineExpr {
     /// Returns the first variable `lookup` cannot resolve.
     pub fn try_eval(&self, lookup: impl Fn(&str) -> Option<i64>) -> Result<i64, &str> {
         let mut acc = self.constant;
-        for (v, c) in &self.coeffs {
-            let val = lookup(v).ok_or(v.as_str())?;
+        for (v, c) in self.terms() {
+            let val = lookup(v).ok_or(v)?;
             acc = acc.saturating_add(c.saturating_mul(val));
         }
         Ok(acc)
@@ -176,13 +216,14 @@ impl AffineExpr {
     /// assert_eq!(r.constant_term(), 7);
     /// ```
     pub fn substitute(&self, var: &str, replacement: &AffineExpr) -> AffineExpr {
-        let c = self.coeff(var);
-        if c == 0 {
+        let Ok(i) = self.find(var) else {
             return self.clone();
+        };
+        let c = self.term_slice()[i].1;
+        AffineExpr {
+            coeffs: shared(merge(&self.without(i), replacement.term_slice(), c)),
+            constant: self.constant + replacement.constant * c,
         }
-        let mut out = self.clone();
-        out.coeffs.remove(var);
-        out + replacement.clone() * c
     }
 
     /// Offset the expression by substituting `var := var + delta`.
@@ -209,15 +250,20 @@ impl AffineExpr {
 
     /// Rename a variable, keeping its coefficient.
     pub fn rename_var(&self, from: &str, to: &str) -> AffineExpr {
-        match self.coeffs.get(from).copied() {
-            None => self.clone(),
-            Some(c) => {
-                let mut out = self.clone();
-                out.coeffs.remove(from);
-                out.add_term(to.to_string(), c);
-                out
-            }
+        let Ok(i) = self.find(from) else {
+            return self.clone();
+        };
+        let c = self.term_slice()[i].1;
+        AffineExpr {
+            coeffs: shared(merge(&self.without(i), &[(Arc::from(to), c)], 1)),
+            constant: self.constant,
         }
+    }
+
+    /// The terms with the `i`-th left out.
+    fn without(&self, i: usize) -> Vec<Term> {
+        let terms = self.term_slice();
+        terms[..i].iter().chain(&terms[i + 1..]).cloned().collect()
     }
 
     /// The difference `self - other` if the two expressions are *uniformly
@@ -225,11 +271,107 @@ impl AffineExpr {
     /// otherwise. For uniformly generated pairs this difference is the
     /// constant dependence offset.
     pub fn constant_difference(&self, other: &AffineExpr) -> Option<i64> {
-        if self.coeffs == other.coeffs {
+        if self.same_terms(other) {
             Some(self.constant - other.constant)
         } else {
             None
         }
+    }
+
+    /// True when both expressions have the same coefficient on every
+    /// variable; shared terms compare by pointer.
+    fn same_terms(&self, other: &AffineExpr) -> bool {
+        match (&self.coeffs, &other.coeffs) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+}
+
+/// The shared form of a sorted term list: `None` when it is empty.
+fn shared(terms: Vec<Term>) -> Option<Arc<[Term]>> {
+    (!terms.is_empty()).then(|| Arc::from(terms))
+}
+
+/// The sorted terms of `a + scale * b`, zero sums dropped. Names are
+/// shared with the inputs, not copied.
+fn merge(a: &[Term], b: &[Term], scale: i64) -> Vec<Term> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let order = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) => x.0.cmp(&y.0),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        match order {
+            Ordering::Less => {
+                out.push(a[i].clone());
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push((b[j].0.clone(), b[j].1 * scale));
+                j += 1;
+            }
+            Ordering::Equal => {
+                let c = a[i].1 + b[j].1 * scale;
+                if c != 0 {
+                    out.push((a[i].0.clone(), c));
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
+}
+
+impl PartialEq for AffineExpr {
+    fn eq(&self, other: &AffineExpr) -> bool {
+        self.constant == other.constant && self.same_terms(other)
+    }
+}
+
+impl Eq for AffineExpr {}
+
+impl PartialOrd for AffineExpr {
+    fn partial_cmp(&self, other: &AffineExpr) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic over the `(variable, coefficient)` terms in name
+/// order, then the constant. Sorted collections of subscripts decide
+/// output order, so this order is part of the output contract.
+impl Ord for AffineExpr {
+    fn cmp(&self, other: &AffineExpr) -> Ordering {
+        self.terms()
+            .cmp(other.terms())
+            .then(self.constant.cmp(&other.constant))
+    }
+}
+
+impl Hash for AffineExpr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.term_slice().hash(state);
+        self.constant.hash(state);
+    }
+}
+
+/// Prints `coeffs` as a map, e.g.
+/// `AffineExpr { coeffs: {"i": 1}, constant: 2 }`.
+impl fmt::Debug for AffineExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Coeffs<'a>(&'a AffineExpr);
+        impl fmt::Debug for Coeffs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.terms()).finish()
+            }
+        }
+        f.debug_struct("AffineExpr")
+            .field("coeffs", &Coeffs(self))
+            .field("constant", &self.constant)
+            .finish()
     }
 }
 
@@ -237,12 +379,13 @@ impl Add for AffineExpr {
     type Output = AffineExpr;
 
     fn add(self, rhs: AffineExpr) -> AffineExpr {
-        let mut out = self;
-        out.constant += rhs.constant;
-        for (v, c) in rhs.coeffs {
-            out.add_term(v, c);
-        }
-        out
+        let constant = self.constant + rhs.constant;
+        let coeffs = match (&self.coeffs, &rhs.coeffs) {
+            (_, None) => self.coeffs,
+            (None, _) => rhs.coeffs,
+            (Some(a), Some(b)) => shared(merge(a, b, 1)),
+        };
+        AffineExpr { coeffs, constant }
     }
 }
 
@@ -250,7 +393,12 @@ impl Sub for AffineExpr {
     type Output = AffineExpr;
 
     fn sub(self, rhs: AffineExpr) -> AffineExpr {
-        self + (-rhs)
+        let constant = self.constant - rhs.constant;
+        let coeffs = match &rhs.coeffs {
+            None => self.coeffs,
+            Some(b) => shared(merge(self.term_slice(), b, -1)),
+        };
+        AffineExpr { coeffs, constant }
     }
 }
 
@@ -269,12 +417,19 @@ impl Mul<i64> for AffineExpr {
         if rhs == 0 {
             return AffineExpr::new();
         }
-        let mut out = self;
-        out.constant *= rhs;
-        for c in out.coeffs.values_mut() {
-            *c *= rhs;
+        let coeffs = match rhs {
+            1 => self.coeffs,
+            _ => self.coeffs.map(|terms| {
+                terms
+                    .iter()
+                    .map(|(v, c)| (v.clone(), c * rhs))
+                    .collect::<Arc<[Term]>>()
+            }),
+        };
+        AffineExpr {
+            coeffs,
+            constant: self.constant * rhs,
         }
-        out
     }
 }
 
@@ -287,16 +442,16 @@ impl From<i64> for AffineExpr {
 impl fmt::Display for AffineExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (v, c) in &self.coeffs {
+        for (v, c) in self.terms() {
             if first {
-                match *c {
+                match c {
                     1 => write!(f, "{v}")?,
                     -1 => write!(f, "-{v}")?,
                     c => write!(f, "{c}*{v}")?,
                 }
                 first = false;
             } else {
-                match *c {
+                match c {
                     1 => write!(f, " + {v}")?,
                     -1 => write!(f, " - {v}")?,
                     c if c > 0 => write!(f, " + {c}*{v}")?,

@@ -5,7 +5,7 @@ use crate::error::{IrError, Result};
 use crate::expr::{ArrayAccess, Expr};
 use crate::stmt::{walk_stmts, LValue, Loop, Stmt};
 use crate::types::ScalarType;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Largest flattened element count a single array declaration may have
@@ -305,6 +305,50 @@ fn names_conflict(var: &str, arrays: &[ArrayDecl], scalars: &[ScalarDecl]) -> bo
     arrays.iter().any(|a| a.name == var) || scalars.iter().any(|s| s.name == var)
 }
 
+/// Name → declaration lookups for one kernel, built once and shared by
+/// every pass that resolves names per statement. [`Kernel::scalar`] and
+/// [`Kernel::array`] scan the declaration lists; this answers the same
+/// questions — including which declaration wins when a name appears
+/// twice (the first) — with one hash lookup.
+#[derive(Debug, Clone, Default)]
+pub struct DeclIndex<'k> {
+    decls: HashMap<&'k str, Decls<'k>>,
+}
+
+/// The scalar and array declared under one name, if any.
+#[derive(Debug, Clone, Copy, Default)]
+struct Decls<'k> {
+    scalar: Option<&'k ScalarDecl>,
+    array: Option<&'k ArrayDecl>,
+}
+
+impl<'k> DeclIndex<'k> {
+    /// Index `kernel`'s declarations.
+    pub fn new(kernel: &'k Kernel) -> Self {
+        let mut decls: HashMap<&'k str, Decls<'k>> =
+            HashMap::with_capacity(kernel.arrays.len() + kernel.scalars.len());
+        for a in &kernel.arrays {
+            let d = decls.entry(&a.name).or_default();
+            d.array = d.array.or(Some(a));
+        }
+        for s in &kernel.scalars {
+            let d = decls.entry(&s.name).or_default();
+            d.scalar = d.scalar.or(Some(s));
+        }
+        DeclIndex { decls }
+    }
+
+    /// The scalar declared as `name`, as [`Kernel::scalar`].
+    pub fn scalar(&self, name: &str) -> Option<&'k ScalarDecl> {
+        self.decls.get(name).and_then(|d| d.scalar)
+    }
+
+    /// The array declared as `name`, as [`Kernel::array`].
+    pub fn array(&self, name: &str) -> Option<&'k ArrayDecl> {
+        self.decls.get(name).and_then(|d| d.array)
+    }
+}
+
 impl fmt::Display for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&crate::pretty::print_kernel(self))
@@ -525,5 +569,25 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, IrError::Redeclared("S".into()));
+    }
+
+    #[test]
+    fn decl_index_answers_like_the_declaration_scans() {
+        // Unchecked temps can repeat a name, even an array's: the index
+        // must resolve each lookup to the declaration the scans find.
+        let k = fir().with_body_and_temps_unchecked(
+            fir().body().to_vec(),
+            vec![
+                ScalarDecl::temp("t", ScalarType::I16),
+                ScalarDecl::temp("t", ScalarType::I8),
+                ScalarDecl::temp("S", ScalarType::U8),
+            ],
+        );
+        let index = DeclIndex::new(&k);
+        for name in ["t", "S", "C", "D", "j", "missing"] {
+            assert_eq!(index.scalar(name), k.scalar(name), "scalar {name}");
+            assert_eq!(index.array(name), k.array(name), "array {name}");
+        }
+        assert_eq!(index.scalar("t").map(|d| d.ty), Some(ScalarType::I16));
     }
 }

@@ -68,7 +68,7 @@ pub use diag::{Diagnostic, Severity};
 pub use error::{IrError, Result};
 pub use expr::{ArrayAccess, BinOp, Expr, UnOp};
 pub use interp::{run_with_inputs, ExecStats, Interpreter, Workspace};
-pub use kernel::{Kernel, NestView};
+pub use kernel::{DeclIndex, Kernel, NestView};
 pub use parser::{parse_kernel, parse_kernel_with_spans};
 pub use span::{Span, SpanMap};
 pub use stmt::{LValue, Loop, Stmt};

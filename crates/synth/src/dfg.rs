@@ -22,7 +22,7 @@ use crate::memory::MemoryModel;
 use crate::oplib::{op_spec, HwOp};
 use crate::schedule::{SchedNode, Step};
 use defacto_analysis::{Interval, RangeInfo};
-use defacto_ir::{ArrayAccess, BinOp, Expr, Kernel, LValue, Stmt};
+use defacto_ir::{ArrayAccess, BinOp, DeclIndex, Expr, Kernel, LValue, Stmt};
 use defacto_xform::layout::ArrayLayout;
 use defacto_xform::MemoryBinding;
 use std::collections::HashMap;
@@ -205,7 +205,14 @@ pub fn build_dfg_opts(
         narrow: opts.ranges.is_some(),
         pack: opts.pack_word_bits.is_some(),
     };
-    FlagDfg::build(stmts, kernel, binding, opts.ranges, opts.pack_word_bits).project(view)
+    FlagDfg::build(
+        stmts,
+        &DeclIndex::new(kernel),
+        binding,
+        opts.ranges,
+        opts.pack_word_bits,
+    )
+    .project(view)
 }
 
 /// Which synthesis flags a [`FlagDfg`] is read under: bit-width
@@ -293,16 +300,17 @@ pub(crate) struct FlagDfg {
 }
 
 impl FlagDfg {
-    /// Lower a straight-line segment. Narrowed widths come from `ranges`
-    /// and packed placements from `pack_word_bits`; without them the
-    /// narrowed (packed) annotation equals the wide (unpacked) one.
+    /// Lower a straight-line segment. Declared types come from `decls`,
+    /// narrowed widths from `ranges` and packed placements from
+    /// `pack_word_bits`; without them the narrowed (packed) annotation
+    /// equals the wide (unpacked) one.
     ///
     /// # Panics
     ///
     /// Panics if `stmts` contains a `For` statement.
     pub(crate) fn build<'s>(
         stmts: impl IntoIterator<Item = &'s Stmt>,
-        kernel: &Kernel,
+        decls: &DeclIndex<'_>,
         binding: &MemoryBinding,
         ranges: Option<&RangeInfo>,
         pack_word_bits: Option<u32>,
@@ -315,7 +323,7 @@ impl FlagDfg {
                 arrays: Vec::new(),
                 narrow_keeps_timing: true,
             },
-            kernel,
+            decls,
             binding,
             ranges,
             pack_word_bits,
@@ -458,7 +466,7 @@ impl FlagDfg {
 /// statements (`'s`); arrays are numbered in order of first access.
 struct Builder<'s, 'a> {
     dfg: FlagDfg,
-    kernel: &'a Kernel,
+    decls: &'a DeclIndex<'a>,
     binding: &'a MemoryBinding,
     /// Value-range information for the narrowed annotation.
     ranges: Option<&'a RangeInfo>,
@@ -507,7 +515,7 @@ impl<'s> Builder<'s, '_> {
     /// A scalar's register width, declared and narrowed.
     fn scalar_bits(&self, name: &str) -> Widths {
         let declared = self
-            .kernel
+            .decls
             .scalar(name)
             .map(|d| d.ty.bits())
             // Loop index variables: 16-bit counters.
@@ -533,7 +541,7 @@ impl<'s> Builder<'s, '_> {
     }
 
     fn array_bits(&self, array: &str) -> u32 {
-        self.kernel.array(array).map(|a| a.ty.bits()).unwrap_or(32)
+        self.decls.array(array).map(|a| a.ty.bits()).unwrap_or(32)
     }
 
     fn stmt(&mut self, s: &'s Stmt) {
@@ -546,7 +554,7 @@ impl<'s> Builder<'s, '_> {
                         if let Some(iv) = iv {
                             // Values wrap at the declared register width.
                             let ty = self
-                                .kernel
+                                .decls
                                 .scalar(n)
                                 .map(|d| d.ty)
                                 .unwrap_or(defacto_ir::ScalarType::I32);

@@ -28,8 +28,8 @@ use crate::oplib::{
     fsm_state_slices, op_spec, register_slices, HwOp, FSM_BASE_SLICES, MEMORY_INTERFACE_SLICES,
 };
 use crate::schedule::{allocate, schedule_nodes, ListPriority, OpUsage, Schedule};
-use defacto_analysis::{infer_ranges, RangeInfo};
-use defacto_ir::Stmt;
+use defacto_analysis::{infer_ranges_indexed, RangeInfo};
+use defacto_ir::{DeclIndex, Stmt};
 use defacto_xform::TransformedDesign;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -262,12 +262,14 @@ impl EstimatePlan {
         };
         let narrowable = always.narrow || narrow;
         tally(|w| w.plans += 1);
+        let decls = DeclIndex::new(&design.kernel);
         let ranges = narrowable.then(|| {
             tally(|w| w.range_inferences += 1);
-            infer_ranges(&design.kernel)
+            infer_ranges_indexed(&design.kernel, &decls)
         });
         let mut lower = Lower {
             design,
+            decls: &decls,
             ranges: ranges.as_ref(),
             pack_word_bits: mem.width_bits,
             segments: Vec::new(),
@@ -459,6 +461,7 @@ fn fold(blocks: &[Block], times: &[Times]) -> Times {
 /// segment into a [`FlagDfg`] and records the loops around them.
 struct Lower<'a> {
     design: &'a TransformedDesign,
+    decls: &'a DeclIndex<'a>,
     ranges: Option<&'a RangeInfo>,
     pack_word_bits: u32,
     segments: Vec<FlagDfg>,
@@ -496,7 +499,7 @@ impl Lower<'_> {
         }
         let dfg = FlagDfg::build(
             segment.drain(..),
-            &self.design.kernel,
+            self.decls,
             &self.design.binding,
             self.ranges,
             Some(self.pack_word_bits),
