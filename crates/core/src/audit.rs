@@ -178,10 +178,9 @@ impl std::fmt::Display for AuditReport {
 }
 
 /// Replay `events` (one search's trace) against the invariants above.
-/// Pipeline-mapping events (`StagePlaced`/`StageRebalanced`) are ignored;
-/// they describe a different artifact. Warm-start markers (`WarmStart`)
-/// are ignored too: the search events that follow them are complete and
-/// must justify the selection without reference to the previous run.
+/// Warm-start markers (`WarmStart`) are ignored: the search events that
+/// follow them are complete and must justify the selection without
+/// reference to the previous run.
 pub fn audit_search_trace(
     events: &[TraceEvent],
     space: &DesignSpace,
@@ -402,7 +401,6 @@ pub fn audit_search_trace(
             // Guided-strategy events are audited by
             // [`audit_strategy_trace`].
             TraceEvent::StrategyStep { .. } | TraceEvent::BoundPrune { .. } => {}
-            TraceEvent::StagePlaced { .. } | TraceEvent::StageRebalanced { .. } => {}
         }
     }
 

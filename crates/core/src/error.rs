@@ -14,8 +14,6 @@ pub enum DseError {
     NoLoops,
     /// A transformation failed while evaluating a design point.
     Xform(defacto_xform::XformError),
-    /// An unroll vector outside the design space was requested.
-    OutsideSpace(String),
     /// A search had no design to choose from: an empty space or a zero
     /// evaluation budget.
     EmptySpace,
@@ -27,7 +25,6 @@ impl fmt::Display for DseError {
             DseError::NotPerfectNest => write!(f, "kernel body is not a perfect loop nest"),
             DseError::NoLoops => write!(f, "kernel has no loops to explore"),
             DseError::Xform(e) => write!(f, "transformation failed: {e}"),
-            DseError::OutsideSpace(m) => write!(f, "unroll vector outside design space: {m}"),
             DseError::EmptySpace => write!(f, "no design to search: empty space or zero budget"),
         }
     }

@@ -43,11 +43,9 @@ pub mod exhaustive;
 pub mod explorer;
 pub mod incremental;
 pub mod lint;
-pub mod multi;
 pub mod saturation;
 pub mod search;
 pub mod space;
-pub mod strategies;
 pub mod strategy;
 pub mod trace;
 
@@ -66,19 +64,17 @@ pub use exhaustive::{
 };
 pub use explorer::{EvaluatedDesign, EvaluatedJointDesign, Explorer, Fidelity, JointSearchResult};
 pub use incremental::{IncrementalOutcome, IncrementalSession};
-pub use multi::{map_pipeline, PipelineMapping, PipelineOptions, PipelineStage, StagePlacement};
 pub use saturation::{saturation_analysis, SaturationInfo};
 pub use search::{
     doubling_frontier, run_search, run_search_instrumented, run_search_with_sink, SearchConfig,
     SearchResult, Termination, VisitOutcome,
 };
 pub use space::{Axis, DesignSpace, JointPoint, PrunedCounts};
-pub use strategies::{hill_climb, random_search, StrategyOutcome};
 pub use strategy::{
     strategy_for, BranchAndBound, CoordinateDescent, Exhaustive, GuidedOutcome, SearchStrategy,
     StrategyContext, StrategyKind,
 };
-pub use trace::{to_jsonl, JsonlSink, MemorySink, NullSink, RingBufferSink, TraceEvent, TraceSink};
+pub use trace::{to_jsonl, JsonlSink, MemorySink, NullSink, TraceEvent, TraceSink};
 
 // Re-export the component crates so downstream users need only one
 // dependency.
@@ -99,11 +95,9 @@ pub mod prelude {
         EvaluatedDesign, EvaluatedJointDesign, Explorer, Fidelity, JointSearchResult,
     };
     pub use crate::incremental::{IncrementalOutcome, IncrementalSession};
-    pub use crate::multi::{map_pipeline, PipelineMapping, PipelineOptions, PipelineStage};
     pub use crate::saturation::{saturation_analysis, SaturationInfo};
     pub use crate::search::{SearchResult, Termination};
     pub use crate::space::{Axis, DesignSpace, JointPoint};
-    pub use crate::strategies::{hill_climb, random_search, StrategyOutcome};
     pub use crate::strategy::{GuidedOutcome, SearchStrategy, StrategyKind};
     pub use crate::trace::{MemorySink, TraceEvent, TraceSink};
     pub use defacto_analysis::{lint_kernel, lint_source, LintReport};

@@ -337,16 +337,6 @@ impl DesignSpace {
         }
     }
 
-    /// A space with one level and no allowed factor, which no public
-    /// constructor builds: the edge case searches must refuse.
-    #[cfg(test)]
-    pub(crate) fn empty() -> Self {
-        DesignSpace {
-            factors_per_level: vec![Vec::new()],
-            joint: None,
-        }
-    }
-
     /// The axes of a joint space (`None` on legacy unroll-only spaces).
     pub fn axes(&self) -> Option<&[Axis]> {
         self.joint.as_ref().map(|j| j.axes.as_slice())

@@ -11,8 +11,6 @@
 //! - [`NullSink`] — the default; records nothing at zero cost;
 //! - [`MemorySink`] — collects every event, for the
 //!   [auditor](crate::audit) and tests;
-//! - [`RingBufferSink`] — keeps the last `N` events, for always-on
-//!   tracing in long-running services;
 //! - [`JsonlSink`] — streams events as JSON Lines to any writer (the
 //!   CLI's `--trace out.jsonl`).
 //!
@@ -27,11 +25,10 @@
 use crate::search::Termination;
 use crate::space::JointPoint;
 use defacto_xform::UnrollVector;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Mutex;
 
-/// One step of a search (or pipeline mapping), in emission order.
+/// One step of a search, in emission order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// The search asked for one design point's estimate. `cache_hit` is
@@ -171,32 +168,6 @@ pub enum TraceEvent {
         slices_lo: u32,
         /// The cycle threshold the lower bound exceeded, if any.
         threshold: Option<u64>,
-    },
-    /// Multi-FPGA mapping: one pipeline stage was placed.
-    StagePlaced {
-        /// Stage name.
-        stage: String,
-        /// Hosting FPGA index.
-        fpga: usize,
-        /// The design selected for the stage.
-        unroll: UnrollVector,
-        /// Its estimated cycles.
-        cycles: u64,
-        /// Its estimated slices.
-        slices: u32,
-    },
-    /// Multi-FPGA mapping: rebalancing improved the bottleneck stage.
-    StageRebalanced {
-        /// Stage name.
-        stage: String,
-        /// Hosting FPGA index.
-        fpga: usize,
-        /// The improved design.
-        unroll: UnrollVector,
-        /// Cycles before rebalancing.
-        from_cycles: u64,
-        /// Cycles after rebalancing.
-        to_cycles: u64,
     },
 }
 
@@ -348,28 +319,6 @@ impl TraceEvent {
                 json_joint_fields(point),
                 json_opt_u64(*threshold),
             ),
-            TraceEvent::StagePlaced {
-                stage,
-                fpga,
-                unroll,
-                cycles,
-                slices,
-            } => format!(
-                "{{\"event\":\"stage_placed\",\"stage\":\"{stage}\",\"fpga\":{fpga},\
-                 \"unroll\":{},\"cycles\":{cycles},\"slices\":{slices}}}",
-                json_factors(unroll),
-            ),
-            TraceEvent::StageRebalanced {
-                stage,
-                fpga,
-                unroll,
-                from_cycles,
-                to_cycles,
-            } => format!(
-                "{{\"event\":\"stage_rebalanced\",\"stage\":\"{stage}\",\"fpga\":{fpga},\
-                 \"unroll\":{},\"from_cycles\":{from_cycles},\"to_cycles\":{to_cycles}}}",
-                json_factors(unroll),
-            ),
         }
     }
 }
@@ -446,44 +395,6 @@ impl TraceSink for MemorySink {
             .lock()
             .expect("trace sink lock")
             .push(event.clone());
-    }
-}
-
-/// Keeps only the most recent `capacity` events — bounded memory for
-/// always-on tracing.
-#[derive(Debug)]
-pub struct RingBufferSink {
-    capacity: usize,
-    events: Mutex<VecDeque<TraceEvent>>,
-}
-
-impl RingBufferSink {
-    /// A ring buffer holding at most `capacity` events (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        RingBufferSink {
-            capacity: capacity.max(1),
-            events: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .expect("trace sink lock")
-            .iter()
-            .cloned()
-            .collect()
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&self, event: &TraceEvent) {
-        let mut buf = self.events.lock().expect("trace sink lock");
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(event.clone());
     }
 }
 
@@ -575,6 +486,32 @@ mod tests {
             chosen: None,
         };
         assert!(s.to_json().ends_with("\"chosen\":null}"));
+        let picked = TraceEvent::SelectBetween {
+            lo: UnrollVector(vec![1, 1]),
+            hi: UnrollVector(vec![4, 1]),
+            chosen: Some(UnrollVector(vec![2, 1])),
+        };
+        assert_eq!(
+            picked.to_json(),
+            "{\"event\":\"select_between\",\"lo\":[1,1],\"hi\":[4,1],\"chosen\":[2,1]}"
+        );
+        let up = TraceEvent::Increase {
+            from: UnrollVector(vec![2, 1]),
+            to: UnrollVector(vec![4, 1]),
+        };
+        assert_eq!(
+            up.to_json(),
+            "{\"event\":\"increase\",\"from\":[2,1],\"to\":[4,1]}"
+        );
+        let fit = TraceEvent::FindLargestFit {
+            base: UnrollVector(vec![1, 1]),
+            init: UnrollVector(vec![8, 4]),
+            chosen: UnrollVector(vec![4, 2]),
+        };
+        assert_eq!(
+            fit.to_json(),
+            "{\"event\":\"find_largest_fit\",\"base\":[1,1],\"init\":[8,4],\"chosen\":[4,2]}"
+        );
     }
 
     #[test]
@@ -713,16 +650,6 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0], visit(1));
         assert_eq!(sink.to_jsonl().lines().count(), 2);
-    }
-
-    #[test]
-    fn ring_buffer_keeps_most_recent() {
-        let sink = RingBufferSink::new(2);
-        for p in 1..=4 {
-            sink.record(&visit(p));
-        }
-        let events = sink.events();
-        assert_eq!(events, vec![visit(3), visit(4)]);
     }
 
     #[test]
