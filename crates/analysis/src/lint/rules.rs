@@ -8,7 +8,7 @@ use crate::range::Interval;
 use crate::uniform::uniform_sets;
 use defacto_ir::diag::{codes, Diagnostic};
 use defacto_ir::stmt::collect_accesses;
-use defacto_ir::{ArrayAccess, Expr, LValue, Stmt};
+use defacto_ir::{ArrayAccess, Expr, LValue, Name, Stmt};
 use std::collections::{HashMap, HashSet};
 
 /// All kernel-level rules, in reporting order.
@@ -43,7 +43,7 @@ impl LintRule for OutOfBoundsAccess {
 
     fn check(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        let mut env: HashMap<String, Interval> = HashMap::new();
+        let mut env: HashMap<Name, Interval> = HashMap::new();
         check_bounds_stmts(ctx, ctx.kernel.body(), &mut env, &mut diags);
         diags
     }
@@ -52,7 +52,7 @@ impl LintRule for OutOfBoundsAccess {
 fn check_bounds_stmts(
     ctx: &LintContext<'_>,
     stmts: &[Stmt],
-    env: &mut HashMap<String, Interval>,
+    env: &mut HashMap<Name, Interval>,
     diags: &mut Vec<Diagnostic>,
 ) {
     for s in stmts {
@@ -84,7 +84,7 @@ fn check_bounds_stmts(
 fn check_bounds_expr(
     ctx: &LintContext<'_>,
     e: &Expr,
-    env: &HashMap<String, Interval>,
+    env: &HashMap<Name, Interval>,
     diags: &mut Vec<Diagnostic>,
 ) {
     match e {
@@ -106,7 +106,7 @@ fn check_bounds_expr(
 fn check_bounds_access(
     ctx: &LintContext<'_>,
     access: &ArrayAccess,
-    env: &HashMap<String, Interval>,
+    env: &HashMap<Name, Interval>,
     diags: &mut Vec<Diagnostic>,
 ) {
     let Some(decl) = ctx.kernel.array(&access.array) else {
@@ -165,12 +165,12 @@ impl LintRule for UnusedDecl {
 
     fn check(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        let used_arrays: HashSet<String> = collect_accesses(ctx.kernel.body())
+        let used_arrays: HashSet<Name> = collect_accesses(ctx.kernel.body())
             .into_iter()
             .map(|(a, _)| a.array)
             .collect();
         for a in ctx.kernel.arrays() {
-            if !used_arrays.contains(&a.name) {
+            if !used_arrays.contains(a.name.as_str()) {
                 diags.push(
                     Diagnostic::warning(
                         codes::UNUSED_DECL,
@@ -199,8 +199,8 @@ impl LintRule for UnusedDecl {
     }
 }
 
-fn collect_scalar_uses(stmts: &[Stmt], out: &mut HashSet<String>) {
-    fn expr(e: &Expr, out: &mut HashSet<String>) {
+fn collect_scalar_uses(stmts: &[Stmt], out: &mut HashSet<Name>) {
+    fn expr(e: &Expr, out: &mut HashSet<Name>) {
         match e {
             Expr::Int(_) | Expr::Load(_) => {}
             Expr::Scalar(n) => {
@@ -461,7 +461,7 @@ impl LintRule for InterchangePinned {
         let outer = ctx
             .kernel
             .perfect_nest()
-            .map(|n| n.loop_at(0).var.clone())
+            .map(|n| n.loop_at(0).var.to_string())
             .unwrap_or_default();
         vec![Diagnostic::warning(
             codes::INTERCHANGE_PINNED,

@@ -19,7 +19,7 @@
 //! - everything is clamped to the declared type — the hardware wraps at
 //!   that width anyway, so the declared range is always sound.
 
-use defacto_ir::{ArrayKind, BinOp, DeclIndex, Expr, Kernel, LValue, ScalarType, Stmt, UnOp};
+use defacto_ir::{ArrayKind, BinOp, DeclIndex, Expr, Kernel, LValue, Name, ScalarType, Stmt, UnOp};
 use std::collections::HashMap;
 
 /// An inclusive integer interval.
@@ -198,14 +198,14 @@ impl Interval {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeInfo {
     /// Scalar and loop-variable ranges.
-    vars: HashMap<String, Interval>,
+    vars: HashMap<Name, Interval>,
     /// Per-array element ranges.
-    arrays: HashMap<String, Interval>,
+    arrays: HashMap<Name, Interval>,
     /// Accumulation bases: the range a variable/array had before any
     /// self-update widening — keeps the trip-product widening idempotent
     /// across fixpoint passes.
-    var_base: HashMap<String, Interval>,
-    array_base: HashMap<String, Interval>,
+    var_base: HashMap<Name, Interval>,
+    array_base: HashMap<Name, Interval>,
 }
 
 impl RangeInfo {
@@ -323,13 +323,15 @@ pub fn infer_ranges_indexed(kernel: &Kernel, decls: &DeclIndex<'_>) -> RangeInfo
             (None, ArrayKind::Out) => Interval::point(0),
             (None, _) => Interval::of_type(a.ty),
         };
-        info.arrays.insert(a.name.clone(), base);
-        info.array_base.insert(a.name.clone(), base);
+        let name = Name::from(&a.name);
+        info.arrays.insert(name.clone(), base);
+        info.array_base.insert(name, base);
     }
     // Scalars start at zero (interpreter semantics).
     for s in kernel.scalars() {
-        info.vars.insert(s.name.clone(), Interval::point(0));
-        info.var_base.insert(s.name.clone(), Interval::point(0));
+        let name = Name::from(&s.name);
+        info.vars.insert(name.clone(), Interval::point(0));
+        info.var_base.insert(name, Interval::point(0));
     }
 
     for _ in 0..3 {
@@ -338,13 +340,13 @@ pub fn infer_ranges_indexed(kernel: &Kernel, decls: &DeclIndex<'_>) -> RangeInfo
     info
 }
 
-/// `map[name] = value`, allocating the key only the first time `name`
-/// is seen.
-fn set(map: &mut HashMap<String, Interval>, name: &str, value: Interval) {
+/// `map[name] = value`, copying the key only the first time `name` is
+/// seen.
+fn set(map: &mut HashMap<Name, Interval>, name: &Name, value: Interval) {
     match map.get_mut(name) {
         Some(slot) => *slot = value,
         None => {
-            map.insert(name.to_owned(), value);
+            map.insert(name.clone(), value);
         }
     }
 }
@@ -433,7 +435,7 @@ fn walk(stmts: &[Stmt], decls: &DeclIndex<'_>, trip_product: i64, info: &mut Ran
                 set(values, name, current.union(value).clamp_to(ty));
                 if self_update.is_none() {
                     let base = bases
-                        .get(name.as_str())
+                        .get(name)
                         .copied()
                         .unwrap_or(Interval::point(0))
                         .union(value)

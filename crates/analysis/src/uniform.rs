@@ -14,13 +14,14 @@
 //!   sets (`R` and `W` in the paper).
 
 use crate::access::{AccessId, AccessTable};
+use defacto_ir::Name;
 
 /// A maximal group of same-array, same-direction accesses with identical
 /// affine coefficient vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniformSet {
     /// Array the set refers to.
-    pub array: String,
+    pub array: Name,
     /// True for a write set, false for a read set.
     pub is_write: bool,
     /// Per-dimension coefficient vectors over the nest's loop variables

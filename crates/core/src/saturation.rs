@@ -14,7 +14,7 @@
 use crate::error::Result;
 use crate::space::DesignSpace;
 use defacto_analysis::{analyze_dependences_with_bounds, AccessTable};
-use defacto_ir::Kernel;
+use defacto_ir::{Kernel, Name};
 use defacto_xform::{normalize_loops, transform, TransformOptions, UnrollVector};
 use std::collections::HashMap;
 
@@ -151,8 +151,8 @@ pub fn saturation_analysis(
         return Err(crate::error::DseError::NoLoops);
     }
     let trips = nest.trip_counts();
-    let vars: Vec<String> = nest.loops().iter().map(|l| l.var.clone()).collect();
-    let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
+    let vars: Vec<Name> = nest.loops().iter().map(|l| l.var.clone()).collect();
+    let var_refs: Vec<&str> = vars.iter().map(Name::as_str).collect();
 
     // Dependence structure of the source nest, for U_init preferences.
     let table = AccessTable::from_stmts(nest.innermost_body());
@@ -175,7 +175,7 @@ pub fn saturation_analysis(
 
     // Uniformly generated sets over the steady (non-guarded) accesses,
     // keyed by (array, is_write, signature).
-    type SetKey = (String, bool, Vec<Vec<i64>>);
+    type SetKey = (Name, bool, Vec<Vec<i64>>);
     let mut sets: HashMap<SetKey, Vec<usize>> = HashMap::new();
     let mut varying = vec![false; depth];
     for acc in all.accesses().iter().filter(|a| !a.conditional) {

@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 
 use defacto_ir::pretty::print_kernel;
-use defacto_ir::{parse_kernel, Expr, Kernel, LValue, Stmt};
+use defacto_ir::{parse_kernel, Expr, Kernel, LValue, Name, Stmt};
 
 /// Minimize `source` while `reproduces` holds, spending at most
 /// `max_steps` predicate evaluations.
@@ -96,13 +96,13 @@ fn rebuild(k: &Kernel, body: Vec<Stmt>) -> defacto_ir::Result<Kernel> {
     Kernel::new(k.name(), arrays, scalars, body)
 }
 
-fn used_names(body: &[Stmt]) -> BTreeSet<String> {
+fn used_names(body: &[Stmt]) -> BTreeSet<Name> {
     let mut used = BTreeSet::new();
     collect_stmts(body, &mut used);
     used
 }
 
-fn collect_stmts(stmts: &[Stmt], used: &mut BTreeSet<String>) {
+fn collect_stmts(stmts: &[Stmt], used: &mut BTreeSet<Name>) {
     for s in stmts {
         match s {
             Stmt::Assign { lhs, rhs } => {
@@ -135,7 +135,7 @@ fn collect_stmts(stmts: &[Stmt], used: &mut BTreeSet<String>) {
     }
 }
 
-fn collect_expr(e: &Expr, used: &mut BTreeSet<String>) {
+fn collect_expr(e: &Expr, used: &mut BTreeSet<Name>) {
     match e {
         Expr::Int(_) => {}
         Expr::Scalar(n) => {

@@ -7,6 +7,7 @@
 //! set classification, and data layout possible, and the parser rejects any
 //! subscript that cannot be normalized into this shape.
 
+use crate::name::Name;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -14,7 +15,7 @@ use std::ops::{Add, Mul, Neg, Sub};
 use std::sync::Arc;
 
 /// One `(variable, coefficient)` term.
-type Term = (Arc<str>, i64);
+type Term = (Name, i64);
 
 /// An affine (linear + constant) integer expression over named loop
 /// variables.
@@ -58,10 +59,9 @@ impl AffineExpr {
     }
 
     /// The expression `1 * name`.
-    pub fn var(name: impl Into<String>) -> Self {
-        let name: String = name.into();
+    pub fn var(name: impl Into<Name>) -> Self {
         AffineExpr {
-            coeffs: Some(Arc::from([(Arc::from(name), 1)])),
+            coeffs: Some(Arc::from([(name.into(), 1)])),
             constant: 0,
         }
     }
@@ -72,16 +72,16 @@ impl AffineExpr {
     pub fn from_terms<I, S>(terms: I, constant: i64) -> Self
     where
         I: IntoIterator<Item = (S, i64)>,
-        S: Into<String>,
+        S: Into<Name>,
     {
-        let mut raw: Vec<(String, i64)> = terms.into_iter().map(|(v, c)| (v.into(), c)).collect();
+        let mut raw: Vec<Term> = terms.into_iter().map(|(v, c)| (v.into(), c)).collect();
         // Stable, so equal names are summed in the order they came.
         raw.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out: Vec<Term> = Vec::with_capacity(raw.len());
         for (v, c) in raw {
             match out.last_mut() {
-                Some((last, sum)) if **last == *v => *sum += c,
-                _ => out.push((Arc::from(v), c)),
+                Some((last, sum)) if *last == v => *sum += c,
+                _ => out.push((v, c)),
             }
         }
         out.retain(|&(_, c)| c != 0);
@@ -149,17 +149,18 @@ impl AffineExpr {
     }
 
     /// Add `c * var` in place.
-    pub fn add_term(&mut self, var: String, c: i64) {
+    pub fn add_term(&mut self, var: impl Into<Name>, c: i64) {
         if c == 0 {
             return;
         }
+        let var: Name = var.into();
         let terms = self.term_slice();
         let (at, term, skip) = match self.find(&var) {
             Ok(i) => {
                 let sum = terms[i].1 + c;
                 (i, (sum != 0).then(|| (terms[i].0.clone(), sum)), 1)
             }
-            Err(i) => (i, Some((Arc::from(var), c)), 0),
+            Err(i) => (i, Some((var, c)), 0),
         };
         let len = terms.len() + usize::from(term.is_some()) - skip;
         // Chained slice and `Option` iterators have a trusted length, so
@@ -255,7 +256,7 @@ impl AffineExpr {
         };
         let c = self.term_slice()[i].1;
         AffineExpr {
-            coeffs: shared(merge(&self.without(i), &[(Arc::from(to), c)], 1)),
+            coeffs: shared(merge(&self.without(i), &[(Name::from(to), c)], 1)),
             constant: self.constant,
         }
     }

@@ -35,6 +35,7 @@ use crate::affine::AffineExpr;
 use crate::decl::{ArrayDecl, ArrayKind, ScalarDecl};
 use crate::expr::{ArrayAccess, BinOp, Expr, UnOp};
 use crate::kernel::Kernel;
+use crate::name::Name;
 use crate::stmt::{LValue, Loop, Stmt};
 use crate::types::ScalarType;
 use std::collections::HashMap;
@@ -196,10 +197,35 @@ struct Canonicalizer<'k> {
     arrays: HashMap<String, usize>,
     /// Original scalar name → canonical index, in first-use order.
     scalars: HashMap<String, usize>,
+    /// Canonical array names by index (`a0`, `a1`, …), made once and
+    /// shared by every occurrence.
+    array_names: Vec<Name>,
+    /// Canonical scalar names by index (`s0`, `s1`, …).
+    scalar_names: Vec<Name>,
     /// Per-binding-site loop-variable scopes: `(original, canonical)`,
     /// innermost last.
-    scopes: Vec<(String, String)>,
+    scopes: Vec<(Name, Name)>,
     next_ivar: usize,
+}
+
+/// The canonical name of `original` in `names` (`{prefix}{index}`, by
+/// first use), numbering it on first sight.
+fn numbered(
+    index: &mut HashMap<String, usize>,
+    names: &mut Vec<Name>,
+    prefix: char,
+    original: &str,
+) -> Name {
+    let idx = match index.get(original) {
+        Some(&idx) => idx,
+        None => {
+            let idx = index.len();
+            index.insert(original.to_string(), idx);
+            names.push(Name::from(format!("{prefix}{idx}")));
+            idx
+        }
+    };
+    names[idx].clone()
 }
 
 impl<'k> Canonicalizer<'k> {
@@ -208,39 +234,31 @@ impl<'k> Canonicalizer<'k> {
             kernel,
             arrays: HashMap::new(),
             scalars: HashMap::new(),
+            array_names: Vec::new(),
+            scalar_names: Vec::new(),
             scopes: Vec::new(),
             next_ivar: 0,
         }
     }
 
-    fn array_name(&mut self, original: &str) -> String {
-        let next = self.arrays.len();
-        let idx = *self
-            .arrays
-            .entry(original.to_string())
-            .or_insert_with(|| next);
-        format!("a{idx}")
+    fn array_name(&mut self, original: &str) -> Name {
+        numbered(&mut self.arrays, &mut self.array_names, 'a', original)
     }
 
     /// Canonical name of a value read/written as a scalar: an in-scope
     /// loop variable, else a declared scalar (allocated by first use).
-    fn value_name(&mut self, original: &str) -> String {
+    fn value_name(&mut self, original: &str) -> Name {
         for (orig, canon) in self.scopes.iter().rev() {
-            if orig == original {
+            if *orig == *original {
                 return canon.clone();
             }
         }
         if self.kernel.scalar(original).is_some() {
-            let next = self.scalars.len();
-            let idx = *self
-                .scalars
-                .entry(original.to_string())
-                .or_insert_with(|| next);
-            format!("s{idx}")
+            numbered(&mut self.scalars, &mut self.scalar_names, 's', original)
         } else {
             // Out-of-scope or undeclared name (impossible in a validated
             // kernel); keep it so validation reports it faithfully.
-            original.to_string()
+            Name::from(original)
         }
     }
 
@@ -267,7 +285,7 @@ impl<'k> Canonicalizer<'k> {
                 else_body: self.rename_stmts(else_body),
             },
             Stmt::For(l) => {
-                let canon_var = format!("i{}", self.next_ivar);
+                let canon_var = Name::from(format!("i{}", self.next_ivar));
                 self.next_ivar += 1;
                 self.scopes.push((l.var.clone(), canon_var.clone()));
                 // Normalize bounds: `for v in lo..hi step s` becomes
@@ -324,7 +342,7 @@ impl<'k> Canonicalizer<'k> {
     }
 
     fn rename_affine(&mut self, e: &AffineExpr) -> AffineExpr {
-        let terms: Vec<(String, i64)> = e.terms().map(|(v, c)| (self.value_name(v), c)).collect();
+        let terms: Vec<(Name, i64)> = e.terms().map(|(v, c)| (self.value_name(v), c)).collect();
         AffineExpr::from_terms(terms, e.constant_term())
     }
 

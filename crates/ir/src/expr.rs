@@ -1,6 +1,7 @@
 //! Expressions of the kernel language.
 
 use crate::affine::AffineExpr;
+use crate::name::Name;
 use std::fmt;
 
 /// A binary operator in the kernel language.
@@ -155,14 +156,14 @@ impl fmt::Display for UnOp {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayAccess {
     /// Name of the array variable.
-    pub array: String,
+    pub array: Name,
     /// One affine subscript per declared dimension.
     pub indices: Vec<AffineExpr>,
 }
 
 impl ArrayAccess {
     /// Construct an access to `array` with the given subscripts.
-    pub fn new(array: impl Into<String>, indices: Vec<AffineExpr>) -> Self {
+    pub fn new(array: impl Into<Name>, indices: Vec<AffineExpr>) -> Self {
         ArrayAccess {
             array: array.into(),
             indices,
@@ -212,7 +213,7 @@ pub enum Expr {
     Int(i64),
     /// A read of a scalar variable (a declared scalar, a compiler temporary,
     /// or a loop index variable).
-    Scalar(String),
+    Scalar(Name),
     /// A read of an array element.
     Load(ArrayAccess),
     /// A unary operation.
@@ -243,12 +244,12 @@ impl Expr {
     }
 
     /// Shorthand for a scalar read.
-    pub fn scalar(name: impl Into<String>) -> Expr {
+    pub fn scalar(name: impl Into<Name>) -> Expr {
         Expr::Scalar(name.into())
     }
 
     /// Shorthand for a 1-D array load with the given affine subscript.
-    pub fn load1(array: impl Into<String>, idx: AffineExpr) -> Expr {
+    pub fn load1(array: impl Into<Name>, idx: AffineExpr) -> Expr {
         Expr::Load(ArrayAccess::new(array, vec![idx]))
     }
 

@@ -16,6 +16,7 @@ use crate::decl::ArrayKind;
 use crate::error::{IrError, Result};
 use crate::expr::{ArrayAccess, Expr};
 use crate::kernel::Kernel;
+use crate::name::Name;
 use crate::stmt::{LValue, Stmt};
 use crate::types::ScalarType;
 use std::collections::{BTreeMap, HashMap};
@@ -138,8 +139,8 @@ pub struct Interpreter<'k> {
 }
 
 struct Env {
-    scalars: HashMap<String, i64>,
-    loop_vars: HashMap<String, i64>,
+    scalars: HashMap<Name, i64>,
+    loop_vars: HashMap<Name, i64>,
 }
 
 /// Length of `name` in `arrays`, zero when absent — only used to fill in
@@ -173,7 +174,7 @@ impl<'k> Interpreter<'k> {
                 .kernel
                 .scalars()
                 .iter()
-                .map(|s| (s.name.clone(), 0))
+                .map(|s| (Name::from(&s.name), 0))
                 .collect(),
             loop_vars: HashMap::new(),
         };
@@ -219,16 +220,16 @@ impl<'k> Interpreter<'k> {
                         let (idx, ty) = self.resolve(a, env, ws)?;
                         stats
                             .stores_by_array
-                            .entry(a.array.clone())
+                            .entry(a.array.to_string())
                             .and_modify(|c| *c += 1)
                             .or_insert(1);
                         let len = decl_len(&ws.arrays, &a.array);
                         let slot = ws
                             .arrays
-                            .get_mut(&a.array)
+                            .get_mut(a.array.as_str())
                             .and_then(|arr| arr.get_mut(idx as usize))
                             .ok_or_else(|| IrError::OutOfBounds {
-                                array: a.array.clone(),
+                                array: a.array.to_string(),
                                 index: idx,
                                 len,
                             })?;
@@ -289,7 +290,7 @@ impl<'k> Interpreter<'k> {
         let decl = self
             .kernel
             .array(&a.array)
-            .ok_or_else(|| IrError::Undeclared(a.array.clone()))?;
+            .ok_or_else(|| IrError::Undeclared(a.array.to_string()))?;
         let idx: Vec<i64> = a
             .indices
             .iter()
@@ -299,7 +300,7 @@ impl<'k> Interpreter<'k> {
             })
             .collect::<Result<_>>()?;
         let flat = decl.flatten(&idx).ok_or_else(|| IrError::OutOfBounds {
-            array: a.array.clone(),
+            array: a.array.to_string(),
             index: *idx.first().unwrap_or(&0),
             len: decl.len(),
         })?;
@@ -314,20 +315,20 @@ impl<'k> Interpreter<'k> {
                 .loop_vars
                 .get(n)
                 .or_else(|| env.scalars.get(n))
-                .ok_or_else(|| IrError::Undeclared(n.clone()))?,
+                .ok_or_else(|| IrError::Undeclared(n.to_string()))?,
             Expr::Load(a) => {
                 let (idx, _) = self.resolve(a, env, ws)?;
                 stats
                     .loads_by_array
-                    .entry(a.array.clone())
+                    .entry(a.array.to_string())
                     .and_modify(|c| *c += 1)
                     .or_insert(1);
                 ws.arrays
-                    .get(&a.array)
+                    .get(a.array.as_str())
                     .and_then(|arr| arr.get(idx as usize))
                     .copied()
                     .ok_or_else(|| IrError::OutOfBounds {
-                        array: a.array.clone(),
+                        array: a.array.to_string(),
                         index: idx,
                         len: decl_len(&ws.arrays, &a.array),
                     })?

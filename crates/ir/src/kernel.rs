@@ -3,6 +3,7 @@
 use crate::decl::{ArrayDecl, ScalarDecl};
 use crate::error::{IrError, Result};
 use crate::expr::{ArrayAccess, Expr};
+use crate::name::Name;
 use crate::stmt::{walk_stmts, LValue, Loop, Stmt};
 use crate::types::ScalarType;
 use std::collections::{HashMap, HashSet};
@@ -136,6 +137,14 @@ impl Kernel {
         }
     }
 
+    /// [`Kernel::with_body_unchecked`] that takes the declarations over
+    /// instead of copying them.
+    #[must_use]
+    pub fn into_body_unchecked(mut self, body: Vec<Stmt>) -> Kernel {
+        self.body = body;
+        self
+    }
+
     /// [`Kernel::with_body_and_temps`] without revalidation; the caller
     /// guarantees the body is valid and the temporary names are fresh
     /// (see [`Kernel::with_body_unchecked`]).
@@ -163,8 +172,8 @@ impl Kernel {
         let mut out = Vec::new();
         walk_stmts(&self.body, &mut |s| {
             if let Stmt::For(l) = s {
-                if !out.contains(&l.var) {
-                    out.push(l.var.clone());
+                if !out.iter().any(|v| *v == l.var) {
+                    out.push(l.var.to_string());
                 }
             }
         });
@@ -195,19 +204,19 @@ impl Kernel {
                 return Err(IrError::Redeclared(s.name.clone()));
             }
         }
-        let mut loop_vars: Vec<String> = Vec::new();
+        let mut loop_vars: Vec<Name> = Vec::new();
         self.validate_stmts(&self.body, &mut loop_vars)?;
         Ok(())
     }
 
-    fn validate_stmts(&self, stmts: &[Stmt], loop_vars: &mut Vec<String>) -> Result<()> {
+    fn validate_stmts(&self, stmts: &[Stmt], loop_vars: &mut Vec<Name>) -> Result<()> {
         for s in stmts {
             match s {
                 Stmt::Assign { lhs, rhs } => {
                     match lhs {
                         LValue::Scalar(n) => {
                             if self.scalar(n).is_none() {
-                                return Err(IrError::Undeclared(n.clone()));
+                                return Err(IrError::Undeclared(n.to_string()));
                             }
                         }
                         LValue::Array(a) => self.validate_access(a, loop_vars)?,
@@ -237,7 +246,7 @@ impl Kernel {
                         )));
                     }
                     if names_conflict(&l.var, &self.arrays, &self.scalars) {
-                        return Err(IrError::Redeclared(l.var.clone()));
+                        return Err(IrError::Redeclared(l.var.to_string()));
                     }
                     loop_vars.push(l.var.clone());
                     self.validate_stmts(&l.body, loop_vars)?;
@@ -246,7 +255,7 @@ impl Kernel {
                 Stmt::Rotate(regs) => {
                     for r in regs {
                         if self.scalar(r).is_none() {
-                            return Err(IrError::Undeclared(r.clone()));
+                            return Err(IrError::Undeclared(r.to_string()));
                         }
                     }
                 }
@@ -255,14 +264,14 @@ impl Kernel {
         Ok(())
     }
 
-    fn validate_expr(&self, e: &Expr, loop_vars: &[String]) -> Result<()> {
+    fn validate_expr(&self, e: &Expr, loop_vars: &[Name]) -> Result<()> {
         match e {
             Expr::Int(_) => Ok(()),
             Expr::Scalar(n) => {
                 if self.scalar(n).is_some() || loop_vars.iter().any(|v| v == n) {
                     Ok(())
                 } else {
-                    Err(IrError::Undeclared(n.clone()))
+                    Err(IrError::Undeclared(n.to_string()))
                 }
             }
             Expr::Load(a) => self.validate_access(a, loop_vars),
@@ -279,13 +288,13 @@ impl Kernel {
         }
     }
 
-    fn validate_access(&self, a: &ArrayAccess, loop_vars: &[String]) -> Result<()> {
+    fn validate_access(&self, a: &ArrayAccess, loop_vars: &[Name]) -> Result<()> {
         let decl = self
             .array(&a.array)
-            .ok_or_else(|| IrError::Undeclared(a.array.clone()))?;
+            .ok_or_else(|| IrError::Undeclared(a.array.to_string()))?;
         if decl.dims.len() != a.indices.len() {
             return Err(IrError::DimensionMismatch {
-                array: a.array.clone(),
+                array: a.array.to_string(),
                 declared: decl.dims.len(),
                 used: a.indices.len(),
             });

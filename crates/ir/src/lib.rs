@@ -10,8 +10,9 @@
 //!
 //! The crate contains:
 //!
-//! - the AST ([`Kernel`], [`Stmt`], [`Expr`], [`Loop`]) and the affine
-//!   subscript representation ([`AffineExpr`]);
+//! - the AST ([`Kernel`], [`Stmt`], [`Expr`], [`Loop`]), the affine
+//!   subscript representation ([`AffineExpr`]) and the shared identifier
+//!   type every tree uses for names ([`Name`]);
 //! - a small C-like textual front end ([`parse_kernel`]);
 //! - a fluent [`builder`] API for constructing kernels programmatically;
 //! - a pretty printer that round-trips the DSL;
@@ -52,6 +53,7 @@ pub mod error;
 pub mod expr;
 pub mod interp;
 pub mod kernel;
+pub mod name;
 pub mod parser;
 pub mod pretty;
 pub mod span;
@@ -69,6 +71,7 @@ pub use error::{IrError, Result};
 pub use expr::{ArrayAccess, BinOp, Expr, UnOp};
 pub use interp::{run_with_inputs, ExecStats, Interpreter, Workspace};
 pub use kernel::{DeclIndex, Kernel, NestView};
+pub use name::Name;
 pub use parser::{parse_kernel, parse_kernel_with_spans};
 pub use span::{Span, SpanMap};
 pub use stmt::{LValue, Loop, Stmt};

@@ -6,6 +6,7 @@ use crate::decl::{ArrayDecl, ArrayKind, ScalarDecl};
 use crate::error::{IrError, Result};
 use crate::expr::{ArrayAccess, BinOp, Expr, UnOp};
 use crate::kernel::Kernel;
+use crate::name::Name;
 use crate::span::{Span, SpanMap};
 use crate::stmt::{LValue, Loop, Stmt};
 use crate::types::ScalarType;
@@ -116,6 +117,22 @@ impl Parser {
                 Ok(name)
             }
             other => Err(self.error(format!("expected {what}, found {other:?}"))),
+        }
+    }
+
+    /// [`Self::expect_ident`] for a name inside the statement tree,
+    /// copied once from the token.
+    fn expect_name(&mut self, what: &str) -> Result<Name> {
+        match self.peek() {
+            TokenKind::Ident(name) => {
+                let name = Name::from(name.as_str());
+                self.bump();
+                Ok(name)
+            }
+            other => {
+                let msg = format!("expected {what}, found {other:?}");
+                Err(self.error(msg))
+            }
         }
     }
 
@@ -275,7 +292,7 @@ impl Parser {
         if !self.eat_keyword("for") {
             return Err(self.error("expected `for`"));
         }
-        let var = self.expect_ident("loop variable")?;
+        let var = self.expect_name("loop variable")?;
         if !self.eat_keyword("in") {
             return Err(self.error("expected `in`"));
         }
@@ -336,10 +353,10 @@ impl Parser {
             return Err(self.error("expected `rotate`"));
         }
         self.expect(TokenKind::LParen, "`(`")?;
-        let mut regs = vec![self.expect_ident("register name")?];
+        let mut regs = vec![self.expect_name("register name")?];
         while *self.peek() == TokenKind::Comma {
             self.bump();
-            regs.push(self.expect_ident("register name")?);
+            regs.push(self.expect_name("register name")?);
         }
         self.expect(TokenKind::RParen, "`)`")?;
         self.expect(TokenKind::Semi, "`;`")?;
@@ -348,7 +365,7 @@ impl Parser {
 
     fn parse_assign(&mut self) -> Result<Stmt> {
         let name_span = self.span_here();
-        let name = self.expect_ident("assignment target")?;
+        let name = self.expect_name("assignment target")?;
         let lhs = if *self.peek() == TokenKind::LBracket {
             LValue::Array(self.parse_subscripts(name, name_span)?)
         } else {
@@ -360,7 +377,7 @@ impl Parser {
         Ok(Stmt::Assign { lhs, rhs })
     }
 
-    fn parse_subscripts(&mut self, array: String, name_span: Span) -> Result<ArrayAccess> {
+    fn parse_subscripts(&mut self, array: Name, name_span: Span) -> Result<ArrayAccess> {
         let mut indices = Vec::new();
         while *self.peek() == TokenKind::LBracket {
             self.bump();
@@ -374,7 +391,7 @@ impl Parser {
             indices.push(affine);
             self.expect(TokenKind::RBracket, "`]`")?;
         }
-        let access = ArrayAccess { array, indices };
+        let access = ArrayAccess::new(array, indices);
         self.spans
             .record_access(&access, name_span.to(self.prev_span()));
         Ok(access)
@@ -453,8 +470,8 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
+        match self.peek() {
+            &TokenKind::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v))
             }
@@ -472,6 +489,7 @@ impl Parser {
                 Ok(Expr::Unary(UnOp::Abs, Box::new(e)))
             }
             TokenKind::Ident(name) => {
+                let name = Name::from(name.as_str());
                 let name_span = self.span_here();
                 self.bump();
                 if *self.peek() == TokenKind::LBracket {
@@ -480,7 +498,10 @@ impl Parser {
                     Ok(Expr::Scalar(name))
                 }
             }
-            other => Err(self.error(format!("expected expression, found {other:?}"))),
+            other => {
+                let msg = format!("expected expression, found {other:?}");
+                Err(self.error(msg))
+            }
         }
     }
 }

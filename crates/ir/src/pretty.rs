@@ -97,7 +97,7 @@ pub fn print_stmts(s: &mut String, stmts: &[Stmt], level: usize) {
 
 fn print_lvalue(l: &LValue) -> String {
     match l {
-        LValue::Scalar(n) => n.clone(),
+        LValue::Scalar(n) => n.to_string(),
         LValue::Array(a) => a.to_string(),
     }
 }
@@ -122,7 +122,7 @@ fn precedence(op: BinOp) -> u8 {
 pub fn print_expr(e: &Expr, min_prec: u8) -> String {
     match e {
         Expr::Int(v) => v.to_string(),
-        Expr::Scalar(n) => n.clone(),
+        Expr::Scalar(n) => n.to_string(),
         Expr::Load(a) => a.to_string(),
         Expr::Unary(UnOp::Abs, inner) => format!("abs({})", print_expr(inner, 0)),
         Expr::Unary(op, inner) => format!("{op}{}", print_expr(inner, 11)),

@@ -1,20 +1,21 @@
 //! Statements and loops of the kernel language.
 
 use crate::expr::{ArrayAccess, Expr};
+use crate::name::Name;
 use std::fmt;
 
 /// The target of an assignment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LValue {
     /// A scalar variable (declared scalar or compiler-introduced register).
-    Scalar(String),
+    Scalar(Name),
     /// An array element.
     Array(ArrayAccess),
 }
 
 impl LValue {
     /// Shorthand for a scalar target.
-    pub fn scalar(name: impl Into<String>) -> Self {
+    pub fn scalar(name: impl Into<Name>) -> Self {
         LValue::Scalar(name.into())
     }
 
@@ -44,7 +45,7 @@ impl fmt::Display for LValue {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Loop {
     /// The induction variable.
-    pub var: String,
+    pub var: Name,
     /// Inclusive lower bound.
     pub lower: i64,
     /// Exclusive upper bound.
@@ -57,7 +58,7 @@ pub struct Loop {
 
 impl Loop {
     /// A normalized loop `for var in 0..trip_count` with step 1.
-    pub fn new(var: impl Into<String>, lower: i64, upper: i64, body: Vec<Stmt>) -> Self {
+    pub fn new(var: impl Into<Name>, lower: i64, upper: i64, body: Vec<Stmt>) -> Self {
         Loop {
             var: var.into(),
             lower,
@@ -124,7 +125,7 @@ pub enum Stmt {
     /// rotate the first value into the last position. In hardware all moves
     /// happen in parallel in a single cycle; the interpreter emulates the
     /// same permutation sequentially.
-    Rotate(Vec<String>),
+    Rotate(Vec<Name>),
 }
 
 impl Stmt {

@@ -22,6 +22,7 @@
 use crate::diag::{codes, Diagnostic};
 use crate::expr::{ArrayAccess, Expr};
 use crate::kernel::Kernel;
+use crate::name::Name;
 use crate::stmt::{LValue, Stmt};
 use std::collections::{HashMap, HashSet};
 
@@ -48,9 +49,9 @@ struct Verifier<'k> {
     kernel: &'k Kernel,
     diags: Vec<Diagnostic>,
     /// Scalar names read anywhere in the body (loop variables excluded).
-    reads: HashSet<String>,
+    reads: HashSet<Name>,
     /// Scalar names written anywhere in the body (assignments or rotates).
-    writes: HashSet<String>,
+    writes: HashSet<Name>,
 }
 
 impl Verifier<'_> {
@@ -76,7 +77,7 @@ impl Verifier<'_> {
         }
     }
 
-    fn check_stmts(&mut self, stmts: &[Stmt], loop_vars: &mut Vec<String>) {
+    fn check_stmts(&mut self, stmts: &[Stmt], loop_vars: &mut Vec<Name>) {
         for s in stmts {
             match s {
                 Stmt::Assign { lhs, rhs } => {
@@ -161,7 +162,7 @@ impl Verifier<'_> {
         }
     }
 
-    fn check_expr(&mut self, e: &Expr, loop_vars: &[String]) {
+    fn check_expr(&mut self, e: &Expr, loop_vars: &[Name]) {
         match e {
             Expr::Int(_) => {}
             Expr::Scalar(n) => {
@@ -190,7 +191,7 @@ impl Verifier<'_> {
         }
     }
 
-    fn check_access(&mut self, a: &ArrayAccess, loop_vars: &[String]) {
+    fn check_access(&mut self, a: &ArrayAccess, loop_vars: &[Name]) {
         let Some(decl) = self.kernel.array(&a.array) else {
             self.diags.push(Diagnostic::error(
                 codes::V_UNDECLARED,
@@ -225,7 +226,7 @@ impl Verifier<'_> {
     }
 
     fn check_dangling_scalars(&mut self) {
-        let mut dangling: Vec<&String> = self.reads.difference(&self.writes).collect();
+        let mut dangling: Vec<&Name> = self.reads.difference(&self.writes).collect();
         dangling.retain(|n| self.kernel.scalar(n).is_some());
         dangling.sort_unstable();
         for n in dangling {

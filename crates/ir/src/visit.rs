@@ -5,6 +5,7 @@
 //! the recursion so each transformation stays focused on its own logic.
 
 use crate::expr::{ArrayAccess, Expr};
+use crate::name::Name;
 use crate::stmt::{LValue, Loop, Stmt};
 
 /// Rewrite every array access (reads *and* writes) in `stmts` with `f`.
@@ -57,8 +58,8 @@ pub fn offset_var_stmts(stmts: &[Stmt], var: &str, delta: i64) -> Vec<Stmt> {
         .iter()
         .map(|s| {
             map_scalar_reads_stmt(s, &mut |n| {
-                if n == var {
-                    Some(Expr::add(Expr::scalar(var), Expr::Int(delta)))
+                if *n == *var {
+                    Some(Expr::add(Expr::Scalar(n.clone()), Expr::Int(delta)))
                 } else {
                     None
                 }
@@ -85,8 +86,8 @@ pub fn offset_vars_stmts(stmts: &[Stmt], deltas: &[(&str, i64)]) -> Vec<Stmt> {
             map_scalar_reads_stmt(s, &mut |n| {
                 active
                     .iter()
-                    .find(|&&(v, _)| v == n)
-                    .map(|&(_, d)| Expr::add(Expr::scalar(n), Expr::Int(d)))
+                    .find(|&&(v, _)| *n == *v)
+                    .map(|&(_, d)| Expr::add(Expr::Scalar(n.clone()), Expr::Int(d)))
             })
         })
         .collect()
@@ -99,7 +100,7 @@ pub fn rename_var_stmts(stmts: &[Stmt], from: &str, to: &str) -> Vec<Stmt> {
         .iter()
         .map(|s| {
             map_scalar_reads_stmt(s, &mut |n| {
-                if n == from {
+                if *n == *from {
                     Some(Expr::scalar(to))
                 } else {
                     None
@@ -110,8 +111,9 @@ pub fn rename_var_stmts(stmts: &[Stmt], from: &str, to: &str) -> Vec<Stmt> {
 }
 
 /// Replace scalar reads for which `f` returns a replacement expression.
-/// Loop headers and assignment targets are untouched.
-pub fn map_scalar_reads_stmt(s: &Stmt, f: &mut impl FnMut(&str) -> Option<Expr>) -> Stmt {
+/// Loop headers and assignment targets are untouched. `f` sees the read's
+/// [`Name`], so a replacement that mentions it again copies no string.
+pub fn map_scalar_reads_stmt(s: &Stmt, f: &mut impl FnMut(&Name) -> Option<Expr>) -> Stmt {
     match s {
         Stmt::Assign { lhs, rhs } => Stmt::Assign {
             lhs: lhs.clone(),
@@ -143,7 +145,7 @@ pub fn map_scalar_reads_stmt(s: &Stmt, f: &mut impl FnMut(&str) -> Option<Expr>)
     }
 }
 
-fn map_scalar_reads_expr(e: &Expr, f: &mut impl FnMut(&str) -> Option<Expr>) -> Expr {
+fn map_scalar_reads_expr(e: &Expr, f: &mut impl FnMut(&Name) -> Option<Expr>) -> Expr {
     match e {
         Expr::Int(v) => Expr::Int(*v),
         Expr::Scalar(n) => f(n).unwrap_or_else(|| Expr::Scalar(n.clone())),

@@ -44,7 +44,7 @@ use crate::oplib::{
 };
 use crate::schedule::ListPriority;
 use defacto_ir::stmt::collect_accesses;
-use defacto_ir::{ArrayKind, BinOp, Expr, Kernel, LValue, Stmt};
+use defacto_ir::{ArrayKind, BinOp, Expr, Kernel, LValue, Name, Stmt};
 use defacto_xform::{PointCensus, PreparedKernel, TrafficKind, TransformOptions, UnrollVector};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -162,7 +162,7 @@ struct BaseLower {
     classes: HashMap<(HwOp, u32), u32>,
     /// Per array: min over its unconditional stores of the store value's
     /// guaranteed serial op latency.
-    store_depth: HashMap<String, u64>,
+    store_depth: HashMap<Name, u64>,
 }
 
 impl BaseLower {
@@ -204,7 +204,7 @@ pub struct AnalyticModel {
     /// at width floors: the slices lower bound's datapath term.
     lower_classes: Vec<(HwOp, u32, u32)>,
     /// Per array: guaranteed serial latency feeding its body stores.
-    store_depth_lo: HashMap<String, u64>,
+    store_depth_lo: HashMap<Name, u64>,
     /// Arrays whose accesses all share one coefficient signature — the
     /// renamability condition `assign_memories` checks, preserved by the
     /// affine transformations (substitutions apply uniformly, scalar
@@ -992,7 +992,7 @@ fn lower_expr(
     e: &Expr,
     k: &Kernel,
     narrow: bool,
-    env: &HashMap<String, (u64, u32)>,
+    env: &HashMap<Name, (u64, u32)>,
     out: &mut BaseLower,
     count: bool,
 ) -> LoVal {
@@ -1193,7 +1193,7 @@ fn lower_binary(
 
 /// Names assigned anywhere in a statement list (for invalidating the
 /// scalar environment across predicated branches).
-fn assigned_scalars(body: &[Stmt], names: &mut Vec<String>) {
+fn assigned_scalars(body: &[Stmt], names: &mut Vec<Name>) {
     for s in body {
         match s {
             Stmt::Assign {
@@ -1221,7 +1221,7 @@ fn lower_stmts(
     body: &[Stmt],
     k: &Kernel,
     narrow: bool,
-    env: &mut HashMap<String, (u64, u32)>,
+    env: &mut HashMap<Name, (u64, u32)>,
     out: &mut BaseLower,
     top: bool,
 ) {

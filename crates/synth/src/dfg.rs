@@ -22,14 +22,14 @@ use crate::memory::MemoryModel;
 use crate::oplib::{op_spec, HwOp};
 use crate::schedule::{SchedNode, Step};
 use defacto_analysis::{Interval, RangeInfo};
-use defacto_ir::{ArrayAccess, BinOp, DeclIndex, Expr, Kernel, LValue, Stmt};
+use defacto_ir::{ArrayAccess, BinOp, DeclIndex, Expr, Kernel, LValue, Name, Stmt};
 use defacto_xform::layout::ArrayLayout;
 use defacto_xform::MemoryBinding;
 use std::collections::HashMap;
 
 /// Scalar names assigned (or rotated) in `stmts`, in program order with
 /// repeats — the rename-invariant iteration order for `if` merges.
-fn collect_scalar_defs<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a String>) {
+fn collect_scalar_defs<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a Name>) {
     for s in stmts {
         match s {
             Stmt::Assign {
@@ -293,7 +293,7 @@ pub(crate) struct FlagDfg {
     /// Node `i`'s predecessors are `preds[pred_ends[i - 1]..pred_ends[i]]`.
     preds: Vec<NodeId>,
     pred_ends: Vec<usize>,
-    arrays: Vec<String>,
+    arrays: Vec<Name>,
     /// No operator's latency differs between its wide and narrowed
     /// width, so a narrow view schedules exactly like its wide twin.
     narrow_keeps_timing: bool,
@@ -338,7 +338,7 @@ impl FlagDfg {
             b.stmt(s);
         }
         let mut dfg = b.dfg;
-        dfg.arrays = b.array_names.into_iter().map(str::to_owned).collect();
+        dfg.arrays = b.array_names.into_iter().cloned().collect();
         dfg.narrow_keeps_timing = dfg.kinds.iter().all(|k| match *k {
             FlagKind::Op { op, bits } => {
                 op_spec(op, bits.wide).latency == op_spec(op, bits.narrow).latency
@@ -419,14 +419,14 @@ impl FlagDfg {
                     } => {
                         let place = if view.pack { packed } else { unpacked };
                         NodeKind::Load {
-                            array: self.arrays[array as usize].clone(),
+                            array: self.arrays[array as usize].to_string(),
                             bank: place.bank,
                             bits,
                             word: place.word,
                         }
                     }
                     FlagKind::Store { array, bank, bits } => NodeKind::Store {
-                        array: self.arrays[array as usize].clone(),
+                        array: self.arrays[array as usize].to_string(),
                         bank,
                         bits,
                     },
@@ -473,7 +473,7 @@ struct Builder<'s, 'a> {
     /// Memory word width for the packed annotation.
     pack_word_bits: Option<u32>,
     /// Array names, indexed by their number.
-    array_names: Vec<&'s str>,
+    array_names: Vec<&'s Name>,
     /// Current producer of each scalar.
     defs: HashMap<&'s str, NodeId>,
     /// Value interval of each scalar's current definition (narrowing).
@@ -500,7 +500,7 @@ impl<'s> Builder<'s, '_> {
     }
 
     /// The number of `array`, assigned on first access.
-    fn array_number(&mut self, array: &'s str) -> u32 {
+    fn array_number(&mut self, array: &'s Name) -> u32 {
         match self.array_names.iter().position(|a| *a == array) {
             Some(n) => n as u32,
             None => {
@@ -593,7 +593,7 @@ impl<'s> Builder<'s, '_> {
                 // by both branches merge to their own value, so walking
                 // only branch-assigned names is equivalent to walking
                 // every defined name.
-                let mut touched: Vec<&'s String> = Vec::new();
+                let mut touched: Vec<&'s Name> = Vec::new();
                 collect_scalar_defs(then_body, &mut touched);
                 collect_scalar_defs(else_body, &mut touched);
                 let mut seen = std::collections::HashSet::new();

@@ -25,7 +25,7 @@ use crate::pipeline::{TransformOptions, UnrollVector};
 use crate::prepared::PreparedKernel;
 use crate::unroll::offset_tuples;
 use defacto_analysis::{classify_set_bounded, jammed_uniform_sets, ReuseStrategy, UniformSet};
-use defacto_ir::{ArrayAccess, BinOp, Expr, Stmt};
+use defacto_ir::{ArrayAccess, BinOp, Expr, Name, Stmt};
 use std::collections::{HashMap, HashSet};
 
 /// When one memory-traffic class executes, relative to the steady nest.
@@ -208,7 +208,7 @@ impl PreparedKernel {
             .collect();
         let tuples = offset_tuples(factors);
         let sets = jammed_uniform_sets(self.base_sets(), self.base_table_len(), &tuples);
-        let var_refs: Vec<&str> = self.var_names().iter().map(String::as_str).collect();
+        let var_refs: Vec<&str> = self.var_names().iter().map(Name::as_str).collect();
 
         // Row-major strides per array, as the memory binding computes
         // them.
@@ -640,7 +640,7 @@ impl PreparedKernel {
                 continue;
             }
             c.traffic.push(Traffic {
-                array: set.array.clone(),
+                array: set.array.to_string(),
                 is_write: true,
                 elem_bits: elem_bits(&set.array),
                 kind: TrafficKind::Body,

@@ -65,12 +65,8 @@ impl MemoryBinding {
         if self.num_memories <= 1 {
             return 0;
         }
-        match self.layouts.get(&access.array) {
-            Some(ArrayLayout::Single { bank }) => *bank,
-            Some(ArrayLayout::Cyclic { phase }) => {
-                let flat = self.flat_offset(access);
-                (flat + *phase as i64).rem_euclid(self.num_memories as i64) as usize
-            }
+        match self.layouts.get(access.array.as_str()) {
+            Some(&layout) => bank_under(layout, self.flat_offset(access), self.num_memories),
             // Unbound arrays (e.g. introduced after binding) default to
             // bank 0.
             None => 0,
@@ -81,16 +77,30 @@ impl MemoryBinding {
     /// part of the subscripts contributes nothing — this is the same
     /// representative-iteration view `bank_of` uses).
     pub fn flat_offset(&self, access: &ArrayAccess) -> i64 {
-        let strides = match self.strides.get(&access.array) {
-            Some(s) => s,
-            None => return 0,
-        };
-        access
-            .indices
-            .iter()
-            .zip(strides)
-            .map(|(idx, &stride)| idx.constant_term() * stride)
-            .sum()
+        match self.strides.get(access.array.as_str()) {
+            Some(strides) => flat_offset(access, strides),
+            None => 0,
+        }
+    }
+}
+
+/// [`MemoryBinding::flat_offset`] under the array's row-major `strides`.
+fn flat_offset(access: &ArrayAccess, strides: &[i64]) -> i64 {
+    access
+        .indices
+        .iter()
+        .zip(strides)
+        .map(|(idx, &stride)| idx.constant_term() * stride)
+        .sum()
+}
+
+/// The bank of an element at row-major offset `flat` under `layout`.
+fn bank_under(layout: ArrayLayout, flat: i64, num_memories: usize) -> usize {
+    match layout {
+        ArrayLayout::Single { bank } => bank,
+        ArrayLayout::Cyclic { phase } => {
+            (flat + phase as i64).rem_euclid(num_memories as i64) as usize
+        }
     }
 }
 
@@ -143,11 +153,6 @@ pub fn assign_memories(kernel: &Kernel, num_memories: usize) -> MemoryBinding {
 
     let mut bank_load = vec![0usize; m];
     let mut layouts: HashMap<String, ArrayLayout> = HashMap::new();
-    let binding_probe = |layouts: &HashMap<String, ArrayLayout>| MemoryBinding {
-        num_memories: m,
-        layouts: layouts.clone(),
-        strides: strides.clone(),
-    };
 
     for array in order {
         let renamable = signatures.get(array).map(|s| s.len() == 1).unwrap_or(true);
@@ -161,13 +166,11 @@ pub fn assign_memories(kernel: &Kernel, num_memories: usize) -> MemoryBinding {
         // [2,1,1,0] beats a pile-up of [2,2,0,0]); ties keep the first
         // candidate, so the outcome is deterministic.
         let mut best: Option<(Vec<usize>, ArrayLayout, Vec<usize>)> = None;
+        let array_strides = strides.get(array).map(Vec::as_slice).unwrap_or(&[]);
         for cand in candidates {
-            let mut trial = layouts.clone();
-            trial.insert(array.to_string(), cand);
-            let probe = binding_probe(&trial);
             let mut load = bank_load.clone();
             for (acc, _) in accesses.iter().filter(|(a, _)| a.array == array) {
-                load[probe.bank_of(acc)] += 1;
+                load[bank_under(cand, flat_offset(acc, array_strides), m)] += 1;
             }
             let mut profile = load.clone();
             profile.sort_unstable_by(|a, b| b.cmp(a));

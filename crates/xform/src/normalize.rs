@@ -51,9 +51,9 @@ fn normalize_loop(l: &Loop) -> Loop {
             .iter()
             .map(|s| {
                 map_scalar_reads_stmt(s, &mut |n| {
-                    if n == var {
+                    if *n == var {
                         Some(Expr::add(
-                            Expr::mul(Expr::Int(step), Expr::scalar(var.clone())),
+                            Expr::mul(Expr::Int(step), Expr::Scalar(n.clone())),
                             Expr::Int(lower),
                         ))
                     } else {

@@ -50,8 +50,9 @@ pub fn peel_first_iterations(kernel: &Kernel) -> Result<Kernel> {
 /// reproduces its two-pass counterpart node for node, the result is
 /// bit-identical to the eager path; the incremental-equivalence property
 /// test pins the two against each other on every paper kernel.
-pub(crate) fn peel_first_iterations_lite(kernel: &Kernel) -> Kernel {
-    kernel.with_body_unchecked(peel_simplify_stmts(kernel.body()))
+pub(crate) fn peel_first_iterations_lite(kernel: Kernel) -> Kernel {
+    let body = peel_simplify_stmts(kernel.body());
+    kernel.into_body_unchecked(body)
 }
 
 /// Fused `simplify_stmts(peel_stmts(..))`: peel and simplify in one

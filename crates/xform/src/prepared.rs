@@ -49,7 +49,7 @@ use defacto_analysis::{
     DependenceGraph, LegalitySummary, UniformSet,
 };
 use defacto_ir::visit::offset_vars_stmts;
-use defacto_ir::{Kernel, Loop, Stmt};
+use defacto_ir::{Kernel, Loop, Name, Stmt};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -64,7 +64,7 @@ pub struct PreparedKernel {
     /// Empty-bodied templates of the normalized nest's loops.
     loops: Vec<Loop>,
     /// Induction variables, outermost first.
-    var_names: Vec<String>,
+    var_names: Vec<Name>,
     /// The normalized innermost body.
     base_body: Vec<Stmt>,
     /// Access table of `base_body`.
@@ -121,11 +121,11 @@ impl PreparedKernel {
                     body: Vec::new(),
                 })
                 .collect();
-            let var_names: Vec<String> = loops.iter().map(|l| l.var.clone()).collect();
+            let var_names: Vec<Name> = loops.iter().map(|l| l.var.clone()).collect();
             (loops, var_names, nest.innermost_body().to_vec())
         };
         let base_table = AccessTable::from_stmts(&base_body);
-        let var_refs: Vec<&str> = var_names.iter().map(String::as_str).collect();
+        let var_refs: Vec<&str> = var_names.iter().map(Name::as_str).collect();
         let bounds: Vec<(i64, i64)> = loops.iter().map(|l| (l.lower, l.upper - 1)).collect();
         let deps = analyze_dependences_with_bounds(&base_table, &var_refs, &bounds);
         let base_sets = uniform_sets(&base_table, &var_refs);
@@ -198,7 +198,7 @@ impl PreparedKernel {
                     body: Vec::new(),
                 })
                 .collect();
-            let var_names: Vec<String> = loops.iter().map(|l| l.var.clone()).collect();
+            let var_names: Vec<Name> = loops.iter().map(|l| l.var.clone()).collect();
             (loops, var_names, nest.innermost_body().to_vec())
         };
         if base_body != prev.base_body || var_names != prev.var_names {
@@ -212,7 +212,7 @@ impl PreparedKernel {
         let deps = if same_bounds {
             prev.deps.clone()
         } else {
-            let var_refs: Vec<&str> = var_names.iter().map(String::as_str).collect();
+            let var_refs: Vec<&str> = var_names.iter().map(Name::as_str).collect();
             let bounds: Vec<(i64, i64)> = loops.iter().map(|l| (l.lower, l.upper - 1)).collect();
             analyze_dependences_with_bounds(&prev.base_table, &var_refs, &bounds)
         };
@@ -227,7 +227,7 @@ impl PreparedKernel {
         let legality = if same_bounds && normalized.arrays() == prev.normalized.arrays() {
             prev.legality.clone()
         } else {
-            let var_refs: Vec<&str> = var_names.iter().map(String::as_str).collect();
+            let var_refs: Vec<&str> = var_names.iter().map(Name::as_str).collect();
             let trips: Vec<i64> = loops.iter().map(Loop::trip_count).collect();
             LegalitySummary::from_parts(
                 &normalized,
@@ -281,7 +281,7 @@ impl PreparedKernel {
     }
 
     /// Induction variables, outermost first.
-    pub fn var_names(&self) -> &[String] {
+    pub fn var_names(&self) -> &[Name] {
         &self.var_names
     }
 
@@ -319,19 +319,19 @@ impl PreparedKernel {
         for (l, loop_) in self.loops.iter().enumerate() {
             if !loop_.is_normalized() {
                 return Err(XformError::BadUnrollVector(VectorError::NotNormalized {
-                    var: loop_.var.clone(),
+                    var: loop_.var.to_string(),
                 }));
             }
             let u = factors[l];
             if u < 1 {
                 return Err(XformError::BadUnrollVector(VectorError::BadFactor {
-                    var: loop_.var.clone(),
+                    var: loop_.var.to_string(),
                     factor: u,
                 }));
             }
             if loop_.trip_count() % u != 0 {
                 return Err(XformError::NonDividingFactor {
-                    var: loop_.var.clone(),
+                    var: loop_.var.to_string(),
                     trip: loop_.trip_count(),
                     factor: u,
                 });
@@ -407,7 +407,7 @@ impl PreparedKernel {
                         let deltas: Vec<(&str, i64)> = self
                             .var_names
                             .iter()
-                            .map(String::as_str)
+                            .map(Name::as_str)
                             .zip(t.iter().copied())
                             .collect();
                         let copy = Arc::new(offset_vars_stmts(&self.base_body, &deltas));
@@ -504,9 +504,10 @@ impl PreparedKernel {
         };
 
         let final_kernel = if opts.peel {
-            peel_first_iterations_lite(&replaced)
+            peel_first_iterations_lite(replaced)
         } else {
-            replaced.with_body_unchecked(simplify_stmts(replaced.body()))
+            let body = simplify_stmts(replaced.body());
+            replaced.into_body_unchecked(body)
         };
         checkpoint(
             if opts.peel {

@@ -36,7 +36,9 @@ use defacto_analysis::{
     classify_set_bounded, uniform_sets, AccessTable, ReuseStrategy, UniformSet,
 };
 use defacto_ir::decl::ScalarDecl;
-use defacto_ir::{AffineExpr, ArrayAccess, BinOp, Expr, Kernel, LValue, Loop, ScalarType, Stmt};
+use defacto_ir::{
+    AffineExpr, ArrayAccess, BinOp, Expr, Kernel, LValue, Loop, Name, ScalarType, Stmt,
+};
 use std::collections::{HashMap, HashSet};
 
 /// Statistics and bookkeeping produced by [`scalar_replace`].
@@ -102,7 +104,7 @@ pub(crate) struct ScalarInput<'a> {
     /// widened by unrolling).
     pub loops: &'a [Loop],
     /// Induction variables, outermost first.
-    pub vars: &'a [String],
+    pub vars: &'a [Name],
     /// The innermost (jammed) body, as statement references — the
     /// prepared path feeds cached copies without concatenating them into
     /// one owned body.
@@ -130,8 +132,8 @@ pub fn scalar_replace(
     opts: &ScalarOptions,
 ) -> Result<(Kernel, ScalarReplacementInfo)> {
     let nest = kernel.perfect_nest().ok_or(XformError::NotPerfectNest)?;
-    let vars: Vec<String> = nest.loops().iter().map(|l| l.var.clone()).collect();
-    let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
+    let vars: Vec<Name> = nest.loops().iter().map(|l| l.var.clone()).collect();
+    let var_refs: Vec<&str> = vars.iter().map(Name::as_str).collect();
     let loops: Vec<Loop> = nest
         .loops()
         .iter()
@@ -173,7 +175,6 @@ pub(crate) fn scalar_replace_core(
 ) -> (Vec<Stmt>, Vec<ScalarDecl>, ScalarReplacementInfo) {
     let depth = input.loops.len();
     let vars = input.vars;
-    let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
     let loops = input.loops;
     let trips: Vec<i64> = loops.iter().map(Loop::trip_count).collect();
     let body = input.body;
@@ -188,7 +189,7 @@ pub(crate) fn scalar_replace_core(
     for set in sets {
         match groups
             .iter_mut()
-            .find(|g| g.array == set.array && *g.signature == set.signature)
+            .find(|g| *g.array == set.array && *g.signature == set.signature)
         {
             Some(g) => {
                 if set.is_write {
@@ -208,10 +209,10 @@ pub(crate) fn scalar_replace_core(
 
     // Arrays with multiple write signatures, or written non-uniformly with
     // respect to a read set, are unsafe to replace.
-    let write_sigs: HashMap<&str, Vec<&Vec<Vec<i64>>>> = {
-        let mut m: HashMap<&str, Vec<&Vec<Vec<i64>>>> = HashMap::new();
+    let write_sigs: HashMap<&Name, Vec<&Vec<Vec<i64>>>> = {
+        let mut m: HashMap<&Name, Vec<&Vec<Vec<i64>>>> = HashMap::new();
         for s in sets.iter().filter(|s| s.is_write) {
-            m.entry(s.array.as_str()).or_default().push(&s.signature);
+            m.entry(&s.array).or_default().push(&s.signature);
         }
         m
     };
@@ -253,7 +254,7 @@ pub(crate) fn scalar_replace_core(
                         plan: &mut plan,
                         names: &mut names,
                         info: &mut info,
-                        vars: &var_refs,
+                        vars,
                         kernel,
                         distinct: input.distinct,
                     },
@@ -270,7 +271,7 @@ pub(crate) fn scalar_replace_core(
                         plan: &mut plan,
                         names: &mut names,
                         info: &mut info,
-                        vars: &var_refs,
+                        vars,
                         kernel,
                         distinct: input.distinct,
                     },
@@ -292,7 +293,7 @@ pub(crate) fn scalar_replace_core(
                         plan: &mut plan,
                         names: &mut names,
                         info: &mut info,
-                        vars: &var_refs,
+                        vars,
                         kernel,
                         distinct: input.distinct,
                     },
@@ -310,15 +311,7 @@ pub(crate) fn scalar_replace_core(
                 Some(read),
                 None,
             ) => {
-                if let Some(c) = plan_chain(
-                    g,
-                    read,
-                    *deepest_varying,
-                    *or,
-                    loops,
-                    &var_refs,
-                    input.distinct,
-                ) {
+                if let Some(c) = plan_chain(g, read, *deepest_varying, *or, loops, input.distinct) {
                     carried.push(c);
                 }
             }
@@ -354,7 +347,7 @@ pub(crate) fn scalar_replace_core(
                         plan: &mut plan,
                         names: &mut names,
                         info: &mut info,
-                        vars: &var_refs,
+                        vars,
                         kernel,
                         distinct: input.distinct,
                     },
@@ -381,7 +374,17 @@ pub(crate) fn scalar_replace_core(
     for c in carried {
         if c.cost <= remaining {
             remaining -= c.cost;
-            apply_carried(&mut plan, &mut names, &mut info, c, kernel, input.distinct);
+            apply_carried(
+                &mut PlanCtx {
+                    plan: &mut plan,
+                    names: &mut names,
+                    info: &mut info,
+                    vars,
+                    kernel,
+                    distinct: input.distinct,
+                },
+                c,
+            );
         } else {
             info.dropped_by_budget += 1;
             info.unexploited_sets += 1;
@@ -431,7 +434,7 @@ fn wrap_loop(template: &Loop, body: Vec<Stmt>) -> Stmt {
 }
 
 struct Group<'a> {
-    array: &'a str,
+    array: &'a Name,
     signature: &'a Vec<Vec<i64>>,
     read: Option<&'a UniformSet>,
     write: Option<&'a UniformSet>,
@@ -439,8 +442,8 @@ struct Group<'a> {
 
 /// Pending carried-reuse plan with its register cost (for the budget).
 struct CarriedPlan<'a> {
-    group_array: String,
-    signature: Vec<Vec<i64>>,
+    group_array: &'a Name,
+    signature: &'a [Vec<i64>],
     kind: CarriedKind<'a>,
     cost: usize,
 }
@@ -452,7 +455,6 @@ enum CarriedKind<'a> {
         lanes: Vec<Vec<i64>>,
         length: usize,
         invariant_guards: Vec<usize>,
-        vars: Vec<String>,
     },
     Window {
         read: &'a UniformSet,
@@ -460,7 +462,6 @@ enum CarriedKind<'a> {
         window_dim: usize,
         lanes: Vec<(Vec<i64>, i64, i64)>, // (other-dim offsets key, min, max)
         step: i64,
-        vars: Vec<String>,
     },
 }
 
@@ -482,7 +483,7 @@ struct Plan {
     /// Load rewrites: exact access → replacement register read.
     load_rewrites: HashMap<ArrayAccess, Expr>,
     /// Store rewrites: exact access → register name.
-    store_rewrites: HashMap<ArrayAccess, String>,
+    store_rewrites: HashMap<ArrayAccess, Name>,
 }
 
 impl Plan {
@@ -500,50 +501,64 @@ impl Plan {
     }
 }
 
-struct NameGen {
-    used: HashSet<String>,
+/// Fresh register names, clear of every declared name, loop variable
+/// and register made so far. The only place scalar replacement
+/// allocates a name.
+struct NameGen<'a> {
+    /// Declared arrays and scalars and the loop variables, borrowed.
+    taken: HashSet<&'a str>,
+    /// Registers made so far.
+    made: HashSet<Name>,
     decls: Vec<ScalarDecl>,
 }
 
-impl NameGen {
-    fn new(kernel: &Kernel, loop_vars: &[String]) -> Self {
-        let mut used: HashSet<String> = HashSet::new();
-        for a in kernel.arrays() {
-            used.insert(a.name.clone());
-        }
-        for s in kernel.scalars() {
-            used.insert(s.name.clone());
-        }
-        for v in loop_vars {
-            used.insert(v.clone());
-        }
+impl<'a> NameGen<'a> {
+    fn new(kernel: &'a Kernel, loop_vars: &'a [Name]) -> Self {
+        let taken = kernel
+            .arrays()
+            .iter()
+            .map(|a| a.name.as_str())
+            .chain(kernel.scalars().iter().map(|s| s.name.as_str()))
+            .chain(loop_vars.iter().map(Name::as_str))
+            .collect();
         NameGen {
-            used,
+            taken,
+            made: HashSet::new(),
             decls: Vec::new(),
         }
     }
 
-    fn fresh(&mut self, base: &str, ty: ScalarType) -> String {
-        let mut name = base.to_string();
-        let mut n = 0;
-        while self.used.contains(&name) {
-            n += 1;
-            name = format!("{base}_{n}");
+    fn is_used(&self, name: &str) -> bool {
+        self.taken.contains(name) || self.made.contains(name)
+    }
+
+    /// `base`, or `base_N` with the smallest free `N`.
+    fn fresh(&mut self, base: String, ty: ScalarType) -> Name {
+        let mut text = base;
+        if self.is_used(&text) {
+            let base = text;
+            let mut n = 1;
+            text = format!("{base}_{n}");
+            while self.is_used(&text) {
+                n += 1;
+                text = format!("{base}_{n}");
+            }
         }
-        self.used.insert(name.clone());
-        self.decls.push(ScalarDecl::temp(name.clone(), ty));
+        let name = Name::from(text.as_str());
+        self.made.insert(name.clone());
+        self.decls.push(ScalarDecl::temp(text, ty));
         name
     }
 }
 
 /// The state every per-group planner mutates, bundled so the planners
 /// take one context instead of five parallel arguments.
-struct PlanCtx<'a> {
+struct PlanCtx<'a, 'k> {
     plan: &'a mut Plan,
-    names: &'a mut NameGen,
+    names: &'a mut NameGen<'k>,
     info: &'a mut ScalarReplacementInfo,
-    vars: &'a [&'a str],
-    kernel: &'a Kernel,
+    vars: &'k [Name],
+    kernel: &'k Kernel,
     distinct: &'a DistinctFn<'a>,
 }
 
@@ -553,15 +568,15 @@ fn members_conditional(table: &AccessTable, set: Option<&UniformSet>) -> bool {
 }
 
 /// Reconstruct the concrete `ArrayAccess` of a set member from signature
-/// and constant offsets.
-fn access_of(array: &str, signature: &[Vec<i64>], vars: &[&str], offsets: &[i64]) -> ArrayAccess {
+/// and constant offsets. The names are shared with `array` and `vars`.
+fn access_of(array: &Name, signature: &[Vec<i64>], vars: &[Name], offsets: &[i64]) -> ArrayAccess {
     let indices = signature
         .iter()
         .zip(offsets)
         .map(|(row, &c)| {
             let mut e = AffineExpr::constant(c);
             for (v, &coeff) in vars.iter().zip(row) {
-                e.add_term((*v).to_string(), coeff);
+                e.add_term(v, coeff);
             }
             e
         })
@@ -574,7 +589,7 @@ fn element_type(kernel: &Kernel, array: &str) -> ScalarType {
 }
 
 fn plan_accumulator(
-    ctx: &mut PlanCtx<'_>,
+    ctx: &mut PlanCtx<'_, '_>,
     g: &Group<'_>,
     read: Option<&UniformSet>,
     write: &UniformSet,
@@ -602,7 +617,7 @@ fn plan_accumulator(
     let written: HashSet<Vec<i64>> = write_offsets.into_iter().collect();
     let base = g.array.to_lowercase();
     for off in &offsets {
-        let reg = names.fresh(&format!("{base}_{}", join_offsets(off)), ty);
+        let reg = names.fresh(format!("{base}_{}", join_offsets(off)), ty);
         let access = access_of(g.array, g.signature, vars, off);
         if read_offsets.contains(off) {
             // Hoisted initializing load.
@@ -625,7 +640,7 @@ fn plan_accumulator(
     }
 }
 
-fn plan_invariant(ctx: &mut PlanCtx<'_>, g: &Group<'_>, read: &UniformSet) {
+fn plan_invariant(ctx: &mut PlanCtx<'_, '_>, g: &Group<'_>, read: &UniformSet) {
     let PlanCtx {
         plan,
         names,
@@ -637,7 +652,7 @@ fn plan_invariant(ctx: &mut PlanCtx<'_>, g: &Group<'_>, read: &UniformSet) {
     let ty = element_type(kernel, g.array);
     let base = g.array.to_lowercase();
     for off in distinct(read) {
-        let reg = names.fresh(&format!("{base}_{}", join_offsets(&off)), ty);
+        let reg = names.fresh(format!("{base}_{}", join_offsets(&off)), ty);
         let access = access_of(g.array, g.signature, vars, &off);
         plan.top.push(Stmt::assign(
             LValue::scalar(reg.clone()),
@@ -649,7 +664,7 @@ fn plan_invariant(ctx: &mut PlanCtx<'_>, g: &Group<'_>, read: &UniformSet) {
 }
 
 fn plan_hoisted_read(
-    ctx: &mut PlanCtx<'_>,
+    ctx: &mut PlanCtx<'_, '_>,
     g: &Group<'_>,
     read: &UniformSet,
     deepest_varying: usize,
@@ -665,7 +680,7 @@ fn plan_hoisted_read(
     let ty = element_type(kernel, g.array);
     let base = g.array.to_lowercase();
     for off in distinct(read) {
-        let reg = names.fresh(&format!("{base}_{}", join_offsets(&off)), ty);
+        let reg = names.fresh(format!("{base}_{}", join_offsets(&off)), ty);
         let access = access_of(g.array, g.signature, vars, &off);
         plan.pre[deepest_varying].push(Stmt::assign(
             LValue::scalar(reg.clone()),
@@ -682,7 +697,6 @@ fn plan_chain<'a>(
     deepest_varying: usize,
     outer_reuse: usize,
     loops: &[Loop],
-    vars: &[&str],
     distinct: &DistinctFn<'_>,
 ) -> Option<CarriedPlan<'a>> {
     // Chain length: iterations of the varying loops deeper than the reuse
@@ -701,15 +715,14 @@ fn plan_chain<'a>(
         .collect();
     let cost = lanes.len() * length as usize;
     Some(CarriedPlan {
-        group_array: g.array.to_string(),
-        signature: g.signature.clone(),
+        group_array: g.array,
+        signature: g.signature,
         kind: CarriedKind::Chain {
             read,
             outer_reuse,
             lanes,
             length: length as usize,
             invariant_guards,
-            vars: vars.iter().map(|s| s.to_string()).collect(),
         },
         cost,
     })
@@ -770,31 +783,30 @@ fn plan_window<'a>(
         return None;
     }
     let cost: i64 = lanes.iter().map(|(_, lo, hi)| hi - lo + 1).sum();
-    let vars: Vec<String> = loops.iter().map(|l| l.var.clone()).collect();
     Some(CarriedPlan {
-        group_array: g.array.to_string(),
-        signature: g.signature.clone(),
+        group_array: g.array,
+        signature: g.signature,
         kind: CarriedKind::Window {
             read,
             deepest_varying,
             window_dim,
             lanes,
             step,
-            vars,
         },
         cost: cost as usize,
     })
 }
 
-fn apply_carried(
-    plan: &mut Plan,
-    names: &mut NameGen,
-    info: &mut ScalarReplacementInfo,
-    c: CarriedPlan<'_>,
-    kernel: &Kernel,
-    distinct: &DistinctFn<'_>,
-) {
-    let ty = element_type(kernel, &c.group_array);
+fn apply_carried(ctx: &mut PlanCtx<'_, '_>, c: CarriedPlan<'_>) {
+    let PlanCtx {
+        plan,
+        names,
+        info,
+        vars,
+        kernel,
+        distinct,
+    } = ctx;
+    let ty = element_type(kernel, c.group_array);
     let base = c.group_array.to_lowercase();
     match c.kind {
         CarriedKind::Chain {
@@ -803,12 +815,10 @@ fn apply_carried(
             lanes,
             length,
             invariant_guards,
-            vars,
         } => {
-            let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
             for (lane_idx, lane_off) in lanes.iter().enumerate() {
-                let regs: Vec<String> = (0..length)
-                    .map(|p| names.fresh(&format!("{base}_{lane_idx}_{p}"), ty))
+                let regs: Vec<Name> = (0..length)
+                    .map(|p| names.fresh(format!("{base}_{lane_idx}_{p}"), ty))
                     .collect();
                 // Guard: conjunction of `var == 0` for the reuse loop and
                 // every invariant loop between it and the deepest varying
@@ -817,13 +827,13 @@ fn apply_carried(
                 guard_levels.extend(invariant_guards.iter().copied());
                 let mut cond: Option<Expr> = None;
                 for &l in &guard_levels {
-                    let eq = Expr::bin(BinOp::Eq, Expr::scalar(vars[l].clone()), Expr::Int(0));
+                    let eq = Expr::bin(BinOp::Eq, Expr::scalar(&vars[l]), Expr::Int(0));
                     cond = Some(match cond {
                         None => eq,
                         Some(c) => Expr::bin(BinOp::And, c, eq),
                     });
                 }
-                let access = access_of(&c.group_array, &c.signature, &var_refs, lane_off);
+                let access = access_of(c.group_array, c.signature, vars, lane_off);
                 plan.body_prefix.push(Stmt::If {
                     cond: cond.expect("at least the reuse loop guards"),
                     then_body: vec![Stmt::assign(
@@ -848,9 +858,7 @@ fn apply_carried(
             window_dim,
             lanes,
             step,
-            vars,
         } => {
-            let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
             let all_offsets = distinct(read);
             // Group the offsets by lane key once, preserving their order
             // within each lane.
@@ -868,8 +876,8 @@ fn apply_carried(
                 let lane_offsets = &by_lane[_key];
                 let span = (hi - lo + 1) as usize;
                 let carried = span.saturating_sub(step as usize);
-                let regs: Vec<String> = (0..span)
-                    .map(|p| names.fresh(&format!("{base}_w{lane_idx}_{p}"), ty))
+                let regs: Vec<Name> = (0..span)
+                    .map(|p| names.fresh(format!("{base}_w{lane_idx}_{p}"), ty))
                     .collect();
                 // Representative full offset vector for this lane with the
                 // window dimension patched per position.
@@ -877,13 +885,13 @@ fn apply_carried(
                 let make_access = |wpos: i64| {
                     let mut off = proto.clone();
                     off[window_dim] = wpos;
-                    access_of(&c.group_array, &c.signature, &var_refs, &off)
+                    access_of(c.group_array, c.signature, vars, &off)
                 };
                 // First-iteration fill of the carried positions.
                 if carried > 0 {
                     let guard = Expr::bin(
                         BinOp::Eq,
-                        Expr::scalar(vars[deepest_varying].clone()),
+                        Expr::scalar(&vars[deepest_varying]),
                         Expr::Int(0),
                     );
                     let fills: Vec<Stmt> = regs[..carried]
@@ -912,7 +920,7 @@ fn apply_carried(
                 // Body reads come from window positions.
                 for off in lane_offsets {
                     let p = (off[window_dim] - lo) as usize;
-                    let access = access_of(&c.group_array, &c.signature, &var_refs, off);
+                    let access = access_of(c.group_array, c.signature, vars, off);
                     plan.load_rewrites
                         .insert(access, Expr::scalar(regs[p].clone()));
                 }
@@ -982,7 +990,7 @@ fn hoist_remaining_loads(
     kernel: &Kernel,
 ) -> Vec<Stmt> {
     // Arrays stored anywhere in the (new) body keep their loads in place.
-    let mut stored: HashSet<String> = HashSet::new();
+    let mut stored: HashSet<Name> = HashSet::new();
     collect_stored_arrays(body, &mut stored);
 
     // Distinct loads in first-occurrence order.
@@ -997,7 +1005,7 @@ fn hoist_remaining_loads(
     let mut prefix: Vec<Stmt> = Vec::new();
     for a in &order {
         let ty = element_type(kernel, &a.array);
-        let reg = names.fresh(&format!("{}_t{}", a.array.to_lowercase(), map.len()), ty);
+        let reg = names.fresh(format!("{}_t{}", a.array.to_lowercase(), map.len()), ty);
         prefix.push(Stmt::assign(
             LValue::scalar(reg.clone()),
             Expr::Load(a.clone()),
@@ -1013,7 +1021,7 @@ fn hoist_remaining_loads(
     out
 }
 
-fn collect_stored_arrays(body: &[Stmt], out: &mut HashSet<String>) {
+fn collect_stored_arrays(body: &[Stmt], out: &mut HashSet<Name>) {
     for s in body {
         match s {
             Stmt::Assign { lhs, .. } => {
@@ -1036,7 +1044,7 @@ fn collect_stored_arrays(body: &[Stmt], out: &mut HashSet<String>) {
 
 fn push_load(
     a: &ArrayAccess,
-    stored: &HashSet<String>,
+    stored: &HashSet<Name>,
     seen: &mut HashSet<ArrayAccess>,
     out: &mut Vec<ArrayAccess>,
 ) {
@@ -1047,7 +1055,7 @@ fn push_load(
 
 fn collect_loads(
     body: &[Stmt],
-    stored: &HashSet<String>,
+    stored: &HashSet<Name>,
     seen: &mut HashSet<ArrayAccess>,
     out: &mut Vec<ArrayAccess>,
 ) {

@@ -34,7 +34,7 @@ pub fn strip_mine(kernel: &Kernel, level: usize, tile_size: i64) -> Result<Kerne
     let target = nest.loop_at(level);
     if !target.is_normalized() {
         return Err(XformError::BadTile(TileError::NotNormalized {
-            var: target.var.clone(),
+            var: target.var.to_string(),
         }));
     }
     if tile_size < 1 || target.trip_count() % tile_size != 0 {
@@ -60,10 +60,10 @@ pub fn strip_mine(kernel: &Kernel, level: usize, tile_size: i64) -> Result<Kerne
         .iter()
         .map(|s| {
             map_scalar_reads_stmt(s, &mut |n| {
-                if n == var {
+                if *n == var {
                     Some(Expr::add(
                         Expr::mul(Expr::Int(tile_size), Expr::scalar(tile_var.clone())),
-                        Expr::scalar(var.clone()),
+                        Expr::Scalar(n.clone()),
                     ))
                 } else {
                     None

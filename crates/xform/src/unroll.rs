@@ -11,7 +11,7 @@ use crate::error::{Result, VectorError, XformError};
 use defacto_analysis::legality::{self, JamViolation};
 use defacto_analysis::{analyze_dependences_with_bounds, AccessTable, DependenceGraph};
 use defacto_ir::visit::offset_var_stmts;
-use defacto_ir::{Kernel, Loop, Stmt};
+use defacto_ir::{Kernel, Loop, Name, Stmt};
 
 /// Check whether unroll-and-jam with the given factors is legal.
 ///
@@ -57,19 +57,19 @@ pub fn unroll_and_jam(kernel: &Kernel, factors: &[i64]) -> Result<Kernel> {
     for (l, loop_) in nest.loops().iter().enumerate() {
         if !loop_.is_normalized() {
             return Err(XformError::BadUnrollVector(VectorError::NotNormalized {
-                var: loop_.var.clone(),
+                var: loop_.var.to_string(),
             }));
         }
         let u = factors[l];
         if u < 1 {
             return Err(XformError::BadUnrollVector(VectorError::BadFactor {
-                var: loop_.var.clone(),
+                var: loop_.var.to_string(),
                 factor: u,
             }));
         }
         if loop_.trip_count() % u != 0 {
             return Err(XformError::NonDividingFactor {
-                var: loop_.var.clone(),
+                var: loop_.var.to_string(),
                 trip: loop_.trip_count(),
                 factor: u,
             });
@@ -103,7 +103,7 @@ pub fn unroll_and_jam(kernel: &Kernel, factors: &[i64]) -> Result<Kernel> {
     // combination of offsets, lexicographic order (outer offset varies
     // slowest) — Figure 1(b) in the paper.
     let mut body: Vec<Stmt> = Vec::new();
-    let var_names: Vec<String> = nest.loops().iter().map(|l| l.var.clone()).collect();
+    let var_names: Vec<Name> = nest.loops().iter().map(|l| l.var.clone()).collect();
     for offsets in offset_tuples(factors) {
         let mut copy = nest.innermost_body().to_vec();
         for (l, &off) in offsets.iter().enumerate() {

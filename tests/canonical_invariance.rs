@@ -103,3 +103,89 @@ fn warm_cache_search_selects_identically_for_variants() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Canonical content hashes key the persistent store, so their values —
+/// not only their invariance — are part of the on-disk contract: a
+/// store written by an older build keeps hitting only while these stay
+/// put. The literals were recorded before statement-tree identifiers
+/// became shared `Name`s.
+/// A kernel's name, content hash and `(path, hash)` subtree hashes.
+type Pinned = (
+    &'static str,
+    &'static str,
+    &'static [(&'static str, &'static str)],
+);
+
+#[test]
+fn paper_kernel_hashes_are_pinned() {
+    let expected: [Pinned; 5] = [
+        (
+            "FIR",
+            "ebabdd398c9298eca9d19d1196390744",
+            &[
+                ("decls", "2c91d9291db03d34519ac4764ee591d9"),
+                ("l0", "85817179d0ad5f8776bb0e67d99ec7c9"),
+                ("l0/l0", "12867da9c0348d27af4904728953fdcb"),
+                ("innermost", "095d32b13a89a084debe7370d7277de6"),
+            ],
+        ),
+        (
+            "MM",
+            "da7d1f87aab594ddd4f57430536fad05",
+            &[
+                ("decls", "5c278d6b311c9ace9a7f73249d16fcd8"),
+                ("l0", "2103a7836f30489d66e7a22312058d93"),
+                ("l0/l0", "345d515bf86775426fb101757dc2bf8d"),
+                ("l0/l0/l0", "590718ca96c5a6b51dbcddd3b32fa59c"),
+                ("innermost", "f70c04ab19a4cbdb670a268c080db6a6"),
+            ],
+        ),
+        (
+            "PAT",
+            "83b590706c62494fb90c298c46aac4f6",
+            &[
+                ("decls", "f480d725977fc87e22aaa1f236c9faa3"),
+                ("l0", "52f27dad2413d1d6c192def1a2032a41"),
+                ("l0/l0", "c72a789f1723ffbb719d8ec4761b2493"),
+                ("innermost", "3d3177266b8c543d0902b72391890d8e"),
+            ],
+        ),
+        (
+            "JAC",
+            "5d7058b95c0d1324bd543801958a6d3b",
+            &[
+                ("decls", "74913d62034d9200b1f81e597ededf71"),
+                ("l0", "e714ff87b744b197fbd67cc4a83feb6a"),
+                ("l0/l0", "14096cd5f8baf2f0bd5177ed5d886694"),
+                ("innermost", "684a7fb98c8ab4562fbfc12d90b3d125"),
+            ],
+        ),
+        (
+            "SOBEL",
+            "5923eaf854106722700e463dc7acb545",
+            &[
+                ("decls", "5f7f36a425f53b4085a38a633f841e67"),
+                ("l0", "64a6b904dece5a4ed2b3dbbf1c8abe74"),
+                ("l0/l0", "b408ab96bf281696b06bea59684f88fa"),
+                ("innermost", "791e433917693c536f3e640bdaa334cb"),
+            ],
+        ),
+    ];
+    let kernels = defacto_kernels::paper_kernels();
+    assert_eq!(kernels.len(), expected.len());
+    for ((name, kernel), (want_name, want_hash, want_subtrees)) in kernels.iter().zip(expected) {
+        assert_eq!(*name, want_name);
+        let c = canonicalize(kernel);
+        assert_eq!(c.hash.to_hex(), want_hash, "{name}: content hash moved");
+        let subtrees: Vec<(&str, String)> = c
+            .subtrees
+            .iter()
+            .map(|s| (s.path.as_str(), s.hash.to_hex()))
+            .collect();
+        let want: Vec<(&str, String)> = want_subtrees
+            .iter()
+            .map(|&(path, hash)| (path, hash.to_string()))
+            .collect();
+        assert_eq!(subtrees, want, "{name}: subtree hashes moved");
+    }
+}
