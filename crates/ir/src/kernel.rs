@@ -145,6 +145,14 @@ impl Kernel {
         self
     }
 
+    /// Move the body out, leaving it empty, so a transformation can
+    /// rewrite the statements in place; hand the result back with
+    /// [`Kernel::into_body_unchecked`].
+    #[must_use]
+    pub fn take_body(&mut self) -> Vec<Stmt> {
+        std::mem::take(&mut self.body)
+    }
+
     /// [`Kernel::with_body_and_temps`] without revalidation; the caller
     /// guarantees the body is valid and the temporary names are fresh
     /// (see [`Kernel::with_body_unchecked`]).

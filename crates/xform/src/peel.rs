@@ -8,9 +8,19 @@
 //! whose bodies test `var == lower`, splits off the first iteration with
 //! the guard resolved to true, and removes the (now dead) guards from the
 //! remaining iterations.
+//!
+//! There are two entry points with identical output.
+//! [`peel_first_iterations`] is the eager reference: separate peel,
+//! substitute, guard-kill and simplify passes over borrowed trees, used by
+//! the scratch pipeline ([`crate::transform`]). The prepared path calls
+//! `peel_first_iterations_lite`, which takes the scalar-replaced kernel
+//! by value and rewrites its body in place in one fused walk; the only
+//! trees it builds are the peeled first iterations.
 
 use crate::error::Result;
-use crate::simplify::{fold_binary, fold_unary, simplify_expr, simplify_stmts};
+use crate::simplify::{
+    fold_binary, fold_unary, refold_in_place, simplify_expr, simplify_expr_in_place, simplify_stmts,
+};
 use defacto_ir::visit::{map_accesses_stmts, map_scalar_reads_stmt};
 use defacto_ir::{AffineExpr, BinOp, Expr, Kernel, LValue, Loop, Stmt};
 
@@ -27,89 +37,89 @@ pub fn peel_first_iterations(kernel: &Kernel) -> Result<Kernel> {
 
 /// [`peel_first_iterations`] for the prepared evaluation path: produces
 /// the same kernel while skipping revalidation and fusing peeling with
-/// simplification into a single bottom-up walk.
+/// simplification into a single bottom-up walk over the owned body.
 ///
 /// The eager path interleaves `peel_stmts` with per-level and final
 /// `simplify_stmts` passes, walking (and re-cloning) the tree several
-/// times. The fused walk maintains the invariant that every statement
-/// list it returns is already in `simplify_stmts` normal form —
-/// expressions folded, constant branches spliced, zero-trip loops
-/// dropped — so no follow-up pass is needed:
+/// times. The fused walk moves the body out of `kernel` and rewrites it
+/// in place, maintaining the invariant that every statement list it
+/// returns is already in `simplify_stmts` normal form — expressions
+/// folded, constant branches spliced, zero-trip loops dropped — so no
+/// follow-up pass is needed:
 ///
+/// - every expression is folded in place
+///   ([`crate::simplify::simplify_expr_in_place`]): only the nodes a rule
+///   rewrites change, and unchanged boxes and accesses are kept;
 /// - guard detection runs on the simplified peeled body, where constant
 ///   `if`s cannot occur, so the plain [`tests_first_iteration`] applies;
 /// - the peeled first copy is produced by `substitute_fold_stmts`, which
 ///   substitutes `var := lower` and folds in one pass (folding is
 ///   bottom-up, so substituting at the leaves and folding on the way up
-///   yields exactly `simplify(substitute(x))`);
-/// - the steady-state loop body is produced by `kill_fold_stmts`, which
-///   rewrites dead guards to constant false and splices the resulting
-///   constant branches in the same pass.
+///   yields exactly `simplify(substitute(x))`). It is the only new tree
+///   the walk builds;
+/// - the steady-state loop keeps the body it already owns: `kill_guards`
+///   rewrites dead guards to constant false in place and splices the
+///   resulting constant branches by moving their statements.
 ///
 /// Because `simplify_stmts` is idempotent and each fused operator
 /// reproduces its two-pass counterpart node for node, the result is
 /// bit-identical to the eager path; the incremental-equivalence property
 /// test pins the two against each other on every paper kernel.
-pub(crate) fn peel_first_iterations_lite(kernel: Kernel) -> Kernel {
-    let body = peel_simplify_stmts(kernel.body());
+pub(crate) fn peel_first_iterations_lite(mut kernel: Kernel) -> Kernel {
+    let body = peel_simplify(kernel.take_body());
     kernel.into_body_unchecked(body)
 }
 
-/// Fused `simplify_stmts(peel_stmts(..))`: peel and simplify in one
-/// bottom-up walk. Output is in `simplify_stmts` normal form.
-fn peel_simplify_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
-    let mut out = Vec::new();
+/// Fused `simplify_stmts(peel_stmts(..))` over an owned statement list:
+/// peel and simplify in one bottom-up walk. Output is in
+/// `simplify_stmts` normal form.
+fn peel_simplify(stmts: Vec<Stmt>) -> Vec<Stmt> {
+    let mut out = Vec::with_capacity(stmts.len());
     peel_simplify_into(stmts, &mut out);
     out
 }
 
-fn peel_simplify_into(stmts: &[Stmt], out: &mut Vec<Stmt>) {
+fn peel_simplify_into(stmts: Vec<Stmt>, out: &mut Vec<Stmt>) {
     for s in stmts {
         match s {
-            Stmt::Assign { lhs, rhs } => out.push(Stmt::Assign {
-                lhs: lhs.clone(),
-                rhs: simplify_expr(rhs),
-            }),
+            Stmt::Assign { lhs, mut rhs } => {
+                simplify_expr_in_place(&mut rhs);
+                out.push(Stmt::Assign { lhs, rhs });
+            }
             Stmt::If {
-                cond,
+                mut cond,
                 then_body,
                 else_body,
-            } => match simplify_expr(cond) {
-                Expr::Int(0) => peel_simplify_into(else_body, out),
-                Expr::Int(_) => peel_simplify_into(then_body, out),
-                cond => out.push(Stmt::If {
-                    cond,
-                    then_body: peel_simplify_stmts(then_body),
-                    else_body: peel_simplify_stmts(else_body),
-                }),
-            },
-            Stmt::For(l) => {
-                if l.trip_count() == 0 {
-                    continue;
-                }
-                let body = peel_simplify_stmts(&l.body);
-                if tests_first_iteration(&body, &l.var, l.lower) {
-                    substitute_fold_into(&body, &l.var, l.lower, out);
-                    if l.trip_count() > 1 {
-                        out.push(Stmt::For(Loop {
-                            var: l.var.clone(),
-                            lower: l.lower + l.step,
-                            upper: l.upper,
-                            step: l.step,
-                            body: kill_fold_stmts(&body, &l.var, l.lower),
-                        }));
-                    }
-                } else {
-                    out.push(Stmt::For(Loop {
-                        var: l.var.clone(),
-                        lower: l.lower,
-                        upper: l.upper,
-                        step: l.step,
-                        body,
-                    }));
+            } => {
+                simplify_expr_in_place(&mut cond);
+                match cond {
+                    Expr::Int(0) => peel_simplify_into(else_body, out),
+                    Expr::Int(_) => peel_simplify_into(then_body, out),
+                    cond => out.push(Stmt::If {
+                        cond,
+                        then_body: peel_simplify(then_body),
+                        else_body: peel_simplify(else_body),
+                    }),
                 }
             }
-            Stmt::Rotate(r) => out.push(Stmt::Rotate(r.clone())),
+            Stmt::For(mut l) => {
+                let trips = l.trip_count();
+                if trips == 0 {
+                    continue;
+                }
+                l.body = peel_simplify(std::mem::take(&mut l.body));
+                if tests_first_iteration(&l.body, &l.var, l.lower) {
+                    substitute_fold_into(&l.body, &l.var, l.lower, out);
+                    if trips > 1 {
+                        kill_guards(&mut l.body, &l.var, l.lower);
+                        l.lower += l.step;
+                        out.push(Stmt::For(l));
+                    }
+                } else {
+                    out.push(Stmt::For(l));
+                }
+            }
+            rotate @ Stmt::Rotate(_) => out.push(rotate),
         }
     }
 }
@@ -188,59 +198,70 @@ fn substitute_fold_expr(e: &Expr, var: &str, value: i64) -> Expr {
     }
 }
 
-/// Fused `simplify_stmts(kill_first_iteration_guards(..))` over an
-/// already-simplified body: rewrite `var == lower` tests to constant
-/// false and splice the branches that become constant, leaving every
-/// untouched statement as is (it is already in normal form).
-fn kill_fold_stmts(stmts: &[Stmt], var: &str, lower: i64) -> Vec<Stmt> {
-    let mut out = Vec::new();
-    kill_fold_into(stmts, var, lower, &mut out);
-    out
-}
-
-fn kill_fold_into(stmts: &[Stmt], var: &str, lower: i64, out: &mut Vec<Stmt>) {
-    for s in stmts {
+/// Fused `simplify_stmts(kill_first_iteration_guards(..))` in place over
+/// an already-simplified body: rewrite `var == lower` tests to constant
+/// false, refold the conditions that contained one, and splice the
+/// branches that become constant by moving their statements. Untouched
+/// statements stay where they are (they are already in normal form).
+fn kill_guards(stmts: &mut Vec<Stmt>, var: &str, lower: i64) {
+    let mut splice = false;
+    for s in stmts.iter_mut() {
         match s {
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
-            } => match kill_fold_expr(cond, var, lower) {
-                Expr::Int(0) => kill_fold_into(else_body, var, lower, out),
-                Expr::Int(_) => kill_fold_into(then_body, var, lower, out),
-                cond => out.push(Stmt::If {
-                    cond,
-                    then_body: kill_fold_stmts(then_body, var, lower),
-                    else_body: kill_fold_stmts(else_body, var, lower),
-                }),
-            },
-            Stmt::For(l) => out.push(Stmt::For(Loop {
-                var: l.var.clone(),
-                lower: l.lower,
-                upper: l.upper,
-                step: l.step,
-                body: kill_fold_stmts(&l.body, var, lower),
-            })),
-            other => out.push(other.clone()),
+            } => {
+                kill_guards_in_expr(cond, var, lower);
+                if matches!(cond, Expr::Int(_)) {
+                    splice = true;
+                } else {
+                    kill_guards(then_body, var, lower);
+                    kill_guards(else_body, var, lower);
+                }
+            }
+            Stmt::For(l) => kill_guards(&mut l.body, var, lower),
+            Stmt::Assign { .. } | Stmt::Rotate(_) => {}
+        }
+    }
+    if !splice {
+        return;
+    }
+    for s in std::mem::take(stmts) {
+        match s {
+            Stmt::If {
+                cond: Expr::Int(v),
+                then_body,
+                else_body,
+            } => {
+                let mut taken = if v == 0 { else_body } else { then_body };
+                kill_guards(&mut taken, var, lower);
+                stmts.append(&mut taken);
+            }
+            other => stmts.push(other),
         }
     }
 }
 
-/// Fused `simplify_expr(kill_in_expr(..))` over an already-simplified
-/// expression. Like `kill_in_expr`, only binary chains are searched for
-/// the guard; other nodes are untouched (and already folded).
-fn kill_fold_expr(e: &Expr, var: &str, lower: i64) -> Expr {
-    match e {
-        Expr::Binary(BinOp::Eq, a, b) if matches!((&**a, &**b), (Expr::Scalar(v), Expr::Int(k)) if v == var && *k == lower) => {
-            Expr::Int(0)
+/// Fused `simplify_expr(kill_in_expr(..))` in place over an
+/// already-simplified expression. Like `kill_in_expr`, only binary chains
+/// are searched for the guard; other nodes are untouched (and already
+/// folded).
+pub(crate) fn kill_guards_in_expr(e: &mut Expr, var: &str, lower: i64) {
+    if let Expr::Binary(op, a, b) = e {
+        if *op == BinOp::Eq && is_guard(a, b, var, lower) {
+            *e = Expr::Int(0);
+        } else {
+            kill_guards_in_expr(a, var, lower);
+            kill_guards_in_expr(b, var, lower);
+            refold_in_place(e);
         }
-        Expr::Binary(op, a, b) => fold_binary(
-            *op,
-            kill_fold_expr(a, var, lower),
-            kill_fold_expr(b, var, lower),
-        ),
-        other => other.clone(),
     }
+}
+
+/// Is `a == b` the first-iteration test `var == lower`?
+fn is_guard(a: &Expr, b: &Expr, var: &str, lower: i64) -> bool {
+    matches!((a, b), (Expr::Scalar(v), Expr::Int(k)) if v == var && *k == lower)
 }
 
 fn peel_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
@@ -309,9 +330,7 @@ fn tests_first_iteration(stmts: &[Stmt], var: &str, lower: i64) -> bool {
 
 fn expr_tests(e: &Expr, var: &str, lower: i64) -> bool {
     match e {
-        Expr::Binary(BinOp::Eq, a, b) => {
-            matches!((&**a, &**b), (Expr::Scalar(v), Expr::Int(k)) if v == var && *k == lower)
-        }
+        Expr::Binary(BinOp::Eq, a, b) => is_guard(a, b, var, lower),
         Expr::Binary(BinOp::And, a, b) => expr_tests(a, var, lower) || expr_tests(b, var, lower),
         _ => false,
     }
@@ -365,7 +384,7 @@ fn kill_in_stmt(s: &Stmt, var: &str, lower: i64) -> Stmt {
     }
 }
 
-fn kill_in_expr(e: &Expr, var: &str, lower: i64) -> Expr {
+pub(crate) fn kill_in_expr(e: &Expr, var: &str, lower: i64) -> Expr {
     match e {
         Expr::Binary(BinOp::Eq, a, b) if matches!((&**a, &**b), (Expr::Scalar(v), Expr::Int(k)) if v == var && *k == lower) => {
             Expr::Int(0)

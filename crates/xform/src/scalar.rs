@@ -391,16 +391,18 @@ pub(crate) fn scalar_replace_core(
         }
     }
 
-    // Rewrite the innermost body.
-    let mut new_body: Vec<Stmt> = Vec::new();
+    // Rewrite the innermost body: the one copy of the (shared) jammed
+    // statements, which every later stage rewrites in place.
+    let mut new_body: Vec<Stmt> =
+        Vec::with_capacity(plan.body_prefix.len() + body.len() + plan.body_suffix.len());
     new_body.append(&mut plan.body_prefix);
     for &s in body {
-        new_body.extend(rewrite_stmt(s, &plan));
+        rewrite_stmt(s, &plan, &mut new_body);
     }
     new_body.append(&mut plan.body_suffix);
 
     // Load dedup/hoist on the rewritten body.
-    let new_body = hoist_remaining_loads(&mut names, &mut info, &new_body, kernel);
+    let new_body = hoist_remaining_loads(&mut names, &mut info, new_body, kernel);
 
     // Reassemble the (now imperfect) nest: each loop level wraps its
     // hoisted loads, the inner nest, and its sunk stores.
@@ -937,87 +939,86 @@ fn apply_carried(ctx: &mut PlanCtx<'_, '_>, c: CarriedPlan<'_>) {
     }
 }
 
-/// Rewrite one body statement through the plan's load/store maps.
-fn rewrite_stmt(s: &Stmt, plan: &Plan) -> Vec<Stmt> {
+/// Rewrite one body statement through the plan's load/store maps,
+/// pushing the rewritten copy onto `out`.
+fn rewrite_stmt(s: &Stmt, plan: &Plan, out: &mut Vec<Stmt>) {
+    let rewrite_loads = |e: &Expr| e.replace_loads(&mut |a| plan.load_rewrites.get(a).cloned());
     match s {
         Stmt::Assign { lhs, rhs } => {
-            let rhs = rhs.replace_loads(&mut |a| plan.load_rewrites.get(a).cloned());
-            match lhs {
+            let lhs = match lhs {
+                // Redundant-write elimination: the store becomes a
+                // register assignment; the final store was sunk.
                 LValue::Array(a) => match plan.store_rewrites.get(a) {
-                    // Redundant-write elimination: the store becomes a
-                    // register assignment; the final store was sunk.
-                    Some(reg) => vec![Stmt::assign(LValue::scalar(reg.clone()), rhs)],
-                    None => vec![Stmt::Assign {
-                        lhs: LValue::Array(a.clone()),
-                        rhs,
-                    }],
+                    Some(reg) => LValue::scalar(reg.clone()),
+                    None => lhs.clone(),
                 },
-                LValue::Scalar(n) => vec![Stmt::Assign {
-                    lhs: LValue::Scalar(n.clone()),
-                    rhs,
-                }],
-            }
+                LValue::Scalar(_) => lhs.clone(),
+            };
+            out.push(Stmt::Assign {
+                lhs,
+                rhs: rewrite_loads(rhs),
+            });
         }
         Stmt::If {
             cond,
             then_body,
             else_body,
         } => {
-            let cond = cond.replace_loads(&mut |a| plan.load_rewrites.get(a).cloned());
-            vec![Stmt::If {
-                cond,
-                then_body: then_body
-                    .iter()
-                    .flat_map(|s| rewrite_stmt(s, plan))
-                    .collect(),
-                else_body: else_body
-                    .iter()
-                    .flat_map(|s| rewrite_stmt(s, plan))
-                    .collect(),
-            }]
+            let rewrite_all = |stmts: &[Stmt]| {
+                let mut v = Vec::with_capacity(stmts.len());
+                for s in stmts {
+                    rewrite_stmt(s, plan, &mut v);
+                }
+                v
+            };
+            out.push(Stmt::If {
+                cond: rewrite_loads(cond),
+                then_body: rewrite_all(then_body),
+                else_body: rewrite_all(else_body),
+            });
         }
-        other => vec![other.clone()],
+        other => out.push(other.clone()),
     }
 }
 
 /// Hoist every remaining load of a store-free array to the top of the
 /// body, one register per distinct address (loads of the same address
-/// collapse — the paper's `S_0` temporary).
+/// collapse — the paper's `S_0` temporary). Takes the body over and
+/// returns it unchanged when nothing hoists; otherwise the loads are
+/// replaced in place.
 fn hoist_remaining_loads(
     names: &mut NameGen,
     info: &mut ScalarReplacementInfo,
-    body: &[Stmt],
+    mut body: Vec<Stmt>,
     kernel: &Kernel,
 ) -> Vec<Stmt> {
     // Arrays stored anywhere in the (new) body keep their loads in place.
     let mut stored: HashSet<Name> = HashSet::new();
-    collect_stored_arrays(body, &mut stored);
+    collect_stored_arrays(&body, &mut stored);
 
     // Distinct loads in first-occurrence order.
     let mut order: Vec<ArrayAccess> = Vec::new();
     let mut seen: HashSet<ArrayAccess> = HashSet::new();
-    collect_loads(body, &stored, &mut seen, &mut order);
+    collect_loads(&body, &stored, &mut seen, &mut order);
     if order.is_empty() {
-        return body.to_vec();
+        return body;
     }
 
     let mut map: HashMap<ArrayAccess, Expr> = HashMap::new();
-    let mut prefix: Vec<Stmt> = Vec::new();
-    for a in &order {
+    let mut out: Vec<Stmt> = Vec::with_capacity(order.len() + body.len());
+    for a in order {
         let ty = element_type(kernel, &a.array);
         let reg = names.fresh(format!("{}_t{}", a.array.to_lowercase(), map.len()), ty);
-        prefix.push(Stmt::assign(
+        out.push(Stmt::assign(
             LValue::scalar(reg.clone()),
             Expr::Load(a.clone()),
         ));
-        map.insert(a.clone(), Expr::scalar(reg));
+        map.insert(a, Expr::scalar(reg));
         info.temp_registers += 1;
     }
 
-    let mut out = prefix;
-    for s in body {
-        out.push(replace_loads_stmt(s, &map));
-    }
+    replace_loads_in_stmts(&mut body, &map);
+    out.append(&mut body);
     out
 }
 
@@ -1098,34 +1099,48 @@ fn collect_loads(
     }
 }
 
-fn replace_loads_stmt(s: &Stmt, map: &HashMap<ArrayAccess, Expr>) -> Stmt {
-    match s {
-        Stmt::Assign { lhs, rhs } => {
-            if matches!(rhs, Expr::Load(_)) {
-                // Register-fill lines keep their load.
-                return s.clone();
+/// Swap every load `map` covers for its register, in place. Register-fill
+/// lines (an rhs that is exactly one load) keep their load.
+fn replace_loads_in_stmts(stmts: &mut [Stmt], map: &HashMap<ArrayAccess, Expr>) {
+    for s in stmts {
+        match s {
+            Stmt::Assign { rhs, .. } => {
+                if !matches!(rhs, Expr::Load(_)) {
+                    replace_loads_in_expr(rhs, map);
+                }
             }
-            Stmt::Assign {
-                lhs: lhs.clone(),
-                rhs: rhs.replace_loads(&mut |a| map.get(a).cloned()),
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                replace_loads_in_expr(cond, map);
+                replace_loads_in_stmts(then_body, map);
+                replace_loads_in_stmts(else_body, map);
+            }
+            Stmt::For(_) | Stmt::Rotate(_) => {}
+        }
+    }
+}
+
+fn replace_loads_in_expr(e: &mut Expr, map: &HashMap<ArrayAccess, Expr>) {
+    match e {
+        Expr::Int(_) | Expr::Scalar(_) => {}
+        Expr::Load(a) => {
+            if let Some(reg) = map.get(a) {
+                *e = reg.clone();
             }
         }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => Stmt::If {
-            cond: cond.replace_loads(&mut |a| map.get(a).cloned()),
-            then_body: then_body
-                .iter()
-                .map(|s| replace_loads_stmt(s, map))
-                .collect(),
-            else_body: else_body
-                .iter()
-                .map(|s| replace_loads_stmt(s, map))
-                .collect(),
-        },
-        other => other.clone(),
+        Expr::Unary(_, inner) => replace_loads_in_expr(inner, map),
+        Expr::Binary(_, a, b) => {
+            replace_loads_in_expr(a, map);
+            replace_loads_in_expr(b, map);
+        }
+        Expr::Select(c, t, f) => {
+            replace_loads_in_expr(c, map);
+            replace_loads_in_expr(t, map);
+            replace_loads_in_expr(f, map);
+        }
     }
 }
 
@@ -1290,6 +1305,36 @@ mod tests {
         let a: Vec<i64> = vec![1, -2, 3, -4, 5, -6, 7, -8];
         let (w0, _) = run_with_inputs(&k, &[("A", a.clone())]).unwrap();
         let (r, _) = scalar_replace(&k, &ScalarOptions::default()).unwrap();
+        let (w1, _) = run_with_inputs(&r, &[("A", a)]).unwrap();
+        assert_eq!(w0.array("B"), w1.array("B"), "{r}");
+    }
+
+    #[test]
+    fn loads_under_a_branch_hoist_into_registers() {
+        let k = parse_kernel(
+            "kernel hb { in A: i32[8]; out B: i32[8];
+               for i in 0..8 { if (i > 2) { B[i] = A[i] + 1; } } }",
+        )
+        .unwrap();
+        let (r, info) = scalar_replace(&k, &ScalarOptions::default()).unwrap();
+        assert_eq!(info.temp_registers, 1, "{r}");
+        // The load moves to a register filled above the branch, and the
+        // branch reads the register.
+        let Stmt::For(l) = &r.body()[0] else {
+            panic!("{r}")
+        };
+        let Stmt::Assign {
+            rhs: Expr::Load(_), ..
+        } = &l.body[0]
+        else {
+            panic!("{r}")
+        };
+        let Stmt::If { then_body, .. } = &l.body[1] else {
+            panic!("{r}")
+        };
+        assert!(then_body.iter().all(|s| s.direct_loads().is_empty()), "{r}");
+        let a: Vec<i64> = (1..=8).collect();
+        let (w0, _) = run_with_inputs(&k, &[("A", a.clone())]).unwrap();
         let (w1, _) = run_with_inputs(&r, &[("A", a)]).unwrap();
         assert_eq!(w0.array("B"), w1.array("B"), "{r}");
     }

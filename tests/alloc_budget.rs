@@ -2,10 +2,11 @@
 //!
 //! A counting global allocator counts every block handed out while one
 //! cold, single-worker, full-fidelity joint sweep of FIR (paper size,
-//! all axes) runs. The ceiling sits halfway between the count before
-//! identifiers in statement trees became shared [`defacto_ir::Name`]s
-//! and the count after, so a change that brings back a heap copy per
-//! copied name fails here instead of only showing up as lost throughput.
+//! all axes) runs. The ceiling sits halfway between the count before the
+//! transform tail took the scalar-replaced body over by value and the
+//! count after, so a change that brings back a per-point copy of the
+//! statement trees (or a heap copy per copied name) fails here instead
+//! of only showing up as lost throughput.
 
 use defacto::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -57,8 +58,8 @@ static GLOBAL: Counting = Counting;
 /// Blocks allocated by the sweep before and after the change, counted
 /// by this test in the profile `cargo test` builds (rustc 1.95.0,
 /// x86_64 Linux); a release build counts the same.
-const BEFORE: u64 = 1_460_873;
-const AFTER: u64 = 870_722;
+const BEFORE: u64 = 870_722;
+const AFTER: u64 = 664_103;
 const CEILING: u64 = (BEFORE + AFTER) / 2;
 
 #[test]
@@ -76,6 +77,6 @@ fn fir_joint_sweep_allocation_budget() {
     assert!(
         blocks <= CEILING,
         "one cold FIR joint sweep allocated {blocks} blocks, over the ceiling of {CEILING} \
-         (before shared names: {BEFORE}, after: {AFTER})"
+         (before the owned transform tail: {BEFORE}, after: {AFTER})"
     );
 }
