@@ -332,7 +332,7 @@ fn jam_violation_in<'a>(
 }
 
 /// The first array-dependence violation of unroll-and-jam with `factors`
-/// against a dependence graph, if any. See [`jam_violation_in`] for the
+/// against a dependence graph, if any. See `jam_violation_in` for the
 /// rule; this is the one implementation `defacto_xform::unroll_is_legal`
 /// and the design-space construction both call.
 pub fn unroll_violation(deps: &DependenceGraph, factors: &[i64]) -> Option<JamViolation> {

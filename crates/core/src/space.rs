@@ -12,7 +12,7 @@
 //! product over typed [`Axis`] domains — unroll × interchange
 //! permutation × tile size × narrowing × packing — whose domains are
 //! constructed *from* a kernel's
-//! [`LegalitySummary`](defacto_analysis::LegalitySummary). Every
+//! [`LegalitySummary`]. Every
 //! enumerated [`JointPoint`] is therefore statically proven legal before
 //! the engine evaluates anything: the membership filter and the
 //! transforms' own gates are literally the same predicates

@@ -109,14 +109,15 @@ pub trait StrategyContext {
     /// pruned.
     fn bound_batch(&self, points: &[JointPoint]) -> Vec<Option<AnalyticBand>>;
 
-    /// Record one tier-1 step (a [`TraceEvent::StrategyStep`]
-    /// (crate::TraceEvent::StrategyStep)); `incumbent` is the best
-    /// fitting cycle count *before* this step.
+    /// Record one tier-1 step (a
+    /// [`TraceEvent::StrategyStep`](crate::TraceEvent::StrategyStep));
+    /// `incumbent` is the best fitting cycle count *before* this step.
     fn record_step(&self, design: &EvaluatedJointDesign, incumbent: Option<u64>);
 
-    /// Record one bound-based prune (a [`TraceEvent::BoundPrune`]
-    /// (crate::TraceEvent::BoundPrune)); `threshold` is the cycle bound
-    /// `band.cycles_lo` exceeded, `None` for a capacity prune.
+    /// Record one bound-based prune (a
+    /// [`TraceEvent::BoundPrune`](crate::TraceEvent::BoundPrune));
+    /// `threshold` is the cycle bound `band.cycles_lo` exceeded, `None`
+    /// for a capacity prune.
     fn record_prune(&self, point: &JointPoint, band: &AnalyticBand, threshold: Option<u64>);
 }
 

@@ -119,9 +119,9 @@ pub enum TraceEvent {
     /// transformed and estimated. Emitted only by
     /// [`Explorer::joint_sweep`](crate::Explorer::joint_sweep), in the
     /// space's enumeration order, so the auditor can check every visited
-    /// point against [`DesignSpace::contains_joint`]
-    /// (crate::DesignSpace::contains_joint) — space membership must imply
-    /// transform success.
+    /// point against
+    /// [`DesignSpace::contains_joint`](crate::DesignSpace::contains_joint)
+    /// — space membership must imply transform success.
     AxisVisit {
         /// The multi-axis coordinate.
         point: JointPoint,

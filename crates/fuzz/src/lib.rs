@@ -19,7 +19,7 @@
 //!    estimate, and
 //!    clean deterministic search traces at 1 and 8 workers. Every stage
 //!    runs under a panic guard: a panic is always a violation.
-//! 3. [`shrink`] — greedy minimization of failures into small, parseable
+//! 3. [`shrink`](mod@shrink) — greedy minimization of failures into small, parseable
 //!    reproducers for `tests/fuzz_corpus/`.
 //! 4. [`campaign`] — the driver tying it together, exposed on the CLI as
 //!    `defacto fuzz --seed N --count M`.

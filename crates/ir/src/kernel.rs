@@ -123,7 +123,7 @@ impl Kernel {
     /// [`Kernel::with_body`] without revalidation, for transformation
     /// pipelines whose output is valid by construction (e.g. rebuilding a
     /// nest from an already-validated kernel's own statements). The
-    /// validation in [`Kernel::validate`] is a pure check — it never
+    /// validation in `Kernel::validate` is a pure check — it never
     /// alters the kernel — so skipping it changes nothing but time; any
     /// caller handing over statements of uncertain provenance must use
     /// [`Kernel::with_body`] instead.

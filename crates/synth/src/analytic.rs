@@ -17,7 +17,8 @@
 //!   operator instance at the widest bits the DFG width rules can assign;
 //! - **memory/compute busy time, bits from memory**: from the census
 //!   traffic classes (exact without small-type packing, banded with it);
-//! - **registers**: exact (the census mirrors scalar replacement).
+//! - **registers**: exact (the census folds the scalar-replacement plan
+//!   the transform materializes).
 //!
 //! The band's soundness is what branch-and-bound's pruning proof
 //! rests on (see `defacto-core`): a point whose `cycles_lo` already

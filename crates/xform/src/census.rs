@@ -1,30 +1,36 @@
 //! Tier-0 design-point census: exact structural counts for an unroll
 //! vector, computed without materializing any body copy.
 //!
-//! [`PreparedKernel::census`] replays the *planning* half of scalar
-//! replacement — grouping, reuse classification, the §5.4 register
-//! budget — against the analytically jammed uniform sets, and records
-//! what the full pipeline *would* build: how many registers of which
-//! width, which memory-traffic classes remain (and when each executes),
-//! which guard/rotate statements the body carries, and which loop levels
+//! [`PreparedKernel::census`] runs the *planning* step of scalar
+//! replacement — `plan_reuse` in [`crate::scalar`]: grouping, reuse
+//! classification, the §5.4 register budget — over the analytically
+//! jammed uniform sets, and folds the resulting `ReusePlan` into what the
+//! full pipeline builds from it: how many registers of which width, which
+//! memory-traffic classes remain (and when each executes), which
+//! guard/rotate statements the body carries, and which loop levels
 //! peeling will split. It never copies the body, never rewrites a
 //! statement and never builds a DFG, so it costs microseconds per point
 //! instead of milliseconds.
 //!
-//! The counts are **exact mirrors** of the decisions in
-//! [`crate::scalar`], not approximations: the tier-0 analytic estimator
-//! (`defacto_synth::analytic`) prices them into a cost band whose
-//! soundness rests on this census matching the real planner decision for
-//! decision. `PointCensus::reuse_registers`/`temp_registers`/`chains`
-//! must equal the [`crate::ScalarReplacementInfo`] of the materialized
-//! design bit for bit; tests enforce this across the paper kernels'
-//! design spaces.
+//! The counts are exact, not approximations: the tier-0 analytic
+//! estimator (`defacto_synth::analytic`) prices them into a cost band
+//! whose soundness rests on this census describing the materialized
+//! design. The register, chain and budget counts come from the same plan
+//! [`PreparedKernel::transform`] materializes, and through the same
+//! accessor as its [`crate::ScalarReplacementInfo`], so they match by
+//! construction. The raw (unreplaced) load traffic and the hoisted
+//! temporaries are still computed here by a walk that mirrors the load
+//! hoisting of [`crate::scalar`]; tests pin `temp_registers` to the
+//! materialized design across the paper kernels' design spaces and
+//! generated kernels.
 
 use crate::error::Result;
+use crate::peel::tests_first_iteration;
 use crate::pipeline::{TransformOptions, UnrollVector};
 use crate::prepared::PreparedKernel;
+use crate::scalar::{plan_reuse, Reuse};
 use crate::unroll::offset_tuples;
-use defacto_analysis::{classify_set_bounded, jammed_uniform_sets, ReuseStrategy, UniformSet};
+use defacto_analysis::{jammed_uniform_sets, UniformSet};
 use defacto_ir::{ArrayAccess, BinOp, Expr, Name, Stmt};
 use std::collections::{HashMap, HashSet};
 
@@ -131,13 +137,17 @@ pub struct PointCensus {
     pub product: i64,
     /// Total jammed bodies (`Π trips`).
     pub bodies: i64,
-    /// Mirror of [`crate::ScalarReplacementInfo::reuse_registers`].
+    /// Equals [`crate::ScalarReplacementInfo::reuse_registers`] of the
+    /// materialized design.
     pub reuse_registers: usize,
-    /// Mirror of [`crate::ScalarReplacementInfo::temp_registers`].
+    /// Equals [`crate::ScalarReplacementInfo::temp_registers`] of the
+    /// materialized design.
     pub temp_registers: usize,
-    /// Mirror of [`crate::ScalarReplacementInfo::chains`].
+    /// Equals [`crate::ScalarReplacementInfo::chains`] of the
+    /// materialized design.
     pub chains: usize,
-    /// Mirror of [`crate::ScalarReplacementInfo::dropped_by_budget`].
+    /// Equals [`crate::ScalarReplacementInfo::dropped_by_budget`] of the
+    /// materialized design.
     pub dropped_by_budget: usize,
     /// Introduced registers bucketed by width/provenance.
     pub registers: Vec<RegisterClass>,
@@ -165,33 +175,10 @@ impl PointCensus {
     }
 }
 
-/// One planned-but-not-yet-applied carried-reuse arm (budget candidate),
-/// mirroring `CarriedPlan` of [`crate::scalar`].
-enum CarriedCensus {
-    Chain {
-        set: usize,
-        lanes: Vec<Vec<i64>>,
-        length: usize,
-        guard_levels: Vec<usize>,
-    },
-    Window {
-        set: usize,
-        window_dim: usize,
-        deepest_varying: usize,
-        lanes: Vec<(Vec<i64>, i64, i64)>,
-        step: i64,
-    },
-}
-
-struct GroupIdx {
-    read: Option<usize>,
-    write: Option<usize>,
-}
-
 impl PreparedKernel {
     /// Compute the exact structural census of one design point. Performs
     /// the same validation as [`Self::transform`] (same errors), then
-    /// replays the scalar-replacement planning analytically.
+    /// folds the scalar-replacement plan the transform would materialize.
     ///
     /// # Errors
     ///
@@ -252,10 +239,6 @@ impl PreparedKernel {
         };
         // Register classes keyed by (bits, load_valued).
         let mut reg_classes: HashMap<(u32, bool), usize> = HashMap::new();
-        let mut add_regs =
-            |classes: &mut HashMap<(u32, bool), usize>, bits: u32, load_valued: bool, n: usize| {
-                *classes.entry((bits, load_valued)).or_insert(0) += n;
-            };
         // Per read-set index: the constant-offset vectors whose loads are
         // rewritten to register reads. Absent key = fully raw set.
         let mut replaced_loads: HashMap<usize, HashSet<Vec<i64>>> = HashMap::new();
@@ -263,361 +246,143 @@ impl PreparedKernel {
         let mut replaced_stores: HashSet<usize> = HashSet::new();
 
         if opts.scalar_replacement {
-            // --- Mirror of `scalar_replace_core` planning. ---
-
-            // Group read/write sets by (array, signature), in set order.
-            let mut groups: Vec<GroupIdx> = Vec::new();
-            for (i, set) in sets.iter().enumerate() {
-                let found = groups.iter_mut().find(|g| {
-                    let j = g.read.or(g.write).expect("group has a set");
-                    sets[j].array == set.array && sets[j].signature == set.signature
-                });
-                match found {
-                    Some(g) => {
-                        if set.is_write {
-                            g.write = Some(i);
-                        } else {
-                            g.read = Some(i);
-                        }
-                    }
-                    None => groups.push(GroupIdx {
-                        read: (!set.is_write).then_some(i),
-                        write: set.is_write.then_some(i),
-                    }),
-                }
-            }
-            let write_sigs: HashMap<&str, Vec<&Vec<Vec<i64>>>> = {
-                let mut m: HashMap<&str, Vec<&Vec<Vec<i64>>>> = HashMap::new();
-                for s in sets.iter().filter(|s| s.is_write) {
-                    m.entry(s.array.as_str()).or_default().push(&s.signature);
-                }
-                m
-            };
-
-            let conditional = |i: usize| -> bool { self.cond_flag(sets[i].members[0]) };
-
-            let mut carried: Vec<(usize, CarriedCensus)> = Vec::new(); // (cost, plan)
-
-            for g in &groups {
-                let probe_idx = g.read.or(g.write).expect("group has a set");
-                let array = sets[probe_idx].array.as_str();
-                let signature = &sets[probe_idx].signature;
-                let any_conditional = g.read.map(conditional).unwrap_or(false)
-                    || g.write.map(conditional).unwrap_or(false);
-                let foreign_writes = write_sigs
-                    .get(array)
-                    .map(|sigs| sigs.iter().any(|s| **s != *signature))
-                    .unwrap_or(false);
-                if any_conditional || foreign_writes {
-                    continue;
-                }
-                let strategy = classify_set_bounded(&sets[probe_idx], &trips);
-                match (&strategy, g.read, g.write) {
-                    (
-                        ReuseStrategy::Consistent {
-                            deepest_varying,
-                            hoist_inner,
-                            ..
-                        },
+            // The plan `transform` materializes for this point.
+            let plan = plan_reuse(
+                &sets,
+                &trips,
+                factors,
+                &|s: &UniformSet| self.cond_flag(s.members[0]),
+                &opts.scalar_options(),
+            );
+            let info = plan.info();
+            c.reuse_registers = info.reuse_registers;
+            c.chains = info.chains;
+            c.dropped_by_budget = info.dropped_by_budget;
+            for reuse in &plan.decisions {
+                let array = sets[reuse.set()].array.as_str();
+                let bits = elem_bits(array);
+                let traffic = |is_write: bool, kind: TrafficKind, flat_offsets: Vec<i64>| Traffic {
+                    array: array.to_string(),
+                    is_write,
+                    elem_bits: bits,
+                    kind,
+                    flat_offsets,
+                    conditional: false,
+                };
+                match reuse {
+                    Reuse::Accumulator {
                         read,
-                        Some(write),
-                    ) if *hoist_inner >= 1 => {
-                        if !opts.redundant_write_elim {
-                            continue;
+                        write,
+                        level,
+                        slots,
+                    } => {
+                        for slot in slots {
+                            *reg_classes.entry((bits, slot.read)).or_insert(0) += 1;
                         }
-                        self.census_accumulator(
-                            &mut c,
-                            &mut reg_classes,
-                            &mut add_regs,
-                            &sets,
-                            read,
-                            write,
-                            *deepest_varying,
-                            &flat,
-                            &elem_bits,
-                            &mut replaced_loads,
-                            &mut replaced_stores,
-                            &var_refs,
-                        );
-                    }
-                    (ReuseStrategy::FullyInvariant, Some(read), None) => {
-                        let offs = sets[read].distinct_offsets();
-                        let bits = elem_bits(array);
-                        add_regs(&mut reg_classes, bits, true, offs.len());
-                        c.reuse_registers += offs.len();
-                        c.traffic.push(Traffic {
-                            array: array.to_string(),
-                            is_write: false,
-                            elem_bits: bits,
-                            kind: TrafficKind::Top,
-                            flat_offsets: offs.iter().map(|o| flat(array, o)).collect(),
-                            conditional: false,
-                        });
-                        replaced_loads.insert(read, offs.into_iter().collect());
-                    }
-                    (
-                        ReuseStrategy::Consistent {
-                            deepest_varying,
-                            hoist_inner,
-                            ..
-                        },
-                        Some(read),
-                        None,
-                    ) if *hoist_inner >= 1 => {
-                        let offs = sets[read].distinct_offsets();
-                        let bits = elem_bits(array);
-                        add_regs(&mut reg_classes, bits, true, offs.len());
-                        c.reuse_registers += offs.len();
-                        c.traffic.push(Traffic {
-                            array: array.to_string(),
-                            is_write: false,
-                            elem_bits: bits,
-                            kind: TrafficKind::AtLevel(*deepest_varying),
-                            flat_offsets: offs.iter().map(|o| flat(array, o)).collect(),
-                            conditional: false,
-                        });
-                        replaced_loads.insert(read, offs.into_iter().collect());
-                    }
-                    (
-                        ReuseStrategy::Consistent {
-                            deepest_varying,
-                            outer_reuse: Some(or),
-                            ..
-                        },
-                        Some(read),
-                        None,
-                    ) => {
-                        // Mirror of `plan_chain`.
-                        let varying = sets[read].varying_levels();
-                        let mut length: i64 = 1;
-                        for &v in varying.iter().filter(|&&v| v > *or) {
-                            length *= trips[v];
+                        let read_offsets = || slots.iter().filter(|s| s.read).map(|s| &s.offset);
+                        if let Some(r) = read {
+                            c.traffic.push(traffic(
+                                false,
+                                TrafficKind::AtLevel(*level),
+                                read_offsets().map(|o| flat(array, o)).collect(),
+                            ));
+                            replaced_loads.insert(*r, read_offsets().cloned().collect());
                         }
-                        if length <= 0 || length > 4096 {
-                            continue;
-                        }
-                        let lanes = sets[read].distinct_offsets();
-                        let mut guard_levels = vec![*or];
-                        guard_levels
-                            .extend((*or + 1..*deepest_varying).filter(|l| !varying.contains(l)));
-                        let cost = lanes.len() * length as usize;
-                        carried.push((
-                            cost,
-                            CarriedCensus::Chain {
-                                set: read,
-                                lanes,
-                                length: length as usize,
-                                guard_levels,
-                            },
-                        ));
-                    }
-                    (
-                        ReuseStrategy::Consistent {
-                            deepest_varying,
-                            outer_reuse: None,
-                            hoist_inner: 0,
-                        },
-                        Some(read),
-                        None,
-                    ) => {
-                        // Mirror of `plan_window`.
-                        let dims: Vec<usize> = signature
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, row)| row[*deepest_varying] != 0)
-                            .map(|(d, _)| d)
-                            .collect();
-                        let [window_dim] = dims.as_slice() else {
-                            continue;
-                        };
-                        let window_dim = *window_dim;
-                        if signature[window_dim][*deepest_varying] != 1 {
-                            continue;
-                        }
-                        let step = factors[*deepest_varying];
-                        let mut lanes: Vec<(Vec<i64>, i64, i64)> = Vec::new();
-                        let mut lane_index: HashMap<Vec<i64>, usize> = HashMap::new();
-                        for off in sets[read].distinct_offsets() {
-                            let key: Vec<i64> = off
+                        c.traffic.push(traffic(
+                            true,
+                            TrafficKind::AtLevel(*level),
+                            slots
                                 .iter()
-                                .enumerate()
-                                .filter(|(d, _)| *d != window_dim)
-                                .map(|(_, &v)| v)
-                                .collect();
-                            let w = off[window_dim];
-                            match lane_index.get(&key) {
-                                Some(&i) => {
-                                    let (_, lo, hi) = &mut lanes[i];
-                                    *lo = (*lo).min(w);
-                                    *hi = (*hi).max(w);
-                                }
-                                None => {
-                                    lane_index.insert(key.clone(), lanes.len());
-                                    lanes.push((key, w, w));
-                                }
-                            }
-                        }
-                        lanes.retain(|(_, lo, hi)| hi - lo + 1 > step);
-                        if lanes.is_empty() {
-                            continue;
-                        }
-                        let cost: i64 = lanes.iter().map(|(_, lo, hi)| hi - lo + 1).sum();
-                        carried.push((
-                            cost as usize,
-                            CarriedCensus::Window {
-                                set: read,
-                                window_dim,
-                                deepest_varying: *deepest_varying,
-                                lanes,
-                                step,
-                            },
+                                .filter(|s| s.written)
+                                .map(|s| flat(array, &s.offset))
+                                .collect(),
                         ));
+                        replaced_stores.insert(*write);
+                        c.accumulators
+                            .push(self.accumulator_census(&sets[*write], &var_refs));
                     }
-                    (
-                        ReuseStrategy::Consistent {
-                            deepest_varying,
-                            hoist_inner,
-                            ..
-                        },
-                        None,
-                        Some(write),
-                    ) if *hoist_inner >= 1 => {
-                        if !opts.redundant_write_elim {
-                            continue;
-                        }
-                        self.census_accumulator(
-                            &mut c,
-                            &mut reg_classes,
-                            &mut add_regs,
-                            &sets,
-                            None,
-                            write,
-                            *deepest_varying,
-                            &flat,
-                            &elem_bits,
-                            &mut replaced_loads,
-                            &mut replaced_stores,
-                            &var_refs,
-                        );
+                    Reuse::Hoisted {
+                        read,
+                        level,
+                        offsets,
+                    } => {
+                        *reg_classes.entry((bits, true)).or_insert(0) += offsets.len();
+                        let kind = match level {
+                            Some(l) => TrafficKind::AtLevel(*l),
+                            None => TrafficKind::Top,
+                        };
+                        c.traffic.push(traffic(
+                            false,
+                            kind,
+                            offsets.iter().map(|o| flat(array, o)).collect(),
+                        ));
+                        replaced_loads.insert(*read, offsets.iter().cloned().collect());
                     }
-                    _ => {}
-                }
-            }
-
-            // §5.4 register budget: smallest-cost-first, same stable sort.
-            carried.sort_by_key(|(cost, _)| *cost);
-            let mut remaining = opts
-                .register_budget
-                .map(|b| b.saturating_sub(c.reuse_registers))
-                .unwrap_or(usize::MAX);
-            for (cost, plan) in carried {
-                if cost > remaining {
-                    c.dropped_by_budget += 1;
-                    continue;
-                }
-                remaining -= cost;
-                match plan {
-                    CarriedCensus::Chain {
-                        set,
+                    Reuse::Chain {
+                        read,
+                        level,
+                        invariant_levels,
                         lanes,
                         length,
-                        guard_levels,
                     } => {
-                        let array = sets[set].array.as_str();
-                        let bits = elem_bits(array);
-                        for lane_off in &lanes {
-                            add_regs(&mut reg_classes, bits, true, length);
-                            c.reuse_registers += length;
-                            c.traffic.push(Traffic {
-                                array: array.to_string(),
-                                is_write: false,
-                                elem_bits: bits,
-                                kind: TrafficKind::Guarded(guard_levels.clone()),
-                                flat_offsets: vec![flat(array, lane_off)],
-                                conditional: false,
-                            });
-                            if length >= 2 {
+                        let guard_levels: Vec<usize> = std::iter::once(*level)
+                            .chain(invariant_levels.iter().copied())
+                            .collect();
+                        for lane_off in lanes {
+                            *reg_classes.entry((bits, true)).or_insert(0) += length;
+                            c.traffic.push(traffic(
+                                false,
+                                TrafficKind::Guarded(guard_levels.clone()),
+                                vec![flat(array, lane_off)],
+                            ));
+                            if *length >= 2 {
                                 c.rotates_per_body += 1;
                             }
                             c.guard_eqs_per_body += guard_levels.len() as i64;
                             c.guard_ands_per_body += guard_levels.len() as i64 - 1;
                         }
-                        c.chains += lanes.len();
                         for &l in &guard_levels {
                             c.peelable[l] = true;
                         }
-                        replaced_loads.insert(set, lanes.into_iter().collect());
+                        replaced_loads.insert(*read, lanes.iter().cloned().collect());
                     }
-                    CarriedCensus::Window {
-                        set,
+                    Reuse::Window {
+                        read,
+                        level,
                         window_dim,
-                        deepest_varying,
-                        lanes,
                         step,
+                        lanes,
                     } => {
-                        let array = sets[set].array.as_str();
-                        let bits = elem_bits(array);
-                        // Group all distinct offsets by lane key, like
-                        // `apply_carried` does.
-                        let all_offsets = sets[set].distinct_offsets();
-                        let mut by_lane: HashMap<Vec<i64>, Vec<&Vec<i64>>> = HashMap::new();
-                        for off in &all_offsets {
-                            let key: Vec<i64> = off
-                                .iter()
-                                .enumerate()
-                                .filter(|(d, _)| *d != window_dim)
-                                .map(|(_, &v)| v)
-                                .collect();
-                            by_lane.entry(key).or_default().push(off);
-                        }
                         let mut replaced: HashSet<Vec<i64>> = HashSet::new();
-                        for (key, lo, hi) in &lanes {
-                            let lane_offsets = &by_lane[key];
-                            let span = (hi - lo + 1) as usize;
-                            let carried_regs = span.saturating_sub(step as usize);
-                            add_regs(&mut reg_classes, bits, true, span);
-                            c.reuse_registers += span;
-                            let proto: Vec<i64> = lane_offsets[0].clone();
-                            let patched = |wpos: i64| -> Vec<i64> {
-                                let mut off = proto.clone();
-                                off[window_dim] = wpos;
-                                off
+                        for lane in lanes {
+                            let span = lane.span();
+                            let carried = span.saturating_sub(*step as usize);
+                            *reg_classes.entry((bits, true)).or_insert(0) += span;
+                            let positions = |ps: std::ops::Range<usize>| -> Vec<i64> {
+                                ps.map(|p| flat(array, &lane.at(*window_dim, p))).collect()
                             };
-                            if carried_regs > 0 {
-                                c.traffic.push(Traffic {
-                                    array: array.to_string(),
-                                    is_write: false,
-                                    elem_bits: bits,
-                                    kind: TrafficKind::Guarded(vec![deepest_varying]),
-                                    flat_offsets: (0..carried_regs)
-                                        .map(|p| flat(array, &patched(lo + p as i64)))
-                                        .collect(),
-                                    conditional: false,
-                                });
+                            if carried > 0 {
+                                c.traffic.push(traffic(
+                                    false,
+                                    TrafficKind::Guarded(vec![*level]),
+                                    positions(0..carried),
+                                ));
                                 c.guard_eqs_per_body += 1;
-                                c.peelable[deepest_varying] = true;
+                                c.peelable[*level] = true;
                             }
-                            if span > carried_regs {
-                                c.traffic.push(Traffic {
-                                    array: array.to_string(),
-                                    is_write: false,
-                                    elem_bits: bits,
-                                    kind: TrafficKind::Body,
-                                    flat_offsets: (carried_regs..span)
-                                        .map(|p| flat(array, &patched(lo + p as i64)))
-                                        .collect(),
-                                    conditional: false,
-                                });
+                            if span > carried {
+                                c.traffic.push(traffic(
+                                    false,
+                                    TrafficKind::Body,
+                                    positions(carried..span),
+                                ));
                             }
-                            if carried_regs > 0 && span >= 2 {
+                            if carried > 0 && span >= 2 {
                                 c.rotates_per_body += step;
                             }
-                            c.chains += 1;
-                            for off in lane_offsets {
-                                replaced.insert((*off).clone());
-                            }
+                            replaced.extend(lane.offsets.iter().cloned());
                         }
-                        replaced_loads.insert(set, replaced);
+                        replaced_loads.insert(*read, replaced);
                     }
                 }
             }
@@ -711,7 +476,7 @@ impl PreparedKernel {
             }
             if let Some(offs) = hoisted.remove(array) {
                 c.temp_registers += offs.len();
-                add_regs(&mut reg_classes, bits, true, offs.len());
+                *reg_classes.entry((bits, true)).or_insert(0) += offs.len();
                 // Hoisting fills the temps in an unconditional prefix, so
                 // these loads survive any branch folding.
                 c.traffic.push(Traffic {
@@ -728,8 +493,10 @@ impl PreparedKernel {
         // Peeling also splits levels whose variable a *user* guard tests
         // against zero.
         if opts.peel {
-            for (l, var) in self.var_names().iter().enumerate() {
-                if !c.peelable[l] && body_tests_var_zero(self.base_body(), var) {
+            for (l, loop_) in self.loops().iter().enumerate() {
+                if !c.peelable[l]
+                    && tests_first_iteration(self.base_body(), &loop_.var, loop_.lower)
+                {
                     c.peelable[l] = true;
                 }
             }
@@ -752,85 +519,28 @@ impl PreparedKernel {
         Ok(c)
     }
 
-    /// Mirror of `plan_accumulator`: registers for the union of
-    /// read/write offsets, hoisted loads + sunk stores at the deepest
-    /// varying level, plus the serialization facts for the compute floor.
-    #[allow(clippy::too_many_arguments)]
-    fn census_accumulator(
-        &self,
-        c: &mut PointCensus,
-        reg_classes: &mut HashMap<(u32, bool), usize>,
-        add_regs: &mut impl FnMut(&mut HashMap<(u32, bool), usize>, u32, bool, usize),
-        sets: &[UniformSet],
-        read: Option<usize>,
-        write: usize,
-        deepest_varying: usize,
-        flat: &impl Fn(&str, &[i64]) -> i64,
-        elem_bits: &impl Fn(&str) -> u32,
-        replaced_loads: &mut HashMap<usize, HashSet<Vec<i64>>>,
-        replaced_stores: &mut HashSet<usize>,
-        var_refs: &[&str],
-    ) {
-        let array = sets[write].array.as_str();
-        let bits = elem_bits(array);
-        let write_offsets = sets[write].distinct_offsets();
-        let read_offsets: Vec<Vec<i64>> =
-            read.map(|i| sets[i].distinct_offsets()).unwrap_or_default();
-        let mut union = write_offsets.clone();
-        for o in &read_offsets {
-            if !union.contains(o) {
-                union.push(o.clone());
-            }
-        }
-        for off in &union {
-            let load_valued = read_offsets.contains(off);
-            add_regs(reg_classes, bits, load_valued, 1);
-        }
-        c.reuse_registers += union.len();
-        if !read_offsets.is_empty() {
-            c.traffic.push(Traffic {
-                array: array.to_string(),
-                is_write: false,
-                elem_bits: bits,
-                kind: TrafficKind::AtLevel(deepest_varying),
-                flat_offsets: read_offsets.iter().map(|o| flat(array, o)).collect(),
-                conditional: false,
-            });
-        }
-        c.traffic.push(Traffic {
-            array: array.to_string(),
-            is_write: true,
-            elem_bits: bits,
-            kind: TrafficKind::AtLevel(deepest_varying),
-            flat_offsets: write_offsets.iter().map(|o| flat(array, o)).collect(),
-            conditional: false,
-        });
-        if let Some(r) = read {
-            replaced_loads.insert(r, read_offsets.into_iter().collect());
-        }
-        replaced_stores.insert(write);
-
-        // Serialization: jammed write members sharing one offset update
-        // the same register in sequence.
+    /// Serialization facts of an accumulator group with write set
+    /// `write`: jammed write members sharing one offset update the same
+    /// register in sequence.
+    fn accumulator_census(&self, write: &UniformSet, var_refs: &[&str]) -> AccumulatorCensus {
         let mut per_offset: HashMap<&Vec<i64>, i64> = HashMap::new();
-        for off in &sets[write].offsets {
+        for off in &write.offsets {
             *per_offset.entry(off).or_insert(0) += 1;
         }
         let max_writes = per_offset.values().copied().max().unwrap_or(0);
-        let signature = &sets[write].signature;
         let mut serial_ops: Option<Vec<(BinOp, bool)>> = Some(Vec::new());
         collect_update_tops(
             self.base_body(),
-            array,
-            signature,
+            &write.array,
+            &write.signature,
             var_refs,
             &mut serial_ops,
         );
-        c.accumulators.push(AccumulatorCensus {
-            array: array.to_string(),
+        AccumulatorCensus {
+            array: write.array.to_string(),
             max_writes_per_offset: max_writes,
             serial_ops: serial_ops.filter(|v| !v.is_empty()),
-        });
+        }
     }
 }
 
@@ -914,32 +624,6 @@ fn collect_update_tops(
             _ => {}
         }
     }
-}
-
-/// Does any `if` condition in the body test `var == 0` (the pattern loop
-/// peeling splits on)?
-fn body_tests_var_zero(body: &[Stmt], var: &str) -> bool {
-    fn expr_tests(e: &Expr, var: &str) -> bool {
-        match e {
-            Expr::Binary(BinOp::Eq, a, b) => {
-                matches!((&**a, &**b), (Expr::Scalar(v), Expr::Int(0)) if v == var)
-            }
-            Expr::Binary(BinOp::And, a, b) => expr_tests(a, var) || expr_tests(b, var),
-            _ => false,
-        }
-    }
-    body.iter().any(|s| match s {
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            expr_tests(cond, var)
-                || body_tests_var_zero(then_body, var)
-                || body_tests_var_zero(else_body, var)
-        }
-        _ => false,
-    })
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!   reuse exploited across *all* loops of the nest (register chains with
 //!   `rotate`, rolling stencil windows, hoisted/sunk accumulators), plus
 //!   loop-invariant code motion;
-//! - [`interchange`] — loop interchange with a dependence-order
+//! - [`interchange`](mod@interchange) — loop interchange with a dependence-order
 //!   legality check;
 //! - [`peel`] — loop peeling, turning the conditional first-iteration
 //!   register loads emitted by scalar replacement into genuinely peeled

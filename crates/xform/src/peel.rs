@@ -312,7 +312,7 @@ fn peel_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
 }
 
 /// Does any `if` condition in `stmts` (recursively) test `var == lower`?
-fn tests_first_iteration(stmts: &[Stmt], var: &str, lower: i64) -> bool {
+pub(crate) fn tests_first_iteration(stmts: &[Stmt], var: &str, lower: i64) -> bool {
     stmts.iter().any(|s| match s {
         Stmt::If {
             cond,

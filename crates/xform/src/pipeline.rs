@@ -79,7 +79,7 @@ pub struct TransformOptions {
     pub peel: bool,
     /// Number of external memories of the target board.
     pub num_memories: usize,
-    /// Run the IR verifier ([`defacto_ir::verify`]) on the output of every
+    /// Run the IR verifier ([`defacto_ir::verify()`]) on the output of every
     /// pipeline stage, failing with [`XformError::Verify`] on the first
     /// stage that emits structurally invalid IR. Off by default: passes
     /// are trusted in production runs and the sweep is hot.
@@ -96,6 +96,16 @@ impl Default for TransformOptions {
             peel: true,
             num_memories: 4,
             verify_each_pass: false,
+        }
+    }
+}
+
+impl TransformOptions {
+    /// The scalar-replacement subset of the options.
+    pub(crate) fn scalar_options(&self) -> ScalarOptions {
+        ScalarOptions {
+            redundant_write_elim: self.redundant_write_elim,
+            register_budget: self.register_budget,
         }
     }
 }
@@ -160,13 +170,7 @@ pub fn transform(
     checkpoint("unroll-and-jam", &unrolled)?;
 
     let (replaced, info) = if opts.scalar_replacement {
-        scalar_replace(
-            &unrolled,
-            &ScalarOptions {
-                redundant_write_elim: opts.redundant_write_elim,
-                register_budget: opts.register_budget,
-            },
-        )?
+        scalar_replace(&unrolled, &opts.scalar_options())?
     } else {
         (unrolled, ScalarReplacementInfo::default())
     };

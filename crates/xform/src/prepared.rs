@@ -23,8 +23,7 @@
 //! - the unrolled body's uniformly generated sets are derived
 //!   analytically from the base analyses ([`defacto_analysis::jam`])
 //!   instead of re-walking the `P(U)`-times larger body, and each set's
-//!   distinct-offset list and conditional-member flag are served from
-//!   per-point (respectively per-kernel) caches;
+//!   conditional-member flag is served from a per-kernel cache;
 //! - intermediate kernels are rebuilt with the unchecked constructors:
 //!   re-validation (a pure structural check) is skipped because the
 //!   transformed bodies are produced by the same code paths the validated
@@ -41,7 +40,7 @@ use crate::layout::assign_memories;
 use crate::normalize::normalize_loops;
 use crate::peel::peel_first_iterations_lite;
 use crate::pipeline::{TransformOptions, TransformedDesign, UnrollVector};
-use crate::scalar::{scalar_replace_core, ScalarInput, ScalarOptions, ScalarReplacementInfo};
+use crate::scalar::{materialize, plan_reuse, ScalarInput, ScalarReplacementInfo};
 use crate::simplify::simplify_stmts;
 use crate::unroll::offset_tuples;
 use defacto_analysis::{
@@ -460,28 +459,24 @@ impl PreparedKernel {
                 })
                 .collect();
             let sets = jammed_uniform_sets(&self.base_sets, self.base_table.len(), &tuples);
-            // Memoize each set's distinct offsets for this point. Sets
-            // partition the accesses, so the first member id identifies
-            // its set uniquely.
-            let distinct_cache: HashMap<AccessId, Vec<Vec<i64>>> = sets
-                .iter()
-                .map(|s| (s.members[0], s.distinct_offsets()))
-                .collect();
+            let trips: Vec<i64> = widened.iter().map(Loop::trip_count).collect();
+            let plan = plan_reuse(
+                &sets,
+                &trips,
+                factors,
+                &|s: &UniformSet| self.cond_flag(s.members[0]),
+                &opts.scalar_options(),
+            );
             let body_refs: Vec<&Stmt> = copies.iter().flat_map(|c| c.iter()).collect();
-            let (final_body, decls, info) = scalar_replace_core(
+            let (final_body, decls, info) = materialize(
                 &self.normalized,
                 &ScalarInput {
                     loops: &widened,
                     vars: &self.var_names,
                     body: &body_refs,
                     sets: &sets,
-                    conditional: &|s: &UniformSet| self.cond_flags[&s.members[0]],
-                    distinct: &|s: &UniformSet| distinct_cache[&s.members[0]].clone(),
                 },
-                &ScalarOptions {
-                    redundant_write_elim: opts.redundant_write_elim,
-                    register_budget: opts.register_budget,
-                },
+                &plan,
             );
             (
                 self.normalized

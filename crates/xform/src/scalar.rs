@@ -30,6 +30,15 @@
 //! 4. **Load dedup/hoist**: remaining loads of store-free arrays move to
 //!    the top of the body, one register per distinct address (the `S_0`
 //!    temporary of Figure 1(c)); duplicated addresses are loaded once.
+//!
+//! The pass runs in two steps. `plan_reuse` makes every decision — the
+//! grouping, the conditional and aliasing screens, the classification,
+//! the choice of pattern and the §5.4 register budget — over set indices
+//! and offset vectors only, into a `ReusePlan`. `materialize` then names
+//! the registers, builds the statements and rewrites the body. The tier-0
+//! census ([`crate::census`]) folds the same plan into counts, so its
+//! register, chain and budget counts cannot disagree with the design this
+//! pass builds.
 
 use crate::error::{Result, XformError};
 use defacto_analysis::{
@@ -73,8 +82,10 @@ pub struct ScalarOptions {
     /// difference (1) from prior work). Disabling this also disables
     /// accumulator registers, since they subsume the intermediate writes.
     pub redundant_write_elim: bool,
-    /// Maximum registers to spend on carried reuse; chains/windows are
-    /// dropped greedily (largest first) to respect it (paper §5.4).
+    /// Maximum registers to spend on carried reuse (paper §5.4).
+    /// Accumulator and hoisted registers are always kept and count
+    /// against it; of the chains and windows, the cheapest that still
+    /// fit are kept and the rest are dropped.
     pub register_budget: Option<usize>,
 }
 
@@ -87,18 +98,10 @@ impl Default for ScalarOptions {
     }
 }
 
-/// Supplier of a set's distinct constant-offset vectors.
-///
-/// [`UniformSet::distinct_offsets`] is a pure function, so any supplier
-/// returning its value is behavior-preserving; the prepared evaluation
-/// path caches the (sorted, deduplicated) lists per set instead of
-/// re-sorting the full member list at every use.
-pub(crate) type DistinctFn<'a> = dyn Fn(&UniformSet) -> Vec<Vec<i64>> + 'a;
-
-/// The inputs of [`scalar_replace_core`]: the nest shape for this design
-/// point plus the body's access analyses. The scratch path computes them
-/// from the kernel; the prepared path derives them analytically from the
-/// base body's analyses.
+/// The inputs of [`materialize`]: the nest shape for this design point
+/// plus the body and its uniformly generated sets. The scratch path
+/// computes them from the kernel; the prepared path derives them
+/// analytically from the base body's analyses.
 pub(crate) struct ScalarInput<'a> {
     /// Empty-bodied loop templates, outermost first (steps already
     /// widened by unrolling).
@@ -109,15 +112,9 @@ pub(crate) struct ScalarInput<'a> {
     /// prepared path feeds cached copies without concatenating them into
     /// one owned body.
     pub body: &'a [&'a Stmt],
-    /// Uniformly generated sets of `body` over `vars`.
+    /// Uniformly generated sets of `body` over `vars`: the sets the plan's
+    /// indices name.
     pub sets: &'a [UniformSet],
-    /// Whether any member of the set is conditionally executed (under an
-    /// `if`). The scratch path answers from the body's access table; the
-    /// prepared path answers from the base body's flags, which jamming
-    /// replicates verbatim.
-    pub conditional: &'a dyn Fn(&UniformSet) -> bool,
-    /// Distinct-offset supplier (see [`DistinctFn`]).
-    pub distinct: &'a DistinctFn<'a>,
 }
 
 /// Apply scalar replacement to a normalized (possibly unrolled) perfect
@@ -148,94 +145,245 @@ pub fn scalar_replace(
     let body = nest.innermost_body();
     let table = AccessTable::from_stmts(body);
     let sets = uniform_sets(&table, &var_refs);
+    let trips: Vec<i64> = loops.iter().map(Loop::trip_count).collect();
+    let steps: Vec<i64> = loops.iter().map(|l| l.step).collect();
+    let plan = plan_reuse(
+        &sets,
+        &trips,
+        &steps,
+        &|s: &UniformSet| s.members.iter().any(|&id| table.get(id).conditional),
+        opts,
+    );
     let body_refs: Vec<&Stmt> = body.iter().collect();
-    let (final_body, decls, info) = scalar_replace_core(
+    let (final_body, decls, info) = materialize(
         kernel,
         &ScalarInput {
             loops: &loops,
             vars: &vars,
             body: &body_refs,
             sets: &sets,
-            conditional: &|s: &UniformSet| members_conditional(&table, Some(s)),
-            distinct: &|s: &UniformSet| s.distinct_offsets(),
         },
-        opts,
+        &plan,
     );
     let kernel2 = kernel.with_body_and_temps(final_body, decls)?;
     Ok((kernel2, info))
 }
 
-/// The planning and rewriting shared by the scratch and prepared paths,
-/// returning the rebuilt body and the temporary declarations instead of a
-/// validated kernel (the caller decides whether to revalidate).
-pub(crate) fn scalar_replace_core(
-    kernel: &Kernel,
-    input: &ScalarInput<'_>,
+/// One accumulator register: its constant offset, and whether the group
+/// reads and writes that address.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Slot {
+    pub offset: Vec<i64>,
+    pub read: bool,
+    pub written: bool,
+}
+
+/// One lane of a rolling window: the range `lo..=hi` it spans along the
+/// window dimension, and the set's distinct offsets in that lane, sorted.
+#[derive(Debug)]
+pub(crate) struct WindowLane {
+    pub lo: i64,
+    pub hi: i64,
+    pub offsets: Vec<Vec<i64>>,
+}
+
+impl WindowLane {
+    /// Registers of the lane: one per window position.
+    pub fn span(&self) -> usize {
+        (self.hi - self.lo + 1) as usize
+    }
+
+    /// The lane's offset at window position `p` (element `lo + p`).
+    pub fn at(&self, window_dim: usize, p: usize) -> Vec<i64> {
+        let mut off = self.offsets[0].clone();
+        off[window_dim] = self.lo + p as i64;
+        off
+    }
+}
+
+/// One kept scalar-replacement decision. Sets are named by their index in
+/// the planner's input and registers by their constant offsets, so a
+/// decision holds no name, statement or access.
+#[derive(Debug)]
+pub(crate) enum Reuse {
+    /// A written set invariant in the loops deeper than `level`, with its
+    /// read set if any: one register per offset. Read offsets load at the
+    /// top of loop `level`'s body and written ones store at its bottom;
+    /// every store in between becomes a register assignment
+    /// (redundant-write elimination). Slots are sorted by offset.
+    Accumulator {
+        read: Option<usize>,
+        write: usize,
+        level: usize,
+        slots: Vec<Slot>,
+    },
+    /// A read set invariant in the loops deeper than `level`: one register
+    /// per distinct offset, loaded at the top of loop `level`'s body, or
+    /// once before the whole nest when `level` is `None` (constant
+    /// subscripts).
+    Hoisted {
+        read: usize,
+        level: Option<usize>,
+        offsets: Vec<Vec<i64>>,
+    },
+    /// A read set whose values recur across loop `level`: one chain of
+    /// `length` rotating registers per lane, filled on the first
+    /// iteration of `level` and of each of `invariant_levels` (the loops
+    /// between it and the deepest varying loop that the set ignores).
+    Chain {
+        read: usize,
+        level: usize,
+        invariant_levels: Vec<usize>,
+        lanes: Vec<Vec<i64>>,
+        length: usize,
+    },
+    /// A read set with consistent distances along loop `level`, the
+    /// deepest it varies with, in exactly one unit-stride dimension
+    /// `window_dim`: per lane, a window of registers that shifts by
+    /// `step` each iteration, so only `step` new elements load.
+    Window {
+        read: usize,
+        level: usize,
+        window_dim: usize,
+        step: i64,
+        lanes: Vec<WindowLane>,
+    },
+}
+
+impl Reuse {
+    /// The set whose array and signature the decision's accesses share.
+    pub fn set(&self) -> usize {
+        match self {
+            Reuse::Accumulator { write, .. } => *write,
+            Reuse::Hoisted { read, .. }
+            | Reuse::Chain { read, .. }
+            | Reuse::Window { read, .. } => *read,
+        }
+    }
+
+    /// Registers the decision introduces: its cost under the §5.4
+    /// budget.
+    fn registers(&self) -> usize {
+        match self {
+            Reuse::Accumulator { slots, .. } => slots.len(),
+            Reuse::Hoisted { offsets, .. } => offsets.len(),
+            Reuse::Chain { lanes, length, .. } => lanes.len() * length,
+            Reuse::Window { lanes, .. } => lanes.iter().map(WindowLane::span).sum(),
+        }
+    }
+
+    /// Rotating register groups the decision introduces.
+    fn chains(&self) -> usize {
+        match self {
+            Reuse::Chain { lanes, .. } => lanes.len(),
+            Reuse::Window { lanes, .. } => lanes.len(),
+            Reuse::Accumulator { .. } | Reuse::Hoisted { .. } => 0,
+        }
+    }
+}
+
+/// Every scalar-replacement decision for one design point, made by
+/// [`plan_reuse`]. [`materialize`] turns it into statements; the tier-0
+/// census ([`crate::census`]) folds it into counts.
+#[derive(Debug)]
+pub(crate) struct ReusePlan {
+    /// Kept decisions in the order their registers are named: direct
+    /// (accumulator and hoisted) decisions in group order, then the kept
+    /// carried (chain and window) decisions in budget order.
+    pub decisions: Vec<Reuse>,
+    /// See [`ScalarReplacementInfo::unexploited_sets`].
+    pub unexploited_sets: usize,
+    /// See [`ScalarReplacementInfo::dropped_by_budget`].
+    pub dropped_by_budget: usize,
+}
+
+impl ReusePlan {
+    /// The plan's statistics. Load hoisting, which runs after the plan is
+    /// materialized, adds `temp_registers`.
+    pub fn info(&self) -> ScalarReplacementInfo {
+        ScalarReplacementInfo {
+            reuse_registers: self.decisions.iter().map(Reuse::registers).sum(),
+            temp_registers: 0,
+            chains: self.decisions.iter().map(Reuse::chains).sum(),
+            unexploited_sets: self.unexploited_sets,
+            dropped_by_budget: self.dropped_by_budget,
+        }
+    }
+}
+
+/// The read and write set of one `(array, signature)`. `probe`, the set
+/// the group is classified by, is the read set if there is one, else the
+/// write set.
+struct Group {
+    probe: usize,
+    read: Option<usize>,
+    write: Option<usize>,
+}
+
+/// Decide the scalar replacement of one design point: group the sets,
+/// screen out conditional and aliased groups, pick each group's code
+/// pattern from its reuse classification, and keep the carried plans
+/// that fit the §5.4 register budget.
+///
+/// `trips` and `steps` are the jammed nest's per-level trip counts and
+/// loop steps; `conditional` tells whether a set has a member under an
+/// `if`.
+pub(crate) fn plan_reuse(
+    sets: &[UniformSet],
+    trips: &[i64],
+    steps: &[i64],
+    conditional: &dyn Fn(&UniformSet) -> bool,
     opts: &ScalarOptions,
-) -> (Vec<Stmt>, Vec<ScalarDecl>, ScalarReplacementInfo) {
-    let depth = input.loops.len();
-    let vars = input.vars;
-    let loops = input.loops;
-    let trips: Vec<i64> = loops.iter().map(Loop::trip_count).collect();
-    let body = input.body;
-    let sets = input.sets;
+) -> ReusePlan {
+    let mut plan = ReusePlan {
+        decisions: Vec::new(),
+        unexploited_sets: 0,
+        dropped_by_budget: 0,
+    };
 
-    let mut names = NameGen::new(kernel, vars);
-    let mut plan = Plan::new(depth);
-    let mut info = ScalarReplacementInfo::default();
-
-    // Group read/write sets by (array, signature).
-    let mut groups: Vec<Group<'_>> = Vec::new();
-    for set in sets {
-        match groups
-            .iter_mut()
-            .find(|g| *g.array == set.array && *g.signature == set.signature)
-        {
+    let mut groups: Vec<Group> = Vec::new();
+    for (i, set) in sets.iter().enumerate() {
+        let same = |g: &&mut Group| {
+            sets[g.probe].array == set.array && sets[g.probe].signature == set.signature
+        };
+        match groups.iter_mut().find(same) {
+            Some(g) if set.is_write => g.write = Some(i),
             Some(g) => {
-                if set.is_write {
-                    g.write = Some(set);
-                } else {
-                    g.read = Some(set);
-                }
+                g.read = Some(i);
+                g.probe = i;
             }
             None => groups.push(Group {
-                array: &set.array,
-                signature: &set.signature,
-                read: (!set.is_write).then_some(set),
-                write: set.is_write.then_some(set),
+                probe: i,
+                read: (!set.is_write).then_some(i),
+                write: set.is_write.then_some(i),
             }),
         }
     }
 
     // Arrays with multiple write signatures, or written non-uniformly with
     // respect to a read set, are unsafe to replace.
-    let write_sigs: HashMap<&Name, Vec<&Vec<Vec<i64>>>> = {
-        let mut m: HashMap<&Name, Vec<&Vec<Vec<i64>>>> = HashMap::new();
-        for s in sets.iter().filter(|s| s.is_write) {
-            m.entry(&s.array).or_default().push(&s.signature);
-        }
-        m
-    };
+    let mut write_sigs: HashMap<&Name, Vec<&Vec<Vec<i64>>>> = HashMap::new();
+    for s in sets.iter().filter(|s| s.is_write) {
+        write_sigs.entry(&s.array).or_default().push(&s.signature);
+    }
 
-    // First phase: plan carried-reuse replacements with their register
-    // costs so the §5.4 budget can drop the largest ones.
-    let mut carried: Vec<CarriedPlan<'_>> = Vec::new();
-
+    // Carried (chain and window) decisions wait for the budget.
+    let mut carried: Vec<Reuse> = Vec::new();
     for g in &groups {
-        let any_conditional = g.read.map(input.conditional).unwrap_or(false)
-            || g.write.map(input.conditional).unwrap_or(false);
+        let probe = &sets[g.probe];
+        let members = g.read.is_some() as usize + g.write.is_some() as usize;
+        let any_conditional = g.read.is_some_and(|i| conditional(&sets[i]))
+            || g.write.is_some_and(|i| conditional(&sets[i]));
         let foreign_writes = write_sigs
-            .get(g.array)
-            .map(|sigs| sigs.iter().any(|s| **s != *g.signature))
-            .unwrap_or(false);
+            .get(&probe.array)
+            .is_some_and(|sigs| sigs.iter().any(|s| **s != probe.signature));
         if any_conditional || foreign_writes {
-            info.unexploited_sets += (g.read.is_some() as usize) + (g.write.is_some() as usize);
+            plan.unexploited_sets += members;
             continue;
         }
-        let probe = g.read.or(g.write).expect("group has a set");
-        let strategy = classify_set_bounded(probe, &trips);
-        match (&strategy, g.read, g.write) {
-            // Accumulator: read+write, invariant in the innermost loop(s).
+        match (classify_set_bounded(probe, trips), g.read, g.write) {
+            // Accumulator: a written set invariant in the innermost
+            // loop(s), with or without its read set.
             (
                 ReuseStrategy::Consistent {
                     deepest_varying,
@@ -244,40 +392,45 @@ pub(crate) fn scalar_replace_core(
                 },
                 read,
                 Some(write),
-            ) if *hoist_inner >= 1 => {
+            ) if hoist_inner >= 1 => {
                 if !opts.redundant_write_elim {
-                    info.unexploited_sets += 1 + read.is_some() as usize;
+                    plan.unexploited_sets += members;
                     continue;
                 }
-                plan_accumulator(
-                    &mut PlanCtx {
-                        plan: &mut plan,
-                        names: &mut names,
-                        info: &mut info,
-                        vars,
-                        kernel,
-                        distinct: input.distinct,
-                    },
-                    g,
+                let mut slots: Vec<Slot> = sets[write]
+                    .distinct_offsets()
+                    .into_iter()
+                    .map(|offset| Slot {
+                        offset,
+                        read: false,
+                        written: true,
+                    })
+                    .collect();
+                for offset in read.map(|r| sets[r].distinct_offsets()).unwrap_or_default() {
+                    match slots.iter_mut().find(|s| s.offset == offset) {
+                        Some(s) => s.read = true,
+                        None => slots.push(Slot {
+                            offset,
+                            read: true,
+                            written: false,
+                        }),
+                    }
+                }
+                slots.sort();
+                plan.decisions.push(Reuse::Accumulator {
                     read,
                     write,
-                    *deepest_varying,
-                );
+                    level: deepest_varying,
+                    slots,
+                });
             }
             // Pure reads.
             (ReuseStrategy::FullyInvariant, Some(read), None) => {
-                plan_invariant(
-                    &mut PlanCtx {
-                        plan: &mut plan,
-                        names: &mut names,
-                        info: &mut info,
-                        vars,
-                        kernel,
-                        distinct: input.distinct,
-                    },
-                    g,
+                plan.decisions.push(Reuse::Hoisted {
                     read,
-                );
+                    level: None,
+                    offsets: probe.distinct_offsets(),
+                });
             }
             (
                 ReuseStrategy::Consistent {
@@ -287,34 +440,22 @@ pub(crate) fn scalar_replace_core(
                 },
                 Some(read),
                 None,
-            ) if *hoist_inner >= 1 => {
-                plan_hoisted_read(
-                    &mut PlanCtx {
-                        plan: &mut plan,
-                        names: &mut names,
-                        info: &mut info,
-                        vars,
-                        kernel,
-                        distinct: input.distinct,
-                    },
-                    g,
+            ) if hoist_inner >= 1 => {
+                plan.decisions.push(Reuse::Hoisted {
                     read,
-                    *deepest_varying,
-                );
+                    level: Some(deepest_varying),
+                    offsets: probe.distinct_offsets(),
+                });
             }
             (
                 ReuseStrategy::Consistent {
                     deepest_varying,
-                    outer_reuse: Some(or),
+                    outer_reuse: Some(level),
                     ..
                 },
                 Some(read),
                 None,
-            ) => {
-                if let Some(c) = plan_chain(g, read, *deepest_varying, *or, loops, input.distinct) {
-                    carried.push(c);
-                }
-            }
+            ) => carried.extend(plan_chain(probe, read, deepest_varying, level, trips)),
             (
                 ReuseStrategy::Consistent {
                     deepest_varying,
@@ -323,83 +464,157 @@ pub(crate) fn scalar_replace_core(
                 },
                 Some(read),
                 None,
-            ) => {
-                if let Some(c) = plan_window(g, read, *deepest_varying, loops, input.distinct) {
-                    carried.push(c);
-                }
-            }
-            // Write-only sinkable stores.
-            (
-                ReuseStrategy::Consistent {
-                    deepest_varying,
-                    hoist_inner,
-                    ..
-                },
-                None,
-                Some(write),
-            ) if *hoist_inner >= 1 => {
-                if !opts.redundant_write_elim {
-                    info.unexploited_sets += 1;
-                    continue;
-                }
-                plan_accumulator(
-                    &mut PlanCtx {
-                        plan: &mut plan,
-                        names: &mut names,
-                        info: &mut info,
-                        vars,
-                        kernel,
-                        distinct: input.distinct,
-                    },
-                    g,
-                    None,
-                    write,
-                    *deepest_varying,
-                );
-            }
-            _ => {
-                info.unexploited_sets += (g.read.is_some() as usize) + (g.write.is_some() as usize);
-            }
+            ) => carried.extend(plan_window(probe, read, deepest_varying, steps)),
+            _ => plan.unexploited_sets += members,
         }
     }
 
-    // Apply the register budget: keep carried plans smallest-cost-first
-    // until the budget is exhausted, dropping the rest (less reuse, fewer
-    // registers — exactly the §5.4 trade-off).
-    carried.sort_by_key(|c| c.cost);
+    // §5.4 register budget: what the direct decisions leave is spent on
+    // the carried plans cheapest first; a plan that does not fit is
+    // dropped (less reuse, fewer registers).
+    carried.sort_by_key(Reuse::registers);
     let mut remaining = opts
         .register_budget
-        .map(|b| b.saturating_sub(info.reuse_registers))
+        .map(|b| b.saturating_sub(plan.info().reuse_registers))
         .unwrap_or(usize::MAX);
     for c in carried {
-        if c.cost <= remaining {
-            remaining -= c.cost;
-            apply_carried(
-                &mut PlanCtx {
-                    plan: &mut plan,
-                    names: &mut names,
-                    info: &mut info,
-                    vars,
-                    kernel,
-                    distinct: input.distinct,
-                },
-                c,
-            );
+        let cost = c.registers();
+        if cost <= remaining {
+            remaining -= cost;
+            plan.decisions.push(c);
         } else {
-            info.dropped_by_budget += 1;
-            info.unexploited_sets += 1;
+            plan.dropped_by_budget += 1;
+            plan.unexploited_sets += 1;
         }
+    }
+    plan
+}
+
+fn plan_chain(
+    set: &UniformSet,
+    read: usize,
+    deepest_varying: usize,
+    level: usize,
+    trips: &[i64],
+) -> Option<Reuse> {
+    // Chain length: iterations of the varying loops deeper than the reuse
+    // loop (per lane).
+    let varying = set.varying_levels();
+    let mut length: i64 = 1;
+    for &v in varying.iter().filter(|&&v| v > level) {
+        length *= trips[v];
+    }
+    if length <= 0 || length > 4096 {
+        return None; // degenerate or absurd chain
+    }
+    Some(Reuse::Chain {
+        read,
+        level,
+        invariant_levels: (level + 1..deepest_varying)
+            .filter(|l| !varying.contains(l))
+            .collect(),
+        lanes: set.distinct_offsets(),
+        length: length as usize,
+    })
+}
+
+fn plan_window(
+    set: &UniformSet,
+    read: usize,
+    deepest_varying: usize,
+    steps: &[i64],
+) -> Option<Reuse> {
+    // Exactly one dimension must vary with the deepest loop.
+    let dims: Vec<usize> = set
+        .signature
+        .iter()
+        .enumerate()
+        .filter(|(_, row)| row[deepest_varying] != 0)
+        .map(|(d, _)| d)
+        .collect();
+    let [window_dim] = dims.as_slice() else {
+        return None;
+    };
+    let window_dim = *window_dim;
+    // The window shifts by coeff·step elements per iteration.
+    if set.signature[window_dim][deepest_varying] != 1 {
+        return None; // non-unit stride windows are left to plain loads
+    }
+    let step = steps[deepest_varying];
+    // Group the offsets into lanes by the offsets of all other dimensions
+    // (an index map keeps this linear in the jammed offset count).
+    let mut lanes: Vec<WindowLane> = Vec::new();
+    let mut lane_index: HashMap<Vec<i64>, usize> = HashMap::new();
+    for off in set.distinct_offsets() {
+        let key: Vec<i64> = off
+            .iter()
+            .enumerate()
+            .filter(|(d, _)| *d != window_dim)
+            .map(|(_, &v)| v)
+            .collect();
+        let w = off[window_dim];
+        match lane_index.get(&key) {
+            Some(&i) => {
+                let lane = &mut lanes[i];
+                lane.lo = lane.lo.min(w);
+                lane.hi = lane.hi.max(w);
+                lane.offsets.push(off);
+            }
+            None => {
+                lane_index.insert(key, lanes.len());
+                lanes.push(WindowLane {
+                    lo: w,
+                    hi: w,
+                    offsets: vec![off],
+                });
+            }
+        }
+    }
+    // Keep only lanes with carried reuse; others stay as plain loads.
+    lanes.retain(|lane| lane.span() as i64 > step);
+    if lanes.is_empty() {
+        return None;
+    }
+    Some(Reuse::Window {
+        read,
+        level: deepest_varying,
+        window_dim,
+        step,
+        lanes,
+    })
+}
+
+/// Build the statements of a plan, rewrite the body through them, hoist
+/// the body's remaining loads and reassemble the nest. Returns the new
+/// kernel body, the register declarations and the statistics.
+pub(crate) fn materialize(
+    kernel: &Kernel,
+    input: &ScalarInput<'_>,
+    plan: &ReusePlan,
+) -> (Vec<Stmt>, Vec<ScalarDecl>, ScalarReplacementInfo) {
+    let ScalarInput {
+        loops,
+        vars,
+        body,
+        sets,
+    } = *input;
+    let depth = loops.len();
+    let mut names = NameGen::new(kernel, vars);
+    let mut info = plan.info();
+    let mut edits = Edits::new(depth);
+    for reuse in &plan.decisions {
+        edits.add(reuse, &sets[reuse.set()], vars, kernel, &mut names);
     }
 
     // Rewrite the innermost body: the one copy of the (shared) jammed
     // statements, which every later stage rewrites in place.
     let mut new_body: Vec<Stmt> =
-        Vec::with_capacity(plan.body_prefix.len() + body.len() + plan.body_suffix.len());
-    new_body.append(&mut plan.body_prefix);
+        Vec::with_capacity(edits.body_prefix.len() + body.len() + edits.body_suffix.len());
+    new_body.append(&mut edits.body_prefix);
     for &s in body {
-        rewrite_stmt(s, &plan, &mut new_body);
+        rewrite_stmt(s, &edits, &mut new_body);
     }
-    new_body.append(&mut plan.body_suffix);
+    new_body.append(&mut edits.body_suffix);
 
     // Load dedup/hoist on the rewritten body.
     let new_body = hoist_remaining_loads(&mut names, &mut info, new_body, kernel);
@@ -411,16 +626,16 @@ pub(crate) fn scalar_replace_core(
         let body = if level == depth - 1 {
             stmts
         } else {
-            let mut b = std::mem::take(&mut plan.pre[level]);
+            let mut b = std::mem::take(&mut edits.pre[level]);
             b.extend(stmts);
-            b.append(&mut plan.post[level]);
+            b.append(&mut edits.post[level]);
             b
         };
         stmts = vec![wrap_loop(&loops[level], body)];
     }
-    let mut final_body = plan.top;
+    let mut final_body = edits.top;
     final_body.extend(stmts);
-    final_body.extend(plan.bottom);
+    final_body.extend(edits.bottom);
 
     (final_body, names.decls, info)
 }
@@ -435,39 +650,9 @@ fn wrap_loop(template: &Loop, body: Vec<Stmt>) -> Stmt {
     })
 }
 
-struct Group<'a> {
-    array: &'a Name,
-    signature: &'a Vec<Vec<i64>>,
-    read: Option<&'a UniformSet>,
-    write: Option<&'a UniformSet>,
-}
-
-/// Pending carried-reuse plan with its register cost (for the budget).
-struct CarriedPlan<'a> {
-    group_array: &'a Name,
-    signature: &'a [Vec<i64>],
-    kind: CarriedKind<'a>,
-    cost: usize,
-}
-
-enum CarriedKind<'a> {
-    Chain {
-        read: &'a UniformSet,
-        outer_reuse: usize,
-        lanes: Vec<Vec<i64>>,
-        length: usize,
-        invariant_guards: Vec<usize>,
-    },
-    Window {
-        read: &'a UniformSet,
-        deepest_varying: usize,
-        window_dim: usize,
-        lanes: Vec<(Vec<i64>, i64, i64)>, // (other-dim offsets key, min, max)
-        step: i64,
-    },
-}
-
-struct Plan {
+/// The statements a plan adds around and inside the nest, and the
+/// load/store rewrites it applies to the body.
+struct Edits {
     /// Per level: statements at the top of that loop's body (hoisted
     /// loads), only used for levels shallower than the innermost.
     pre: Vec<Vec<Stmt>>,
@@ -488,9 +673,9 @@ struct Plan {
     store_rewrites: HashMap<ArrayAccess, Name>,
 }
 
-impl Plan {
+impl Edits {
     fn new(depth: usize) -> Self {
-        Plan {
+        Edits {
             pre: vec![Vec::new(); depth],
             post: vec![Vec::new(); depth],
             body_prefix: Vec::new(),
@@ -499,6 +684,136 @@ impl Plan {
             bottom: Vec::new(),
             load_rewrites: HashMap::new(),
             store_rewrites: HashMap::new(),
+        }
+    }
+
+    /// Add one decision's registers, statements and rewrites. `set` is
+    /// the decision's [`Reuse::set`].
+    fn add(
+        &mut self,
+        reuse: &Reuse,
+        set: &UniformSet,
+        vars: &[Name],
+        kernel: &Kernel,
+        names: &mut NameGen<'_>,
+    ) {
+        let ty = element_type(kernel, &set.array);
+        let base = set.array.to_lowercase();
+        let access = |off: &[i64]| access_of(&set.array, &set.signature, vars, off);
+        let fill = |reg: &Name, access: ArrayAccess| {
+            Stmt::assign(LValue::scalar(reg.clone()), Expr::Load(access))
+        };
+        let first_iteration =
+            |level: usize| Expr::bin(BinOp::Eq, Expr::scalar(&vars[level]), Expr::Int(0));
+        match reuse {
+            Reuse::Accumulator { level, slots, .. } => {
+                for slot in slots {
+                    let reg = names.fresh(format!("{base}_{}", join_offsets(&slot.offset)), ty);
+                    let access = access(&slot.offset);
+                    if slot.read {
+                        // Hoisted initializing load.
+                        self.pre[*level].push(fill(&reg, access.clone()));
+                        self.load_rewrites
+                            .insert(access.clone(), Expr::scalar(reg.clone()));
+                    }
+                    if slot.written {
+                        // Sunk final store; intermediate stores are
+                        // eliminated.
+                        self.post[*level].push(Stmt::assign(
+                            LValue::Array(access.clone()),
+                            Expr::scalar(reg.clone()),
+                        ));
+                        self.store_rewrites.insert(access, reg);
+                    }
+                }
+            }
+            Reuse::Hoisted { level, offsets, .. } => {
+                for off in offsets {
+                    let reg = names.fresh(format!("{base}_{}", join_offsets(off)), ty);
+                    let access = access(off);
+                    let at = match level {
+                        Some(l) => &mut self.pre[*l],
+                        None => &mut self.top,
+                    };
+                    at.push(fill(&reg, access.clone()));
+                    self.load_rewrites.insert(access, Expr::scalar(reg));
+                }
+            }
+            Reuse::Chain {
+                level,
+                invariant_levels,
+                lanes,
+                length,
+                ..
+            } => {
+                // Guard: `var == 0` for the reuse loop and every invariant
+                // loop between it and the deepest varying loop.
+                let cond = invariant_levels
+                    .iter()
+                    .fold(first_iteration(*level), |c, &l| {
+                        Expr::bin(BinOp::And, c, first_iteration(l))
+                    });
+                for (lane_idx, lane_off) in lanes.iter().enumerate() {
+                    let regs: Vec<Name> = (0..*length)
+                        .map(|p| names.fresh(format!("{base}_{lane_idx}_{p}"), ty))
+                        .collect();
+                    let access = access(lane_off);
+                    self.body_prefix.push(Stmt::If {
+                        cond: cond.clone(),
+                        then_body: vec![fill(&regs[0], access.clone())],
+                        else_body: vec![],
+                    });
+                    self.load_rewrites
+                        .insert(access, Expr::scalar(regs[0].clone()));
+                    if regs.len() >= 2 {
+                        self.body_suffix.push(Stmt::Rotate(regs));
+                    }
+                }
+            }
+            Reuse::Window {
+                level,
+                window_dim,
+                step,
+                lanes,
+                ..
+            } => {
+                for (lane_idx, lane) in lanes.iter().enumerate() {
+                    let span = lane.span();
+                    let carried = span.saturating_sub(*step as usize);
+                    let regs: Vec<Name> = (0..span)
+                        .map(|p| names.fresh(format!("{base}_w{lane_idx}_{p}"), ty))
+                        .collect();
+                    let position = |p: usize| access(&lane.at(*window_dim, p));
+                    // First-iteration fill of the carried positions.
+                    if carried > 0 {
+                        self.body_prefix.push(Stmt::If {
+                            cond: first_iteration(*level),
+                            then_body: regs[..carried]
+                                .iter()
+                                .enumerate()
+                                .map(|(p, reg)| fill(reg, position(p)))
+                                .collect(),
+                            else_body: vec![],
+                        });
+                    }
+                    // Per-iteration loads of the new top elements.
+                    for (p, reg) in regs.iter().enumerate().skip(carried) {
+                        self.body_prefix.push(fill(reg, position(p)));
+                    }
+                    // Body reads come from window positions.
+                    for off in &lane.offsets {
+                        let p = (off[*window_dim] - lane.lo) as usize;
+                        self.load_rewrites
+                            .insert(access(off), Expr::scalar(regs[p].clone()));
+                    }
+                    // Shift by `step` at the end of the body.
+                    if carried > 0 && regs.len() >= 2 {
+                        for _ in 0..*step {
+                            self.body_suffix.push(Stmt::Rotate(regs.clone()));
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -553,22 +868,6 @@ impl<'a> NameGen<'a> {
     }
 }
 
-/// The state every per-group planner mutates, bundled so the planners
-/// take one context instead of five parallel arguments.
-struct PlanCtx<'a, 'k> {
-    plan: &'a mut Plan,
-    names: &'a mut NameGen<'k>,
-    info: &'a mut ScalarReplacementInfo,
-    vars: &'k [Name],
-    kernel: &'k Kernel,
-    distinct: &'a DistinctFn<'a>,
-}
-
-fn members_conditional(table: &AccessTable, set: Option<&UniformSet>) -> bool {
-    set.map(|s| s.members.iter().any(|&id| table.get(id).conditional))
-        .unwrap_or(false)
-}
-
 /// Reconstruct the concrete `ArrayAccess` of a set member from signature
 /// and constant offsets. The names are shared with `array` and `vars`.
 fn access_of(array: &Name, signature: &[Vec<i64>], vars: &[Name], offsets: &[i64]) -> ArrayAccess {
@@ -590,365 +889,16 @@ fn element_type(kernel: &Kernel, array: &str) -> ScalarType {
     kernel.array(array).map(|a| a.ty).unwrap_or(ScalarType::I32)
 }
 
-fn plan_accumulator(
-    ctx: &mut PlanCtx<'_, '_>,
-    g: &Group<'_>,
-    read: Option<&UniformSet>,
-    write: &UniformSet,
-    deepest_varying: usize,
-) {
-    let PlanCtx {
-        plan,
-        names,
-        info,
-        vars,
-        kernel,
-        distinct,
-    } = ctx;
-    let ty = element_type(kernel, g.array);
-    // Registers for the union of read/write offsets.
-    let write_offsets = distinct(write);
-    let mut offsets: Vec<Vec<i64>> = write_offsets.clone();
-    let read_offsets: Vec<Vec<i64>> = read.map(distinct).unwrap_or_default();
-    for o in &read_offsets {
-        if !offsets.contains(o) {
-            offsets.push(o.clone());
-        }
-    }
-    offsets.sort();
-    let written: HashSet<Vec<i64>> = write_offsets.into_iter().collect();
-    let base = g.array.to_lowercase();
-    for off in &offsets {
-        let reg = names.fresh(format!("{base}_{}", join_offsets(off)), ty);
-        let access = access_of(g.array, g.signature, vars, off);
-        if read_offsets.contains(off) {
-            // Hoisted initializing load.
-            plan.pre[deepest_varying].push(Stmt::assign(
-                LValue::scalar(reg.clone()),
-                Expr::Load(access.clone()),
-            ));
-            plan.load_rewrites
-                .insert(access.clone(), Expr::scalar(reg.clone()));
-        }
-        if written.contains(off) {
-            // Sunk final store; intermediate stores are eliminated.
-            plan.post[deepest_varying].push(Stmt::assign(
-                LValue::Array(access.clone()),
-                Expr::scalar(reg.clone()),
-            ));
-            plan.store_rewrites.insert(access, reg.clone());
-        }
-        info.reuse_registers += 1;
-    }
-}
-
-fn plan_invariant(ctx: &mut PlanCtx<'_, '_>, g: &Group<'_>, read: &UniformSet) {
-    let PlanCtx {
-        plan,
-        names,
-        info,
-        vars,
-        kernel,
-        distinct,
-    } = ctx;
-    let ty = element_type(kernel, g.array);
-    let base = g.array.to_lowercase();
-    for off in distinct(read) {
-        let reg = names.fresh(format!("{base}_{}", join_offsets(&off)), ty);
-        let access = access_of(g.array, g.signature, vars, &off);
-        plan.top.push(Stmt::assign(
-            LValue::scalar(reg.clone()),
-            Expr::Load(access.clone()),
-        ));
-        plan.load_rewrites.insert(access, Expr::scalar(reg));
-        info.reuse_registers += 1;
-    }
-}
-
-fn plan_hoisted_read(
-    ctx: &mut PlanCtx<'_, '_>,
-    g: &Group<'_>,
-    read: &UniformSet,
-    deepest_varying: usize,
-) {
-    let PlanCtx {
-        plan,
-        names,
-        info,
-        vars,
-        kernel,
-        distinct,
-    } = ctx;
-    let ty = element_type(kernel, g.array);
-    let base = g.array.to_lowercase();
-    for off in distinct(read) {
-        let reg = names.fresh(format!("{base}_{}", join_offsets(&off)), ty);
-        let access = access_of(g.array, g.signature, vars, &off);
-        plan.pre[deepest_varying].push(Stmt::assign(
-            LValue::scalar(reg.clone()),
-            Expr::Load(access.clone()),
-        ));
-        plan.load_rewrites.insert(access, Expr::scalar(reg));
-        info.reuse_registers += 1;
-    }
-}
-
-fn plan_chain<'a>(
-    g: &Group<'a>,
-    read: &'a UniformSet,
-    deepest_varying: usize,
-    outer_reuse: usize,
-    loops: &[Loop],
-    distinct: &DistinctFn<'_>,
-) -> Option<CarriedPlan<'a>> {
-    // Chain length: iterations of the varying loops deeper than the reuse
-    // loop (per lane).
-    let varying = read.varying_levels();
-    let mut length: i64 = 1;
-    for &v in varying.iter().filter(|&&v| v > outer_reuse) {
-        length *= loops[v].trip_count();
-    }
-    if length <= 0 || length > 4096 {
-        return None; // degenerate or absurd chain
-    }
-    let lanes = distinct(read);
-    let invariant_guards: Vec<usize> = (outer_reuse + 1..deepest_varying)
-        .filter(|l| !varying.contains(l))
-        .collect();
-    let cost = lanes.len() * length as usize;
-    Some(CarriedPlan {
-        group_array: g.array,
-        signature: g.signature,
-        kind: CarriedKind::Chain {
-            read,
-            outer_reuse,
-            lanes,
-            length: length as usize,
-            invariant_guards,
-        },
-        cost,
-    })
-}
-
-fn plan_window<'a>(
-    g: &Group<'a>,
-    read: &'a UniformSet,
-    deepest_varying: usize,
-    loops: &[Loop],
-    distinct: &DistinctFn<'_>,
-) -> Option<CarriedPlan<'a>> {
-    // Exactly one dimension must vary with the deepest loop.
-    let dims: Vec<usize> = g
-        .signature
-        .iter()
-        .enumerate()
-        .filter(|(_, row)| row[deepest_varying] != 0)
-        .map(|(d, _)| d)
-        .collect();
-    let [window_dim] = dims.as_slice() else {
-        return None;
-    };
-    let window_dim = *window_dim;
-    // The window shifts by coeff·step elements per iteration.
-    let coeff = g.signature[window_dim][deepest_varying];
-    if coeff != 1 {
-        return None; // non-unit stride windows are left to plain loads
-    }
-    let step = loops[deepest_varying].step;
-    // Group lanes by the offsets of all other dimensions (an index map
-    // keeps this linear in the jammed offset count).
-    let mut lanes: Vec<(Vec<i64>, i64, i64)> = Vec::new();
-    let mut lane_index: HashMap<Vec<i64>, usize> = HashMap::new();
-    for off in distinct(read) {
-        let key: Vec<i64> = off
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| *d != window_dim)
-            .map(|(_, &v)| v)
-            .collect();
-        let w = off[window_dim];
-        match lane_index.get(&key) {
-            Some(&i) => {
-                let (_, lo, hi) = &mut lanes[i];
-                *lo = (*lo).min(w);
-                *hi = (*hi).max(w);
-            }
-            None => {
-                lane_index.insert(key.clone(), lanes.len());
-                lanes.push((key, w, w));
-            }
-        }
-    }
-    // Keep only lanes with carried reuse; others stay as plain loads.
-    lanes.retain(|(_, lo, hi)| hi - lo + 1 > step);
-    if lanes.is_empty() {
-        return None;
-    }
-    let cost: i64 = lanes.iter().map(|(_, lo, hi)| hi - lo + 1).sum();
-    Some(CarriedPlan {
-        group_array: g.array,
-        signature: g.signature,
-        kind: CarriedKind::Window {
-            read,
-            deepest_varying,
-            window_dim,
-            lanes,
-            step,
-        },
-        cost: cost as usize,
-    })
-}
-
-fn apply_carried(ctx: &mut PlanCtx<'_, '_>, c: CarriedPlan<'_>) {
-    let PlanCtx {
-        plan,
-        names,
-        info,
-        vars,
-        kernel,
-        distinct,
-    } = ctx;
-    let ty = element_type(kernel, c.group_array);
-    let base = c.group_array.to_lowercase();
-    match c.kind {
-        CarriedKind::Chain {
-            read,
-            outer_reuse,
-            lanes,
-            length,
-            invariant_guards,
-        } => {
-            for (lane_idx, lane_off) in lanes.iter().enumerate() {
-                let regs: Vec<Name> = (0..length)
-                    .map(|p| names.fresh(format!("{base}_{lane_idx}_{p}"), ty))
-                    .collect();
-                // Guard: conjunction of `var == 0` for the reuse loop and
-                // every invariant loop between it and the deepest varying
-                // loop.
-                let mut guard_levels = vec![outer_reuse];
-                guard_levels.extend(invariant_guards.iter().copied());
-                let mut cond: Option<Expr> = None;
-                for &l in &guard_levels {
-                    let eq = Expr::bin(BinOp::Eq, Expr::scalar(&vars[l]), Expr::Int(0));
-                    cond = Some(match cond {
-                        None => eq,
-                        Some(c) => Expr::bin(BinOp::And, c, eq),
-                    });
-                }
-                let access = access_of(c.group_array, c.signature, vars, lane_off);
-                plan.body_prefix.push(Stmt::If {
-                    cond: cond.expect("at least the reuse loop guards"),
-                    then_body: vec![Stmt::assign(
-                        LValue::scalar(regs[0].clone()),
-                        Expr::Load(access.clone()),
-                    )],
-                    else_body: vec![],
-                });
-                plan.load_rewrites
-                    .insert(access, Expr::scalar(regs[0].clone()));
-                if regs.len() >= 2 {
-                    plan.body_suffix.push(Stmt::Rotate(regs.clone()));
-                }
-                info.reuse_registers += regs.len();
-            }
-            info.chains += lanes.len();
-            let _ = read;
-        }
-        CarriedKind::Window {
-            read,
-            deepest_varying,
-            window_dim,
-            lanes,
-            step,
-        } => {
-            let all_offsets = distinct(read);
-            // Group the offsets by lane key once, preserving their order
-            // within each lane.
-            let mut by_lane: HashMap<Vec<i64>, Vec<&Vec<i64>>> = HashMap::new();
-            for off in &all_offsets {
-                let key: Vec<i64> = off
-                    .iter()
-                    .enumerate()
-                    .filter(|(d, _)| *d != window_dim)
-                    .map(|(_, &v)| v)
-                    .collect();
-                by_lane.entry(key).or_default().push(off);
-            }
-            for (lane_idx, (_key, lo, hi)) in lanes.iter().enumerate() {
-                let lane_offsets = &by_lane[_key];
-                let span = (hi - lo + 1) as usize;
-                let carried = span.saturating_sub(step as usize);
-                let regs: Vec<Name> = (0..span)
-                    .map(|p| names.fresh(format!("{base}_w{lane_idx}_{p}"), ty))
-                    .collect();
-                // Representative full offset vector for this lane with the
-                // window dimension patched per position.
-                let proto: Vec<i64> = lane_offsets[0].clone();
-                let make_access = |wpos: i64| {
-                    let mut off = proto.clone();
-                    off[window_dim] = wpos;
-                    access_of(c.group_array, c.signature, vars, &off)
-                };
-                // First-iteration fill of the carried positions.
-                if carried > 0 {
-                    let guard = Expr::bin(
-                        BinOp::Eq,
-                        Expr::scalar(&vars[deepest_varying]),
-                        Expr::Int(0),
-                    );
-                    let fills: Vec<Stmt> = regs[..carried]
-                        .iter()
-                        .enumerate()
-                        .map(|(p, reg)| {
-                            Stmt::assign(
-                                LValue::scalar(reg.clone()),
-                                Expr::Load(make_access(lo + p as i64)),
-                            )
-                        })
-                        .collect();
-                    plan.body_prefix.push(Stmt::If {
-                        cond: guard,
-                        then_body: fills,
-                        else_body: vec![],
-                    });
-                }
-                // Per-iteration loads of the new top elements.
-                for (p, reg) in regs.iter().enumerate().skip(carried) {
-                    plan.body_prefix.push(Stmt::assign(
-                        LValue::scalar(reg.clone()),
-                        Expr::Load(make_access(lo + p as i64)),
-                    ));
-                }
-                // Body reads come from window positions.
-                for off in lane_offsets {
-                    let p = (off[window_dim] - lo) as usize;
-                    let access = access_of(c.group_array, c.signature, vars, off);
-                    plan.load_rewrites
-                        .insert(access, Expr::scalar(regs[p].clone()));
-                }
-                // Shift by `step` at the end of the body.
-                if carried > 0 && regs.len() >= 2 {
-                    for _ in 0..step {
-                        plan.body_suffix.push(Stmt::Rotate(regs.clone()));
-                    }
-                }
-                info.reuse_registers += span;
-                info.chains += 1;
-            }
-        }
-    }
-}
-
-/// Rewrite one body statement through the plan's load/store maps,
-/// pushing the rewritten copy onto `out`.
-fn rewrite_stmt(s: &Stmt, plan: &Plan, out: &mut Vec<Stmt>) {
-    let rewrite_loads = |e: &Expr| e.replace_loads(&mut |a| plan.load_rewrites.get(a).cloned());
+/// Rewrite one body statement through the load/store maps, pushing the
+/// rewritten copy onto `out`.
+fn rewrite_stmt(s: &Stmt, edits: &Edits, out: &mut Vec<Stmt>) {
+    let rewrite_loads = |e: &Expr| e.replace_loads(&mut |a| edits.load_rewrites.get(a).cloned());
     match s {
         Stmt::Assign { lhs, rhs } => {
             let lhs = match lhs {
                 // Redundant-write elimination: the store becomes a
                 // register assignment; the final store was sunk.
-                LValue::Array(a) => match plan.store_rewrites.get(a) {
+                LValue::Array(a) => match edits.store_rewrites.get(a) {
                     Some(reg) => LValue::scalar(reg.clone()),
                     None => lhs.clone(),
                 },
@@ -967,7 +917,7 @@ fn rewrite_stmt(s: &Stmt, plan: &Plan, out: &mut Vec<Stmt>) {
             let rewrite_all = |stmts: &[Stmt]| {
                 let mut v = Vec::with_capacity(stmts.len());
                 for s in stmts {
-                    rewrite_stmt(s, plan, &mut v);
+                    rewrite_stmt(s, edits, &mut v);
                 }
                 v
             };

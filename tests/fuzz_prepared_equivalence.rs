@@ -7,7 +7,9 @@
 //! widths. For each generated kernel the front end accepts, this test
 //! transforms the smallest, the largest and one middle point of its
 //! unroll space both ways under default options and requires the results
-//! (designs or errors) to be equal.
+//! (designs or errors) to be equal. The tier-0 census of each point must
+//! fail exactly when the transform fails and otherwise predict its
+//! scalar-replacement counts.
 
 use defacto::{lint_source, Explorer};
 use defacto_fuzz::generate_kernel;
@@ -54,6 +56,38 @@ fn prepared_transform_matches_scratch_on_generated_kernels() {
                 incremental, scratch,
                 "kernel {SEED}/{index} at {u}: prepared and scratch transforms differ\n{source}"
             );
+            let census = prepared.census(u, &opts);
+            match (&census, &incremental) {
+                (Ok(c), Ok(d)) => {
+                    assert_eq!(
+                        (
+                            c.reuse_registers,
+                            c.temp_registers,
+                            c.chains,
+                            c.dropped_by_budget
+                        ),
+                        (
+                            d.info.reuse_registers,
+                            d.info.temp_registers,
+                            d.info.chains,
+                            d.info.dropped_by_budget
+                        ),
+                        "kernel {SEED}/{index} at {u}: census counts diverge\n{source}"
+                    );
+                    let classes: usize = c.registers.iter().map(|r| r.count).sum();
+                    assert_eq!(
+                        classes,
+                        c.total_registers(),
+                        "kernel {SEED}/{index} at {u}: register classes\n{source}"
+                    );
+                }
+                (Err(_), Err(_)) => {}
+                _ => panic!(
+                    "kernel {SEED}/{index} at {u}: census is {} but transform is {}\n{source}",
+                    if census.is_ok() { "Ok" } else { "Err" },
+                    if incremental.is_ok() { "Ok" } else { "Err" },
+                ),
+            }
             compared += 1;
         }
     }

@@ -14,7 +14,7 @@ use defacto::prelude::*;
 use defacto_ir::run_with_inputs;
 use defacto_kernels::{fir, jacobi, matmul, pattern, sobel, workload};
 use defacto_synth::{estimate_opts, SynthesisOptions};
-use defacto_xform::{transform, PreparedKernel, TransformedDesign};
+use defacto_xform::{transform, PointCensus, PreparedKernel, TransformedDesign};
 use proptest::prelude::*;
 
 struct Case {
@@ -85,6 +85,39 @@ fn assert_same_design(
     assert_eq!(prepared.info, scratch.info, "{name} {u}: scalar info");
     assert_eq!(prepared.binding, scratch.binding, "{name} {u}: binding");
     assert_eq!(prepared, scratch, "{name} {u}: design");
+}
+
+/// The tier-0 census of a point predicts the scalar-replacement counts of
+/// the materialized design exactly, and its register classes account for
+/// every introduced register.
+fn assert_census_matches(
+    name: &str,
+    u: &UnrollVector,
+    census: &PointCensus,
+    design: &TransformedDesign,
+) {
+    let info = &design.info;
+    assert_eq!(
+        (
+            census.reuse_registers,
+            census.temp_registers,
+            census.chains,
+            census.dropped_by_budget
+        ),
+        (
+            info.reuse_registers,
+            info.temp_registers,
+            info.chains,
+            info.dropped_by_budget
+        ),
+        "{name} {u}: census counts diverge from the transform's info"
+    );
+    let classes: usize = census.registers.iter().map(|r| r.count).sum();
+    assert_eq!(
+        classes,
+        census.total_registers(),
+        "{name} {u}: register classes do not sum to the census total"
+    );
 }
 
 /// Every point of every paper kernel's full space: prepared and scratch
@@ -170,6 +203,13 @@ fn option_variants() -> Vec<(&'static str, TransformOptions)> {
             },
         ),
         (
+            "register-budget-2",
+            TransformOptions {
+                register_budget: Some(2),
+                ..base()
+            },
+        ),
+        (
             "verify-each-pass",
             TransformOptions {
                 verify_each_pass: true,
@@ -182,7 +222,8 @@ fn option_variants() -> Vec<(&'static str, TransformOptions)> {
 /// Representative points under every pipeline option: the prepared path
 /// takes different shortcuts per option (e.g. it never materializes the
 /// jammed body unless scalar replacement is off or per-pass verification
-/// is on), and each shortcut must stay invisible in the output.
+/// is on), and each shortcut must stay invisible in the output. The
+/// tier-0 census of each point must match the materialized design too.
 #[test]
 fn option_variants_are_bit_identical() {
     for case in paper_cases() {
@@ -199,7 +240,12 @@ fn option_variants_are_bit_identical() {
                 let prepared = prep
                     .transform(u, &opts)
                     .unwrap_or_else(|e| panic!("{} {u} [{label}]: prepared: {e}", case.name));
-                assert_same_design(&format!("{} [{label}]", case.name), u, &prepared, &scratch);
+                let name = format!("{} [{label}]", case.name);
+                assert_same_design(&name, u, &prepared, &scratch);
+                let census = prep
+                    .census(u, &opts)
+                    .unwrap_or_else(|e| panic!("{name} {u}: census: {e}"));
+                assert_census_matches(&name, u, &census, &prepared);
             }
         }
     }
@@ -240,7 +286,7 @@ proptest! {
     fn prop_prepared_matches_scratch(
         kernel_idx in 0usize..5,
         point_sel in 0usize..1usize << 16,
-        variant_idx in 0usize..7,
+        variant_idx in 0usize..8,
     ) {
         let case = &paper_cases()[kernel_idx];
         let (label, opts) = &option_variants()[variant_idx];
