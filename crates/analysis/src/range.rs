@@ -20,7 +20,7 @@
 //!   that width anyway, so the declared range is always sound.
 
 use defacto_ir::{ArrayKind, BinOp, DeclIndex, Expr, Kernel, LValue, Name, ScalarType, Stmt, UnOp};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// An inclusive integer interval.
 ///
@@ -294,12 +294,20 @@ impl RangeInfo {
     }
 }
 
+/// Forward passes after which range inference stops waiting for the
+/// loop-carried joins to settle and widens instead.
+const PASSES: usize = 3;
+
 /// Infer value ranges for `kernel`.
 ///
-/// Runs three forward passes (enough for the loop-carried joins of this
-/// domain to stabilize under the accumulator widening); any still-growing
-/// scalar is clamped to its declared type, which the wrapping hardware
-/// makes sound.
+/// Runs forward passes until one changes nothing: each pass is a pure
+/// function of the kernel and the ranges so far, so that pass's input is
+/// a fixpoint. Three passes are enough for the loop-carried joins of this
+/// domain to stabilize under the accumulator widening. When the third
+/// pass still changes something, every entry it changed widens to its
+/// declared type's full range (the wrapping hardware makes that sound),
+/// and passes continue, widening whatever changes, until one changes
+/// nothing. An entry widens at most once, so this terminates.
 pub fn infer_ranges(kernel: &Kernel) -> RangeInfo {
     infer_ranges_indexed(kernel, &DeclIndex::new(kernel))
 }
@@ -307,6 +315,29 @@ pub fn infer_ranges(kernel: &Kernel) -> RangeInfo {
 /// [`infer_ranges`] resolving declared types through `decls`, an index
 /// of `kernel`'s declarations the caller already holds.
 pub fn infer_ranges_indexed(kernel: &Kernel, decls: &DeclIndex<'_>) -> RangeInfo {
+    let mut info = initial_ranges(kernel);
+    let mut widened = HashSet::new();
+    for pass in 1.. {
+        let before = (pass >= PASSES).then(|| info.clone());
+        let mut changed = false;
+        walk(kernel.body(), decls, 1, &mut info, &mut changed);
+        if !changed {
+            break;
+        }
+        if let Some(before) = before {
+            if !widen_changed(&before, &mut info, decls, &mut widened) {
+                // Only entries that already widened keep changing, which
+                // takes a rotation through registers of different types.
+                break;
+            }
+        }
+    }
+    info
+}
+
+/// The ranges before the first pass: arrays at their annotation or type
+/// range, scalars at zero.
+fn initial_ranges(kernel: &Kernel) -> RangeInfo {
     let mut info = RangeInfo {
         vars: HashMap::new(),
         arrays: HashMap::new(),
@@ -333,25 +364,62 @@ pub fn infer_ranges_indexed(kernel: &Kernel, decls: &DeclIndex<'_>) -> RangeInfo
         info.vars.insert(name.clone(), Interval::point(0));
         info.var_base.insert(name, Interval::point(0));
     }
-
-    for _ in 0..3 {
-        walk(kernel.body(), decls, 1, &mut info);
-    }
     info
 }
 
+/// Widen every entry of `info` that differs from `before` to its
+/// declared type's full range, unless it widened before. Returns whether
+/// any entry widened.
+fn widen_changed(
+    before: &RangeInfo,
+    info: &mut RangeInfo,
+    decls: &DeclIndex<'_>,
+    widened: &mut HashSet<(usize, Name)>,
+) -> bool {
+    let scalar = |name: &str| decls.scalar(name).map(|d| d.ty);
+    let array = |name: &str| decls.array(name).map(|d| d.ty);
+    let mut any = false;
+    let mut widen = |tag: usize,
+                     old: &HashMap<Name, Interval>,
+                     new: &mut HashMap<Name, Interval>,
+                     ty: &dyn Fn(&str) -> Option<ScalarType>| {
+        for (name, value) in new.iter_mut() {
+            if old.get(name) != Some(value) && widened.insert((tag, name.clone())) {
+                let full = Interval::of_type(ty(name).unwrap_or(ScalarType::I32));
+                *value = value.union(full);
+                any = true;
+            }
+        }
+    };
+    widen(0, &before.vars, &mut info.vars, &scalar);
+    widen(1, &before.var_base, &mut info.var_base, &scalar);
+    widen(2, &before.arrays, &mut info.arrays, &array);
+    widen(3, &before.array_base, &mut info.array_base, &array);
+    any
+}
+
 /// `map[name] = value`, copying the key only the first time `name` is
-/// seen.
-fn set(map: &mut HashMap<Name, Interval>, name: &Name, value: Interval) {
+/// seen; records in `changed` whether the entry moved.
+fn set(map: &mut HashMap<Name, Interval>, name: &Name, value: Interval, changed: &mut bool) {
     match map.get_mut(name) {
-        Some(slot) => *slot = value,
+        Some(slot) => {
+            *changed |= *slot != value;
+            *slot = value;
+        }
         None => {
+            *changed = true;
             map.insert(name.clone(), value);
         }
     }
 }
 
-fn walk(stmts: &[Stmt], decls: &DeclIndex<'_>, trip_product: i64, info: &mut RangeInfo) {
+fn walk(
+    stmts: &[Stmt],
+    decls: &DeclIndex<'_>,
+    trip_product: i64,
+    info: &mut RangeInfo,
+    changed: &mut bool,
+) {
     for s in stmts {
         match s {
             Stmt::For(l) => {
@@ -361,16 +429,22 @@ fn walk(stmts: &[Stmt], decls: &DeclIndex<'_>, trip_product: i64, info: &mut Ran
                 } else {
                     Interval::point(l.lower)
                 };
-                set(&mut info.vars, &l.var, range);
-                walk(&l.body, decls, trip_product.saturating_mul(trips), info);
+                set(&mut info.vars, &l.var, range, changed);
+                walk(
+                    &l.body,
+                    decls,
+                    trip_product.saturating_mul(trips),
+                    info,
+                    changed,
+                );
             }
             Stmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                walk(then_body, decls, trip_product, info);
-                walk(else_body, decls, trip_product, info);
+                walk(then_body, decls, trip_product, info, changed);
+                walk(else_body, decls, trip_product, info, changed);
             }
             Stmt::Rotate(regs) => {
                 // Rotation permutes values: every register can hold any of
@@ -381,7 +455,7 @@ fn walk(stmts: &[Stmt], decls: &DeclIndex<'_>, trip_product: i64, info: &mut Ran
                     .reduce(Interval::union)
                     .unwrap_or(Interval::point(0));
                 for r in regs {
-                    set(&mut info.vars, r, all);
+                    set(&mut info.vars, r, all, changed);
                 }
             }
             Stmt::Assign { lhs, rhs } => {
@@ -432,7 +506,7 @@ fn walk(stmts: &[Stmt], decls: &DeclIndex<'_>, trip_product: i64, info: &mut Ran
                     ),
                 };
                 let ty = ty.unwrap_or(ScalarType::I32);
-                set(values, name, current.union(value).clamp_to(ty));
+                set(values, name, current.union(value).clamp_to(ty), changed);
                 if self_update.is_none() {
                     let base = bases
                         .get(name)
@@ -440,7 +514,7 @@ fn walk(stmts: &[Stmt], decls: &DeclIndex<'_>, trip_product: i64, info: &mut Ran
                         .unwrap_or(Interval::point(0))
                         .union(value)
                         .clamp_to(ty);
-                    set(bases, name, base);
+                    set(bases, name, base, changed);
                 }
             }
         }
@@ -612,6 +686,61 @@ mod tests {
         );
         // 16-bit × 16-bit: the +2^30 corner forces a full 32 bits.
         assert!(info.expr_bits(&sq) <= 32);
+    }
+
+    /// A four-register delay line needs five passes to carry `A`'s range
+    /// into `B`; the third pass still changes `z`, so inference widens
+    /// rather than stopping short with `B = [0, 0]`.
+    #[test]
+    fn ranges_still_changing_at_the_cap_widen_soundly() {
+        let k = parse_kernel(
+            "kernel dl { in A: i16[64] range 0..1000; out B: i16[64];
+               var w: i16; var z: i16; var y: i16; var x: i16;
+               for i in 0..64 { B[i] = w; w = z; z = y; y = x; x = A[i]; } }",
+        )
+        .unwrap();
+        let info = infer_ranges(&k);
+        let a: Vec<i64> = (0..64).map(|i| i * 997 % 1001).collect();
+        let (ws, _) = defacto_ir::run_with_inputs(&k, &[("A", a)]).unwrap();
+        let b = info.array("B");
+        let stored = ws.array("B").unwrap();
+        assert!(stored.iter().any(|&v| v > 1), "the test must store data");
+        for &v in stored {
+            assert!(b.lo <= v && v <= b.hi, "{v} outside {b:?}");
+        }
+        for var in ["w", "z", "y", "x"] {
+            assert!(info.var(var).hi >= 1000, "{var}: {:?}", info.var(var));
+        }
+    }
+
+    /// Stopping at the first pass that changes nothing gives exactly what
+    /// the three fixed passes gave whenever those converged.
+    #[test]
+    fn the_fixpoint_matches_three_passes() {
+        let kernels = [
+            "kernel fir { in S: i32[96] range -1000..1000; in C: i32[32] range -50..50;
+               inout D: i32[64];
+               for j in 0..64 { for i in 0..32 { D[j] = D[j] + S[i + j] * C[i]; } } }",
+            "kernel acc { in A: i32[16] range 0..3; out B: i32[1]; var s: i32;
+               for i in 0..16 { s = s + A[i]; }
+               for t in 0..1 { B[t] = s; } }",
+            "kernel rot { in A: u8[32] range 0..9; out B: i32[32]; var p: i32; var q: i32;
+               for i in 0..32 { q = A[i]; rotate(p, q); B[i] = p - q; } }",
+            "kernel br { in A: i16[16]; out B: i16[16]; var m: i16;
+               for i in 0..16 { if (A[i] > m) { m = A[i]; } else { m = m - 1; } B[i] = m; } }",
+        ];
+        for src in kernels {
+            let k = parse_kernel(src).unwrap();
+            let decls = DeclIndex::new(&k);
+            let mut reference = initial_ranges(&k);
+            let mut changed = false;
+            for _ in 0..PASSES {
+                changed = false;
+                walk(k.body(), &decls, 1, &mut reference, &mut changed);
+            }
+            assert!(!changed, "three passes converge on {src}");
+            assert_eq!(infer_ranges(&k), reference, "{src}");
+        }
     }
 
     #[test]

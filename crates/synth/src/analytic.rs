@@ -876,8 +876,8 @@ fn walk_expr(e: &Expr, k: &Kernel, out: &mut BaseOps) -> (u32, u32) {
         }
         Expr::Binary(op, lhs, rhs) => {
             let (const_side, pow2) = match (&**lhs, &**rhs, op) {
-                (_, Expr::Int(v), _) => (true, v.abs().count_ones() == 1),
-                (Expr::Int(v), _, BinOp::Mul) => (true, v.abs().count_ones() == 1),
+                (_, Expr::Int(v), _) => (true, v.unsigned_abs().count_ones() == 1),
+                (Expr::Int(v), _, BinOp::Mul) => (true, v.unsigned_abs().count_ones() == 1),
                 _ => (false, false),
             };
             let (wa, ia) = walk_expr(lhs, k, out);

@@ -22,9 +22,10 @@ use crate::memory::MemoryModel;
 use crate::oplib::{op_spec, HwOp};
 use crate::schedule::{SchedNode, Step};
 use defacto_analysis::{Interval, RangeInfo};
-use defacto_ir::{ArrayAccess, BinOp, DeclIndex, Expr, Kernel, LValue, Name, Stmt};
+use defacto_ir::{ArrayAccess, BinOp, DeclIndex, Expr, Kernel, LValue, Name, ScalarType, Stmt};
 use defacto_xform::layout::ArrayLayout;
 use defacto_xform::MemoryBinding;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Scalar names assigned (or rotated) in `stmts`, in program order with
@@ -248,11 +249,21 @@ impl Widths {
     }
 }
 
-/// Where a load fetches from: its bank and memory-word class.
+/// Where a load fetches from: its bank and, when it may share the
+/// fetch of a packed memory word, that word. A load without a word
+/// always fetches alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Place {
     bank: usize,
-    word: i64,
+    word: Option<i64>,
+}
+
+impl Place {
+    /// The public word class of node `id` fetching from here: loads
+    /// that never share get a class of their own.
+    fn word_class(self, id: usize) -> i64 {
+        self.word.unwrap_or(id as i64 + (1 << 40))
+    }
 }
 
 /// A [`FlagDfg`] node's work, with every flag-dependent field annotated
@@ -327,18 +338,17 @@ impl FlagDfg {
             binding,
             ranges,
             pack_word_bits,
-            array_names: Vec::new(),
-            defs: HashMap::new(),
-            def_ranges: HashMap::new(),
+            scalar_numbers: HashMap::new(),
+            scalars: Vec::new(),
+            defs: Vec::new(),
+            arrays: Vec::new(),
             source: None,
-            last_store: Vec::new(),
-            loads_since_store: Vec::new(),
         };
         for s in stmts {
             b.stmt(s);
         }
         let mut dfg = b.dfg;
-        dfg.arrays = b.array_names.into_iter().cloned().collect();
+        dfg.arrays = b.arrays.into_iter().map(|a| a.name.clone()).collect();
         dfg.narrow_keeps_timing = dfg.kinds.iter().all(|k| match *k {
             FlagKind::Op { op, bits } => {
                 op_spec(op, bits.wide).latency == op_spec(op, bits.narrow).latency
@@ -422,7 +432,7 @@ impl FlagDfg {
                             array: self.arrays[array as usize].to_string(),
                             bank: place.bank,
                             bits,
-                            word: place.word,
+                            word: place.word_class(i),
                         }
                     }
                     FlagKind::Store { array, bank, bits } => NodeKind::Store {
@@ -463,7 +473,9 @@ impl FlagDfg {
 }
 
 /// Lowers one segment into a [`FlagDfg`]. Names are borrowed from the
-/// statements (`'s`); arrays are numbered in order of first access.
+/// statements (`'s`). Scalars are numbered on first reference and arrays
+/// on first access, so each name is looked up once per reference and
+/// its declaration and whole-kernel range once per segment.
 struct Builder<'s, 'a> {
     dfg: FlagDfg,
     decls: &'a DeclIndex<'a>,
@@ -472,19 +484,51 @@ struct Builder<'s, 'a> {
     ranges: Option<&'a RangeInfo>,
     /// Memory word width for the packed annotation.
     pack_word_bits: Option<u32>,
-    /// Array names, indexed by their number.
-    array_names: Vec<&'s Name>,
-    /// Current producer of each scalar.
-    defs: HashMap<&'s str, NodeId>,
-    /// Value interval of each scalar's current definition (narrowing).
-    def_ranges: HashMap<&'s str, Interval>,
+    /// Scalar numbers by name.
+    scalar_numbers: HashMap<&'s str, usize>,
+    /// Scalars, indexed by their number.
+    scalars: Vec<ScalarSlot>,
+    /// Current producer of each scalar, by number. The only state an
+    /// `if` saves and restores.
+    defs: Vec<Option<NodeId>>,
+    /// Arrays, indexed by their number.
+    arrays: Vec<ArraySlot<'s>>,
     /// Lazily created shared source node.
     source: Option<NodeId>,
-    /// Last store per array number (for load→store ordering).
-    last_store: Vec<Option<NodeId>>,
-    /// Loads since the last store, per array number (for store→load
-    /// ordering).
-    loads_since_store: Vec<Vec<NodeId>>,
+}
+
+/// What the builder knows about one scalar of the segment.
+struct ScalarSlot {
+    /// Register width, declared and narrowed.
+    bits: Widths,
+    /// Declared type: assigned values wrap at its width.
+    ty: ScalarType,
+    /// Whole-kernel interval (narrowing only).
+    whole: Option<Interval>,
+    /// Value interval of the current definition (narrowing). Persists
+    /// across both branches of an `if`.
+    def_range: Option<Interval>,
+}
+
+impl ScalarSlot {
+    /// Value interval of a read under narrowing.
+    fn interval(&self) -> Option<Interval> {
+        self.def_range.or(self.whole)
+    }
+}
+
+/// What the builder knows about one array of the segment.
+struct ArraySlot<'s> {
+    name: &'s Name,
+    /// Element width.
+    bits: u32,
+    /// Element interval (narrowing only).
+    interval: Option<Interval>,
+    layout: Option<ArrayLayout>,
+    /// Last store (for load→store ordering).
+    last_store: Option<NodeId>,
+    /// Loads since the last store (for store→load ordering).
+    loads_since_store: Vec<NodeId>,
 }
 
 impl<'s> Builder<'s, '_> {
@@ -499,49 +543,46 @@ impl<'s> Builder<'s, '_> {
         }
     }
 
-    /// The number of `array`, assigned on first access.
-    fn array_number(&mut self, array: &'s Name) -> u32 {
-        match self.array_names.iter().position(|a| *a == array) {
-            Some(n) => n as u32,
-            None => {
-                self.array_names.push(array);
-                self.last_store.push(None);
-                self.loads_since_store.push(Vec::new());
-                (self.array_names.len() - 1) as u32
+    /// The number of scalar `name`, assigned on first reference.
+    fn scalar(&mut self, name: &'s Name) -> usize {
+        match self.scalar_numbers.entry(name.as_str()) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let decl = self.decls.scalar(name).map(|d| d.ty);
+                // Loop index variables: 16-bit counters.
+                let declared = decl.map(ScalarType::bits).unwrap_or(16);
+                let whole = self.ranges.map(|info| info.var(name));
+                self.scalars.push(ScalarSlot {
+                    bits: Widths {
+                        wide: declared,
+                        narrow: whole.map_or(declared, |i| i.bits().min(declared)),
+                    },
+                    ty: decl.unwrap_or(ScalarType::I32),
+                    whole,
+                    def_range: None,
+                });
+                self.defs.push(None);
+                *e.insert(self.scalars.len() - 1)
             }
         }
     }
 
-    /// A scalar's register width, declared and narrowed.
-    fn scalar_bits(&self, name: &str) -> Widths {
-        let declared = self
-            .decls
-            .scalar(name)
-            .map(|d| d.ty.bits())
-            // Loop index variables: 16-bit counters.
-            .unwrap_or(16);
-        Widths {
-            wide: declared,
-            narrow: match self.ranges {
-                Some(info) => info.var(name).bits().min(declared),
-                None => declared,
-            },
+    /// The number of `array`, assigned on first access.
+    fn array(&mut self, array: &'s Name) -> u32 {
+        match self.arrays.iter().position(|a| a.name == array) {
+            Some(n) => n as u32,
+            None => {
+                self.arrays.push(ArraySlot {
+                    name: array,
+                    bits: self.decls.array(array).map(|a| a.ty.bits()).unwrap_or(32),
+                    interval: self.ranges.map(|info| info.array(array)),
+                    layout: self.binding.layout(array),
+                    last_store: None,
+                    loads_since_store: Vec::new(),
+                });
+                (self.arrays.len() - 1) as u32
+            }
         }
-    }
-
-    /// Value interval of a scalar read under narrowing.
-    fn scalar_interval(&self, name: &str) -> Option<Interval> {
-        let info = self.ranges?;
-        Some(
-            self.def_ranges
-                .get(name)
-                .copied()
-                .unwrap_or_else(|| info.var(name)),
-        )
-    }
-
-    fn array_bits(&self, array: &str) -> u32 {
-        self.decls.array(array).map(|a| a.ty.bits()).unwrap_or(32)
     }
 
     fn stmt(&mut self, s: &'s Stmt) {
@@ -550,15 +591,12 @@ impl<'s> Builder<'s, '_> {
                 let (v, _, iv) = self.expr(rhs);
                 match lhs {
                     LValue::Scalar(n) => {
-                        self.defs.insert(n, v);
+                        let id = self.scalar(n);
+                        self.defs[id] = Some(v);
                         if let Some(iv) = iv {
                             // Values wrap at the declared register width.
-                            let ty = self
-                                .decls
-                                .scalar(n)
-                                .map(|d| d.ty)
-                                .unwrap_or(defacto_ir::ScalarType::I32);
-                            self.def_ranges.insert(n, iv.clamp_to(ty));
+                            let slot = &mut self.scalars[id];
+                            slot.def_range = Some(iv.clamp_to(slot.ty));
                         }
                     }
                     LValue::Array(a) => {
@@ -573,18 +611,20 @@ impl<'s> Builder<'s, '_> {
             } => {
                 let (c, _, _) = self.expr(cond);
                 // Predicated execution: evaluate both branches, mux scalar
-                // defs, issue memory accesses unconditionally. Two clones
-                // of the def map (pre-branch state for each branch); the
-                // merge mutates the restored map in place.
+                // defs, issue memory accesses unconditionally. Each branch
+                // starts from the pre-branch defs; scalars first numbered
+                // inside a branch have no pre-branch def.
                 let saved = self.defs.clone();
                 for st in then_body {
                     self.stmt(st);
                 }
                 let then_defs = std::mem::replace(&mut self.defs, saved.clone());
+                self.defs.resize(self.scalars.len(), None);
                 for st in else_body {
                     self.stmt(st);
                 }
                 let else_defs = std::mem::replace(&mut self.defs, saved);
+                self.defs.resize(self.scalars.len(), None);
                 // Merge in program order of first definition (then branch
                 // first), not name order: mux creation order — and with it
                 // node ids and register pressure — must be invariant under
@@ -596,23 +636,25 @@ impl<'s> Builder<'s, '_> {
                 let mut touched: Vec<&'s Name> = Vec::new();
                 collect_scalar_defs(then_body, &mut touched);
                 collect_scalar_defs(else_body, &mut touched);
-                let mut seen = std::collections::HashSet::new();
-                touched.retain(|n| seen.insert(*n));
+                let mut seen = vec![false; self.scalars.len()];
                 for name in touched {
-                    let name = name.as_str();
-                    let t = then_defs.get(name).copied();
-                    let e = else_defs.get(name).copied();
+                    let id = self.scalar(name);
+                    if std::mem::replace(&mut seen[id], true) {
+                        continue;
+                    }
+                    let t = then_defs.get(id).copied().flatten();
+                    let e = else_defs.get(id).copied().flatten();
                     // `self.defs` holds the pre-branch defs again; the
-                    // loop only ever overwrites the name it is merging,
+                    // loop only ever overwrites the scalar it is merging,
                     // so later lookups still see pre-branch values.
-                    let pre = self.defs.get(name).copied();
+                    let pre = self.defs[id];
                     let (t, e) = (t.or(pre), e.or(pre));
                     match (t, e) {
                         (Some(tv), Some(ev)) if tv == ev => {
-                            self.defs.insert(name, tv);
+                            self.defs[id] = Some(tv);
                         }
                         (Some(tv), Some(ev)) => {
-                            let bits = self.scalar_bits(name);
+                            let bits = self.scalars[id].bits;
                             let mux = self.dfg.push(
                                 FlagKind::Op {
                                     op: HwOp::Mux,
@@ -620,26 +662,24 @@ impl<'s> Builder<'s, '_> {
                                 },
                                 &[c, tv, ev],
                             );
-                            self.defs.insert(name, mux);
+                            self.defs[id] = Some(mux);
                         }
                         (Some(tv), None) | (None, Some(tv)) => {
                             // Defined on one path only and not before:
                             // keep the defined value (estimation only).
-                            self.defs.insert(name, tv);
+                            self.defs[id] = Some(tv);
                         }
                         (None, None) => {}
                     }
                 }
             }
             Stmt::Rotate(regs) => {
-                let bits = regs
+                let ids: Vec<usize> = regs.iter().map(|r| self.scalar(r)).collect();
+                let bits = ids
                     .first()
-                    .map(|r| self.scalar_bits(r))
+                    .map(|&r| self.scalars[r].bits)
                     .unwrap_or(Widths::same(32));
-                let mut preds: Vec<NodeId> = regs
-                    .iter()
-                    .filter_map(|r| self.defs.get(r.as_str()).copied())
-                    .collect();
+                let mut preds: Vec<NodeId> = ids.iter().filter_map(|&r| self.defs[r]).collect();
                 preds.sort();
                 preds.dedup();
                 let rot = self.dfg.push(
@@ -650,19 +690,15 @@ impl<'s> Builder<'s, '_> {
                     &preds,
                 );
                 // The rotation redefines every register in the chain.
-                if self.ranges.is_some() {
-                    let all = regs
-                        .iter()
-                        .filter_map(|r| self.scalar_interval(r))
-                        .reduce(Interval::union);
-                    if let Some(all) = all {
-                        for r in regs {
-                            self.def_ranges.insert(r, all);
-                        }
+                let all = ids
+                    .iter()
+                    .filter_map(|&r| self.scalars[r].interval())
+                    .reduce(Interval::union);
+                for &r in &ids {
+                    if all.is_some() {
+                        self.scalars[r].def_range = all;
                     }
-                }
-                for r in regs {
-                    self.defs.insert(r, rot);
+                    self.defs[r] = Some(rot);
                 }
             }
             Stmt::For(_) => panic!("build_dfg: loops must be handled by the estimator"),
@@ -670,19 +706,19 @@ impl<'s> Builder<'s, '_> {
     }
 
     fn store(&mut self, a: &'s ArrayAccess, value: NodeId) {
-        let bits = self.array_bits(&a.array);
         let bank = self.binding.bank_of(a);
-        let array = self.array_number(&a.array);
-        let n = array as usize;
+        let array = self.array(&a.array);
+        let slot = &mut self.arrays[array as usize];
+        let bits = slot.bits;
         let mut preds = vec![value];
-        if let Some(prev) = self.last_store[n] {
+        if let Some(prev) = slot.last_store {
             preds.push(prev);
         }
-        preds.append(&mut self.loads_since_store[n]);
+        preds.append(&mut slot.loads_since_store);
         preds.sort();
         preds.dedup();
         let st = self.dfg.push(FlagKind::Store { array, bank, bits }, &preds);
-        self.last_store[n] = Some(st);
+        self.arrays[array as usize].last_store = Some(st);
     }
 
     /// Returns the producing node, the operator width to price it at,
@@ -698,8 +734,9 @@ impl<'s> Builder<'s, '_> {
                 (self.source(), bits, iv)
             }
             Expr::Scalar(n) => {
-                let iv = self.scalar_interval(n);
-                let declared = self.scalar_bits(n);
+                let id = self.scalar(n);
+                let iv = self.scalars[id].interval();
+                let declared = self.scalars[id].bits;
                 let bits = Widths {
                     wide: declared.wide,
                     narrow: match iv {
@@ -707,21 +744,23 @@ impl<'s> Builder<'s, '_> {
                         None => declared.narrow,
                     },
                 };
-                match self.defs.get(n.as_str()).copied() {
+                match self.defs[id] {
                     Some(d) => (d, bits, iv),
                     None => (self.source(), bits, iv),
                 }
             }
             Expr::Load(a) => {
+                let array = self.array(&a.array);
+                let n = array as usize;
                 // Memory transfers move whole declared-width elements; the
                 // *value* may be narrower under an annotation.
-                let mem_bits = self.array_bits(&a.array);
-                let iv = self.ranges.map(|info| info.array(&a.array));
+                let mem_bits = self.arrays[n].bits;
+                let iv = self.arrays[n].interval;
                 let bits = Widths {
                     wide: mem_bits,
                     narrow: iv.map(|i| i.bits().min(mem_bits)).unwrap_or(mem_bits),
                 };
-                // Word class: unpacked, every load is its own word.
+                // Fetch sharing: unpacked, every load fetches alone.
                 // Packed, elements of a small-typed array share the fetch
                 // of their memory word, and packing also changes the
                 // layout — packed arrays distribute cyclically by *word*
@@ -729,25 +768,26 @@ impl<'s> Builder<'s, '_> {
                 // together.
                 let unpacked = Place {
                     bank: self.binding.bank_of(a),
-                    word: self.dfg.len() as i64 + (1 << 40),
+                    word: None,
                 };
                 let packed = match self.pack_word_bits {
                     Some(word_bits) if mem_bits < word_bits => {
                         let epw = (word_bits / mem_bits).max(1) as i64;
                         let word = self.binding.flat_offset(a).div_euclid(epw);
-                        let bank = match self.binding.layout(&a.array) {
+                        let bank = match self.arrays[n].layout {
                             Some(ArrayLayout::Single { bank }) => bank,
                             _ => {
                                 word.rem_euclid(self.binding.num_memories().max(1) as i64) as usize
                             }
                         };
-                        Place { bank, word }
+                        Place {
+                            bank,
+                            word: Some(word),
+                        }
                     }
                     _ => unpacked,
                 };
-                let array = self.array_number(&a.array);
-                let n = array as usize;
-                let prev = self.last_store[n];
+                let prev = self.arrays[n].last_store;
                 let ld = self.dfg.push(
                     FlagKind::Load {
                         array,
@@ -757,7 +797,7 @@ impl<'s> Builder<'s, '_> {
                     },
                     prev.as_slice(),
                 );
-                self.loads_since_store[n].push(ld);
+                self.arrays[n].loads_since_store.push(ld);
                 (ld, bits, iv)
             }
             Expr::Unary(op, inner) => {
@@ -788,8 +828,8 @@ impl<'s> Builder<'s, '_> {
                 // right operand. Multiplication is commutative, so a
                 // constant left operand counts too.
                 let (const_side, pow2) = match (&**lhs, &**rhs, op) {
-                    (_, Expr::Int(v), _) => (true, v.abs().count_ones() == 1),
-                    (Expr::Int(v), _, BinOp::Mul) => (true, v.abs().count_ones() == 1),
+                    (_, Expr::Int(v), _) => (true, v.unsigned_abs().count_ones() == 1),
+                    (Expr::Int(v), _, BinOp::Mul) => (true, v.unsigned_abs().count_ones() == 1),
                     _ => (false, false),
                 };
                 let (a, ba, ia) = self.expr(lhs);
@@ -805,7 +845,7 @@ impl<'s> Builder<'s, '_> {
                             if y.lo == y.hi && (0..32).contains(&y.lo) {
                                 x.mul(Interval::point(1i64 << y.lo))
                             } else {
-                                Interval::of_type(defacto_ir::ScalarType::I32)
+                                Interval::of_type(ScalarType::I32)
                             }
                         }
                         BinOp::Shr => {

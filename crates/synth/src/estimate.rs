@@ -32,7 +32,6 @@ use defacto_analysis::{infer_ranges_indexed, RangeInfo};
 use defacto_ir::{DeclIndex, Stmt};
 use defacto_xform::TransformedDesign;
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// One FSM cycle per loop iteration (index update + branch).
 pub(crate) const LOOP_ITER_OVERHEAD: u64 = 1;
@@ -227,14 +226,21 @@ impl Times {
 /// the operator usage shared across all segments.
 struct ViewSchedules {
     times: Vec<Times>,
-    op_usage: HashMap<(HwOp, u32), OpUsage>,
+    op_usage: Vec<((HwOp, u32), OpUsage)>,
 }
 
 impl ViewSchedules {
-    fn push(&mut self, time: Times, usage: &HashMap<(HwOp, u32), OpUsage>) {
+    fn push(&mut self, time: Times, usage: impl IntoIterator<Item = ((HwOp, u32), OpUsage)>) {
         self.times.push(time);
-        for (k, u) in usage {
-            let e = self.op_usage.entry(*k).or_default();
+        for (class, u) in usage {
+            let i = match self.op_usage.iter().position(|(c, _)| *c == class) {
+                Some(i) => i,
+                None => {
+                    self.op_usage.push((class, OpUsage::default()));
+                    self.op_usage.len() - 1
+                }
+            };
+            let e = &mut self.op_usage[i].1;
             // Operators are shared across segments: allocation is the max
             // concurrency anywhere; uses accumulate (they contend for the
             // shared units through multiplexers).
@@ -334,7 +340,7 @@ impl EstimatePlan {
             .iter()
             .map(|_| ViewSchedules {
                 times: Vec::with_capacity(self.segments.len()),
-                op_usage: HashMap::new(),
+                op_usage: Vec::new(),
             })
             .collect();
         // This segment's full schedule per view, for narrow twins to share.
@@ -355,13 +361,13 @@ impl EstimatePlan {
                     Some(wide) => {
                         tally(|w| w.allocation_schedules += 1);
                         let usage = allocate(seg.ops(view), &wide.start, &wide.finish);
-                        schedules[i].push(Times::of(wide), &usage);
+                        schedules[i].push(Times::of(wide), usage);
                     }
                     None => {
                         tally(|w| w.full_schedules += 1);
                         let nodes = seg.resolve(view, &self.mem);
                         let s = schedule_nodes(&nodes, &self.mem, &self.constraints, self.priority);
-                        schedules[i].push(Times::of(&s), &s.op_usage);
+                        schedules[i].push(Times::of(&s), s.op_usage.iter().map(|(c, u)| (*c, *u)));
                         timed[i] = Some(s);
                     }
                 }
@@ -390,7 +396,8 @@ impl EstimatePlan {
         // Area. Accumulated in u64 with saturating arithmetic: a heavily
         // unrolled kernel can push any single term past u32 range, and the
         // clamp back to the `Estimate::slices` width must happen exactly
-        // once, visibly, at the end.
+        // once, visibly, at the end. The terms are non-negative, so their
+        // order does not matter.
         let mut area: u64 = 0;
         for ((op, bits), usage) in &s.op_usage {
             let spec = op_spec(*op, *bits);

@@ -107,12 +107,13 @@ pub fn schedule_dfg_prioritized(
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Step {
     Source,
-    /// Loads of the same `(array, bank, word)` share one fetch.
+    /// Loads of the same `(array, bank, word)` share one fetch; a load
+    /// without a word (unpacked) never shares its fetch.
     Load {
         array: u32,
         bank: usize,
         bits: u32,
-        word: i64,
+        word: Option<i64>,
     },
     Store {
         bank: usize,
@@ -295,9 +296,10 @@ pub(crate) fn schedule_nodes(
                 word,
             } => {
                 let bank = bank % bank_free.len();
-                match fetched_words.get(&(array, bank, word)) {
+                let shared = word.and_then(|w| fetched_words.get(&(array, bank, w)).copied());
+                match shared {
                     // The word is already being fetched: ride along.
-                    Some(&fetch_start) => {
+                    Some(fetch_start) => {
                         let start = data_ready.max(fetch_start);
                         (start, fetch_start.max(start) + node.latency)
                     }
@@ -307,7 +309,9 @@ pub(crate) fn schedule_nodes(
                         sched.mem_busy_per_bank[bank] += mem.read_occupancy() as u64;
                         sched.bits_transferred += bits as u64;
                         sched.reads += 1;
-                        fetched_words.insert((array, bank, word), start);
+                        if let Some(w) = word {
+                            fetched_words.insert((array, bank, w), start);
+                        }
                         (start, start + node.latency)
                     }
                 }
@@ -359,7 +363,9 @@ pub(crate) fn schedule_nodes(
             }),
         &sched.start,
         &sched.finish,
-    );
+    )
+    .into_iter()
+    .collect();
     sched
 }
 
@@ -379,44 +385,69 @@ fn compute_critical_path(nodes: &[SchedNode<'_>]) -> u64 {
 
 /// Derive operator allocation from schedule concurrency: `ops` are the
 /// operator nodes as `(node index, class, width)`, timed by `start` and
-/// `finish`.
+/// `finish`. One entry per `(class, width)`, in order of first operator.
 pub(crate) fn allocate(
     ops: impl Iterator<Item = (usize, HwOp, u32)>,
     start: &[u64],
     finish: &[u64],
-) -> HashMap<(HwOp, u32), OpUsage> {
-    // Sweep-line concurrency per (op, width).
-    let mut events: HashMap<(HwOp, u32), Vec<(u64, i64)>> = HashMap::new();
+) -> Vec<((HwOp, u32), OpUsage)> {
+    /// The start and finish times of one `(class, width)`'s operators.
+    struct Busy {
+        class: (HwOp, u32),
+        starts: Vec<u64>,
+        finishes: Vec<u64>,
+    }
+    // A handful of classes, so a linear search beats hashing.
+    let mut classes: Vec<Busy> = Vec::new();
     for (i, op, bits) in ops {
         let s = start[i];
         // Zero-latency units still occupy their wiring for the cycle.
         let f = finish[i].max(s + 1);
-        let ev = events.entry((op, bits)).or_default();
-        ev.push((s, 1));
-        ev.push((f, -1));
-    }
-    let mut usage = HashMap::new();
-    for ((op, bits), mut ev) in events {
-        ev.sort();
-        let mut cur = 0i64;
-        let mut peak = 0i64;
-        let mut total = 0u32;
-        for (_, d) in ev {
-            cur += d;
-            peak = peak.max(cur);
-            if d > 0 {
-                total += 1;
+        let c = match classes.iter().position(|c| c.class == (op, bits)) {
+            Some(c) => c,
+            None => {
+                classes.push(Busy {
+                    class: (op, bits),
+                    starts: Vec::new(),
+                    finishes: Vec::new(),
+                });
+                classes.len() - 1
             }
-        }
-        usage.insert(
-            (op, bits),
-            OpUsage {
-                max_concurrent: peak as u32,
-                total_uses: total,
-            },
-        );
+        };
+        classes[c].starts.push(s);
+        classes[c].finishes.push(f);
     }
-    usage
+    classes
+        .into_iter()
+        .map(
+            |Busy {
+                 class,
+                 mut starts,
+                 mut finishes,
+             }| {
+                starts.sort_unstable();
+                finishes.sort_unstable();
+                // Sweep line: when the k-th start (in time order) begins,
+                // k + 1 units have started and every unit finishing at or
+                // before it has freed up. A finish at time t frees its unit
+                // for a start at t, so `ended` counts finishes `<= start`.
+                // Those units started strictly earlier, so `ended <= k`.
+                let mut ended = 0;
+                let mut peak = 0;
+                for (k, &s) in starts.iter().enumerate() {
+                    while finishes[ended] <= s {
+                        ended += 1;
+                    }
+                    peak = peak.max(k + 1 - ended);
+                }
+                let usage = OpUsage {
+                    max_concurrent: peak as u32,
+                    total_uses: starts.len() as u32,
+                };
+                (class, usage)
+            },
+        )
+        .collect()
 }
 
 #[cfg(test)]
@@ -509,6 +540,98 @@ mod tests {
         assert_eq!(mul.total_uses, 4);
         assert!(mul.max_concurrent >= 2);
         assert!(mul.max_concurrent <= 4);
+    }
+
+    /// The event-sort sweep `allocate` replaced: ±1 events per class,
+    /// tuple-sorted so finishes at a cycle come before starts at it.
+    fn allocate_reference(
+        ops: &[(usize, HwOp, u32)],
+        start: &[u64],
+        finish: &[u64],
+    ) -> HashMap<(HwOp, u32), OpUsage> {
+        let mut events: HashMap<(HwOp, u32), Vec<(u64, i64)>> = HashMap::new();
+        for &(i, op, bits) in ops {
+            let s = start[i];
+            let f = finish[i].max(s + 1);
+            let ev = events.entry((op, bits)).or_default();
+            ev.push((s, 1));
+            ev.push((f, -1));
+        }
+        let mut usage = HashMap::new();
+        for ((op, bits), mut ev) in events {
+            ev.sort();
+            let mut cur = 0i64;
+            let mut peak = 0i64;
+            let mut total = 0u32;
+            for (_, d) in ev {
+                cur += d;
+                peak = peak.max(cur);
+                if d > 0 {
+                    total += 1;
+                }
+            }
+            usage.insert(
+                (op, bits),
+                OpUsage {
+                    max_concurrent: peak as u32,
+                    total_uses: total,
+                },
+            );
+        }
+        usage
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random operator intervals over a short horizon, so starts and
+        /// finishes share cycles often; latencies include zero
+        /// (`finish == start`) and several classes interleave.
+        #[test]
+        fn allocate_matches_the_event_sort_reference(
+            seed in 0u64..u64::MAX,
+            n in 0usize..48,
+            horizon in 1u64..16,
+        ) {
+            const CLASSES: [(HwOp, u32); 5] = [
+                (HwOp::Mul, 32),
+                (HwOp::Mul, 16),
+                (HwOp::AddSub, 32),
+                (HwOp::ConstShift, 8),
+                (HwOp::Mux, 1),
+            ];
+            // SplitMix64.
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            // Interleave non-operator nodes, as a schedule does.
+            let (mut start, mut finish, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+            for i in 0..2 * n {
+                let s = next() % horizon;
+                start.push(s);
+                finish.push(s + next() % 4);
+                if i % 2 == 1 {
+                    let (op, bits) = CLASSES[(next() % CLASSES.len() as u64) as usize];
+                    ops.push((i, op, bits));
+                }
+            }
+            let got = allocate(ops.iter().copied(), &start, &finish);
+            let order: Vec<(HwOp, u32)> = got.iter().map(|(class, _)| *class).collect();
+            let mut first_seen: Vec<(HwOp, u32)> = Vec::new();
+            for &(_, op, bits) in &ops {
+                if !first_seen.contains(&(op, bits)) {
+                    first_seen.push((op, bits));
+                }
+            }
+            proptest::prop_assert_eq!(order, first_seen);
+            let got: HashMap<(HwOp, u32), OpUsage> = got.into_iter().collect();
+            proptest::prop_assert_eq!(got, allocate_reference(&ops, &start, &finish));
+        }
     }
 
     #[test]

@@ -44,7 +44,10 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 #[test]
 fn generated_kernel_estimates_are_pinned() {
     let configs = [
-        (MemoryModel::wildstar_pipelined(), SynthesisOptions::default()),
+        (
+            MemoryModel::wildstar_pipelined(),
+            SynthesisOptions::default(),
+        ),
         (
             MemoryModel::wildstar_non_pipelined(),
             SynthesisOptions {

@@ -81,3 +81,26 @@ fn deep_nesting_reproducer_is_a_typed_parse_error() {
         "expected the nesting-depth diagnostic, got: {err}"
     );
 }
+
+/// Multiplying by an `i64::MIN` literal (which the simplifier folds out
+/// of `0 - 9223372036854775807 - 1`) once overflowed the power-of-two
+/// strength-reduction test in debug builds. Both fidelities of the
+/// classic search and of the joint sweep must price it without a panic.
+#[test]
+fn i64_min_multiplier_estimates_without_overflow() {
+    use defacto::prelude::*;
+
+    let source = "kernel minmul { in A: i32[16]; out B: i32[16];
+        for i in 0..16 { B[i] = A[i] * (0 - 9223372036854775807 - 1); } }";
+    assert!(!defacto::lint_source(source).has_errors());
+    let kernel = defacto_ir::parse_kernel(source).expect("parses");
+    for fidelity in [Fidelity::Full, Fidelity::Analytic] {
+        let explorer = Explorer::new(&kernel).fidelity(fidelity);
+        explorer.explore().expect("explore succeeds");
+        let sweep = explorer
+            .axes(&Axis::ALL)
+            .joint_sweep()
+            .expect("joint sweep succeeds");
+        assert!(!sweep.is_empty());
+    }
+}
