@@ -318,6 +318,10 @@ pub fn infer_ranges_indexed(kernel: &Kernel, decls: &DeclIndex<'_>) -> RangeInfo
     let mut info = initial_ranges(kernel);
     let mut widened = HashSet::new();
     for pass in 1.. {
+        // `changed` flags every entry a pass writes with a new value, even
+        // one it later writes back (a loop variable reused with other
+        // bounds), so it never misses a change; at the cap the snapshot
+        // decides what actually moved.
         let before = (pass >= PASSES).then(|| info.clone());
         let mut changed = false;
         walk(kernel.body(), decls, 1, &mut info, &mut changed);

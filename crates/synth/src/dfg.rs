@@ -524,6 +524,7 @@ struct ArraySlot<'s> {
     bits: u32,
     /// Element interval (narrowing only).
     interval: Option<Interval>,
+    /// Layout across the memories (packed placement).
     layout: Option<ArrayLayout>,
     /// Last store (for load→store ordering).
     last_store: Option<NodeId>,
@@ -989,6 +990,56 @@ mod tests {
             .filter(|n| matches!(n.kind, NodeKind::Store { .. }))
             .count();
         assert_eq!(stores, 1);
+    }
+
+    /// An `if` saves and restores the scalar defs around its branches,
+    /// not their def ranges: the range last assigned in program order
+    /// stays in force after the `if`, and the estimates pinned by the
+    /// digest tests depend on that rule.
+    #[test]
+    fn an_if_restores_defs_but_not_def_ranges() {
+        let k = parse_kernel(
+            "kernel d { in A: i32[8] range 0..1000; out B: i32[8]; var t: i32;
+               for i in 0..8 {
+                 t = A[i];
+                 if (A[i] > 5) { t = 3; }
+                 B[i] = t + t;
+               } }",
+        )
+        .unwrap();
+        let binding = assign_memories(&k, 4);
+        let info = defacto_analysis::infer_ranges(&k);
+        let nest = k.perfect_nest().unwrap();
+        let dfg = build_dfg_ranged(nest.innermost_body(), &k, &binding, Some(&info));
+        // The def merges: the load before the `if` against the constant.
+        let mux = dfg
+            .nodes()
+            .iter()
+            .find(|n| matches!(n.kind, NodeKind::Op { op: HwOp::Mux, .. }))
+            .unwrap();
+        let add = dfg
+            .nodes()
+            .iter()
+            .find(|n| {
+                matches!(
+                    n.kind,
+                    NodeKind::Op {
+                        op: HwOp::AddSub,
+                        ..
+                    }
+                )
+            })
+            .unwrap();
+        assert_eq!(add.preds, vec![mux.id, mux.id]);
+        // `t + t` is priced at the then-branch's range [3, 3], not at
+        // t's whole-kernel range [0, 1000].
+        assert_eq!(
+            add.kind,
+            NodeKind::Op {
+                op: HwOp::AddSub,
+                bits: 2
+            }
+        );
     }
 
     #[test]

@@ -419,34 +419,28 @@ pub(crate) fn allocate(
     }
     classes
         .into_iter()
-        .map(
-            |Busy {
-                 class,
-                 mut starts,
-                 mut finishes,
-             }| {
-                starts.sort_unstable();
-                finishes.sort_unstable();
-                // Sweep line: when the k-th start (in time order) begins,
-                // k + 1 units have started and every unit finishing at or
-                // before it has freed up. A finish at time t frees its unit
-                // for a start at t, so `ended` counts finishes `<= start`.
-                // Those units started strictly earlier, so `ended <= k`.
-                let mut ended = 0;
-                let mut peak = 0;
-                for (k, &s) in starts.iter().enumerate() {
-                    while finishes[ended] <= s {
-                        ended += 1;
-                    }
-                    peak = peak.max(k + 1 - ended);
+        .map(|mut busy| {
+            busy.starts.sort_unstable();
+            busy.finishes.sort_unstable();
+            // Sweep line: when the k-th start (in time order) begins, k + 1
+            // units have started and every unit finishing at or before it
+            // has freed up. A finish at time t frees its unit for a start
+            // at t, so `ended` counts finishes `<= start`. Those units
+            // started strictly earlier, so `ended <= k`.
+            let mut ended = 0;
+            let mut peak = 0;
+            for (k, &s) in busy.starts.iter().enumerate() {
+                while busy.finishes[ended] <= s {
+                    ended += 1;
                 }
-                let usage = OpUsage {
-                    max_concurrent: peak as u32,
-                    total_uses: starts.len() as u32,
-                };
-                (class, usage)
-            },
-        )
+                peak = peak.max(k + 1 - ended);
+            }
+            let usage = OpUsage {
+                max_concurrent: peak as u32,
+                total_uses: busy.starts.len() as u32,
+            };
+            (busy.class, usage)
+        })
         .collect()
 }
 
