@@ -22,15 +22,16 @@ use crate::access::{Access, AccessId, AccessTable};
 use crate::uniform::UniformSet;
 
 /// The access table of the jammed body obtained by replicating the body
-/// of `base` once per offset tuple in `tuples` (in that order), offsetting
-/// loop variable `vars[l]` by `tuple[l]` in each copy.
+/// of `base` once per offset tuple (in order), offsetting loop variable
+/// `vars[l]` by `tuple[l]` in each copy. `tuples` is row-major: one row
+/// of `vars.len()` offsets per copy (the nest depth, at least one).
 ///
 /// Equals `AccessTable::from_stmts` of the jammed body, because jamming
 /// neither reorders accesses within a copy nor changes their
 /// read/write/conditional classification.
-pub fn jammed_access_table(base: &AccessTable, vars: &[&str], tuples: &[Vec<i64>]) -> AccessTable {
-    let mut accesses = Vec::with_capacity(base.len() * tuples.len());
-    for tuple in tuples {
+pub fn jammed_access_table(base: &AccessTable, vars: &[&str], tuples: &[i64]) -> AccessTable {
+    let mut accesses = Vec::with_capacity(base.len() * tuples.len() / vars.len());
+    for tuple in tuples.chunks_exact(vars.len()) {
         let deltas: Vec<(&str, i64)> = vars
             .iter()
             .copied()
@@ -57,33 +58,42 @@ pub fn jammed_access_table(base: &AccessTable, vars: &[&str], tuples: &[Vec<i64>
 /// The uniformly generated sets of the jammed body, derived from the base
 /// body's sets. `base_len` is the base table's access count (the id
 /// stride between consecutive copies); `tuples` must be the same offset
-/// tuples, in the same order, used to build the jammed body.
+/// tuples, in the same order, used to build the jammed body, row-major
+/// with rows of `depth` entries (the nest depth, which is at least one).
 ///
 /// Equals `uniform_sets` over the jammed table: offset substitution
 /// preserves every signature, so copy `t` of base member `m` falls into
 /// the same set as `m`, with constant offsets shifted per dimension by
 /// the signature row dotted with the tuple. Set order is preserved
 /// because the first (all-zero) tuple replays the base accesses in base
-/// program order.
+/// program order. Members are copy-major: copy `t` of the base set's
+/// member `m` is member `t * base_set.len() + m` of the jammed set.
+///
+/// Each set's offsets are filled in place, one row per member, with no
+/// allocation per member.
 pub fn jammed_uniform_sets(
     base_sets: &[UniformSet],
     base_len: usize,
-    tuples: &[Vec<i64>],
+    tuples: &[i64],
+    depth: usize,
 ) -> Vec<UniformSet> {
+    let copies = tuples.len() / depth;
+    let mut shift: Vec<i64> = Vec::new();
     base_sets
         .iter()
         .map(|s| {
-            let mut members = Vec::with_capacity(s.members.len() * tuples.len());
-            let mut offsets = Vec::with_capacity(s.offsets.len() * tuples.len());
-            for (rank, tuple) in tuples.iter().enumerate() {
-                let shift: Vec<i64> = s
-                    .signature
-                    .iter()
-                    .map(|row| row.iter().zip(tuple).map(|(c, t)| c * t).sum())
-                    .collect();
-                for (m, off) in s.members.iter().zip(&s.offsets) {
+            let mut members = Vec::with_capacity(s.members.len() * copies);
+            let mut offsets = Vec::with_capacity(s.offsets.len() * copies);
+            for (rank, tuple) in tuples.chunks_exact(depth).enumerate() {
+                shift.clear();
+                shift.extend(
+                    s.signature
+                        .iter()
+                        .map(|row| row.iter().zip(tuple).map(|(c, t)| c * t).sum::<i64>()),
+                );
+                for (m, off) in s.members.iter().zip(s.offset_rows()) {
                     members.push(AccessId(rank * base_len + m.0));
-                    offsets.push(off.iter().zip(&shift).map(|(o, sh)| o + sh).collect());
+                    offsets.extend(off.iter().zip(&shift).map(|(o, sh)| o + sh));
                 }
             }
             UniformSet {
@@ -141,12 +151,14 @@ mod tests {
         let base_sets = uniform_sets(&base, &vars);
         let (jammed_body, tuples) = jam(nest.innermost_body(), &vars, factors);
 
+        let tuples = tuples.concat();
+
         let expected_table = AccessTable::from_stmts(&jammed_body);
         let derived_table = jammed_access_table(&base, &vars, &tuples);
         assert_eq!(derived_table, expected_table, "table for {factors:?}");
 
         let expected_sets = uniform_sets(&expected_table, &vars);
-        let derived_sets = jammed_uniform_sets(&base_sets, base.len(), &tuples);
+        let derived_sets = jammed_uniform_sets(&base_sets, base.len(), &tuples, vars.len());
         assert_eq!(derived_sets, expected_sets, "sets for {factors:?}");
     }
 

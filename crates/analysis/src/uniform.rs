@@ -29,9 +29,11 @@ pub struct UniformSet {
     pub signature: Vec<Vec<i64>>,
     /// Members, in program order.
     pub members: Vec<AccessId>,
-    /// Per-member constant offsets (one `Vec<i64>` per member, one entry
-    /// per array dimension), aligned with `members`.
-    pub offsets: Vec<Vec<i64>>,
+    /// Per-member constant offsets as one row-major matrix: row `m` holds
+    /// member `m`'s offsets, one entry per array dimension, so rows are
+    /// `signature.len()` entries long and aligned with `members`. Read
+    /// rows through [`Self::offset_row`] and [`Self::offset_rows`].
+    pub offsets: Vec<i64>,
 }
 
 impl UniformSet {
@@ -46,12 +48,32 @@ impl UniformSet {
         self.members.is_empty()
     }
 
-    /// Distinct constant-offset vectors, sorted lexicographically.
+    /// Array dimensions: the length of every offset row.
+    pub fn dims(&self) -> usize {
+        self.signature.len()
+    }
+
+    /// Constant offsets of member `m` (one entry per array dimension).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not a member position.
+    pub fn offset_row(&self, m: usize) -> &[i64] {
+        let dims = self.dims();
+        &self.offsets[m * dims..(m + 1) * dims]
+    }
+
+    /// Constant offsets of every member, in member order.
+    pub fn offset_rows(&self) -> impl ExactSizeIterator<Item = &[i64]> + '_ {
+        (0..self.members.len()).map(|m| self.offset_row(m))
+    }
+
+    /// Distinct constant-offset rows, sorted lexicographically.
     /// Multiple syntactic references with identical offsets collapse here —
     /// they are the *loop-independent* reuse within one iteration.
-    pub fn distinct_offsets(&self) -> Vec<Vec<i64>> {
-        let mut v = self.offsets.clone();
-        v.sort();
+    pub fn distinct_offsets(&self) -> Vec<&[i64]> {
+        let mut v: Vec<&[i64]> = self.offset_rows().collect();
+        v.sort_unstable();
         v.dedup();
         v
     }
@@ -84,20 +106,20 @@ pub fn uniform_sets(table: &AccessTable, vars: &[&str]) -> Vec<UniformSet> {
     let mut sets: Vec<UniformSet> = Vec::new();
     for acc in table.accesses() {
         let signature = acc.access.coeff_signature(vars);
-        let offsets = acc.access.constant_offsets();
+        let offsets = acc.access.indices.iter().map(|e| e.constant_term());
         match sets.iter_mut().find(|s| {
             s.array == acc.access.array && s.is_write == acc.is_write && s.signature == signature
         }) {
             Some(s) => {
                 s.members.push(acc.id);
-                s.offsets.push(offsets);
+                s.offsets.extend(offsets);
             }
             None => sets.push(UniformSet {
                 array: acc.access.array.clone(),
                 is_write: acc.is_write,
                 signature,
                 members: vec![acc.id],
-                offsets: vec![offsets],
+                offsets: offsets.collect(),
             }),
         }
     }
@@ -160,7 +182,7 @@ mod tests {
         );
         let a = sets.iter().find(|s| s.array == "A").unwrap();
         assert_eq!(a.len(), 3);
-        assert_eq!(a.distinct_offsets(), vec![vec![0], vec![1], vec![2]]);
+        assert_eq!(a.distinct_offsets(), [[0], [1], [2]]);
     }
 
     #[test]

@@ -9,8 +9,18 @@
 //! memory-traffic classes remain (and when each executes), which
 //! guard/rotate statements the body carries, and which loop levels
 //! peeling will split. It never copies the body, never rewrites a
-//! statement and never builds a DFG, so it costs microseconds per point
-//! instead of milliseconds.
+//! statement and never builds a DFG. Measured in a release build on one
+//! core of an Intel Xeon, one census of a paper kernel's joint point
+//! takes about 15 µs (MM), 20 µs (PAT), 40 µs (FIR), 100 µs (JAC) and
+//! 150 µs (SOBEL), 60 µs on average over the five joint spaces. Most of
+//! what remains for JAC and SOBEL is sorting the offsets of their large
+//! jammed window sets. A tier-1 estimate of the same point takes
+//! milliseconds.
+//!
+//! Jammed offsets are rows of one matrix per set
+//! ([`UniformSet::offsets`](defacto_analysis::UniformSet)), and the plan
+//! and the walks below borrow those rows, so a census allocates per set,
+//! not per jammed offset.
 //!
 //! The counts are exact, not approximations: the tier-0 analytic
 //! estimator (`defacto_synth::analytic`) prices them into a cost band
@@ -22,7 +32,9 @@
 //! temporaries are still computed here by a walk that mirrors the load
 //! hoisting of [`crate::scalar`]; tests pin `temp_registers` to the
 //! materialized design across the paper kernels' design spaces and
-//! generated kernels.
+//! generated kernels. The walk reads each base load's jammed copies off
+//! its set and skips the loads of a set the plan replaces entirely
+//! (DESIGN.md §10 argues why that skip is exact).
 
 use crate::error::Result;
 use crate::peel::tests_first_iteration;
@@ -30,7 +42,7 @@ use crate::pipeline::{TransformOptions, UnrollVector};
 use crate::prepared::PreparedKernel;
 use crate::scalar::{plan_reuse, Reuse};
 use crate::unroll::offset_tuples;
-use defacto_analysis::{jammed_uniform_sets, UniformSet};
+use defacto_analysis::{jammed_uniform_sets, AccessTable, UniformSet};
 use defacto_ir::{ArrayAccess, BinOp, Expr, Name, Stmt};
 use std::collections::{HashMap, HashSet};
 
@@ -194,7 +206,8 @@ impl PreparedKernel {
             .map(|(l, &u)| l.trip_count() / u)
             .collect();
         let tuples = offset_tuples(factors);
-        let sets = jammed_uniform_sets(self.base_sets(), self.base_table_len(), &tuples);
+        let copies = tuples.len() / depth;
+        let sets = jammed_uniform_sets(self.base_sets(), self.base_table_len(), &tuples, depth);
         let var_refs: Vec<&str> = self.var_names().iter().map(Name::as_str).collect();
 
         // Row-major strides per array, as the memory binding computes
@@ -207,17 +220,12 @@ impl PreparedKernel {
             }
             strides.insert(a.name.as_str(), s);
         }
+        let strides_of = |array: &str| strides.get(array).map_or(&[][..], Vec::as_slice);
         let elem_bits = |array: &str| {
             self.normalized()
                 .array(array)
                 .map(|a| a.ty.bits())
                 .unwrap_or(32)
-        };
-        let flat = |array: &str, off: &[i64]| -> i64 {
-            match strides.get(array) {
-                Some(s) => off.iter().zip(s).map(|(&o, &st)| o * st).sum(),
-                None => 0,
-            }
         };
 
         let mut c = PointCensus {
@@ -239,11 +247,10 @@ impl PreparedKernel {
         };
         // Register classes keyed by (bits, load_valued).
         let mut reg_classes: HashMap<(u32, bool), usize> = HashMap::new();
-        // Per read-set index: the constant-offset vectors whose loads are
-        // rewritten to register reads. Absent key = fully raw set.
-        let mut replaced_loads: HashMap<usize, HashSet<Vec<i64>>> = HashMap::new();
-        // Write-set indices whose stores are rewritten (accumulators).
-        let mut replaced_stores: HashSet<usize> = HashSet::new();
+        // Per set: the loads the plan rewrites to register reads.
+        let mut replaced: Vec<Replaced<'_>> = sets.iter().map(|_| Replaced::None).collect();
+        // Per set: are its stores rewritten (accumulators)?
+        let mut replaced_stores = vec![false; sets.len()];
 
         if opts.scalar_replacement {
             // The plan `transform` materializes for this point.
@@ -261,6 +268,7 @@ impl PreparedKernel {
             for reuse in &plan.decisions {
                 let array = sets[reuse.set()].array.as_str();
                 let bits = elem_bits(array);
+                let strides = strides_of(array);
                 let traffic = |is_write: bool, kind: TrafficKind, flat_offsets: Vec<i64>| Traffic {
                     array: array.to_string(),
                     is_write,
@@ -279,14 +287,19 @@ impl PreparedKernel {
                         for slot in slots {
                             *reg_classes.entry((bits, slot.read)).or_insert(0) += 1;
                         }
-                        let read_offsets = || slots.iter().filter(|s| s.read).map(|s| &s.offset);
                         if let Some(r) = read {
+                            // The read slots are the read set's distinct
+                            // offsets, all of them.
                             c.traffic.push(traffic(
                                 false,
                                 TrafficKind::AtLevel(*level),
-                                read_offsets().map(|o| flat(array, o)).collect(),
+                                slots
+                                    .iter()
+                                    .filter(|s| s.read)
+                                    .map(|s| flat(strides, s.offset))
+                                    .collect(),
                             ));
-                            replaced_loads.insert(*r, read_offsets().cloned().collect());
+                            replaced[*r] = Replaced::All;
                         }
                         c.traffic.push(traffic(
                             true,
@@ -294,10 +307,10 @@ impl PreparedKernel {
                             slots
                                 .iter()
                                 .filter(|s| s.written)
-                                .map(|s| flat(array, &s.offset))
+                                .map(|s| flat(strides, s.offset))
                                 .collect(),
                         ));
-                        replaced_stores.insert(*write);
+                        replaced_stores[*write] = true;
                         c.accumulators
                             .push(self.accumulator_census(&sets[*write], &var_refs));
                     }
@@ -314,9 +327,9 @@ impl PreparedKernel {
                         c.traffic.push(traffic(
                             false,
                             kind,
-                            offsets.iter().map(|o| flat(array, o)).collect(),
+                            offsets.iter().map(|o| flat(strides, o)).collect(),
                         ));
-                        replaced_loads.insert(*read, offsets.iter().cloned().collect());
+                        replaced[*read] = Replaced::All;
                     }
                     Reuse::Chain {
                         read,
@@ -333,7 +346,7 @@ impl PreparedKernel {
                             c.traffic.push(traffic(
                                 false,
                                 TrafficKind::Guarded(guard_levels.clone()),
-                                vec![flat(array, lane_off)],
+                                vec![flat(strides, lane_off)],
                             ));
                             if *length >= 2 {
                                 c.rotates_per_body += 1;
@@ -344,7 +357,7 @@ impl PreparedKernel {
                         for &l in &guard_levels {
                             c.peelable[l] = true;
                         }
-                        replaced_loads.insert(*read, lanes.iter().cloned().collect());
+                        replaced[*read] = Replaced::All;
                     }
                     Reuse::Window {
                         read,
@@ -352,14 +365,21 @@ impl PreparedKernel {
                         window_dim,
                         step,
                         lanes,
+                        distinct,
                     } => {
-                        let mut replaced: HashSet<Vec<i64>> = HashSet::new();
+                        let mut position: Vec<i64> = Vec::new();
                         for lane in lanes {
                             let span = lane.span();
                             let carried = span.saturating_sub(*step as usize);
                             *reg_classes.entry((bits, true)).or_insert(0) += span;
-                            let positions = |ps: std::ops::Range<usize>| -> Vec<i64> {
-                                ps.map(|p| flat(array, &lane.at(*window_dim, p))).collect()
+                            position.clear();
+                            position.extend_from_slice(lane.offsets[0]);
+                            let mut positions = |ps: std::ops::Range<usize>| -> Vec<i64> {
+                                ps.map(|p| {
+                                    position[*window_dim] = lane.lo + p as i64;
+                                    flat(strides, &position)
+                                })
+                                .collect()
                             };
                             if carried > 0 {
                                 c.traffic.push(traffic(
@@ -380,9 +400,20 @@ impl PreparedKernel {
                             if carried > 0 && span >= 2 {
                                 c.rotates_per_body += step;
                             }
-                            replaced.extend(lane.offsets.iter().cloned());
                         }
-                        replaced_loads.insert(*read, replaced);
+                        // The lanes hold distinct offsets of the set, so
+                        // they cover it exactly when the counts agree.
+                        let covered: usize = lanes.iter().map(|l| l.offsets.len()).sum();
+                        replaced[*read] = if covered == *distinct {
+                            Replaced::All
+                        } else {
+                            let mut rows: Vec<&[i64]> = lanes
+                                .iter()
+                                .flat_map(|l| l.offsets.iter().copied())
+                                .collect();
+                            rows.sort_unstable();
+                            Replaced::Some(rows)
+                        };
                     }
                 }
             }
@@ -391,67 +422,73 @@ impl PreparedKernel {
         // --- Raw (unreplaced) traffic, mirroring the body rewrite +
         // `hoist_remaining_loads`. ---
 
+        let raw_stores = || {
+            sets.iter()
+                .zip(&replaced_stores)
+                .filter(|(s, &replaced)| s.is_write && !replaced)
+                .map(|(s, _)| s)
+        };
         // Arrays with any raw store keep their loads in place.
-        let stored_arrays: HashSet<&str> = sets
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| s.is_write && !replaced_stores.contains(i))
-            .map(|(_, s)| s.array.as_str())
-            .collect();
+        let stored_arrays: HashSet<&str> = raw_stores().map(|s| s.array.as_str()).collect();
 
         // Raw stores: one store per member per body.
-        for (i, set) in sets.iter().enumerate() {
-            if !set.is_write || replaced_stores.contains(&i) {
-                continue;
-            }
+        for set in raw_stores() {
+            let strides = strides_of(&set.array);
             c.traffic.push(Traffic {
                 array: set.array.to_string(),
                 is_write: true,
                 elem_bits: elem_bits(&set.array),
                 kind: TrafficKind::Body,
-                flat_offsets: set.offsets.iter().map(|o| flat(&set.array, o)).collect(),
+                flat_offsets: set.offset_rows().map(|o| flat(strides, o)).collect(),
                 conditional: self.cond_flag(set.members[0]),
             });
         }
 
-        // Raw loads: walk the base body's load occurrences, expand each
-        // by the jam tuples, and split in-place loads (stored arrays and
+        // Raw loads: walk the base body's loads, read each one's jammed
+        // copies off its set, and split in-place loads (stored arrays and
         // sole-load statements, which `hoist_remaining_loads` skips) from
-        // hoisted ones (one temp register per distinct address).
-        let mut occurrences: Vec<(&ArrayAccess, bool, bool)> = Vec::new();
-        collect_load_occurrences(self.base_body(), false, &mut occurrences);
+        // hoisted ones (one temp register per distinct address). Loads of
+        // a set the plan replaces entirely are skipped whole.
+        //
         // In-place loads split by user-`if` context: conditional loads may
         // be folded away with their branch, so they form separate classes.
         let mut in_place: HashMap<(&str, bool), Vec<i64>> = HashMap::new();
-        // Distinct hoisted addresses in deterministic (first-seen) order.
-        let mut hoisted_seen: HashSet<(String, Vec<Vec<i64>>, Vec<i64>)> = HashSet::new();
+        // Distinct hoisted addresses, keyed by (set, offsets), in
+        // deterministic (first-seen) order.
+        let mut hoisted_seen: HashSet<(usize, &[i64])> = HashSet::new();
         let mut hoisted: HashMap<&str, Vec<i64>> = HashMap::new();
-        for (access, sole, cond) in &occurrences {
-            let array = access.array.as_str();
-            let sig = access.coeff_signature(&var_refs);
-            let base_off: Vec<i64> = access.indices.iter().map(|e| e.constant_term()).collect();
-            let set_idx = sets
-                .iter()
-                .position(|s| !s.is_write && s.array == array && s.signature == sig);
-            let replaced = set_idx.and_then(|i| replaced_loads.get(&i));
-            for t in &tuples {
-                let jo: Vec<i64> = base_off
-                    .iter()
-                    .enumerate()
-                    .map(|(d, &b)| b + sig[d].iter().zip(t).map(|(&co, &tv)| co * tv).sum::<i64>())
-                    .collect();
-                if replaced.map(|r| r.contains(&jo)).unwrap_or(false) {
-                    continue;
+        let mut site_offsets: Vec<i64> = Vec::new();
+        for site in self.load_sites() {
+            let replaced = &replaced[site.set];
+            if matches!(replaced, Replaced::All) {
+                continue;
+            }
+            let set = &sets[site.set];
+            let array = set.array.as_str();
+            let strides = strides_of(array);
+            let stays = !opts.scalar_replacement || site.sole || stored_arrays.contains(array);
+            let base_members = self.base_sets()[site.set].len();
+            site_offsets.clear();
+            for copy in 0..copies {
+                let offsets = set.offset_row(copy * base_members + site.member);
+                if let Replaced::Some(rows) = replaced {
+                    if rows.binary_search(&offsets).is_ok() {
+                        continue;
+                    }
                 }
-                if !opts.scalar_replacement || *sole || stored_arrays.contains(array) {
-                    in_place
-                        .entry((array, *cond))
-                        .or_default()
-                        .push(flat(array, &jo));
-                } else if hoisted_seen.insert((array.to_string(), sig.clone(), jo.clone())) {
-                    hoisted.entry(array).or_default().push(flat(array, &jo));
+                if stays || hoisted_seen.insert((site.set, offsets)) {
+                    site_offsets.push(flat(strides, offsets));
                 }
             }
+            if site_offsets.is_empty() {
+                continue;
+            }
+            let class = if stays {
+                in_place.entry((array, site.conditional)).or_default()
+            } else {
+                hoisted.entry(array).or_default()
+            };
+            class.extend_from_slice(&site_offsets);
         }
         let mut raw_arrays: Vec<&str> = in_place
             .keys()
@@ -523,11 +560,13 @@ impl PreparedKernel {
     /// `write`: jammed write members sharing one offset update the same
     /// register in sequence.
     fn accumulator_census(&self, write: &UniformSet, var_refs: &[&str]) -> AccumulatorCensus {
-        let mut per_offset: HashMap<&Vec<i64>, i64> = HashMap::new();
-        for off in &write.offsets {
-            *per_offset.entry(off).or_insert(0) += 1;
-        }
-        let max_writes = per_offset.values().copied().max().unwrap_or(0);
+        let mut rows: Vec<&[i64]> = write.offset_rows().collect();
+        rows.sort_unstable();
+        let max_writes = rows
+            .chunk_by(|a, b| a == b)
+            .map(|run| run.len() as i64)
+            .max()
+            .unwrap_or(0);
         let mut serial_ops: Option<Vec<(BinOp, bool)>> = Some(Vec::new());
         collect_update_tops(
             self.base_body(),
@@ -542,6 +581,61 @@ impl PreparedKernel {
             serial_ops: serial_ops.filter(|v| !v.is_empty()),
         }
     }
+}
+
+/// The loads of one read set that a plan rewrites to register reads.
+enum Replaced<'a> {
+    /// None: every load of the set stays.
+    None,
+    /// These distinct offsets, sorted.
+    Some(Vec<&'a [i64]>),
+    /// Every distinct offset of the set.
+    All,
+}
+
+/// Row-major flattened address of constant offsets `off` under
+/// `strides` (no strides, as for an undeclared array, flatten to 0).
+fn flat(strides: &[i64], off: &[i64]) -> i64 {
+    off.iter().zip(strides).map(|(&o, &st)| o * st).sum()
+}
+
+/// One load of the base body, as the census's raw-load walk reads it.
+#[derive(Debug, Clone)]
+pub(crate) struct LoadSite {
+    /// The read set the load belongs to; jamming keeps set indices.
+    set: usize,
+    /// The load's position among its base set's members. Jammed members
+    /// are copy-major, so copy `t` of the load is member
+    /// `t * base_set.len() + member` of the jammed set.
+    member: usize,
+    /// The load is the entire right-hand side of an assignment.
+    sole: bool,
+    /// The load sits inside an `if` branch.
+    conditional: bool,
+}
+
+/// The load sites of a base body, in program order. The `k`-th load
+/// occurrence is the `k`-th read of the body's access table: both walk
+/// the statements, a condition before its branches, in the same order.
+pub(crate) fn load_sites(body: &[Stmt], table: &AccessTable, sets: &[UniformSet]) -> Vec<LoadSite> {
+    let mut occurrences = Vec::new();
+    collect_load_occurrences(body, false, &mut occurrences);
+    occurrences
+        .iter()
+        .zip(table.reads())
+        .filter_map(|(&(access, sole, conditional), read)| {
+            debug_assert_eq!(access, &read.access);
+            sets.iter().enumerate().find_map(|(set, s)| {
+                let member = s.members.iter().position(|&id| id == read.id)?;
+                Some(LoadSite {
+                    set,
+                    member,
+                    sole,
+                    conditional,
+                })
+            })
+        })
+        .collect()
 }
 
 /// Collect every load occurrence of a body with its context. The first

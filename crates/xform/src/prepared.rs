@@ -35,6 +35,7 @@
 //! same binding, same errors. `tests/incremental_equivalence.rs`
 //! enforces this across the paper kernels' full design spaces.
 
+use crate::census::{load_sites, LoadSite};
 use crate::error::{Result, VectorError, XformError};
 use crate::layout::assign_memories;
 use crate::normalize::normalize_loops;
@@ -74,6 +75,8 @@ pub struct PreparedKernel {
     /// does any member execute conditionally? Jamming replicates the
     /// flags verbatim, so the answer holds for every jammed set too.
     cond_flags: HashMap<AccessId, bool>,
+    /// The loads of `base_body` with their sets, for the census.
+    load_sites: Vec<LoadSite>,
     /// Dependences with the nest's bounds, input of jam legality.
     deps: DependenceGraph,
     /// Scalars carrying state across body iterations (rotate chains,
@@ -135,6 +138,7 @@ impl PreparedKernel {
                 (s.members[0], any)
             })
             .collect();
+        let load_sites = load_sites(&base_body, &base_table, &base_sets);
         let carried = crate::unroll::carried_scalars(&base_body, &var_refs);
         let trips: Vec<i64> = loops.iter().map(Loop::trip_count).collect();
         let legality = LegalitySummary::from_parts(
@@ -153,6 +157,7 @@ impl PreparedKernel {
             base_table,
             base_sets,
             cond_flags,
+            load_sites,
             deps,
             carried,
             legality,
@@ -167,9 +172,9 @@ impl PreparedKernel {
     /// normalized nest is unchanged where it matters:
     ///
     /// - same innermost body and induction variables: the access table,
-    ///   uniform sets, conditional flags, carried scalars and every
-    ///   cached offset copy carry over (copies offset the base body only,
-    ///   so they are bounds-independent);
+    ///   uniform sets, conditional flags, load sites, carried scalars and
+    ///   every cached offset copy carry over (copies offset the base body
+    ///   only, so they are bounds-independent);
     /// - same loop bounds on top of that: the dependence graph carries
     ///   over too, making the reuse total.
     ///
@@ -245,6 +250,7 @@ impl PreparedKernel {
             base_table: prev.base_table.clone(),
             base_sets: prev.base_sets.clone(),
             cond_flags: prev.cond_flags.clone(),
+            load_sites: prev.load_sites.clone(),
             deps,
             carried: prev.carried.clone(),
             legality,
@@ -300,6 +306,10 @@ impl PreparedKernel {
 
     pub(crate) fn cond_flag(&self, first_member: AccessId) -> bool {
         self.cond_flags[&first_member]
+    }
+
+    pub(crate) fn load_sites(&self) -> &[LoadSite] {
+        &self.load_sites
     }
 
     /// Validate an unroll vector exactly the way [`Self::transform`]
@@ -392,11 +402,12 @@ impl PreparedKernel {
 
         // Fetch (building on miss) the cached offset copies of this
         // point's tuples.
+        let depth = factors.len();
         let tuples = offset_tuples(factors);
         let copies: Vec<Arc<Vec<Stmt>>> = {
             let mut cache = self.copies.lock().unwrap_or_else(PoisonError::into_inner);
             tuples
-                .iter()
+                .chunks_exact(depth)
                 .map(|t| {
                     if let Some(copy) = cache.get(t) {
                         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -410,7 +421,7 @@ impl PreparedKernel {
                             .zip(t.iter().copied())
                             .collect();
                         let copy = Arc::new(offset_vars_stmts(&self.base_body, &deltas));
-                        cache.insert(t.clone(), Arc::clone(&copy));
+                        cache.insert(t.to_vec(), Arc::clone(&copy));
                         copy
                     }
                 })
@@ -422,7 +433,7 @@ impl PreparedKernel {
         // On the default path it is skipped — scalar replacement reads
         // the copies through references and rebuilds the nest itself.
         let unrolled: Option<Kernel> = if opts.verify_each_pass || !opts.scalar_replacement {
-            let mut body: Vec<Stmt> = Vec::with_capacity(self.base_body.len() * tuples.len());
+            let mut body: Vec<Stmt> = Vec::with_capacity(self.base_body.len() * copies.len());
             for copy in &copies {
                 body.extend_from_slice(copy);
             }
@@ -458,7 +469,7 @@ impl PreparedKernel {
                     body: Vec::new(),
                 })
                 .collect();
-            let sets = jammed_uniform_sets(&self.base_sets, self.base_table.len(), &tuples);
+            let sets = jammed_uniform_sets(&self.base_sets, self.base_table.len(), &tuples, depth);
             let trips: Vec<i64> = widened.iter().map(Loop::trip_count).collect();
             let plan = plan_reuse(
                 &sets,

@@ -172,8 +172,8 @@ pub fn scalar_replace(
 /// One accumulator register: its constant offset, and whether the group
 /// reads and writes that address.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Slot {
-    pub offset: Vec<i64>,
+pub(crate) struct Slot<'a> {
+    pub offset: &'a [i64],
     pub read: bool,
     pub written: bool,
 }
@@ -181,13 +181,13 @@ pub(crate) struct Slot {
 /// One lane of a rolling window: the range `lo..=hi` it spans along the
 /// window dimension, and the set's distinct offsets in that lane, sorted.
 #[derive(Debug)]
-pub(crate) struct WindowLane {
+pub(crate) struct WindowLane<'a> {
     pub lo: i64,
     pub hi: i64,
-    pub offsets: Vec<Vec<i64>>,
+    pub offsets: Vec<&'a [i64]>,
 }
 
-impl WindowLane {
+impl WindowLane<'_> {
     /// Registers of the lane: one per window position.
     pub fn span(&self) -> usize {
         (self.hi - self.lo + 1) as usize
@@ -195,17 +195,18 @@ impl WindowLane {
 
     /// The lane's offset at window position `p` (element `lo + p`).
     pub fn at(&self, window_dim: usize, p: usize) -> Vec<i64> {
-        let mut off = self.offsets[0].clone();
+        let mut off = self.offsets[0].to_vec();
         off[window_dim] = self.lo + p as i64;
         off
     }
 }
 
 /// One kept scalar-replacement decision. Sets are named by their index in
-/// the planner's input and registers by their constant offsets, so a
-/// decision holds no name, statement or access.
+/// the planner's input and registers by their constant offsets, rows
+/// borrowed from those sets, so a decision holds no name, statement or
+/// access, and no offset of its own.
 #[derive(Debug)]
-pub(crate) enum Reuse {
+pub(crate) enum Reuse<'a> {
     /// A written set invariant in the loops deeper than `level`, with its
     /// read set if any: one register per offset. Read offsets load at the
     /// top of loop `level`'s body and written ones store at its bottom;
@@ -215,7 +216,7 @@ pub(crate) enum Reuse {
         read: Option<usize>,
         write: usize,
         level: usize,
-        slots: Vec<Slot>,
+        slots: Vec<Slot<'a>>,
     },
     /// A read set invariant in the loops deeper than `level`: one register
     /// per distinct offset, loaded at the top of loop `level`'s body, or
@@ -224,7 +225,7 @@ pub(crate) enum Reuse {
     Hoisted {
         read: usize,
         level: Option<usize>,
-        offsets: Vec<Vec<i64>>,
+        offsets: Vec<&'a [i64]>,
     },
     /// A read set whose values recur across loop `level`: one chain of
     /// `length` rotating registers per lane, filled on the first
@@ -234,23 +235,26 @@ pub(crate) enum Reuse {
         read: usize,
         level: usize,
         invariant_levels: Vec<usize>,
-        lanes: Vec<Vec<i64>>,
+        lanes: Vec<&'a [i64]>,
         length: usize,
     },
     /// A read set with consistent distances along loop `level`, the
     /// deepest it varies with, in exactly one unit-stride dimension
     /// `window_dim`: per lane, a window of registers that shifts by
-    /// `step` each iteration, so only `step` new elements load.
+    /// `step` each iteration, so only `step` new elements load. Lanes
+    /// without carried reuse are left to plain loads, so the lanes cover
+    /// all `distinct` offsets of the set only when none was left.
     Window {
         read: usize,
         level: usize,
         window_dim: usize,
         step: i64,
-        lanes: Vec<WindowLane>,
+        lanes: Vec<WindowLane<'a>>,
+        distinct: usize,
     },
 }
 
-impl Reuse {
+impl Reuse<'_> {
     /// The set whose array and signature the decision's accesses share.
     pub fn set(&self) -> usize {
         match self {
@@ -286,18 +290,18 @@ impl Reuse {
 /// [`plan_reuse`]. [`materialize`] turns it into statements; the tier-0
 /// census ([`crate::census`]) folds it into counts.
 #[derive(Debug)]
-pub(crate) struct ReusePlan {
+pub(crate) struct ReusePlan<'a> {
     /// Kept decisions in the order their registers are named: direct
     /// (accumulator and hoisted) decisions in group order, then the kept
     /// carried (chain and window) decisions in budget order.
-    pub decisions: Vec<Reuse>,
+    pub decisions: Vec<Reuse<'a>>,
     /// See [`ScalarReplacementInfo::unexploited_sets`].
     pub unexploited_sets: usize,
     /// See [`ScalarReplacementInfo::dropped_by_budget`].
     pub dropped_by_budget: usize,
 }
 
-impl ReusePlan {
+impl ReusePlan<'_> {
     /// The plan's statistics. Load hoisting, which runs after the plan is
     /// materialized, adds `temp_registers`.
     pub fn info(&self) -> ScalarReplacementInfo {
@@ -328,13 +332,13 @@ struct Group {
 /// `trips` and `steps` are the jammed nest's per-level trip counts and
 /// loop steps; `conditional` tells whether a set has a member under an
 /// `if`.
-pub(crate) fn plan_reuse(
-    sets: &[UniformSet],
+pub(crate) fn plan_reuse<'a>(
+    sets: &'a [UniformSet],
     trips: &[i64],
     steps: &[i64],
     conditional: &dyn Fn(&UniformSet) -> bool,
     opts: &ScalarOptions,
-) -> ReusePlan {
+) -> ReusePlan<'a> {
     let mut plan = ReusePlan {
         decisions: Vec::new(),
         unexploited_sets: 0,
@@ -368,7 +372,7 @@ pub(crate) fn plan_reuse(
     }
 
     // Carried (chain and window) decisions wait for the budget.
-    let mut carried: Vec<Reuse> = Vec::new();
+    let mut carried: Vec<Reuse<'a>> = Vec::new();
     for g in &groups {
         let probe = &sets[g.probe];
         let members = g.read.is_some() as usize + g.write.is_some() as usize;
@@ -397,7 +401,7 @@ pub(crate) fn plan_reuse(
                     plan.unexploited_sets += members;
                     continue;
                 }
-                let mut slots: Vec<Slot> = sets[write]
+                let mut slots: Vec<Slot<'a>> = sets[write]
                     .distinct_offsets()
                     .into_iter()
                     .map(|offset| Slot {
@@ -490,13 +494,13 @@ pub(crate) fn plan_reuse(
     plan
 }
 
-fn plan_chain(
-    set: &UniformSet,
+fn plan_chain<'a>(
+    set: &'a UniformSet,
     read: usize,
     deepest_varying: usize,
     level: usize,
     trips: &[i64],
-) -> Option<Reuse> {
+) -> Option<Reuse<'a>> {
     // Chain length: iterations of the varying loops deeper than the reuse
     // loop (per lane).
     let varying = set.varying_levels();
@@ -518,12 +522,12 @@ fn plan_chain(
     })
 }
 
-fn plan_window(
-    set: &UniformSet,
+fn plan_window<'a>(
+    set: &'a UniformSet,
     read: usize,
     deepest_varying: usize,
     steps: &[i64],
-) -> Option<Reuse> {
+) -> Option<Reuse<'a>> {
     // Exactly one dimension must vary with the deepest loop.
     let dims: Vec<usize> = set
         .signature
@@ -541,35 +545,23 @@ fn plan_window(
         return None; // non-unit stride windows are left to plain loads
     }
     let step = steps[deepest_varying];
-    // Group the offsets into lanes by the offsets of all other dimensions
-    // (an index map keeps this linear in the jammed offset count).
-    let mut lanes: Vec<WindowLane> = Vec::new();
-    let mut lane_index: HashMap<Vec<i64>, usize> = HashMap::new();
-    for off in set.distinct_offsets() {
-        let key: Vec<i64> = off
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| *d != window_dim)
-            .map(|(_, &v)| v)
-            .collect();
-        let w = off[window_dim];
-        match lane_index.get(&key) {
-            Some(&i) => {
-                let lane = &mut lanes[i];
-                lane.lo = lane.lo.min(w);
-                lane.hi = lane.hi.max(w);
-                lane.offsets.push(off);
-            }
-            None => {
-                lane_index.insert(key, lanes.len());
-                lanes.push(WindowLane {
-                    lo: w,
-                    hi: w,
-                    offsets: vec![off],
-                });
-            }
-        }
-    }
+    // Group the offsets into lanes by the offsets of all other dimensions.
+    // The distinct rows are sorted, so a stable sort by lane makes each
+    // lane one run that stays in row order (by window position). Lanes
+    // then go in the order of their first rows, which is the order the
+    // lanes first appear among the sorted distinct rows.
+    let lane = |row: &'a [i64]| (&row[..window_dim], &row[window_dim + 1..]);
+    let mut rows = set.distinct_offsets();
+    rows.sort_by_key(|&row| lane(row));
+    let mut lanes: Vec<WindowLane<'a>> = rows
+        .chunk_by(|&a, &b| lane(a) == lane(b))
+        .map(|run| WindowLane {
+            lo: run[0][window_dim],
+            hi: run[run.len() - 1][window_dim],
+            offsets: run.to_vec(),
+        })
+        .collect();
+    lanes.sort_unstable_by_key(|lane| lane.offsets[0]);
     // Keep only lanes with carried reuse; others stay as plain loads.
     lanes.retain(|lane| lane.span() as i64 > step);
     if lanes.is_empty() {
@@ -581,6 +573,7 @@ fn plan_window(
         window_dim,
         step,
         lanes,
+        distinct: rows.len(),
     })
 }
 
@@ -590,7 +583,7 @@ fn plan_window(
 pub(crate) fn materialize(
     kernel: &Kernel,
     input: &ScalarInput<'_>,
-    plan: &ReusePlan,
+    plan: &ReusePlan<'_>,
 ) -> (Vec<Stmt>, Vec<ScalarDecl>, ScalarReplacementInfo) {
     let ScalarInput {
         loops,
@@ -691,7 +684,7 @@ impl Edits {
     /// the decision's [`Reuse::set`].
     fn add(
         &mut self,
-        reuse: &Reuse,
+        reuse: &Reuse<'_>,
         set: &UniformSet,
         vars: &[Name],
         kernel: &Kernel,
@@ -708,8 +701,8 @@ impl Edits {
         match reuse {
             Reuse::Accumulator { level, slots, .. } => {
                 for slot in slots {
-                    let reg = names.fresh(format!("{base}_{}", join_offsets(&slot.offset)), ty);
-                    let access = access(&slot.offset);
+                    let reg = names.fresh(format!("{base}_{}", join_offsets(slot.offset)), ty);
+                    let access = access(slot.offset);
                     if slot.read {
                         // Hoisted initializing load.
                         self.pre[*level].push(fill(&reg, access.clone()));
@@ -801,7 +794,7 @@ impl Edits {
                         self.body_prefix.push(fill(reg, position(p)));
                     }
                     // Body reads come from window positions.
-                    for off in &lane.offsets {
+                    for &off in &lane.offsets {
                         let p = (off[*window_dim] - lane.lo) as usize;
                         self.load_rewrites
                             .insert(access(off), Expr::scalar(regs[p].clone()));

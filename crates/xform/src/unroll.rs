@@ -104,7 +104,7 @@ pub fn unroll_and_jam(kernel: &Kernel, factors: &[i64]) -> Result<Kernel> {
     // slowest) — Figure 1(b) in the paper.
     let mut body: Vec<Stmt> = Vec::new();
     let var_names: Vec<Name> = nest.loops().iter().map(|l| l.var.clone()).collect();
-    for offsets in offset_tuples(factors) {
+    for offsets in offset_tuples(factors).chunks_exact(factors.len()) {
         let mut copy = nest.innermost_body().to_vec();
         for (l, &off) in offsets.iter().enumerate() {
             if off != 0 {
@@ -130,14 +130,16 @@ pub fn unroll_and_jam(kernel: &Kernel, factors: &[i64]) -> Result<Kernel> {
 
 /// All unroll-offset tuples for `factors`, in jam order: lexicographic
 /// with the outermost level varying slowest, starting at the all-zero
-/// tuple. The prepared evaluation path iterates the same list, so the
-/// two unrolling implementations replicate copies in the same order by
-/// construction.
-pub(crate) fn offset_tuples(factors: &[i64]) -> Vec<Vec<i64>> {
-    let mut tuples = Vec::with_capacity(factors.iter().product::<i64>().max(1) as usize);
+/// tuple. The tuples come as one row-major matrix, one row of
+/// `factors.len()` offsets per tuple. The prepared evaluation path
+/// iterates the same list, so the two unrolling implementations
+/// replicate copies in the same order by construction.
+pub(crate) fn offset_tuples(factors: &[i64]) -> Vec<i64> {
+    let count = factors.iter().product::<i64>().max(1) as usize;
+    let mut tuples = Vec::with_capacity(count * factors.len());
     let mut offsets = vec![0i64; factors.len()];
     loop {
-        tuples.push(offsets.clone());
+        tuples.extend_from_slice(&offsets);
         // Advance the mixed-radix counter, innermost level fastest.
         let mut level = factors.len();
         loop {

@@ -1,16 +1,24 @@
-//! Heap-allocation budget of one cold design-space answer.
+//! Heap-allocation budgets of cold design-space answers.
 //!
 //! A counting global allocator counts every block handed out while one
-//! cold, single-worker, full-fidelity joint sweep of FIR (paper size,
-//! all axes) runs. The ceiling sits halfway between the count before the
-//! transform tail took the scalar-replaced body over by value and the
-//! count after, so a change that brings back a per-point copy of the
-//! statement trees (or a heap copy per copied name) fails here instead
-//! of only showing up as lost throughput.
+//! cold, single-worker joint sweep (paper size, all axes) runs:
+//!
+//! - a full-fidelity sweep of FIR. Its ceiling sits halfway between the
+//!   count before the transform tail took the scalar-replaced body over
+//!   by value and the count after, so a change that brings back a
+//!   per-point copy of the statement trees (or a heap copy per copied
+//!   name) fails here instead of only showing up as lost throughput;
+//! - a tier-0-only (analytic) sweep of SOBEL. Its ceiling sits halfway
+//!   between the count before the census stored jammed offsets as one
+//!   row-major matrix per set and the count after, so a change that
+//!   brings back a heap block per jammed offset fails here.
+//!
+//! The counter is global, so the tests take turns.
 
 use defacto::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct Counting;
 
@@ -55,6 +63,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Held for the whole of each test, so one test's work is never counted
+/// in another's sweep.
+static TURN: Mutex<()> = Mutex::new(());
+
+/// Blocks allocated while `f` runs.
+fn blocks_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    BLOCKS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let out = f();
+    COUNTING.store(false, Ordering::SeqCst);
+    (out, BLOCKS.load(Ordering::SeqCst))
+}
+
 /// Blocks allocated by the sweep before and after the change, counted
 /// by this test in the profile `cargo test` builds (rustc 1.95.0,
 /// x86_64 Linux); a release build counts the same.
@@ -64,19 +85,41 @@ const CEILING: u64 = (BEFORE + AFTER) / 2;
 
 #[test]
 fn fir_joint_sweep_allocation_budget() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let kernel = defacto_kernels::fir::kernel();
     let explorer = Explorer::new(&kernel)
         .threads(1)
         .axes(&Axis::ALL)
         .fidelity(Fidelity::Full);
-    COUNTING.store(true, Ordering::SeqCst);
-    let sweep = explorer.joint_sweep();
-    COUNTING.store(false, Ordering::SeqCst);
-    let blocks = BLOCKS.load(Ordering::SeqCst);
+    let (sweep, blocks) = blocks_during(|| explorer.joint_sweep());
     assert_eq!(sweep.expect("joint sweep succeeds").len(), 93);
     assert!(
         blocks <= CEILING,
         "one cold FIR joint sweep allocated {blocks} blocks, over the ceiling of {CEILING} \
          (before the owned transform tail: {BEFORE}, after: {AFTER})"
+    );
+}
+
+/// Blocks allocated by the analytic SOBEL sweep before and after the
+/// census's row-major offsets, counted as for the FIR sweep.
+const SOBEL_BEFORE: u64 = 423_773;
+const SOBEL_AFTER: u64 = 64_780;
+const SOBEL_CEILING: u64 = (SOBEL_BEFORE + SOBEL_AFTER) / 2;
+
+#[test]
+fn sobel_analytic_joint_sweep_allocation_budget() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let kernel = defacto_kernels::sobel::kernel();
+    let explorer = Explorer::new(&kernel)
+        .threads(1)
+        .axes(&Axis::ALL)
+        .fidelity(Fidelity::Analytic);
+    let (sweep, blocks) = blocks_during(|| explorer.joint_sweep());
+    assert_eq!(sweep.expect("joint sweep succeeds").len(), 320);
+    assert!(
+        blocks <= SOBEL_CEILING,
+        "one cold analytic SOBEL joint sweep allocated {blocks} blocks, \
+         over the ceiling of {SOBEL_CEILING} (before row-major offsets: {SOBEL_BEFORE}, \
+         after: {SOBEL_AFTER})"
     );
 }
