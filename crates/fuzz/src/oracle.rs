@@ -34,7 +34,8 @@ use defacto::{
 };
 use defacto_ir::{canonicalize, parse_kernel, run_with_inputs, ArrayKind, Kernel};
 use defacto_synth::{
-    estimate_opts, AnalyticBand, AnalyticModel, FpgaDevice, MemoryModel, SynthesisOptions,
+    estimate_opts, AnalyticBand, AnalyticModel, EstimatePlan, FpgaDevice, MemoryModel,
+    SynthesisOptions,
 };
 use defacto_xform::{PreparedKernel, UnrollVector, XformError};
 
@@ -385,10 +386,11 @@ fn check_case_inner(
     }
 
     // Oracle 3b: the tier-0 analytic band must contain the exact tier-1
-    // estimate at every sampled point.
+    // estimate at every sampled point, under every narrowing/packing
+    // flag pair.
     let mut topts = explorer.transform_options().clone();
     topts.verify_each_pass = false;
-    let sopts = SynthesisOptions::default();
+    const FLAGS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
     let prepared = match guarded("prepare", || PreparedKernel::prepare(&kernel))? {
         Ok(p) => Arc::new(p),
         Err(e) => {
@@ -398,26 +400,39 @@ fn check_case_inner(
             })
         }
     };
-    let model = guarded("analytic-model", || {
-        AnalyticModel::new(
-            prepared.clone(),
-            profile.memory.clone(),
-            profile.device.clone(),
-            topts.clone(),
-            sopts.clone(),
-        )
-    })?;
-    if let Some(model) = model {
+    let mut models = Vec::with_capacity(FLAGS.len());
+    for (narrow, pack) in FLAGS {
+        let sopts = SynthesisOptions {
+            bitwidth_narrowing: narrow,
+            pack_small_types: pack,
+            ..SynthesisOptions::default()
+        };
+        let model = guarded("analytic-model", || {
+            AnalyticModel::new(
+                prepared.clone(),
+                profile.memory.clone(),
+                profile.device.clone(),
+                topts.clone(),
+                sopts,
+            )
+        })?;
+        models.extend(model);
+    }
+    if models.len() == FLAGS.len() {
         for &u in &points {
-            let band = match guarded(&format!("band@{:?}", u.factors()), || model.evaluate(u))? {
-                Ok(b) => b,
-                Err(e) => {
-                    return Ok(CaseOutcome::Rejected {
-                        stage: "transform",
-                        detail: format!("band: {e}"),
-                    })
+            let mut bands = Vec::with_capacity(FLAGS.len());
+            for (flags, model) in FLAGS.iter().zip(&models) {
+                let stage = format!("band{flags:?}@{:?}", u.factors());
+                match guarded(&stage, || model.evaluate(u))? {
+                    Ok(b) => bands.push((stage, b)),
+                    Err(e) => {
+                        return Ok(CaseOutcome::Rejected {
+                            stage: "transform",
+                            detail: format!("band: {e}"),
+                        })
+                    }
                 }
-            };
+            }
             let design = match guarded(&format!("tier1@{:?}", u.factors()), || {
                 prepared.transform(u, &topts)
             })? {
@@ -429,17 +444,26 @@ fn check_case_inner(
                     })
                 }
             };
-            let estimate = guarded(&format!("estimate@{:?}", u.factors()), || {
-                estimate_opts(&design, &profile.memory, &profile.device, &sopts)
+            let estimates = guarded(&format!("estimate@{:?}", u.factors()), || {
+                EstimatePlan::new(
+                    &design,
+                    &profile.memory,
+                    &profile.device,
+                    &SynthesisOptions::default(),
+                    true,
+                )
+                .estimates(&FLAGS)
             })?;
-            if !band.contains(&estimate) {
-                return Ok(CaseOutcome::Violation(Violation {
-                    oracle: Oracle::Fidelity,
-                    stage: format!("band@{:?}", u.factors()),
-                    detail: band_miss_detail(&band, &estimate),
-                }));
+            for ((stage, band), estimate) in bands.into_iter().zip(&estimates) {
+                if !band.contains(estimate) {
+                    return Ok(CaseOutcome::Violation(Violation {
+                        oracle: Oracle::Fidelity,
+                        stage,
+                        detail: band_miss_detail(&band, estimate),
+                    }));
+                }
+                checks += 1;
             }
-            checks += 1;
         }
     }
 

@@ -211,6 +211,9 @@ pub struct AnalyticModel {
     /// affine transformations (substitutions apply uniformly, scalar
     /// replacement only removes accesses, fills reuse set signatures).
     renamable: HashSet<String>,
+    /// Per element width: the least load width floor (`load_width_lo`
+    /// under narrowing) among the arrays of that width the body loads.
+    load_floors: Vec<(u32, u32)>,
     /// Declared widths of the source kernel's scalars.
     original_scalars: Vec<u32>,
     /// Per loop level: non-subscript reads of the level's variable in one
@@ -286,6 +289,17 @@ impl AnalyticModel {
                 sigs.push(sig);
             }
         }
+        let mut load_floors: Vec<(u32, u32)> = Vec::new();
+        for (acc, is_write) in &accesses {
+            let Some(decl) = norm.array(&acc.array).filter(|_| !is_write) else {
+                continue;
+            };
+            let (bits, floor) = (decl.ty.bits(), load_width_lo(norm, &acc.array, true));
+            match load_floors.iter_mut().find(|(b, _)| *b == bits) {
+                Some((_, least)) => *least = (*least).min(floor),
+                None => load_floors.push((bits, floor)),
+            }
+        }
         let renamable: HashSet<String> = norm
             .arrays()
             .iter()
@@ -303,9 +317,21 @@ impl AnalyticModel {
             lower_classes,
             store_depth_lo: lower.store_depth,
             renamable,
+            load_floors,
             original_scalars,
             loop_var_reads,
         })
+    }
+
+    /// Width floor, under narrowing, of a register filled from loads of
+    /// an array with `bits`-wide elements. The census does not say which
+    /// array fills it, so this is the least floor among the arrays of
+    /// that width the body loads.
+    fn load_register_floor(&self, bits: u32) -> u32 {
+        self.load_floors
+            .iter()
+            .find(|&&(b, _)| b == bits)
+            .map_or(1, |&(_, floor)| floor)
     }
 
     /// The prepared kernel the model prices.
@@ -631,14 +657,18 @@ impl AnalyticModel {
         }
 
         // Registers: counts are exact; widths are declared on the upper
-        // side. Load-valued registers price exactly at the declared
-        // element width even under narrowing (the fetched range spans the
-        // declared type); others can narrow to one slice.
+        // side. Under narrowing, a register filled from loads holds
+        // every value of its array, so it floors at the array's load
+        // width (see `load_floors`); others can narrow to one slice.
         let mut regs_lo: u64 = 0;
         let mut regs_hi: u64 = 0;
         for rc in &c.registers {
             let hi = register_slices(rc.bits) as u64;
-            let lo = if rc.load_valued || !narrow { hi } else { 1 };
+            let lo = match (narrow, rc.load_valued) {
+                (false, _) => hi,
+                (true, true) => register_slices(self.load_register_floor(rc.bits)) as u64,
+                (true, false) => 1,
+            };
             regs_lo += rc.count as u64 * lo;
             regs_hi += rc.count as u64 * hi;
         }

@@ -18,9 +18,8 @@
 //! conditional memory accesses" precisely so scheduling sees a uniform
 //! body.
 
-use crate::memory::MemoryModel;
 use crate::oplib::{op_spec, HwOp};
-use crate::schedule::{SchedNode, Step};
+use crate::schedule::Step;
 use defacto_analysis::{Interval, RangeInfo};
 use defacto_ir::{ArrayAccess, BinOp, DeclIndex, Expr, Kernel, LValue, Name, ScalarType, Stmt};
 use defacto_xform::layout::ArrayLayout;
@@ -121,9 +120,9 @@ pub struct Dfg {
 }
 
 impl Dfg {
-    /// Every node as the scheduler sees it.
-    pub(crate) fn resolve(&self, mem: &MemoryModel) -> Vec<SchedNode<'_>> {
-        self.graph.resolve(self.view, mem)
+    /// The flag-annotated graph and the view this DFG reads it under.
+    pub(crate) fn flags(&self) -> (&FlagDfg, View) {
+        (&self.graph, self.view)
     }
 
     /// All nodes, in creation (topological) order.
@@ -227,9 +226,9 @@ pub(crate) struct View {
 
 /// An operator width under both views of narrowing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Widths {
-    wide: u32,
-    narrow: u32,
+pub(crate) struct Widths {
+    pub wide: u32,
+    pub narrow: u32,
 }
 
 impl Widths {
@@ -253,24 +252,34 @@ impl Widths {
 /// fetch of a packed memory word, that word. A load without a word
 /// always fetches alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Place {
-    bank: usize,
-    word: Option<i64>,
+pub(crate) struct Place {
+    pub bank: usize,
+    pub word: Option<Word>,
 }
 
 impl Place {
     /// The public word class of node `id` fetching from here: loads
     /// that never share get a class of their own.
     fn word_class(self, id: usize) -> i64 {
-        self.word.unwrap_or(id as i64 + (1 << 40))
+        self.word.map_or(id as i64 + (1 << 40), |w| w.index)
     }
+}
+
+/// A packed memory word of one array: its index among the array's
+/// words, and its dense slot among the packed words of the whole
+/// segment. Loads of one array and word share the word's fetch, and so
+/// share a slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Word {
+    pub index: i64,
+    pub slot: u32,
 }
 
 /// A [`FlagDfg`] node's work, with every flag-dependent field annotated
 /// for both values of its flag. Arrays are indices into
 /// [`FlagDfg::arrays`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlagKind {
+pub(crate) enum FlagKind {
     Source,
     Load {
         array: u32,
@@ -297,14 +306,21 @@ enum FlagKind {
 /// view at once. Only operator widths and load placements depend on the
 /// flags, so the node set, the edges and the node ids are shared; each
 /// node carries its wide and narrowed width and its unpacked and packed
-/// `(bank, word)`. Predecessors are stored flat.
+/// `(bank, word)`. Predecessors and successors are stored flat, with
+/// repeats: a node reading one value twice lists its producer twice.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct FlagDfg {
     kinds: Vec<FlagKind>,
     /// Node `i`'s predecessors are `preds[pred_ends[i - 1]..pred_ends[i]]`.
     preds: Vec<NodeId>,
     pred_ends: Vec<usize>,
+    /// Node `i`'s successors are `succs[succ_ends[i - 1]..succ_ends[i]]`,
+    /// in id order.
+    succs: Vec<u32>,
+    succ_ends: Vec<usize>,
     arrays: Vec<Name>,
+    /// Number of packed-word slots (see [`Word`]).
+    words: usize,
     /// No operator's latency differs between its wide and narrowed
     /// width, so a narrow view schedules exactly like its wide twin.
     narrow_keeps_timing: bool,
@@ -327,13 +343,7 @@ impl FlagDfg {
         pack_word_bits: Option<u32>,
     ) -> FlagDfg {
         let mut b = Builder {
-            dfg: FlagDfg {
-                kinds: Vec::new(),
-                preds: Vec::new(),
-                pred_ends: Vec::new(),
-                arrays: Vec::new(),
-                narrow_keeps_timing: true,
-            },
+            dfg: FlagDfg::default(),
             decls,
             binding,
             ranges,
@@ -349,13 +359,56 @@ impl FlagDfg {
         }
         let mut dfg = b.dfg;
         dfg.arrays = b.arrays.into_iter().map(|a| a.name.clone()).collect();
-        dfg.narrow_keeps_timing = dfg.kinds.iter().all(|k| match *k {
+        dfg.finish();
+        dfg
+    }
+
+    /// Derive what the node list implies: packed-word slots, successor
+    /// lists and whether narrowing keeps every latency.
+    pub(crate) fn finish(&mut self) {
+        // Slots by (array, word index): a packed word's bank follows from
+        // its array's layout and index, so these are the fetches that
+        // can share.
+        let mut slots: HashMap<(u32, i64), u32> = HashMap::new();
+        for kind in &mut self.kinds {
+            if let FlagKind::Load {
+                array,
+                packed: Place {
+                    word: Some(word), ..
+                },
+                ..
+            } = kind
+            {
+                let next = slots.len() as u32;
+                word.slot = *slots.entry((*array, word.index)).or_insert(next);
+            }
+        }
+        self.words = slots.len();
+        // Successor lists: count, turn counts into list starts, then
+        // fill in id order, leaving each start at its list's end.
+        let mut ends = vec![0usize; self.len()];
+        for p in &self.preds {
+            ends[p.0] += 1;
+        }
+        let mut sum = 0;
+        for e in &mut ends {
+            sum += std::mem::replace(e, sum);
+        }
+        let mut succs = vec![0; self.preds.len()];
+        for i in 0..self.len() {
+            for p in self.preds(i) {
+                succs[ends[p.0]] = i as u32;
+                ends[p.0] += 1;
+            }
+        }
+        self.succs = succs;
+        self.succ_ends = ends;
+        self.narrow_keeps_timing = self.kinds.iter().all(|k| match *k {
             FlagKind::Op { op, bits } => {
                 op_spec(op, bits.wide).latency == op_spec(op, bits.narrow).latency
             }
             _ => true,
         });
-        dfg
     }
 
     /// Number of nodes.
@@ -367,41 +420,58 @@ impl FlagDfg {
         self.narrow_keeps_timing
     }
 
-    fn preds(&self, i: usize) -> &[NodeId] {
+    /// Node `i`'s predecessors.
+    pub(crate) fn preds(&self, i: usize) -> &[NodeId] {
         let start = if i == 0 { 0 } else { self.pred_ends[i - 1] };
         &self.preds[start..self.pred_ends[i]]
     }
 
-    /// Every node as the scheduler sees it under `view`.
-    pub(crate) fn resolve(&self, view: View, mem: &MemoryModel) -> Vec<SchedNode<'_>> {
-        (0..self.len())
-            .map(|i| {
-                let step = match self.kinds[i] {
-                    FlagKind::Source => Step::Source,
-                    FlagKind::Load {
-                        array,
-                        bits,
-                        unpacked,
-                        packed,
-                    } => {
-                        let place = if view.pack { packed } else { unpacked };
-                        Step::Load {
-                            array,
-                            bank: place.bank,
-                            bits,
-                            word: place.word,
-                        }
-                    }
-                    FlagKind::Store { bank, bits, .. } => Step::Store { bank, bits },
-                    FlagKind::Op { op, bits } => Step::Op {
-                        op,
-                        bits: bits.at(view),
-                    },
-                    FlagKind::Rotate { .. } => Step::Rotate,
-                };
-                SchedNode::new(self.preds(i), step, mem)
-            })
-            .collect()
+    /// Node `i`'s successors, in id order.
+    pub(crate) fn succs(&self, i: usize) -> &[u32] {
+        let start = if i == 0 { 0 } else { self.succ_ends[i - 1] };
+        &self.succs[start..self.succ_ends[i]]
+    }
+
+    /// Number of packed-word slots ([`Word::slot`] is below it).
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Whether node `i` is a store, under every view.
+    pub(crate) fn is_store(&self, i: usize) -> bool {
+        matches!(self.kinds[i], FlagKind::Store { .. })
+    }
+
+    /// Node `i` under every view.
+    #[cfg(test)]
+    pub(crate) fn kind(&self, i: usize) -> FlagKind {
+        self.kinds[i]
+    }
+
+    /// Node `i` as the scheduler sees it under `view`.
+    pub(crate) fn step(&self, i: usize, view: View) -> Step {
+        match self.kinds[i] {
+            FlagKind::Source => Step::Source,
+            FlagKind::Load {
+                bits,
+                unpacked,
+                packed,
+                ..
+            } => {
+                let place = if view.pack { packed } else { unpacked };
+                Step::Load {
+                    bank: place.bank,
+                    bits,
+                    word: place.word,
+                }
+            }
+            FlagKind::Store { bank, bits, .. } => Step::Store { bank, bits },
+            FlagKind::Op { op, bits } => Step::Op {
+                op,
+                bits: bits.at(view),
+            },
+            FlagKind::Rotate { .. } => Step::Rotate,
+        }
     }
 
     /// The operator nodes under `view`: `(node index, class, width)`.
@@ -463,7 +533,7 @@ impl FlagDfg {
         }
     }
 
-    fn push(&mut self, kind: FlagKind, preds: &[NodeId]) -> NodeId {
+    pub(crate) fn push(&mut self, kind: FlagKind, preds: &[NodeId]) -> NodeId {
         let id = NodeId(self.kinds.len());
         self.kinds.push(kind);
         self.preds.extend_from_slice(preds);
@@ -783,7 +853,11 @@ impl<'s> Builder<'s, '_> {
                         };
                         Place {
                             bank,
-                            word: Some(word),
+                            // Numbered when the graph is finished.
+                            word: Some(Word {
+                                index: word,
+                                slot: 0,
+                            }),
                         }
                     }
                     _ => unpacked,

@@ -27,7 +27,7 @@ use crate::memory::MemoryModel;
 use crate::oplib::{
     fsm_state_slices, op_spec, register_slices, HwOp, FSM_BASE_SLICES, MEMORY_INTERFACE_SLICES,
 };
-use crate::schedule::{allocate, schedule_nodes, ListPriority, OpUsage, Schedule};
+use crate::schedule::{allocate, schedule_view, ListPriority, OpUsage, Schedule};
 use defacto_analysis::{infer_ranges_indexed, RangeInfo};
 use defacto_ir::{DeclIndex, Stmt};
 use defacto_xform::TransformedDesign;
@@ -355,22 +355,21 @@ impl EstimatePlan {
                 };
                 let shared = (view.narrow && seg.narrow_keeps_timing())
                     .then(|| distinct[..i].iter().position(|&v| v == twin))
-                    .flatten()
-                    .and_then(|j| timed[j].as_ref());
+                    .flatten();
                 match shared {
-                    Some(wide) => {
-                        tally(|w| w.allocation_schedules += 1);
-                        let usage = allocate(seg.ops(view), &wide.start, &wide.finish);
-                        schedules[i].push(Times::of(wide), usage);
-                    }
+                    Some(_) => tally(|w| w.allocation_schedules += 1),
                     None => {
                         tally(|w| w.full_schedules += 1);
-                        let nodes = seg.resolve(view, &self.mem);
-                        let s = schedule_nodes(&nodes, &self.mem, &self.constraints, self.priority);
-                        schedules[i].push(Times::of(&s), s.op_usage.iter().map(|(c, u)| (*c, *u)));
+                        let s =
+                            schedule_view(seg, view, &self.mem, &self.constraints, self.priority);
                         timed[i] = Some(s);
                     }
                 }
+                let timing = timed[shared.unwrap_or(i)]
+                    .as_ref()
+                    .expect("the wide twin was scheduled first");
+                let usage = allocate(seg.ops(view), &timing.start, &timing.finish);
+                schedules[i].push(Times::of(timing), usage);
             }
         }
         let estimates: Vec<Estimate> = distinct

@@ -9,9 +9,22 @@
 //! operators across cycles (and, in the estimator, across code
 //! segments). With designer [`ResourceConstraints`] (paper §2.3) the
 //! bounded classes serialize onto their units instead.
+//!
+//! Cost per view of a segment with `n` nodes, `e` edges, deepest ASAP
+//! level `d`, schedule length `l` and `c` operator classes: one pass over
+//! the edges for ASAP levels and the compute critical path, a counting
+//! sort over `2d + 2` buckets for the start order, one sweep over the
+//! edges that times every node, and one difference array of `l + 2`
+//! cycles per class for the allocation: `O(n + e + c·l)` time, with no
+//! ready heap, map, successor list or node copy per view. Slack priority,
+//! and memories whose writes take no cycles, pop a ready heap over the
+//! successor lists the graph built once (`O(n + e log n)`). The buckets
+//! and difference arrays take `O(d + c·l)` words: with `L` the largest
+//! latency or memory-port occupancy of any node, `d ≤ n·L` and
+//! `l ≤ n·(L + 1)`, so memories with long latencies make them long.
 
 use crate::constraints::ResourceConstraints;
-use crate::dfg::{Dfg, NodeId};
+use crate::dfg::{Dfg, FlagDfg, View, Word};
 use crate::memory::MemoryModel;
 use crate::oplib::{op_spec, HwOp};
 use std::cmp::Reverse;
@@ -99,21 +112,25 @@ pub fn schedule_dfg_prioritized(
     constraints: &ResourceConstraints,
     priority: ListPriority,
 ) -> Schedule {
-    schedule_nodes(&dfg.resolve(mem), mem, constraints, priority)
+    let (graph, view) = dfg.flags();
+    let mut sched = schedule_view(graph, view, mem, constraints, priority);
+    sched.op_usage = allocate(graph.ops(view), &sched.start, &sched.finish)
+        .into_iter()
+        .collect();
+    sched
 }
 
 /// What a node does, as far as scheduling and allocation care: one
-/// view of a DFG node, with arrays numbered.
+/// view of a DFG node.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Step {
     Source,
-    /// Loads of the same `(array, bank, word)` share one fetch; a load
-    /// without a word (unpacked) never shares its fetch.
+    /// Loads of the same packed word share one fetch; a load without a
+    /// word (unpacked) never shares its fetch.
     Load {
-        array: u32,
         bank: usize,
         bits: u32,
-        word: Option<i64>,
+        word: Option<Word>,
     },
     Store {
         bank: usize,
@@ -126,48 +143,38 @@ pub(crate) enum Step {
     Rotate,
 }
 
-/// A DFG node resolved for one schedule: its predecessors, its step and
-/// the latency that step takes against the memory model.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SchedNode<'g> {
-    pub preds: &'g [NodeId],
-    pub step: Step,
-    pub latency: u64,
-}
-
-impl<'g> SchedNode<'g> {
-    pub(crate) fn new(preds: &'g [NodeId], step: Step, mem: &MemoryModel) -> SchedNode<'g> {
-        let latency = match step {
+impl Step {
+    /// Cycles from start to finish against `mem`.
+    fn latency(self, mem: &MemoryModel) -> u64 {
+        match self {
             Step::Load { .. } => mem.read_latency as u64,
             Step::Store { .. } => mem.write_latency as u64,
             Step::Op { op, bits } => op_spec(op, bits).latency as u64,
             Step::Rotate => 1,
             Step::Source => 0,
-        };
-        SchedNode {
-            preds,
-            step,
-            latency,
-        }
-    }
-
-    /// Latency on the compute critical path: operators only.
-    fn op_latency(&self) -> u64 {
-        match self.step {
-            Step::Op { .. } => self.latency,
-            _ => 0,
         }
     }
 }
 
-/// The list scheduler over resolved nodes (in topological order).
-pub(crate) fn schedule_nodes(
-    nodes: &[SchedNode<'_>],
+/// List-schedule `graph` under `view`, leaving `op_usage` empty for the
+/// caller to [`allocate`].
+///
+/// Nodes start in Kahn's order under the key `(priority, store, id)`:
+/// ready nodes first by ASAP level (or slack), reads before writes, then
+/// by id. Along an edge `p → s`, `asap[s] ≥ asap[p] + latency[p]` and
+/// `s > p`, so the ASAP key only grows, unless `p` is a store that takes
+/// no cycles. While it only grows, the least unscheduled node is always
+/// ready, and Kahn's order is just the sorted key order: one counting
+/// sort and no ready heap. Slack keys, and memories whose writes take
+/// no cycles, keep Kahn's algorithm over the graph's successor lists.
+pub(crate) fn schedule_view(
+    graph: &FlagDfg,
+    view: View,
     mem: &MemoryModel,
     constraints: &ResourceConstraints,
     priority: ListPriority,
 ) -> Schedule {
-    let n = nodes.len();
+    let n = graph.len();
     let mut sched = Schedule {
         start: vec![0; n],
         finish: vec![0; n],
@@ -178,99 +185,42 @@ pub(crate) fn schedule_nodes(
         return sched;
     }
 
-    // Unconstrained ASAP levels for priority.
-    let mut asap = vec![0u64; n];
-    for (i, node) in nodes.iter().enumerate() {
-        asap[i] = node
-            .preds
-            .iter()
-            .map(|p| asap[p.0] + nodes[p.0].latency)
-            .max()
-            .unwrap_or(0);
+    // Unconstrained ASAP levels, held in `start` (and ASAP finishes in
+    // `finish`) until the sweep overwrites them, with the compute
+    // critical path: the longest chain of operator latencies (memory and
+    // rotation nodes contribute zero), the "computational delay" of the
+    // balance metric's consumption rate.
+    let mut chain = vec![0u64; n];
+    for i in 0..n {
+        let (mut ready, mut longest) = (0, 0);
+        for p in graph.preds(i) {
+            ready = ready.max(sched.finish[p.0]);
+            longest = longest.max(chain[p.0]);
+        }
+        let step = graph.step(i, view);
+        let latency = step.latency(mem);
+        let op_latency = if matches!(step, Step::Op { .. }) {
+            latency
+        } else {
+            0
+        };
+        sched.start[i] = ready;
+        sched.finish[i] = ready + latency;
+        chain[i] = longest + op_latency;
+        sched.t_comp = sched.t_comp.max(chain[i]);
     }
 
-    // Slack = ALAP − ASAP: the scheduling freedom of each node. The
-    // reverse longest path gives ALAP against the unconstrained critical
-    // path length.
-    let slack: Vec<u64> = match priority {
-        ListPriority::Asap => Vec::new(),
-        ListPriority::Slack => {
-            let total = (0..n)
-                .map(|i| asap[i] + nodes[i].latency)
-                .max()
-                .unwrap_or(0);
-            let mut tail = vec![0u64; n]; // longest path from node to a sink
-            for (i, node) in nodes.iter().enumerate().rev() {
-                // Successor tails were already computed (reverse order of a
-                // topologically ordered node list).
-                for p in node.preds {
-                    tail[p.0] = tail[p.0].max(tail[i] + node.latency);
-                }
-            }
-            (0..n)
-                .map(|i| {
-                    let alap = total.saturating_sub(tail[i] + nodes[i].latency);
-                    alap.saturating_sub(asap[i])
-                })
-                .collect()
-        }
+    let order = match priority {
+        ListPriority::Asap if mem.write_latency > 0 => asap_order(graph, &sched.start),
+        ListPriority::Asap => kahn_order(graph, &sched.start),
+        ListPriority::Slack => kahn_order(graph, &slack(graph, &sched.start, &sched.finish)),
     };
-
-    // Kahn's algorithm with a priority heap; successors stored flat.
-    let mut indeg = vec![0usize; n];
-    let mut succ_ends = vec![0usize; n];
-    for node in nodes {
-        for p in node.preds {
-            succ_ends[p.0] += 1;
-        }
-    }
-    for i in 1..n {
-        succ_ends[i] += succ_ends[i - 1];
-    }
-    let mut succs = vec![0usize; succ_ends[n - 1]];
-    let mut fill: Vec<usize> = (0..n)
-        .map(|i| if i == 0 { 0 } else { succ_ends[i - 1] })
-        .collect();
-    for (i, node) in nodes.iter().enumerate() {
-        indeg[i] = node.preds.len();
-        for p in node.preds {
-            succs[fill[p.0]] = i;
-            fill[p.0] += 1;
-        }
-    }
-    // Max-heap: invert ordering (smallest ASAP first, reads before
-    // writes, then id).
-    #[derive(PartialEq, Eq)]
-    struct Prio(u64, u8, usize);
-    impl Ord for Prio {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            other
-                .0
-                .cmp(&self.0)
-                .then(other.1.cmp(&self.1))
-                .then(other.2.cmp(&self.2))
-        }
-    }
-    impl PartialOrd for Prio {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let key = |id: usize| -> Prio {
-        let class = matches!(nodes[id].step, Step::Store { .. }) as u8;
-        match priority {
-            ListPriority::Asap => Prio(asap[id], class, id),
-            ListPriority::Slack => Prio(slack[id], class, id),
-        }
-    };
-    let mut heap: BinaryHeap<Prio> = (0..n).filter(|&i| indeg[i] == 0).map(key).collect();
 
     let mut bank_free: Vec<u64> = vec![0; mem.num_memories.max(1)];
-    // Packed-word fetches already issued: (array, bank, word) → the
-    // fetch's start cycle. Follow-up loads of the same word ride along
-    // without occupying the port again.
-    let mut fetched_words: HashMap<(u32, usize, i64), u64> = HashMap::new();
+    // Packed-word fetches already issued, by word slot: the fetch's
+    // start cycle. Follow-up loads of the same word ride along without
+    // occupying the port again.
+    let mut fetched: Vec<Option<u64>> = vec![None; if view.pack { graph.words() } else { 0 }];
     // Bounded operator classes: a min-heap of unit-free times per class.
     let mut unit_pools: HashMap<HwOp, BinaryHeap<Reverse<u64>>> = HashMap::new();
     for (op, units) in constraints.iter() {
@@ -280,28 +230,24 @@ pub(crate) fn schedule_nodes(
         }
         unit_pools.insert(op, pool);
     }
-    while let Some(Prio(_, _, id)) = heap.pop() {
-        let node = &nodes[id];
-        let data_ready = node
-            .preds
+    for id in order {
+        let id = id as usize;
+        let step = graph.step(id, view);
+        let latency = step.latency(mem);
+        let data_ready = graph
+            .preds(id)
             .iter()
             .map(|p| sched.finish[p.0])
             .max()
             .unwrap_or(0);
-        let (start, fin) = match node.step {
-            Step::Load {
-                array,
-                bank,
-                bits,
-                word,
-            } => {
+        let (start, fin) = match step {
+            Step::Load { bank, bits, word } => {
                 let bank = bank % bank_free.len();
-                let shared = word.and_then(|w| fetched_words.get(&(array, bank, w)).copied());
-                match shared {
+                match word.and_then(|w| fetched[w.slot as usize]) {
                     // The word is already being fetched: ride along.
                     Some(fetch_start) => {
                         let start = data_ready.max(fetch_start);
-                        (start, fetch_start.max(start) + node.latency)
+                        (start, fetch_start.max(start) + latency)
                     }
                     None => {
                         let start = data_ready.max(bank_free[bank]);
@@ -310,9 +256,9 @@ pub(crate) fn schedule_nodes(
                         sched.bits_transferred += bits as u64;
                         sched.reads += 1;
                         if let Some(w) = word {
-                            fetched_words.insert((array, bank, w), start);
+                            fetched[w.slot as usize] = Some(start);
                         }
-                        (start, start + node.latency)
+                        (start, start + latency)
                     }
                 }
             }
@@ -323,7 +269,7 @@ pub(crate) fn schedule_nodes(
                 sched.mem_busy_per_bank[bank] += mem.write_occupancy() as u64;
                 sched.bits_transferred += bits as u64;
                 sched.writes += 1;
-                (start, start + node.latency)
+                (start, start + latency)
             }
             Step::Op { op, .. } => match unit_pools.get_mut(&op) {
                 Some(pool) => {
@@ -331,115 +277,143 @@ pub(crate) fn schedule_nodes(
                     let start = data_ready.max(unit_free);
                     // A unit is occupied for at least one cycle even
                     // for combinational (0-latency) classes.
-                    pool.push(Reverse(start + node.latency.max(1)));
-                    (start, start + node.latency)
+                    pool.push(Reverse(start + latency.max(1)));
+                    (start, start + latency)
                 }
-                None => (data_ready, data_ready + node.latency),
+                None => (data_ready, data_ready + latency),
             },
-            Step::Rotate => (data_ready, data_ready + node.latency),
+            Step::Rotate => (data_ready, data_ready + latency),
             Step::Source => (0, 0),
         };
         sched.start[id] = start;
         sched.finish[id] = fin;
         sched.length = sched.length.max(fin);
-        let first = if id == 0 { 0 } else { succ_ends[id - 1] };
-        for &s in &succs[first..succ_ends[id]] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                heap.push(key(s));
-            }
-        }
     }
-
     sched.t_mem = sched.mem_busy_per_bank.iter().copied().max().unwrap_or(0);
-    sched.t_comp = compute_critical_path(nodes);
-    sched.op_usage = allocate(
-        nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, node)| match node.step {
-                Step::Op { op, bits } => Some((i, op, bits)),
-                _ => None,
-            }),
-        &sched.start,
-        &sched.finish,
-    )
-    .into_iter()
-    .collect();
     sched
 }
 
-/// Longest chain of operator latencies through the graph (memory and
-/// rotation nodes contribute zero) — the "computational delay" of the
-/// balance metric's consumption rate.
-fn compute_critical_path(nodes: &[SchedNode<'_>]) -> u64 {
-    let mut cpl = vec![0u64; nodes.len()];
-    let mut best = 0;
-    for (i, node) in nodes.iter().enumerate() {
-        let pred_max = node.preds.iter().map(|p| cpl[p.0]).max().unwrap_or(0);
-        cpl[i] = pred_max + node.op_latency();
-        best = best.max(cpl[i]);
+/// Node ids sorted by `(asap, store, id)`: a counting sort over the
+/// `2 · max(asap) + 2` buckets of `(asap, store)`, which ids fill in
+/// ascending order.
+fn asap_order(graph: &FlagDfg, asap: &[u64]) -> Vec<u32> {
+    let n = asap.len();
+    let bucket = |i: usize| 2 * asap[i] as usize + graph.is_store(i) as usize;
+    let top = asap.iter().copied().max().unwrap_or(0);
+    // `next[b]` is where the next id of bucket `b` goes.
+    let mut next = vec![0usize; 2 * top as usize + 2];
+    for i in 0..n {
+        next[bucket(i)] += 1;
     }
-    best
+    let mut sum = 0;
+    for b in &mut next {
+        sum += std::mem::replace(b, sum);
+    }
+    let mut order = vec![0u32; n];
+    for i in 0..n {
+        let b = bucket(i);
+        order[next[b]] = i as u32;
+        next[b] += 1;
+    }
+    order
+}
+
+/// Kahn's topological order, popping the ready node of least
+/// `(key, store, id)` first.
+fn kahn_order(graph: &FlagDfg, key: &[u64]) -> Vec<u32> {
+    let n = graph.len();
+    let prio = |i: usize| Reverse((key[i], graph.is_store(i), i));
+    let mut indeg: Vec<usize> = (0..n).map(|i| graph.preds(i).len()).collect();
+    let mut ready: BinaryHeap<_> = (0..n).filter(|&i| indeg[i] == 0).map(prio).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(Reverse((_, _, id))) = ready.pop() {
+        order.push(id as u32);
+        for &s in graph.succs(id) {
+            let s = s as usize;
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
+                ready.push(prio(s));
+            }
+        }
+    }
+    order
+}
+
+/// Slack = ALAP − ASAP per node: its scheduling freedom. The reverse
+/// longest path gives ALAP against the unconstrained critical path
+/// length. `asap` and `asap_finish` are each node's unconstrained
+/// start and finish.
+fn slack(graph: &FlagDfg, asap: &[u64], asap_finish: &[u64]) -> Vec<u64> {
+    let n = asap.len();
+    let total = asap_finish.iter().copied().max().unwrap_or(0);
+    let latency = |i: usize| asap_finish[i] - asap[i];
+    let mut tail = vec![0u64; n]; // longest path from node to a sink
+    for i in (0..n).rev() {
+        // Successor tails were already computed (reverse order of a
+        // topologically ordered node list).
+        for p in graph.preds(i) {
+            tail[p.0] = tail[p.0].max(tail[i] + latency(i));
+        }
+    }
+    (0..n)
+        .map(|i| {
+            let alap = total.saturating_sub(tail[i] + latency(i));
+            alap.saturating_sub(asap[i])
+        })
+        .collect()
 }
 
 /// Derive operator allocation from schedule concurrency: `ops` are the
 /// operator nodes as `(node index, class, width)`, timed by `start` and
 /// `finish`. One entry per `(class, width)`, in order of first operator.
+///
+/// An operator is busy over `[start, max(finish, start + 1))`: a finish
+/// at cycle t frees its unit for a start at t, and zero-latency units
+/// still occupy their wiring for the cycle. Each class adds +1 at every
+/// start and −1 at every end of one difference array over the cycles;
+/// its running sum is the number of busy units, and its peak the
+/// allocation. The arrays take `c · (length + 2)` counters for `c`
+/// classes.
 pub(crate) fn allocate(
     ops: impl Iterator<Item = (usize, HwOp, u32)>,
     start: &[u64],
     finish: &[u64],
 ) -> Vec<((HwOp, u32), OpUsage)> {
-    /// The start and finish times of one `(class, width)`'s operators.
-    struct Busy {
-        class: (HwOp, u32),
-        starts: Vec<u64>,
-        finishes: Vec<u64>,
-    }
-    // A handful of classes, so a linear search beats hashing.
-    let mut classes: Vec<Busy> = Vec::new();
+    // Every busy interval ends by the last finish + 1.
+    let width = finish.iter().copied().max().unwrap_or(0) as usize + 2;
+    // A handful of classes, so a linear search beats hashing. Class `c`'s
+    // difference array is `diff[c * width..(c + 1) * width]`.
+    let mut classes: Vec<((HwOp, u32), u32)> = Vec::new();
+    let mut diff: Vec<i32> = Vec::new();
     for (i, op, bits) in ops {
-        let s = start[i];
-        // Zero-latency units still occupy their wiring for the cycle.
-        let f = finish[i].max(s + 1);
-        let c = match classes.iter().position(|c| c.class == (op, bits)) {
+        let c = match classes.iter().position(|(class, _)| *class == (op, bits)) {
             Some(c) => c,
             None => {
-                classes.push(Busy {
-                    class: (op, bits),
-                    starts: Vec::new(),
-                    finishes: Vec::new(),
-                });
+                classes.push(((op, bits), 0));
+                diff.resize(diff.len() + width, 0);
                 classes.len() - 1
             }
         };
-        classes[c].starts.push(s);
-        classes[c].finishes.push(f);
+        classes[c].1 += 1;
+        let s = start[i];
+        let f = finish[i].max(s + 1);
+        diff[c * width + s as usize] += 1;
+        diff[c * width + f as usize] -= 1;
     }
     classes
-        .into_iter()
-        .map(|mut busy| {
-            busy.starts.sort_unstable();
-            busy.finishes.sort_unstable();
-            // Sweep line: when the k-th start (in time order) begins, k + 1
-            // units have started and every unit finishing at or before it
-            // has freed up. A finish at time t frees its unit for a start
-            // at t, so `ended` counts finishes `<= start`. Those units
-            // started strictly earlier, so `ended <= k`.
-            let mut ended = 0;
-            let mut peak = 0;
-            for (k, &s) in busy.starts.iter().enumerate() {
-                while busy.finishes[ended] <= s {
-                    ended += 1;
-                }
-                peak = peak.max(k + 1 - ended);
+        .iter()
+        .zip(diff.chunks_exact(width))
+        .map(|(&(class, total_uses), diff)| {
+            let (mut busy, mut peak) = (0i32, 0i32);
+            for &d in diff {
+                busy += d;
+                peak = peak.max(busy);
             }
             let usage = OpUsage {
                 max_concurrent: peak as u32,
-                total_uses: busy.starts.len() as u32,
+                total_uses,
             };
-            (busy.class, usage)
+            (class, usage)
         })
         .collect()
 }
@@ -447,7 +421,7 @@ pub(crate) fn allocate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfg::build_dfg;
+    use crate::dfg::{build_dfg, NodeId};
     use defacto_ir::parse_kernel;
     use defacto_xform::assign_memories;
 
@@ -594,15 +568,7 @@ mod tests {
                 (HwOp::ConstShift, 8),
                 (HwOp::Mux, 1),
             ];
-            // SplitMix64.
-            let mut state = seed;
-            let mut next = move || {
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^ (z >> 31)
-            };
+            let mut next = splitmix(seed);
             // Interleave non-operator nodes, as a schedule does.
             let (mut start, mut finish, mut ops) = (Vec::new(), Vec::new(), Vec::new());
             for i in 0..2 * n {
@@ -623,9 +589,363 @@ mod tests {
                 }
             }
             proptest::prop_assert_eq!(order, first_seen);
+            let reference = allocate_reference(&ops, &start, &finish);
             let got: HashMap<(HwOp, u32), OpUsage> = got.into_iter().collect();
-            proptest::prop_assert_eq!(got, allocate_reference(&ops, &start, &finish));
+            proptest::prop_assert_eq!(&got, &reference);
         }
+
+        /// Random DAGs with every kind of node, repeated predecessors,
+        /// packed and unpacked loads and both operator widths, under both
+        /// priorities, with and without operator bounds, against
+        /// pipelined, non-pipelined, zero-latency-write and long-latency
+        /// memories.
+        #[test]
+        fn schedules_match_the_heap_reference(
+            seed in 0u64..u64::MAX,
+            n in 0usize..64,
+            memory in 0usize..4,
+            banks in 1usize..5,
+        ) {
+            let mut next = splitmix(seed);
+            let graph = random_dag(&mut next, n, banks);
+            let mem = match memory {
+                0 => MemoryModel::pipelined(banks),
+                1 => MemoryModel::non_pipelined(banks),
+                2 => MemoryModel {
+                    write_latency: 0,
+                    ..MemoryModel::pipelined(banks)
+                },
+                // Levels and schedule lengths far beyond the node count.
+                _ => MemoryModel {
+                    read_latency: 1000,
+                    ..MemoryModel::non_pipelined(banks)
+                },
+            };
+            let bounded = ResourceConstraints::new()
+                .with_limit(HwOp::Mul, 1)
+                .with_limit(HwOp::AddSub, 2);
+            for constraints in [ResourceConstraints::new(), bounded] {
+                for priority in [ListPriority::Asap, ListPriority::Slack] {
+                    for (narrow, pack) in [(false, false), (false, true), (true, false), (true, true)] {
+                        let view = View { narrow, pack };
+                        let mut got = schedule_view(&graph, view, &mem, &constraints, priority);
+                        got.op_usage = allocate(graph.ops(view), &got.start, &got.finish)
+                            .into_iter()
+                            .collect();
+                        let want = reference_schedule(&graph, view, &mem, &constraints, priority);
+                        proptest::prop_assert_eq!(got, want, "{:?} {:?} {:?}", view, priority, mem);
+                    }
+                }
+            }
+        }
+    }
+
+    /// SplitMix64.
+    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// A random topologically numbered graph of `n` nodes. A packed
+    /// word's bank is a function of its array and index, as the DFG
+    /// builder's layouts make it.
+    fn random_dag(next: &mut impl FnMut() -> u64, n: usize, banks: usize) -> FlagDfg {
+        use crate::dfg::{FlagKind, Place, Widths};
+        const WIDTHS: [u32; 4] = [4, 8, 16, 32];
+        const OPS: [HwOp; 6] = [
+            HwOp::Mul,
+            HwOp::AddSub,
+            HwOp::Div,
+            HwOp::ConstShift,
+            HwOp::Mux,
+            HwOp::Cmp,
+        ];
+        let mut graph = FlagDfg::default();
+        for i in 0..n {
+            let mut pick = |k: usize| (next() % k as u64) as usize;
+            let kind = match pick(5) {
+                0 if i == 0 || pick(4) == 0 => FlagKind::Source,
+                0 | 1 => {
+                    let array = pick(3) as u32;
+                    let unpacked = Place {
+                        bank: pick(banks + 1),
+                        word: None,
+                    };
+                    let index = pick(6) as i64;
+                    let packed = if pick(2) == 0 {
+                        Place {
+                            bank: (array as usize + index as usize) % banks,
+                            word: Some(Word { index, slot: 0 }),
+                        }
+                    } else {
+                        unpacked
+                    };
+                    FlagKind::Load {
+                        array,
+                        bits: WIDTHS[pick(4)],
+                        unpacked,
+                        packed,
+                    }
+                }
+                2 => FlagKind::Store {
+                    array: pick(3) as u32,
+                    bank: pick(banks + 1),
+                    bits: WIDTHS[pick(4)],
+                },
+                3 if pick(4) == 0 => FlagKind::Rotate {
+                    regs: 2,
+                    bits: Widths {
+                        wide: 32,
+                        narrow: 8,
+                    },
+                },
+                _ => {
+                    let wide = WIDTHS[pick(4)];
+                    FlagKind::Op {
+                        op: OPS[pick(OPS.len())],
+                        bits: Widths {
+                            wide,
+                            narrow: WIDTHS[pick(4)].min(wide),
+                        },
+                    }
+                }
+            };
+            let preds: Vec<NodeId> = match kind {
+                FlagKind::Source => Vec::new(),
+                _ if i == 0 => Vec::new(),
+                _ => (0..pick(4)).map(|_| NodeId(pick(i))).collect(),
+            };
+            graph.push(kind, &preds);
+        }
+        graph.finish();
+        graph
+    }
+
+    /// The heap-based list scheduler [`schedule_view`] replaced: Kahn's
+    /// algorithm over successor lists rebuilt per schedule, packed-word
+    /// sharing keyed by `(array, bank, word)`, and the critical path in a
+    /// pass of its own.
+    fn reference_schedule(
+        graph: &FlagDfg,
+        view: View,
+        mem: &MemoryModel,
+        constraints: &ResourceConstraints,
+        priority: ListPriority,
+    ) -> Schedule {
+        use crate::dfg::FlagKind;
+        use std::collections::HashSet;
+        #[derive(Clone, Copy)]
+        enum Kind {
+            Source,
+            Load {
+                array: u32,
+                bank: usize,
+                bits: u32,
+                word: Option<i64>,
+            },
+            Store {
+                bank: usize,
+                bits: u32,
+            },
+            Op {
+                op: HwOp,
+                bits: u32,
+            },
+            Rotate,
+        }
+        struct Node<'g> {
+            preds: &'g [NodeId],
+            kind: Kind,
+            latency: u64,
+        }
+        let nodes: Vec<Node<'_>> = (0..graph.len())
+            .map(|i| {
+                let kind = match graph.kind(i) {
+                    FlagKind::Source => Kind::Source,
+                    FlagKind::Load {
+                        array,
+                        bits,
+                        unpacked,
+                        packed,
+                    } => {
+                        let place = if view.pack { packed } else { unpacked };
+                        Kind::Load {
+                            array,
+                            bank: place.bank,
+                            bits,
+                            word: place.word.map(|w| w.index),
+                        }
+                    }
+                    FlagKind::Store { bank, bits, .. } => Kind::Store { bank, bits },
+                    FlagKind::Op { op, bits } => Kind::Op {
+                        op,
+                        bits: if view.narrow { bits.narrow } else { bits.wide },
+                    },
+                    FlagKind::Rotate { .. } => Kind::Rotate,
+                };
+                let latency = match kind {
+                    Kind::Load { .. } => mem.read_latency as u64,
+                    Kind::Store { .. } => mem.write_latency as u64,
+                    Kind::Op { op, bits } => op_spec(op, bits).latency as u64,
+                    Kind::Rotate => 1,
+                    Kind::Source => 0,
+                };
+                Node {
+                    preds: graph.preds(i),
+                    kind,
+                    latency,
+                }
+            })
+            .collect();
+        let n = nodes.len();
+        let mut sched = Schedule {
+            start: vec![0; n],
+            finish: vec![0; n],
+            mem_busy_per_bank: vec![0; mem.num_memories.max(1)],
+            ..Schedule::default()
+        };
+        if n == 0 {
+            return sched;
+        }
+        let mut asap = vec![0u64; n];
+        for (i, node) in nodes.iter().enumerate() {
+            asap[i] = node
+                .preds
+                .iter()
+                .map(|p| asap[p.0] + nodes[p.0].latency)
+                .max()
+                .unwrap_or(0);
+        }
+        let key: Vec<u64> = match priority {
+            ListPriority::Asap => asap.clone(),
+            ListPriority::Slack => {
+                let total = (0..n)
+                    .map(|i| asap[i] + nodes[i].latency)
+                    .max()
+                    .unwrap_or(0);
+                let mut tail = vec![0u64; n];
+                for (i, node) in nodes.iter().enumerate().rev() {
+                    for p in node.preds {
+                        tail[p.0] = tail[p.0].max(tail[i] + node.latency);
+                    }
+                }
+                (0..n)
+                    .map(|i| {
+                        let alap = total.saturating_sub(tail[i] + nodes[i].latency);
+                        alap.saturating_sub(asap[i])
+                    })
+                    .collect()
+            }
+        };
+        let mut indeg: Vec<usize> = nodes.iter().map(|node| node.preds.len()).collect();
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, node) in nodes.iter().enumerate() {
+            for p in node.preds {
+                succs[p.0].push(i);
+            }
+        }
+        let store = |i: usize| matches!(nodes[i].kind, Kind::Store { .. });
+        let prio = |i: usize| Reverse((key[i], store(i), i));
+        let mut heap: BinaryHeap<_> = (0..n).filter(|&i| indeg[i] == 0).map(prio).collect();
+        let mut bank_free: Vec<u64> = vec![0; mem.num_memories.max(1)];
+        let mut fetched_words: HashMap<(u32, usize, i64), u64> = HashMap::new();
+        let mut unit_pools: HashMap<HwOp, BinaryHeap<Reverse<u64>>> = constraints
+            .iter()
+            .map(|(op, units)| (op, (0..units).map(|_| Reverse(0)).collect()))
+            .collect();
+        let mut popped = HashSet::new();
+        while let Some(Reverse((_, _, id))) = heap.pop() {
+            assert!(popped.insert(id));
+            let node = &nodes[id];
+            let data_ready = node
+                .preds
+                .iter()
+                .map(|p| sched.finish[p.0])
+                .max()
+                .unwrap_or(0);
+            let (start, fin) = match node.kind {
+                Kind::Load {
+                    array,
+                    bank,
+                    bits,
+                    word,
+                } => {
+                    let bank = bank % bank_free.len();
+                    match word.and_then(|w| fetched_words.get(&(array, bank, w)).copied()) {
+                        Some(fetch_start) => {
+                            let start = data_ready.max(fetch_start);
+                            (start, fetch_start.max(start) + node.latency)
+                        }
+                        None => {
+                            let start = data_ready.max(bank_free[bank]);
+                            bank_free[bank] = start + mem.read_occupancy() as u64;
+                            sched.mem_busy_per_bank[bank] += mem.read_occupancy() as u64;
+                            sched.bits_transferred += bits as u64;
+                            sched.reads += 1;
+                            if let Some(w) = word {
+                                fetched_words.insert((array, bank, w), start);
+                            }
+                            (start, start + node.latency)
+                        }
+                    }
+                }
+                Kind::Store { bank, bits } => {
+                    let bank = bank % bank_free.len();
+                    let start = data_ready.max(bank_free[bank]);
+                    bank_free[bank] = start + mem.write_occupancy() as u64;
+                    sched.mem_busy_per_bank[bank] += mem.write_occupancy() as u64;
+                    sched.bits_transferred += bits as u64;
+                    sched.writes += 1;
+                    (start, start + node.latency)
+                }
+                Kind::Op { op, .. } => match unit_pools.get_mut(&op) {
+                    Some(pool) => {
+                        let Reverse(unit_free) = pool.pop().unwrap();
+                        let start = data_ready.max(unit_free);
+                        pool.push(Reverse(start + node.latency.max(1)));
+                        (start, start + node.latency)
+                    }
+                    None => (data_ready, data_ready + node.latency),
+                },
+                Kind::Rotate => (data_ready, data_ready + node.latency),
+                Kind::Source => (0, 0),
+            };
+            sched.start[id] = start;
+            sched.finish[id] = fin;
+            sched.length = sched.length.max(fin);
+            for &s in &succs[id] {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    heap.push(prio(s));
+                }
+            }
+        }
+        sched.t_mem = sched.mem_busy_per_bank.iter().copied().max().unwrap_or(0);
+        let mut chain = vec![0u64; n];
+        for (i, node) in nodes.iter().enumerate() {
+            let op_latency = match node.kind {
+                Kind::Op { .. } => node.latency,
+                _ => 0,
+            };
+            chain[i] = node.preds.iter().map(|p| chain[p.0]).max().unwrap_or(0) + op_latency;
+            sched.t_comp = sched.t_comp.max(chain[i]);
+        }
+        let ops: Vec<(usize, HwOp, u32)> = nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, node)| match node.kind {
+                Kind::Op { op, bits } => Some((i, op, bits)),
+                _ => None,
+            })
+            .collect();
+        sched.op_usage = allocate_reference(&ops, &sched.start, &sched.finish);
+        sched
     }
 
     #[test]

@@ -117,9 +117,9 @@ pub struct RegisterClass {
     /// Registers in the class.
     pub count: usize,
     /// Whether every register in the class is (transitively) filled from
-    /// a memory load of its array — in that case bitwidth narrowing
-    /// cannot shrink it below the declared width, so the synthesized
-    /// register is priced at exactly `bits`.
+    /// a memory load of its array — in that case it holds every value of
+    /// that array, so bitwidth narrowing cannot shrink it below the
+    /// array's load width floor.
     pub load_valued: bool,
 }
 

@@ -11,7 +11,11 @@
 //! - a tier-0-only (analytic) sweep of SOBEL. Its ceiling sits halfway
 //!   between the count before the census stored jammed offsets as one
 //!   row-major matrix per set and the count after, so a change that
-//!   brings back a heap block per jammed offset fails here.
+//!   brings back a heap block per jammed offset fails here;
+//! - a full-fidelity sweep of SOBEL. Its ceiling sits halfway between
+//!   the count before list scheduling dropped its ready heap, per-view
+//!   successor lists and node copies and per-class sorts, and the count
+//!   after.
 //!
 //! The counter is global, so the tests take turns.
 
@@ -121,5 +125,31 @@ fn sobel_analytic_joint_sweep_allocation_budget() {
         "one cold analytic SOBEL joint sweep allocated {blocks} blocks, \
          over the ceiling of {SOBEL_CEILING} (before row-major offsets: {SOBEL_BEFORE}, \
          after: {SOBEL_AFTER})"
+    );
+}
+
+/// Blocks allocated by a full-fidelity SOBEL sweep before and after
+/// list scheduling dropped its ready heap, per-schedule successor
+/// lists, per-view node copies and per-class sorts, counted as for the
+/// FIR sweep.
+const SOBEL_FULL_BEFORE: u64 = 1_260_880;
+const SOBEL_FULL_AFTER: u64 = 1_227_604;
+const SOBEL_FULL_CEILING: u64 = (SOBEL_FULL_BEFORE + SOBEL_FULL_AFTER) / 2;
+
+#[test]
+fn sobel_full_joint_sweep_allocation_budget() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let kernel = defacto_kernels::sobel::kernel();
+    let explorer = Explorer::new(&kernel)
+        .threads(1)
+        .axes(&Axis::ALL)
+        .fidelity(Fidelity::Full);
+    let (sweep, blocks) = blocks_during(|| explorer.joint_sweep());
+    assert_eq!(sweep.expect("joint sweep succeeds").len(), 320);
+    assert!(
+        blocks <= SOBEL_FULL_CEILING,
+        "one cold full-fidelity SOBEL joint sweep allocated {blocks} blocks, \
+         over the ceiling of {SOBEL_FULL_CEILING} (before one-sweep scheduling: \
+         {SOBEL_FULL_BEFORE}, after: {SOBEL_FULL_AFTER})"
     );
 }

@@ -104,3 +104,99 @@ fn i64_min_multiplier_estimates_without_overflow() {
         assert!(!sweep.is_empty());
     }
 }
+
+/// A `range` annotation narrows fetched values below the declared
+/// element type, so a register filled from an annotated array narrows
+/// too. The tier-0 band once floored such registers at the declared
+/// width: seed-7 kernel 2 declares `in C: i32[5] range -8..7`, and at
+/// unroll `[1, 1]` with pipelined memory, narrowing and packing its
+/// exact estimate of 419 slices sat below a band starting at 451.
+#[test]
+fn annotated_load_registers_keep_the_band_below_the_estimate() {
+    use defacto_synth::{estimate_opts, AnalyticModel, FpgaDevice, MemoryModel, SynthesisOptions};
+    use defacto_xform::{PreparedKernel, TransformOptions, UnrollVector};
+    use std::sync::Arc;
+
+    let source = defacto_fuzz::generate_kernel(7, 2);
+    assert!(source.contains("in C: i32[5] range -8..7"), "{source}");
+    let kernel = defacto_ir::parse_kernel(&source).expect("parses");
+    let prepared = Arc::new(PreparedKernel::prepare(&kernel).expect("prepares"));
+    let mem = MemoryModel::pipelined(4);
+    let dev = FpgaDevice::virtex1000();
+    let topts = TransformOptions::default();
+    let sopts = SynthesisOptions {
+        bitwidth_narrowing: true,
+        pack_small_types: true,
+        ..SynthesisOptions::default()
+    };
+    let model = AnalyticModel::new(
+        prepared.clone(),
+        mem.clone(),
+        dev.clone(),
+        topts.clone(),
+        sopts.clone(),
+    )
+    .expect("unconstrained");
+    let unroll = UnrollVector(vec![1, 1]);
+    let band = model.evaluate(&unroll).expect("prices");
+    let design = prepared.transform(&unroll, &topts).expect("transforms");
+    let estimate = estimate_opts(&design, &mem, &dev, &sopts);
+    assert_eq!(estimate.slices, 419);
+    assert!(
+        band.slices_lo <= estimate.slices,
+        "band [{}, {}] misses {}",
+        band.slices_lo,
+        band.slices_hi,
+        estimate.slices
+    );
+    assert!(band.contains(&estimate), "{band:?} misses {estimate:?}");
+}
+
+/// An unannotated `out` array's range starts at zero and grows only by
+/// the values stored into it, so a register filled from loads of such an
+/// array narrows with them. The tier-0 band once floored every register
+/// filled from memory at the declared width: here `T` is never stored,
+/// so it holds only zeros, and at unroll `[1, 1]` with pipelined memory
+/// and narrowing the exact estimate of 410 slices sat below a band
+/// starting at 497.
+#[test]
+fn out_array_load_registers_keep_the_band_below_the_estimate() {
+    use defacto_synth::{estimate_opts, AnalyticModel, FpgaDevice, MemoryModel, SynthesisOptions};
+    use defacto_xform::{PreparedKernel, TransformOptions, UnrollVector};
+    use std::sync::Arc;
+
+    let source = "kernel outreg {
+        in A: i32[8];
+        out T: i32[8];
+        out B: i32[8][8];
+        for i in 0..8 { for j in 0..8 { B[i][j] = T[j] + A[i]; } }
+    }";
+    let kernel = defacto_ir::parse_kernel(source).expect("parses");
+    let prepared = Arc::new(PreparedKernel::prepare(&kernel).expect("prepares"));
+    let mem = MemoryModel::pipelined(4);
+    let dev = FpgaDevice::virtex1000();
+    let topts = TransformOptions::default();
+    let sopts = SynthesisOptions {
+        bitwidth_narrowing: true,
+        ..SynthesisOptions::default()
+    };
+    let model = AnalyticModel::new(
+        prepared.clone(),
+        mem.clone(),
+        dev.clone(),
+        topts.clone(),
+        sopts.clone(),
+    )
+    .expect("unconstrained");
+    for (factors, exact) in [([1, 1], 410), ([8, 1], 605)] {
+        let unroll = UnrollVector(factors.to_vec());
+        let band = model.evaluate(&unroll).expect("prices");
+        let design = prepared.transform(&unroll, &topts).expect("transforms");
+        let estimate = estimate_opts(&design, &mem, &dev, &sopts);
+        assert_eq!(estimate.slices, exact, "{factors:?}");
+        assert!(
+            band.contains(&estimate),
+            "{factors:?}: {band:?} misses {estimate:?}"
+        );
+    }
+}
