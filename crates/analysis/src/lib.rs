@@ -70,7 +70,9 @@ pub use legality::{
 };
 pub use linalg::{solve_affine, Rational, VarSolution};
 pub use lint::{lint_kernel, lint_source, LintContext, LintReport, LintRule};
-pub use range::{infer_ranges, infer_ranges_indexed, Interval, RangeInfo};
+pub use range::{
+    array_seed, infer_ranges, infer_ranges_indexed, narrowed_bits, Interval, RangeInfo,
+};
 pub use reuse::{classify_set, classify_set_bounded, ReuseStrategy};
 pub use uniform::{uniform_sets, UniformSet};
 

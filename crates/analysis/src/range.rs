@@ -19,7 +19,9 @@
 //! - everything is clamped to the declared type — the hardware wraps at
 //!   that width anyway, so the declared range is always sound.
 
-use defacto_ir::{ArrayKind, BinOp, DeclIndex, Expr, Kernel, LValue, Name, ScalarType, Stmt, UnOp};
+use defacto_ir::{
+    ArrayDecl, ArrayKind, BinOp, DeclIndex, Expr, Kernel, LValue, Name, ScalarType, Stmt, UnOp,
+};
 use std::collections::{HashMap, HashSet};
 
 /// An inclusive integer interval.
@@ -194,6 +196,24 @@ impl Interval {
     }
 }
 
+/// The interval range inference seeds an array at: its annotation, or
+/// for an unannotated `out` array `[0, 0]` (stores widen it; workspaces
+/// are zero-initialized), or else its element type's full range.
+/// Annotations on pure inputs are authoritative.
+pub fn array_seed(decl: &ArrayDecl) -> Interval {
+    match (decl.range, decl.kind) {
+        (Some((lo, hi)), _) => Interval::new(lo, hi),
+        (None, ArrayKind::Out) => Interval::point(0),
+        (None, _) => Interval::of_type(decl.ty),
+    }
+}
+
+/// The width a value narrows to: the bits of its interval, never wider
+/// than the `declared` width it is held at.
+pub fn narrowed_bits(value: Interval, declared: u32) -> u32 {
+    value.bits().min(declared)
+}
+
 /// The inferred value ranges of a kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeInfo {
@@ -348,16 +368,8 @@ fn initial_ranges(kernel: &Kernel) -> RangeInfo {
         var_base: HashMap::new(),
         array_base: HashMap::new(),
     };
-    // Arrays: annotation, or type range. Output arrays additionally join
-    // stored values below (annotations on pure inputs are authoritative).
     for a in kernel.arrays() {
-        let base = match (a.range, a.kind) {
-            (Some((lo, hi)), _) => Interval::new(lo, hi),
-            // Unannotated outputs start empty-ish (stores will widen);
-            // zero is always present (workspaces are zero-initialized).
-            (None, ArrayKind::Out) => Interval::point(0),
-            (None, _) => Interval::of_type(a.ty),
-        };
+        let base = array_seed(a);
         let name = Name::from(&a.name);
         info.arrays.insert(name.clone(), base);
         info.array_base.insert(name, base);

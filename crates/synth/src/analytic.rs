@@ -44,8 +44,10 @@ use crate::oplib::{
     fsm_state_slices_ceil, op_spec, register_slices, HwOp, FSM_BASE_SLICES, MEMORY_INTERFACE_SLICES,
 };
 use crate::schedule::ListPriority;
+use defacto_analysis::{array_seed, narrowed_bits, Interval};
 use defacto_ir::stmt::collect_accesses;
-use defacto_ir::{ArrayKind, BinOp, Expr, Kernel, LValue, Name, Stmt};
+use defacto_ir::{BinOp, Expr, Kernel, LValue, Name, Stmt};
+use defacto_xform::simplify::{fold_rule, unary_rule, Fold, Literal};
 use defacto_xform::{PointCensus, PreparedKernel, TrafficKind, TransformOptions, UnrollVector};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -154,6 +156,18 @@ enum LoVal {
     Val(u64, u32),
 }
 
+/// Only a known literal is one to the fold rules: a value that may become
+/// a literal in some copy folds in some copies and not in others, which
+/// the lower walk handles itself.
+impl Literal for LoVal {
+    fn literal(&self) -> Option<i64> {
+        match self {
+            LoVal::Lit(v) => Some(*v),
+            LoVal::MaybeLit | LoVal::Val(..) => None,
+        }
+    }
+}
+
 /// Guaranteed-to-materialize facts about the base body: operator classes
 /// that survive constant folding in every steady copy (at width floors)
 /// and, per array, the minimum serial latency feeding its body stores.
@@ -169,20 +183,6 @@ struct BaseLower {
 impl BaseLower {
     fn push(&mut self, op: HwOp, w: u32) {
         *self.classes.entry((op, w.max(1))).or_insert(0) += 1;
-    }
-}
-
-/// Bits of the point interval `[v, v]`, mirroring `Interval::bits`.
-fn point_bits(v: i64) -> u32 {
-    fn unsigned_bits(v: i64) -> u32 {
-        (64 - v.leading_zeros()).max(1)
-    }
-    if v >= 0 {
-        unsigned_bits(v)
-    } else {
-        let neg = unsigned_bits(v.saturating_add(1).saturating_neg());
-        let pos = unsigned_bits(0);
-        neg.max(pos) + 1
     }
 }
 
@@ -869,7 +869,7 @@ fn count_scalar_reads(body: &[Stmt], name: &str) -> u32 {
 }
 
 /// Walk one expression, recording every operator it will instantiate at
-/// an upper-bound width. Returns `(node_width_hi, interval_bits_hi)`:
+/// an upper-bound width. Returns `(node_width_hi, value_bits_hi)`:
 /// the first bounds the DFG node width under both width rules, the
 /// second bounds `Interval::bits` of the value under narrowing (scalar
 /// and array reads clamp to declared types; intermediate results can
@@ -877,7 +877,7 @@ fn count_scalar_reads(body: &[Stmt], name: &str) -> u32 {
 fn walk_expr(e: &Expr, k: &Kernel, out: &mut BaseOps) -> (u32, u32) {
     match e {
         Expr::Int(v) => {
-            let pb = point_bits(*v);
+            let pb = Interval::point(*v).bits();
             (pb.max(32), pb)
         }
         Expr::Scalar(n) => {
@@ -977,36 +977,16 @@ fn walk_stmts(body: &[Stmt], k: &Kernel, under_if: bool, out: &mut BaseOps) {
     }
 }
 
-/// Bits of the inclusive interval `[lo, hi]`, mirroring `Interval::bits`
-/// in the range analysis.
-fn interval_bits(lo: i64, hi: i64) -> u32 {
-    fn unsigned_bits(v: i64) -> u32 {
-        (64 - v.leading_zeros()).max(1)
-    }
-    if lo >= 0 {
-        unsigned_bits(hi)
-    } else {
-        let neg = unsigned_bits(lo.saturating_add(1).saturating_neg());
-        let pos = unsigned_bits(hi.max(0));
-        neg.max(pos) + 1
-    }
-}
-
-/// Width floor of a load's value under the active narrowing mode. The
-/// range analysis seeds annotated arrays at their annotation (stores only
-/// widen it), unannotated `in`/`inout` arrays at the full declared range,
-/// and unannotated `out` arrays at `[0, 0]` — only the last gives no
-/// floor beyond one bit.
+/// Width floor of a load's value under the active narrowing mode: the
+/// narrowed width of the interval range inference seeds the array at.
+/// Stores only widen an array's range, so every load's value narrows to
+/// at least this.
 fn load_width_lo(k: &Kernel, array: &str, narrow: bool) -> u32 {
     let Some(decl) = k.array(array) else { return 1 };
     if !narrow {
         return decl.ty.bits();
     }
-    match decl.range {
-        Some((lo, hi)) => interval_bits(lo, hi).min(decl.ty.bits()),
-        None if decl.kind == ArrayKind::Out => 1,
-        None => decl.ty.bits(),
-    }
+    narrowed_bits(array_seed(decl), decl.ty.bits())
 }
 
 /// Minimum latency the DFG can assign a node of `op` at any width.
@@ -1015,10 +995,11 @@ fn lat_lo(op: HwOp) -> u64 {
 }
 
 /// Walk one base-body expression computing what *must* survive in every
-/// steady copy: mirrors `fold_unary`/`fold_binary` exactly (those are the
-/// only folds any pass applies), treats loop-variable reads as possible
-/// literals (full unrolling substitutes them), and records surviving
-/// operator classes at width floors when `count` is set.
+/// steady copy: applies the constant folder's own rules (`unary_rule`,
+/// `fold_rule`; the only folds any pass applies), treats loop-variable
+/// reads as possible literals (full unrolling substitutes them), and
+/// records surviving operator classes at width floors when `count` is
+/// set.
 fn lower_expr(
     e: &Expr,
     k: &Kernel,
@@ -1042,24 +1023,27 @@ fn lower_expr(
             }
         }
         Expr::Load(a) => LoVal::Val(0, load_width_lo(k, &a.array, narrow)),
-        Expr::Unary(op, inner) => match lower_expr(inner, k, narrow, env, out, count) {
-            LoVal::Lit(v) => LoVal::Lit(op.apply(v)),
-            LoVal::MaybeLit => LoVal::MaybeLit,
-            LoVal::Val(d, w) => {
-                // Abs/neg can shed one interval bit (`[-256, 0]` →
-                // `[0, 256]`); the node prices at the result width.
-                let rw = if narrow {
-                    w.saturating_sub(1).max(1)
-                } else {
-                    w
-                };
-                let hw = HwOp::of_unop(*op);
-                if count {
-                    out.push(hw, rw);
-                }
-                LoVal::Val(d + lat_lo(hw), rw)
+        Expr::Unary(op, inner) => {
+            let v = lower_expr(inner, k, narrow, env, out, count);
+            if let Some(c) = unary_rule(*op, &v) {
+                return LoVal::Lit(c);
             }
-        },
+            let LoVal::Val(d, w) = v else {
+                return LoVal::MaybeLit;
+            };
+            // Abs/neg can shed one interval bit (`[-256, 0]` →
+            // `[0, 256]`); the node prices at the result width.
+            let rw = if narrow {
+                w.saturating_sub(1).max(1)
+            } else {
+                w
+            };
+            let hw = HwOp::of_unop(*op);
+            if count {
+                out.push(hw, rw);
+            }
+            LoVal::Val(d + lat_lo(hw), rw)
+        }
         Expr::Binary(op, lhs, rhs) => {
             let a = lower_expr(lhs, k, narrow, env, out, count);
             let b = lower_expr(rhs, k, narrow, env, out, count);
@@ -1111,7 +1095,7 @@ fn lower_expr(
     }
 }
 
-/// Binary case of the lower walk: apply the folder's exact rules, then
+/// Binary case of the lower walk: apply the folder's rules, then
 /// classify what certainly survives.
 fn lower_binary(
     op: BinOp,
@@ -1122,18 +1106,11 @@ fn lower_binary(
     count: bool,
 ) -> LoVal {
     use LoVal::{Lit, MaybeLit, Val};
-    // Exact mirror of `fold_binary`'s constant and identity rules.
-    match (&a, &b) {
-        (Lit(x), Lit(y)) => return Lit(op.apply(*x, *y)),
-        (Lit(0), _) if op == BinOp::Add => return b,
-        (_, Lit(0)) if matches!(op, BinOp::Add | BinOp::Sub) => return a,
-        (Lit(1), _) if op == BinOp::Mul => return b,
-        (_, Lit(1)) if op == BinOp::Mul => return a,
-        (Lit(0), _) | (_, Lit(0)) if op == BinOp::Mul => return Lit(0),
-        (Lit(0), _) | (_, Lit(0)) if op == BinOp::And => return Lit(0),
-        (Lit(0), _) if op == BinOp::Or => return b,
-        (_, Lit(0)) if op == BinOp::Or => return a,
-        _ => {}
+    match fold_rule(op, &a, &b) {
+        Fold::Const(v) => return Lit(v),
+        Fold::Left => return a,
+        Fold::Right => return b,
+        Fold::Keep => {}
     }
     let has_identity = matches!(
         op,
@@ -1216,9 +1193,9 @@ fn lower_binary(
                 Val(d, w)
             }
         }
-        (Lit(_), MaybeLit) | (MaybeLit, Lit(_)) => MaybeLit,
-        // Handled by the folding mirror above.
-        (Lit(x), Lit(y)) => Lit(op.apply(x, y)),
+        // A literal beside a possible literal (two literals always fold
+        // above).
+        (Lit(_), _) | (_, Lit(_)) => MaybeLit,
     }
 }
 

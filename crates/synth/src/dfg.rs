@@ -20,7 +20,7 @@
 
 use crate::oplib::{op_spec, HwOp};
 use crate::schedule::Step;
-use defacto_analysis::{Interval, RangeInfo};
+use defacto_analysis::{narrowed_bits, Interval, RangeInfo};
 use defacto_ir::{ArrayAccess, BinOp, DeclIndex, Expr, Kernel, LValue, Name, ScalarType, Stmt};
 use defacto_xform::layout::ArrayLayout;
 use defacto_xform::MemoryBinding;
@@ -626,7 +626,7 @@ impl<'s> Builder<'s, '_> {
                 self.scalars.push(ScalarSlot {
                     bits: Widths {
                         wide: declared,
-                        narrow: whole.map_or(declared, |i| i.bits().min(declared)),
+                        narrow: whole.map_or(declared, |i| narrowed_bits(i, declared)),
                     },
                     ty: decl.unwrap_or(ScalarType::I32),
                     whole,
@@ -811,7 +811,7 @@ impl<'s> Builder<'s, '_> {
                 let bits = Widths {
                     wide: declared.wide,
                     narrow: match iv {
-                        Some(i) => i.bits().min(declared.narrow.max(1)),
+                        Some(i) => narrowed_bits(i, declared.narrow.max(1)),
                         None => declared.narrow,
                     },
                 };
@@ -829,7 +829,7 @@ impl<'s> Builder<'s, '_> {
                 let iv = self.arrays[n].interval;
                 let bits = Widths {
                     wide: mem_bits,
-                    narrow: iv.map(|i| i.bits().min(mem_bits)).unwrap_or(mem_bits),
+                    narrow: iv.map_or(mem_bits, |i| narrowed_bits(i, mem_bits)),
                 };
                 // Fetch sharing: unpacked, every load fetches alone.
                 // Packed, elements of a small-typed array share the fetch

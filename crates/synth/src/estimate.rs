@@ -28,7 +28,7 @@ use crate::oplib::{
     fsm_state_slices, op_spec, register_slices, HwOp, FSM_BASE_SLICES, MEMORY_INTERFACE_SLICES,
 };
 use crate::schedule::{allocate, schedule_view, ListPriority, OpUsage, Schedule};
-use defacto_analysis::{infer_ranges_indexed, RangeInfo};
+use defacto_analysis::{infer_ranges_indexed, narrowed_bits, RangeInfo};
 use defacto_ir::{DeclIndex, Stmt};
 use defacto_xform::TransformedDesign;
 use std::cell::Cell;
@@ -289,7 +289,7 @@ impl EstimatePlan {
             let declared = s.ty.bits();
             wide = wide.saturating_add(register_slices(declared) as u64);
             let bits = match &ranges {
-                Some(info) => info.var(&s.name).bits().min(declared),
+                Some(info) => narrowed_bits(info.var(&s.name), declared),
                 None => declared,
             };
             narrowed = narrowed.saturating_add(register_slices(bits) as u64);

@@ -18,33 +18,31 @@
 //! milliseconds.
 //!
 //! Jammed offsets are rows of one matrix per set
-//! ([`UniformSet::offsets`](defacto_analysis::UniformSet)), and the plan
-//! and the walks below borrow those rows, so a census allocates per set,
-//! not per jammed offset.
+//! ([`UniformSet::offsets`](defacto_analysis::UniformSet)), and the plans
+//! borrow those rows, so a census allocates per set, not per jammed
+//! offset.
 //!
 //! The counts are exact, not approximations: the tier-0 analytic
 //! estimator (`defacto_synth::analytic`) prices them into a cost band
 //! whose soundness rests on this census describing the materialized
-//! design. The register, chain and budget counts come from the same plan
-//! [`PreparedKernel::transform`] materializes, and through the same
-//! accessor as its [`crate::ScalarReplacementInfo`], so they match by
-//! construction. The raw (unreplaced) load traffic and the hoisted
-//! temporaries are still computed here by a walk that mirrors the load
-//! hoisting of [`crate::scalar`]; tests pin `temp_registers` to the
-//! materialized design across the paper kernels' design spaces and
-//! generated kernels. The walk reads each base load's jammed copies off
-//! its set and skips the loads of a set the plan replaces entirely
-//! (DESIGN.md §10 argues why that skip is exact).
+//! design. Every count comes from the two plans
+//! [`PreparedKernel::transform`] materializes: the reuse plan gives the
+//! registers, chains and budget drops, through the same accessor as the
+//! transform's [`crate::ScalarReplacementInfo`], and the load plan
+//! (`plan_loads` in [`crate::scalar`]) gives the stores and loads left in
+//! the body and the hoisted temporaries. The census folds them and walks
+//! no statement to find a load, so it matches the materialized design by
+//! construction.
 
 use crate::error::Result;
 use crate::peel::tests_first_iteration;
 use crate::pipeline::{TransformOptions, UnrollVector};
 use crate::prepared::PreparedKernel;
-use crate::scalar::{plan_reuse, Reuse};
+use crate::scalar::{plan_loads, plan_reuse, Reuse};
 use crate::unroll::offset_tuples;
-use defacto_analysis::{jammed_uniform_sets, AccessTable, UniformSet};
-use defacto_ir::{ArrayAccess, BinOp, Expr, Name, Stmt};
-use std::collections::{HashMap, HashSet};
+use defacto_analysis::{jammed_uniform_sets, UniformSet};
+use defacto_ir::{BinOp, Expr, Name, Stmt};
+use std::collections::HashMap;
 
 /// When one memory-traffic class executes, relative to the steady nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,20 +245,20 @@ impl PreparedKernel {
         };
         // Register classes keyed by (bits, load_valued).
         let mut reg_classes: HashMap<(u32, bool), usize> = HashMap::new();
-        // Per set: the loads the plan rewrites to register reads.
-        let mut replaced: Vec<Replaced<'_>> = sets.iter().map(|_| Replaced::None).collect();
-        // Per set: are its stores rewritten (accumulators)?
-        let mut replaced_stores = vec![false; sets.len()];
 
-        if opts.scalar_replacement {
-            // The plan `transform` materializes for this point.
-            let plan = plan_reuse(
+        // The plans `transform` materializes for this point.
+        let plan = opts.scalar_replacement.then(|| {
+            plan_reuse(
                 &sets,
                 &trips,
                 factors,
                 &|s: &UniformSet| self.cond_flag(s.members[0]),
                 &opts.scalar_options(),
-            );
+            )
+        });
+        let loads = plan_loads(plan.as_ref(), &sets, self.load_sites(), copies);
+
+        if let Some(plan) = &plan {
             let info = plan.info();
             c.reuse_registers = info.reuse_registers;
             c.chains = info.chains;
@@ -287,7 +285,7 @@ impl PreparedKernel {
                         for slot in slots {
                             *reg_classes.entry((bits, slot.read)).or_insert(0) += 1;
                         }
-                        if let Some(r) = read {
+                        if read.is_some() {
                             // The read slots are the read set's distinct
                             // offsets, all of them.
                             c.traffic.push(traffic(
@@ -299,7 +297,6 @@ impl PreparedKernel {
                                     .map(|s| flat(strides, s.offset))
                                     .collect(),
                             ));
-                            replaced[*r] = Replaced::All;
                         }
                         c.traffic.push(traffic(
                             true,
@@ -310,15 +307,10 @@ impl PreparedKernel {
                                 .map(|s| flat(strides, s.offset))
                                 .collect(),
                         ));
-                        replaced_stores[*write] = true;
                         c.accumulators
                             .push(self.accumulator_census(&sets[*write], &var_refs));
                     }
-                    Reuse::Hoisted {
-                        read,
-                        level,
-                        offsets,
-                    } => {
+                    Reuse::Hoisted { level, offsets, .. } => {
                         *reg_classes.entry((bits, true)).or_insert(0) += offsets.len();
                         let kind = match level {
                             Some(l) => TrafficKind::AtLevel(*l),
@@ -329,14 +321,13 @@ impl PreparedKernel {
                             kind,
                             offsets.iter().map(|o| flat(strides, o)).collect(),
                         ));
-                        replaced[*read] = Replaced::All;
                     }
                     Reuse::Chain {
-                        read,
                         level,
                         invariant_levels,
                         lanes,
                         length,
+                        ..
                     } => {
                         let guard_levels: Vec<usize> = std::iter::once(*level)
                             .chain(invariant_levels.iter().copied())
@@ -357,15 +348,13 @@ impl PreparedKernel {
                         for &l in &guard_levels {
                             c.peelable[l] = true;
                         }
-                        replaced[*read] = Replaced::All;
                     }
                     Reuse::Window {
-                        read,
                         level,
                         window_dim,
                         step,
                         lanes,
-                        distinct,
+                        ..
                     } => {
                         let mut position: Vec<i64> = Vec::new();
                         for lane in lanes {
@@ -401,94 +390,46 @@ impl PreparedKernel {
                                 c.rotates_per_body += step;
                             }
                         }
-                        // The lanes hold distinct offsets of the set, so
-                        // they cover it exactly when the counts agree.
-                        let covered: usize = lanes.iter().map(|l| l.offsets.len()).sum();
-                        replaced[*read] = if covered == *distinct {
-                            Replaced::All
-                        } else {
-                            let mut rows: Vec<&[i64]> = lanes
-                                .iter()
-                                .flat_map(|l| l.offsets.iter().copied())
-                                .collect();
-                            rows.sort_unstable();
-                            Replaced::Some(rows)
-                        };
                     }
                 }
             }
         }
 
-        // --- Raw (unreplaced) traffic, mirroring the body rewrite +
-        // `hoist_remaining_loads`. ---
-
-        let raw_stores = || {
-            sets.iter()
-                .zip(&replaced_stores)
-                .filter(|(s, &replaced)| s.is_write && !replaced)
-                .map(|(s, _)| s)
-        };
-        // Arrays with any raw store keep their loads in place.
-        let stored_arrays: HashSet<&str> = raw_stores().map(|s| s.array.as_str()).collect();
-
-        // Raw stores: one store per member per body.
-        for set in raw_stores() {
-            let strides = strides_of(&set.array);
+        // What the plans leave in the body: stores no accumulator sinks,
+        // one per member per body; loads in place, split by user-`if`
+        // context (conditional loads may be folded away with their
+        // branch, so they form separate classes); hoisted loads, one temp
+        // register per distinct address.
+        let set_strides: Vec<&[i64]> = sets.iter().map(|s| strides_of(&s.array)).collect();
+        for &w in &loads.kept_stores {
+            let set = &sets[w];
             c.traffic.push(Traffic {
                 array: set.array.to_string(),
                 is_write: true,
                 elem_bits: elem_bits(&set.array),
                 kind: TrafficKind::Body,
-                flat_offsets: set.offset_rows().map(|o| flat(strides, o)).collect(),
+                flat_offsets: set.offset_rows().map(|o| flat(set_strides[w], o)).collect(),
                 conditional: self.cond_flag(set.members[0]),
             });
         }
-
-        // Raw loads: walk the base body's loads, read each one's jammed
-        // copies off its set, and split in-place loads (stored arrays and
-        // sole-load statements, which `hoist_remaining_loads` skips) from
-        // hoisted ones (one temp register per distinct address). Loads of
-        // a set the plan replaces entirely are skipped whole.
-        //
-        // In-place loads split by user-`if` context: conditional loads may
-        // be folded away with their branch, so they form separate classes.
+        let sites = self.load_sites();
         let mut in_place: HashMap<(&str, bool), Vec<i64>> = HashMap::new();
-        // Distinct hoisted addresses, keyed by (set, offsets), in
-        // deterministic (first-seen) order.
-        let mut hoisted_seen: HashSet<(usize, &[i64])> = HashSet::new();
+        for run in loads.in_place.chunk_by(|a, b| a.0 == b.0) {
+            let site = &sites[run[0].0];
+            let array = sets[site.set].array.as_str();
+            let strides = set_strides[site.set];
+            in_place
+                .entry((array, site.conditional))
+                .or_default()
+                .extend(run.iter().map(|&(_, o)| flat(strides, o)));
+        }
         let mut hoisted: HashMap<&str, Vec<i64>> = HashMap::new();
-        let mut site_offsets: Vec<i64> = Vec::new();
-        for site in self.load_sites() {
-            let replaced = &replaced[site.set];
-            if matches!(replaced, Replaced::All) {
-                continue;
-            }
-            let set = &sets[site.set];
-            let array = set.array.as_str();
-            let strides = strides_of(array);
-            let stays = !opts.scalar_replacement || site.sole || stored_arrays.contains(array);
-            let base_members = self.base_sets()[site.set].len();
-            site_offsets.clear();
-            for copy in 0..copies {
-                let offsets = set.offset_row(copy * base_members + site.member);
-                if let Replaced::Some(rows) = replaced {
-                    if rows.binary_search(&offsets).is_ok() {
-                        continue;
-                    }
-                }
-                if stays || hoisted_seen.insert((site.set, offsets)) {
-                    site_offsets.push(flat(strides, offsets));
-                }
-            }
-            if site_offsets.is_empty() {
-                continue;
-            }
-            let class = if stays {
-                in_place.entry((array, site.conditional)).or_default()
-            } else {
-                hoisted.entry(array).or_default()
-            };
-            class.extend_from_slice(&site_offsets);
+        for run in loads.hoisted.chunk_by(|a, b| a.set == b.set) {
+            let strides = set_strides[run[0].set];
+            hoisted
+                .entry(sets[run[0].set].array.as_str())
+                .or_default()
+                .extend(run.iter().map(|h| flat(strides, h.offsets)));
         }
         let mut raw_arrays: Vec<&str> = in_place
             .keys()
@@ -583,97 +524,10 @@ impl PreparedKernel {
     }
 }
 
-/// The loads of one read set that a plan rewrites to register reads.
-enum Replaced<'a> {
-    /// None: every load of the set stays.
-    None,
-    /// These distinct offsets, sorted.
-    Some(Vec<&'a [i64]>),
-    /// Every distinct offset of the set.
-    All,
-}
-
 /// Row-major flattened address of constant offsets `off` under
 /// `strides` (no strides, as for an undeclared array, flatten to 0).
 fn flat(strides: &[i64], off: &[i64]) -> i64 {
     off.iter().zip(strides).map(|(&o, &st)| o * st).sum()
-}
-
-/// One load of the base body, as the census's raw-load walk reads it.
-#[derive(Debug, Clone)]
-pub(crate) struct LoadSite {
-    /// The read set the load belongs to; jamming keeps set indices.
-    set: usize,
-    /// The load's position among its base set's members. Jammed members
-    /// are copy-major, so copy `t` of the load is member
-    /// `t * base_set.len() + member` of the jammed set.
-    member: usize,
-    /// The load is the entire right-hand side of an assignment.
-    sole: bool,
-    /// The load sits inside an `if` branch.
-    conditional: bool,
-}
-
-/// The load sites of a base body, in program order. The `k`-th load
-/// occurrence is the `k`-th read of the body's access table: both walk
-/// the statements, a condition before its branches, in the same order.
-pub(crate) fn load_sites(body: &[Stmt], table: &AccessTable, sets: &[UniformSet]) -> Vec<LoadSite> {
-    let mut occurrences = Vec::new();
-    collect_load_occurrences(body, false, &mut occurrences);
-    occurrences
-        .iter()
-        .zip(table.reads())
-        .filter_map(|(&(access, sole, conditional), read)| {
-            debug_assert_eq!(access, &read.access);
-            sets.iter().enumerate().find_map(|(set, s)| {
-                let member = s.members.iter().position(|&id| id == read.id)?;
-                Some(LoadSite {
-                    set,
-                    member,
-                    sole,
-                    conditional,
-                })
-            })
-        })
-        .collect()
-}
-
-/// Collect every load occurrence of a body with its context. The first
-/// flag is `true` when the occurrence is the entire right-hand side of an
-/// assignment (the hoisting pass skips such statements — they are already
-/// single loads into registers); the second is `true` when the occurrence
-/// sits inside an `if` branch (a condition's own loads execute whenever
-/// the statement does, so they inherit the *enclosing* context).
-fn collect_load_occurrences<'a>(
-    body: &'a [Stmt],
-    conditional: bool,
-    out: &mut Vec<(&'a ArrayAccess, bool, bool)>,
-) {
-    for s in body {
-        match s {
-            Stmt::Assign { rhs, .. } => {
-                if let Expr::Load(a) = rhs {
-                    out.push((a, true, conditional));
-                } else {
-                    for a in rhs.loads() {
-                        out.push((a, false, conditional));
-                    }
-                }
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                for a in cond.loads() {
-                    out.push((a, false, conditional));
-                }
-                collect_load_occurrences(then_body, true, out);
-                collect_load_occurrences(else_body, true, out);
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Record the top-level operator of every base write statement of an

@@ -35,13 +35,14 @@
 //! same binding, same errors. `tests/incremental_equivalence.rs`
 //! enforces this across the paper kernels' full design spaces.
 
-use crate::census::{load_sites, LoadSite};
 use crate::error::{Result, VectorError, XformError};
 use crate::layout::assign_memories;
 use crate::normalize::normalize_loops;
 use crate::peel::peel_first_iterations_lite;
 use crate::pipeline::{TransformOptions, TransformedDesign, UnrollVector};
-use crate::scalar::{materialize, plan_reuse, ScalarInput, ScalarReplacementInfo};
+use crate::scalar::{
+    load_sites, materialize, plan_reuse, LoadSite, ScalarInput, ScalarReplacementInfo,
+};
 use crate::simplify::simplify_stmts;
 use crate::unroll::offset_tuples;
 use defacto_analysis::{
@@ -75,7 +76,7 @@ pub struct PreparedKernel {
     /// does any member execute conditionally? Jamming replicates the
     /// flags verbatim, so the answer holds for every jammed set too.
     cond_flags: HashMap<AccessId, bool>,
-    /// The loads of `base_body` with their sets, for the census.
+    /// The loads of `base_body` with their sets, for load planning.
     load_sites: Vec<LoadSite>,
     /// Dependences with the nest's bounds, input of jam legality.
     deps: DependenceGraph,
@@ -486,6 +487,8 @@ impl PreparedKernel {
                     vars: &self.var_names,
                     body: &body_refs,
                     sets: &sets,
+                    sites: &self.load_sites,
+                    copies: copies.len(),
                 },
                 &plan,
             );

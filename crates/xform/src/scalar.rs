@@ -31,14 +31,16 @@
 //!    the top of the body, one register per distinct address (the `S_0`
 //!    temporary of Figure 1(c)); duplicated addresses are loaded once.
 //!
-//! The pass runs in two steps. `plan_reuse` makes every decision — the
-//! grouping, the conditional and aliasing screens, the classification,
-//! the choice of pattern and the §5.4 register budget — over set indices
-//! and offset vectors only, into a `ReusePlan`. `materialize` then names
-//! the registers, builds the statements and rewrites the body. The tier-0
-//! census ([`crate::census`]) folds the same plan into counts, so its
-//! register, chain and budget counts cannot disagree with the design this
-//! pass builds.
+//! The pass decides before it builds. `plan_reuse` makes every reuse
+//! decision — the grouping, the conditional and aliasing screens, the
+//! classification, the choice of pattern and the §5.4 register budget —
+//! over set indices and offset vectors only, into a `ReusePlan`.
+//! `plan_loads` then decides, from that plan and the body's `LoadSite`s,
+//! which of the loads it leaves stay in place and which hoist, into a
+//! `LoadPlan`. `materialize` names the registers, builds the statements
+//! and rewrites the body. The tier-0 census ([`crate::census`]) folds the
+//! same two plans into counts, so its registers and memory traffic
+//! cannot disagree with the design this pass builds.
 
 use crate::error::{Result, XformError};
 use defacto_analysis::{
@@ -48,6 +50,7 @@ use defacto_ir::decl::ScalarDecl;
 use defacto_ir::{
     AffineExpr, ArrayAccess, BinOp, Expr, Kernel, LValue, Loop, Name, ScalarType, Stmt,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// Statistics and bookkeeping produced by [`scalar_replace`].
@@ -99,8 +102,8 @@ impl Default for ScalarOptions {
 }
 
 /// The inputs of [`materialize`]: the nest shape for this design point
-/// plus the body and its uniformly generated sets. The scratch path
-/// computes them from the kernel; the prepared path derives them
+/// plus the body, its uniformly generated sets and its loads. The scratch
+/// path computes them from the kernel; the prepared path derives them
 /// analytically from the base body's analyses.
 pub(crate) struct ScalarInput<'a> {
     /// Empty-bodied loop templates, outermost first (steps already
@@ -115,6 +118,10 @@ pub(crate) struct ScalarInput<'a> {
     /// Uniformly generated sets of `body` over `vars`: the sets the plan's
     /// indices name.
     pub sets: &'a [UniformSet],
+    /// The loads of one base-body copy, in program order.
+    pub sites: &'a [LoadSite],
+    /// Base-body copies `body` is made of (`sets` are copy-major).
+    pub copies: usize,
 }
 
 /// Apply scalar replacement to a normalized (possibly unrolled) perfect
@@ -162,6 +169,8 @@ pub fn scalar_replace(
             vars: &vars,
             body: &body_refs,
             sets: &sets,
+            sites: &load_sites(body, &table, &sets),
+            copies: 1,
         },
         &plan,
     );
@@ -302,8 +311,8 @@ pub(crate) struct ReusePlan<'a> {
 }
 
 impl ReusePlan<'_> {
-    /// The plan's statistics. Load hoisting, which runs after the plan is
-    /// materialized, adds `temp_registers`.
+    /// The plan's statistics. Load hoisting ([`LoadPlan`]) adds
+    /// `temp_registers`.
     pub fn info(&self) -> ScalarReplacementInfo {
         ScalarReplacementInfo {
             reuse_registers: self.decisions.iter().map(Reuse::registers).sum(),
@@ -577,6 +586,235 @@ fn plan_window<'a>(
     })
 }
 
+/// One load of a base body. Jamming keeps set indices, so a site names
+/// its load in every copy of the body.
+#[derive(Debug, Clone)]
+pub(crate) struct LoadSite {
+    /// The read set the load belongs to.
+    pub set: usize,
+    /// The load's position among its base set's members. Jammed members
+    /// are copy-major, so copy `t` of the load is member
+    /// `t * base_set.len() + member` of the jammed set.
+    member: usize,
+    /// The load is the entire right-hand side of an assignment, that is
+    /// already a register fill, so it is never hoisted.
+    sole: bool,
+    /// The load sits inside an `if` branch.
+    pub conditional: bool,
+}
+
+/// The load sites of a base body, in program order. The `k`-th load
+/// occurrence is the `k`-th read of the body's access table: both walk
+/// the statements, a condition before its branches, in the same order.
+pub(crate) fn load_sites(body: &[Stmt], table: &AccessTable, sets: &[UniformSet]) -> Vec<LoadSite> {
+    // `(set, member)` of every access.
+    let mut place = vec![None; table.len()];
+    for (set, s) in sets.iter().enumerate() {
+        for (member, id) in s.members.iter().enumerate() {
+            place[id.0] = Some((set, member));
+        }
+    }
+    let mut occurrences = Vec::new();
+    collect_load_occurrences(body, false, &mut occurrences);
+    occurrences
+        .iter()
+        .zip(table.reads())
+        .filter_map(|(&(access, sole, conditional), read)| {
+            debug_assert_eq!(access, &read.access);
+            let (set, member) = place[read.id.0]?;
+            Some(LoadSite {
+                set,
+                member,
+                sole,
+                conditional,
+            })
+        })
+        .collect()
+}
+
+/// Collect every load occurrence of a body with its context: whether it
+/// is the entire right-hand side of an assignment, and whether it sits
+/// inside an `if` branch (a condition's own loads execute whenever the
+/// statement does, so they inherit the *enclosing* context).
+fn collect_load_occurrences<'a>(
+    body: &'a [Stmt],
+    conditional: bool,
+    out: &mut Vec<(&'a ArrayAccess, bool, bool)>,
+) {
+    for s in body {
+        match s {
+            Stmt::Assign { rhs, .. } => {
+                if let Expr::Load(a) = rhs {
+                    out.push((a, true, conditional));
+                } else {
+                    for a in rhs.loads() {
+                        out.push((a, false, conditional));
+                    }
+                }
+            }
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                for a in cond.loads() {
+                    out.push((a, false, conditional));
+                }
+                collect_load_occurrences(then_body, true, out);
+                collect_load_occurrences(else_body, true, out);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Where the loads and stores a [`ReusePlan`] leaves in the body go, made
+/// by [`plan_loads`]. Like the reuse plan it holds set indices and
+/// borrowed offset rows only. [`materialize`] builds the hoisted
+/// temporaries from it; the tier-0 census ([`crate::census`]) folds it
+/// into memory traffic.
+#[derive(Debug)]
+pub(crate) struct LoadPlan<'a> {
+    /// Write sets whose stores stay in the body (no accumulator sinks
+    /// them), in set order.
+    pub kept_stores: Vec<usize>,
+    /// Loads that stay where they are, site-major: the index of the site
+    /// and the copy's offsets, every copy listed.
+    pub in_place: Vec<(usize, &'a [i64])>,
+    /// Hoisted loads, one per distinct address, in site-major order of
+    /// first occurrence.
+    pub hoisted: Vec<Hoist<'a>>,
+}
+
+/// One hoisted address: a temporary filled at the top of the body.
+#[derive(Debug)]
+pub(crate) struct Hoist<'a> {
+    /// The read set of the address.
+    pub set: usize,
+    /// Its constant offsets.
+    pub offsets: &'a [i64],
+    /// `(copy, site)` of its first load in body order, which is
+    /// copy-major: temporaries are named in this order.
+    first: (usize, usize),
+}
+
+/// The loads of one read set that a reuse plan rewrites to register
+/// reads.
+enum Replaced<'a> {
+    /// None: every load of the set stays.
+    None,
+    /// These distinct offsets, sorted.
+    Some(Vec<&'a [i64]>),
+    /// Every distinct offset of the set.
+    All,
+}
+
+/// Decide where each load that `reuse` leaves in the body goes. A load
+/// stays in place when it already fills a register (the whole
+/// right-hand side of an assignment), when its array is stored in the
+/// body, or when there is no scalar replacement (`reuse` is `None`).
+/// Every other load hoists into a temporary filled at the top of the
+/// body, one per distinct address, so duplicated addresses load once.
+/// Hoisting makes the loads of conditional statements unconditional,
+/// which is what the paper's generated code does ("always performs
+/// conditional memory accesses").
+///
+/// `sites` are the loads of one base-body copy and the body is `copies`
+/// copies of it, over the copy-major `sets`.
+pub(crate) fn plan_loads<'a>(
+    reuse: Option<&ReusePlan<'a>>,
+    sets: &'a [UniformSet],
+    sites: &[LoadSite],
+    copies: usize,
+) -> LoadPlan<'a> {
+    let mut replaced: Vec<Replaced<'a>> = sets.iter().map(|_| Replaced::None).collect();
+    let mut sunk = vec![false; sets.len()];
+    for decision in reuse.map_or(&[][..], |p| &p.decisions) {
+        match decision {
+            Reuse::Accumulator { read, write, .. } => {
+                // The read slots are the read set's distinct offsets, all
+                // of them.
+                if let Some(r) = read {
+                    replaced[*r] = Replaced::All;
+                }
+                sunk[*write] = true;
+            }
+            Reuse::Hoisted { read, .. } | Reuse::Chain { read, .. } => {
+                replaced[*read] = Replaced::All;
+            }
+            Reuse::Window {
+                read,
+                lanes,
+                distinct,
+                ..
+            } => {
+                // The lanes hold distinct offsets of the set, so they
+                // cover it exactly when the counts agree.
+                let covered: usize = lanes.iter().map(|l| l.offsets.len()).sum();
+                replaced[*read] = if covered == *distinct {
+                    Replaced::All
+                } else {
+                    let mut rows: Vec<&'a [i64]> = lanes
+                        .iter()
+                        .flat_map(|l| l.offsets.iter().copied())
+                        .collect();
+                    rows.sort_unstable();
+                    Replaced::Some(rows)
+                };
+            }
+        }
+    }
+    let kept_stores: Vec<usize> = (0..sets.len())
+        .filter(|&i| sets[i].is_write && !sunk[i])
+        .collect();
+
+    let mut plan = LoadPlan {
+        kept_stores,
+        in_place: Vec::new(),
+        hoisted: Vec::new(),
+    };
+    // Index into `plan.hoisted` of each distinct address.
+    let mut seen: HashMap<(usize, &'a [i64]), usize> = HashMap::new();
+    for (s, site) in sites.iter().enumerate() {
+        let replaced = &replaced[site.set];
+        if matches!(replaced, Replaced::All) {
+            continue;
+        }
+        let set = &sets[site.set];
+        let stays = reuse.is_none()
+            || site.sole
+            || plan.kept_stores.iter().any(|&w| sets[w].array == set.array);
+        let base_members = set.len() / copies;
+        for copy in 0..copies {
+            let offsets = set.offset_row(copy * base_members + site.member);
+            if let Replaced::Some(rows) = replaced {
+                if rows.binary_search(&offsets).is_ok() {
+                    continue;
+                }
+            }
+            if stays {
+                plan.in_place.push((s, offsets));
+                continue;
+            }
+            match seen.entry((site.set, offsets)) {
+                Entry::Occupied(e) => {
+                    let h = &mut plan.hoisted[*e.get()];
+                    h.first = h.first.min((copy, s));
+                }
+                Entry::Vacant(e) => {
+                    e.insert(plan.hoisted.len());
+                    plan.hoisted.push(Hoist {
+                        set: site.set,
+                        offsets,
+                        first: (copy, s),
+                    });
+                }
+            }
+        }
+    }
+    plan
+}
+
 /// Build the statements of a plan, rewrite the body through them, hoist
 /// the body's remaining loads and reassemble the nest. Returns the new
 /// kernel body, the register declarations and the statistics.
@@ -590,6 +828,8 @@ pub(crate) fn materialize(
         vars,
         body,
         sets,
+        sites,
+        copies,
     } = *input;
     let depth = loops.len();
     let mut names = NameGen::new(kernel, vars);
@@ -599,18 +839,37 @@ pub(crate) fn materialize(
         edits.add(reuse, &sets[reuse.set()], vars, kernel, &mut names);
     }
 
+    // Load dedup/hoist: one temporary per hoisted address, named in the
+    // order the body first loads it.
+    let mut temps = plan_loads(Some(plan), sets, sites, copies).hoisted;
+    temps.sort_unstable_by_key(|h| h.first);
+    info.temp_registers = temps.len();
+    let mut new_body: Vec<Stmt> = Vec::with_capacity(
+        temps.len() + edits.body_prefix.len() + body.len() + edits.body_suffix.len(),
+    );
+    for (t, hoist) in temps.into_iter().enumerate() {
+        let set = &sets[hoist.set];
+        let reg = names.fresh(
+            format!("{}_t{t}", set.array.to_lowercase()),
+            element_type(kernel, &set.array),
+        );
+        let access = access_of(&set.array, &set.signature, vars, hoist.offsets);
+        new_body.push(Stmt::assign(
+            LValue::scalar(reg.clone()),
+            Expr::Load(access.clone()),
+        ));
+        edits
+            .load_rewrites
+            .insert(access, (Expr::scalar(reg), true));
+    }
+
     // Rewrite the innermost body: the one copy of the (shared) jammed
     // statements, which every later stage rewrites in place.
-    let mut new_body: Vec<Stmt> =
-        Vec::with_capacity(edits.body_prefix.len() + body.len() + edits.body_suffix.len());
     new_body.append(&mut edits.body_prefix);
     for &s in body {
         rewrite_stmt(s, &edits, &mut new_body);
     }
     new_body.append(&mut edits.body_suffix);
-
-    // Load dedup/hoist on the rewritten body.
-    let new_body = hoist_remaining_loads(&mut names, &mut info, new_body, kernel);
 
     // Reassemble the (now imperfect) nest: each loop level wraps its
     // hoisted loads, the inner nest, and its sunk stores.
@@ -660,8 +919,10 @@ struct Edits {
     top: Vec<Stmt>,
     /// After the whole nest.
     bottom: Vec<Stmt>,
-    /// Load rewrites: exact access → replacement register read.
-    load_rewrites: HashMap<ArrayAccess, Expr>,
+    /// Load rewrites: exact access → replacement register read, and
+    /// whether the register is a hoisted temporary (a load that already
+    /// fills a register keeps its address).
+    load_rewrites: HashMap<ArrayAccess, (Expr, bool)>,
     /// Store rewrites: exact access → register name.
     store_rewrites: HashMap<ArrayAccess, Name>,
 }
@@ -707,7 +968,7 @@ impl Edits {
                         // Hoisted initializing load.
                         self.pre[*level].push(fill(&reg, access.clone()));
                         self.load_rewrites
-                            .insert(access.clone(), Expr::scalar(reg.clone()));
+                            .insert(access.clone(), (Expr::scalar(reg.clone()), false));
                     }
                     if slot.written {
                         // Sunk final store; intermediate stores are
@@ -729,7 +990,8 @@ impl Edits {
                         None => &mut self.top,
                     };
                     at.push(fill(&reg, access.clone()));
-                    self.load_rewrites.insert(access, Expr::scalar(reg));
+                    self.load_rewrites
+                        .insert(access, (Expr::scalar(reg), false));
                 }
             }
             Reuse::Chain {
@@ -757,7 +1019,7 @@ impl Edits {
                         else_body: vec![],
                     });
                     self.load_rewrites
-                        .insert(access, Expr::scalar(regs[0].clone()));
+                        .insert(access, (Expr::scalar(regs[0].clone()), false));
                     if regs.len() >= 2 {
                         self.body_suffix.push(Stmt::Rotate(regs));
                     }
@@ -797,7 +1059,7 @@ impl Edits {
                     for &off in &lane.offsets {
                         let p = (off[*window_dim] - lane.lo) as usize;
                         self.load_rewrites
-                            .insert(access(off), Expr::scalar(regs[p].clone()));
+                            .insert(access(off), (Expr::scalar(regs[p].clone()), false));
                     }
                     // Shift by `step` at the end of the body.
                     if carried > 0 && regs.len() >= 2 {
@@ -885,7 +1147,16 @@ fn element_type(kernel: &Kernel, array: &str) -> ScalarType {
 /// Rewrite one body statement through the load/store maps, pushing the
 /// rewritten copy onto `out`.
 fn rewrite_stmt(s: &Stmt, edits: &Edits, out: &mut Vec<Stmt>) {
-    let rewrite_loads = |e: &Expr| e.replace_loads(&mut |a| edits.load_rewrites.get(a).cloned());
+    // `fill`: the expression is the whole right-hand side of an
+    // assignment. A load there already fills a register and is never
+    // hoisted.
+    let rewrite_loads = |e: &Expr, fill: bool| {
+        let fill = fill && matches!(e, Expr::Load(_));
+        e.replace_loads(&mut |a| match edits.load_rewrites.get(a) {
+            Some((reg, hoisted)) if !(fill && *hoisted) => Some(reg.clone()),
+            _ => None,
+        })
+    };
     match s {
         Stmt::Assign { lhs, rhs } => {
             let lhs = match lhs {
@@ -899,7 +1170,7 @@ fn rewrite_stmt(s: &Stmt, edits: &Edits, out: &mut Vec<Stmt>) {
             };
             out.push(Stmt::Assign {
                 lhs,
-                rhs: rewrite_loads(rhs),
+                rhs: rewrite_loads(rhs, true),
             });
         }
         Stmt::If {
@@ -915,175 +1186,12 @@ fn rewrite_stmt(s: &Stmt, edits: &Edits, out: &mut Vec<Stmt>) {
                 v
             };
             out.push(Stmt::If {
-                cond: rewrite_loads(cond),
+                cond: rewrite_loads(cond, false),
                 then_body: rewrite_all(then_body),
                 else_body: rewrite_all(else_body),
             });
         }
         other => out.push(other.clone()),
-    }
-}
-
-/// Hoist every remaining load of a store-free array to the top of the
-/// body, one register per distinct address (loads of the same address
-/// collapse — the paper's `S_0` temporary). Takes the body over and
-/// returns it unchanged when nothing hoists; otherwise the loads are
-/// replaced in place.
-fn hoist_remaining_loads(
-    names: &mut NameGen,
-    info: &mut ScalarReplacementInfo,
-    mut body: Vec<Stmt>,
-    kernel: &Kernel,
-) -> Vec<Stmt> {
-    // Arrays stored anywhere in the (new) body keep their loads in place.
-    let mut stored: HashSet<Name> = HashSet::new();
-    collect_stored_arrays(&body, &mut stored);
-
-    // Distinct loads in first-occurrence order.
-    let mut order: Vec<ArrayAccess> = Vec::new();
-    let mut seen: HashSet<ArrayAccess> = HashSet::new();
-    collect_loads(&body, &stored, &mut seen, &mut order);
-    if order.is_empty() {
-        return body;
-    }
-
-    let mut map: HashMap<ArrayAccess, Expr> = HashMap::new();
-    let mut out: Vec<Stmt> = Vec::with_capacity(order.len() + body.len());
-    for a in order {
-        let ty = element_type(kernel, &a.array);
-        let reg = names.fresh(format!("{}_t{}", a.array.to_lowercase(), map.len()), ty);
-        out.push(Stmt::assign(
-            LValue::scalar(reg.clone()),
-            Expr::Load(a.clone()),
-        ));
-        map.insert(a, Expr::scalar(reg));
-        info.temp_registers += 1;
-    }
-
-    replace_loads_in_stmts(&mut body, &map);
-    out.append(&mut body);
-    out
-}
-
-fn collect_stored_arrays(body: &[Stmt], out: &mut HashSet<Name>) {
-    for s in body {
-        match s {
-            Stmt::Assign { lhs, .. } => {
-                if let Some(a) = lhs.as_array() {
-                    out.insert(a.array.clone());
-                }
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_stored_arrays(then_body, out);
-                collect_stored_arrays(else_body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-fn push_load(
-    a: &ArrayAccess,
-    stored: &HashSet<Name>,
-    seen: &mut HashSet<ArrayAccess>,
-    out: &mut Vec<ArrayAccess>,
-) {
-    if !stored.contains(&a.array) && seen.insert(a.clone()) {
-        out.push(a.clone());
-    }
-}
-
-fn collect_loads(
-    body: &[Stmt],
-    stored: &HashSet<Name>,
-    seen: &mut HashSet<ArrayAccess>,
-    out: &mut Vec<ArrayAccess>,
-) {
-    for s in body {
-        match s {
-            Stmt::Assign { rhs, .. } => {
-                // Loads already feeding a load-hoist register (an
-                // assignment whose rhs is exactly one load) still count —
-                // but chain guards are `If` statements handled below; a
-                // bare `reg = A[..]` prefix line would be double-hoisted,
-                // so skip rhs that is exactly a single load into a scalar
-                // introduced earlier in this same body prefix. Simpler and
-                // sound: skip statements whose rhs is exactly a Load (they
-                // are already single loads into registers).
-                if matches!(rhs, Expr::Load(_)) {
-                    continue;
-                }
-                for a in rhs.loads() {
-                    push_load(a, stored, seen, out);
-                }
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
-                for a in cond.loads() {
-                    push_load(a, stored, seen, out);
-                }
-                // Conditional bodies: hoisting their loads makes them
-                // unconditional, which is what the paper's generated code
-                // does ("always performs conditional memory accesses").
-                // Chain-guard fills (rhs exactly a load) stay conditional.
-                collect_loads(then_body, stored, seen, out);
-                collect_loads(else_body, stored, seen, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Swap every load `map` covers for its register, in place. Register-fill
-/// lines (an rhs that is exactly one load) keep their load.
-fn replace_loads_in_stmts(stmts: &mut [Stmt], map: &HashMap<ArrayAccess, Expr>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { rhs, .. } => {
-                if !matches!(rhs, Expr::Load(_)) {
-                    replace_loads_in_expr(rhs, map);
-                }
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                replace_loads_in_expr(cond, map);
-                replace_loads_in_stmts(then_body, map);
-                replace_loads_in_stmts(else_body, map);
-            }
-            Stmt::For(_) | Stmt::Rotate(_) => {}
-        }
-    }
-}
-
-fn replace_loads_in_expr(e: &mut Expr, map: &HashMap<ArrayAccess, Expr>) {
-    match e {
-        Expr::Int(_) | Expr::Scalar(_) => {}
-        Expr::Load(a) => {
-            if let Some(reg) = map.get(a) {
-                *e = reg.clone();
-            }
-        }
-        Expr::Unary(_, inner) => replace_loads_in_expr(inner, map),
-        Expr::Binary(_, a, b) => {
-            replace_loads_in_expr(a, map);
-            replace_loads_in_expr(b, map);
-        }
-        Expr::Select(c, t, f) => {
-            replace_loads_in_expr(c, map);
-            replace_loads_in_expr(t, map);
-            replace_loads_in_expr(f, map);
-        }
     }
 }
 

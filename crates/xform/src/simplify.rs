@@ -7,7 +7,11 @@
 //!
 //! The by-value folds here are the reference. The prepared path folds
 //! the body it owns in place instead (`simplify_expr_in_place`); both
-//! apply the one rule table, `fold_rule`.
+//! apply the one rule table, [`fold_rule`] (with [`unary_rule`]). The
+//! rules decide over any operand that can say which literal it is
+//! ([`Literal`]), so the tier-0 estimator (`defacto_synth::analytic`)
+//! applies the same rules to its abstract values to know what folding
+//! leaves of a body.
 
 use crate::error::Result;
 use defacto_ir::{BinOp, Expr, Kernel, Loop, Stmt, UnOp};
@@ -128,11 +132,11 @@ pub(crate) fn simplify_expr_in_place(e: &mut Expr) {
 pub(crate) fn refold_in_place(e: &mut Expr) {
     match e {
         Expr::Unary(op, inner) => {
-            if let Some(v) = unary_rule(*op, inner) {
+            if let Some(v) = unary_rule(*op, &**inner) {
                 *e = Expr::Int(v);
             }
         }
-        Expr::Binary(op, a, b) => match fold_rule(*op, a, b) {
+        Expr::Binary(op, a, b) => match fold_rule(*op, &**a, &**b) {
             Fold::Keep => {}
             Fold::Const(v) => *e = Expr::Int(v),
             Fold::Left => *e = take_expr(a),
@@ -148,16 +152,30 @@ fn take_expr(b: &mut Expr) -> Expr {
     std::mem::replace(b, Expr::Int(0))
 }
 
-/// The constant a unary node over `inner` folds to, if any.
-fn unary_rule(op: UnOp, inner: &Expr) -> Option<i64> {
-    match inner {
-        Expr::Int(v) => Some(op.apply(*v)),
-        _ => None,
+/// An operand of the fold rules: all they ask of it is whether it is a
+/// literal, and which.
+pub trait Literal {
+    /// The operand's value when it is a literal.
+    fn literal(&self) -> Option<i64>;
+}
+
+impl Literal for Expr {
+    fn literal(&self) -> Option<i64> {
+        match self {
+            Expr::Int(v) => Some(*v),
+            _ => None,
+        }
     }
 }
 
+/// The constant a unary node over `inner` folds to, if any.
+pub fn unary_rule(op: UnOp, inner: &impl Literal) -> Option<i64> {
+    inner.literal().map(|v| op.apply(v))
+}
+
 /// Outcome of the binary fold rules for one node.
-enum Fold {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
     /// The node folds to this literal.
     Const(i64),
     /// The node folds to its left operand.
@@ -171,21 +189,21 @@ enum Fold {
 /// The binary fold rules — constants and algebraic identities — decided
 /// by reference over already-simplified operands. This is the only place
 /// the rules live: [`fold_binary`] (by value) and [`refold_in_place`]
-/// (in place) both apply it.
-fn fold_rule(op: BinOp, a: &Expr, b: &Expr) -> Fold {
-    match (a, b) {
-        (Expr::Int(x), Expr::Int(y)) => Fold::Const(op.apply(*x, *y)),
+/// (in place) both apply it, and so does the tier-0 estimator.
+pub fn fold_rule<T: Literal>(op: BinOp, a: &T, b: &T) -> Fold {
+    match (a.literal(), b.literal()) {
+        (Some(x), Some(y)) => Fold::Const(op.apply(x, y)),
         // Additive/multiplicative identities.
-        (Expr::Int(0), _) if op == BinOp::Add => Fold::Right,
-        (_, Expr::Int(0)) if matches!(op, BinOp::Add | BinOp::Sub) => Fold::Left,
-        (Expr::Int(1), _) if op == BinOp::Mul => Fold::Right,
-        (_, Expr::Int(1)) if op == BinOp::Mul => Fold::Left,
-        (Expr::Int(0), _) | (_, Expr::Int(0)) if op == BinOp::Mul => Fold::Const(0),
+        (Some(0), _) if op == BinOp::Add => Fold::Right,
+        (_, Some(0)) if matches!(op, BinOp::Add | BinOp::Sub) => Fold::Left,
+        (Some(1), _) if op == BinOp::Mul => Fold::Right,
+        (_, Some(1)) if op == BinOp::Mul => Fold::Left,
+        (Some(0), _) | (_, Some(0)) if op == BinOp::Mul => Fold::Const(0),
         // Bitwise-and with a constant zero kills the expression —
         // this is how dead first-iteration guards disappear.
-        (Expr::Int(0), _) | (_, Expr::Int(0)) if op == BinOp::And => Fold::Const(0),
-        (Expr::Int(0), _) if op == BinOp::Or => Fold::Right,
-        (_, Expr::Int(0)) if op == BinOp::Or => Fold::Left,
+        (Some(0), _) | (_, Some(0)) if op == BinOp::And => Fold::Const(0),
+        (Some(0), _) if op == BinOp::Or => Fold::Right,
+        (_, Some(0)) if op == BinOp::Or => Fold::Left,
         _ => Fold::Keep,
     }
 }
