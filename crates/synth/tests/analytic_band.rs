@@ -3,10 +3,11 @@
 //!
 //! Kernels are drawn from parameterized variants of the paper suite's
 //! shapes (FIR accumulation, stencil windows, matrix product, shifted
-//! copies with a conditional clamp), with random sizes, element types,
-//! constants, and unroll factors, under random transformation and
-//! synthesis options. This is the soundness property branch-and-bound's
-//! pruning rule depends on (see `defacto-core`).
+//! copies with a conditional clamp) and a memory-free rotate chain, with
+//! random sizes, element types, value-range annotations on the loaded
+//! arrays, constants, and unroll factors, under random transformation
+//! and synthesis options. This is the soundness property
+//! branch-and-bound's pruning rule depends on (see `defacto-core`).
 
 use defacto_ir::parse_kernel;
 use defacto_synth::analytic::AnalyticModel;
@@ -27,10 +28,27 @@ fn pick<T: Copy>(options: &[T], idx: usize) -> T {
 }
 
 /// Build one of the template kernels. Returns the source and the loop
-/// trip counts (outermost first).
-fn template_kernel(template: usize, p0: usize, p1: usize, p2: usize) -> (String, Vec<i64>) {
+/// trip counts (outermost first). `range` selects the annotation of the
+/// loaded arrays of the random element type: none, a range far narrower
+/// than the type, or the full `i8`/`u8` range (narrower than the wider
+/// types), signed or unsigned with the type.
+fn template_kernel(
+    template: usize,
+    p0: usize,
+    p1: usize,
+    p2: usize,
+    range: usize,
+) -> (String, Vec<i64>) {
     let ty = pick(&["i8", "i16", "i32", "u8", "u16"], p2);
-    match template % 4 {
+    let signed = ty.starts_with('i');
+    let r = match (range % 3, signed) {
+        (0, _) => "",
+        (1, true) => " range -8..7",
+        (1, false) => " range 0..15",
+        (_, true) => " range -128..127",
+        (_, false) => " range 0..255",
+    };
+    match template % 5 {
         // FIR accumulation, optionally with an added constant.
         0 => {
             let n = pick(&[4i64, 8, 12, 16], p0);
@@ -41,7 +59,7 @@ fn template_kernel(template: usize, p0: usize, p1: usize, p2: usize) -> (String,
             };
             (
                 format!(
-                    "kernel fir {{ in S: {ty}[{}]; in C: {ty}[{taps}]; inout D: i32[{n}];
+                    "kernel fir {{ in S: {ty}[{}]{r}; in C: {ty}[{taps}]{r}; inout D: i32[{n}];
                        for j in 0..{n} {{ for i in 0..{taps} {{
                          D[j] = D[j] + {rhs}; }} }} }}",
                     n + taps
@@ -56,7 +74,7 @@ fn template_kernel(template: usize, p0: usize, p1: usize, p2: usize) -> (String,
             let c1 = pick(&[2i64, 4, 5], p1 / 3);
             (
                 format!(
-                    "kernel st {{ in A: {ty}[{}]; out B: {ty}[{n}];
+                    "kernel st {{ in A: {ty}[{}]{r}; out B: {ty}[{n}];
                        for i in 0..{n} {{
                          B[i] = A[i] / {c0} + A[i + 1] / {c1} + A[i + 2] / {c0}; }} }}",
                     n + 2
@@ -71,7 +89,7 @@ fn template_kernel(template: usize, p0: usize, p1: usize, p2: usize) -> (String,
             let p = pick(&[2i64, 4, 8], p0 / 3 + p1 / 2);
             (
                 format!(
-                    "kernel mm {{ in A: {ty}[{n}][{p}]; in B: {ty}[{p}][{m}]; inout C: i32[{n}][{m}];
+                    "kernel mm {{ in A: {ty}[{n}][{p}]{r}; in B: {ty}[{p}][{m}]{r}; inout C: i32[{n}][{m}];
                        for i in 0..{n} {{ for j in 0..{m} {{ for k in 0..{p} {{
                          C[i][j] = C[i][j] + A[i][k] * B[k][j]; }} }} }} }}"
                 ),
@@ -80,16 +98,29 @@ fn template_kernel(template: usize, p0: usize, p1: usize, p2: usize) -> (String,
         }
         // Shifted copy with a conditional clamp: exercises `if`
         // predication, comparisons, and scalar merges.
-        _ => {
+        3 => {
             let n = pick(&[8i64, 12, 16], p0);
             let sh = pick(&[1i64, 2, 3], p1);
             let cap = pick(&[31i64, 63, 100], p1 / 3);
             (
                 format!(
-                    "kernel cl {{ in A: {ty}[{n}]; out B: i16[{n}];
+                    "kernel cl {{ in A: {ty}[{n}]{r}; out B: i16[{n}];
                        for i in 0..{n} {{
                          B[i] = A[i] << {sh};
                          if (B[i] > {cap}) {{ B[i] = {cap}; }} }} }}"
+                ),
+                vec![n],
+            )
+        }
+        // A body of one or two user rotates and nothing else: no memory
+        // traffic or operator slack hides what the rotates cost.
+        _ => {
+            let n = pick(&[1i64, 2, 4, 8], p0);
+            let second = if p1 % 2 == 0 { "" } else { " rotate(r1, r0);" };
+            (
+                format!(
+                    "kernel rc {{ var r0: {ty}; var r1: {ty};
+                       for j in 0..{n} {{ rotate(r0, r1);{second} }} }}"
                 ),
                 vec![n],
             )
@@ -98,14 +129,15 @@ fn template_kernel(template: usize, p0: usize, p1: usize, p2: usize) -> (String,
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
     fn analytic_band_brackets_full_estimate(
-        template in 0usize..4,
+        template in 0usize..5,
         p0 in 0usize..64,
         p1 in 0usize..64,
         p2 in 0usize..64,
+        range in 0usize..3,
         factor_seed in 0usize..1024,
         opts_bits in 0usize..256,
         budget_sel in 0usize..3,
@@ -113,7 +145,7 @@ proptest! {
         let bit = |i: usize| opts_bits >> i & 1 == 1;
         let (peel, sr, rwe, layout) = (bit(0), bit(1), bit(2), bit(3));
         let (narrow, pack, pipelined, slack) = (bit(4), bit(5), bit(6), bit(7));
-        let (src, trips) = template_kernel(template, p0, p1, p2);
+        let (src, trips) = template_kernel(template, p0, p1, p2, range);
         let factors: Vec<i64> = trips
             .iter()
             .enumerate()

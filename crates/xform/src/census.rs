@@ -163,7 +163,8 @@ pub struct PointCensus {
     pub registers: Vec<RegisterClass>,
     /// Every memory-traffic class of the point, with exact counts.
     pub traffic: Vec<Traffic>,
-    /// Rotate statements executed per jammed body.
+    /// Rotate statements executed per jammed body: the user's, one per
+    /// base-body copy each, and the ones reuse planning inserts.
     pub rotates_per_body: i64,
     /// Guard `==` comparisons per jammed body (chain/window guards).
     pub guard_eqs_per_body: i64,
@@ -237,7 +238,7 @@ impl PreparedKernel {
             dropped_by_budget: 0,
             registers: Vec::new(),
             traffic: Vec::new(),
-            rotates_per_body: 0,
+            rotates_per_body: self.user_rotates() * factors.iter().product::<i64>(),
             guard_eqs_per_body: 0,
             guard_ands_per_body: 0,
             accumulators: Vec::new(),
@@ -528,6 +529,23 @@ impl PreparedKernel {
 /// `strides` (no strides, as for an undeclared array, flatten to 0).
 fn flat(strides: &[i64], off: &[i64]) -> i64 {
     off.iter().zip(strides).map(|(&o, &st)| o * st).sum()
+}
+
+/// User `rotate` statements of a body, branches included: predicated
+/// execution runs both branches of an `if`, so every copy of the body
+/// executes each one.
+pub(crate) fn count_rotates(body: &[Stmt]) -> i64 {
+    body.iter()
+        .map(|s| match s {
+            Stmt::Rotate(_) => 1,
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => count_rotates(then_body) + count_rotates(else_body),
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Record the top-level operator of every base write statement of an

@@ -35,6 +35,7 @@
 //! same binding, same errors. `tests/incremental_equivalence.rs`
 //! enforces this across the paper kernels' full design spaces.
 
+use crate::census::count_rotates;
 use crate::error::{Result, VectorError, XformError};
 use crate::layout::assign_memories;
 use crate::normalize::normalize_loops;
@@ -78,6 +79,8 @@ pub struct PreparedKernel {
     cond_flags: HashMap<AccessId, bool>,
     /// The loads of `base_body` with their sets, for load planning.
     load_sites: Vec<LoadSite>,
+    /// User `rotate` statements of `base_body`, for the census.
+    user_rotates: i64,
     /// Dependences with the nest's bounds, input of jam legality.
     deps: DependenceGraph,
     /// Scalars carrying state across body iterations (rotate chains,
@@ -140,6 +143,7 @@ impl PreparedKernel {
             })
             .collect();
         let load_sites = load_sites(&base_body, &base_table, &base_sets);
+        let user_rotates = count_rotates(&base_body);
         let carried = crate::unroll::carried_scalars(&base_body, &var_refs);
         let trips: Vec<i64> = loops.iter().map(Loop::trip_count).collect();
         let legality = LegalitySummary::from_parts(
@@ -159,6 +163,7 @@ impl PreparedKernel {
             base_sets,
             cond_flags,
             load_sites,
+            user_rotates,
             deps,
             carried,
             legality,
@@ -173,9 +178,9 @@ impl PreparedKernel {
     /// normalized nest is unchanged where it matters:
     ///
     /// - same innermost body and induction variables: the access table,
-    ///   uniform sets, conditional flags, load sites, carried scalars and
-    ///   every cached offset copy carry over (copies offset the base body
-    ///   only, so they are bounds-independent);
+    ///   uniform sets, conditional flags, load sites, user rotates,
+    ///   carried scalars and every cached offset copy carry over (copies
+    ///   offset the base body only, so they are bounds-independent);
     /// - same loop bounds on top of that: the dependence graph carries
     ///   over too, making the reuse total.
     ///
@@ -252,6 +257,7 @@ impl PreparedKernel {
             base_sets: prev.base_sets.clone(),
             cond_flags: prev.cond_flags.clone(),
             load_sites: prev.load_sites.clone(),
+            user_rotates: prev.user_rotates,
             deps,
             carried: prev.carried.clone(),
             legality,
@@ -311,6 +317,10 @@ impl PreparedKernel {
 
     pub(crate) fn load_sites(&self) -> &[LoadSite] {
         &self.load_sites
+    }
+
+    pub(crate) fn user_rotates(&self) -> i64 {
+        self.user_rotates
     }
 
     /// Validate an unroll vector exactly the way [`Self::transform`]

@@ -200,3 +200,50 @@ fn out_array_load_registers_keep_the_band_below_the_estimate() {
         );
     }
 }
+
+/// The DFG charges every `rotate` a cycle and a state, the user's as
+/// much as those reuse planning inserts, but the census once counted
+/// only the latter. For a body of nothing but rotates the band is
+/// exact, so it missed: on pipelined memory and an XCV1000, one rotate
+/// over `0..1` estimated 3 cycles and 365 slices against a band of
+/// `[2, 2]` and `[364, 364]`, and two rotates over `0..4` estimated 13
+/// cycles against `[5, 5]`.
+#[test]
+fn user_rotates_keep_the_band_above_the_estimate() {
+    use defacto_synth::{estimate_opts, AnalyticModel, FpgaDevice, MemoryModel, SynthesisOptions};
+    use defacto_xform::{PreparedKernel, TransformOptions, UnrollVector};
+    use std::sync::Arc;
+
+    let one = "kernel fz_237 { var r0: u32; var r1: u32; for j in 0..1 { rotate(r0, r1); } }";
+    let two = "kernel rp { var r0: u32; var r1: u32;
+        for j in 0..4 { rotate(r0, r1); rotate(r1, r0); } }";
+    let mem = MemoryModel::wildstar_pipelined();
+    let dev = FpgaDevice::virtex1000();
+    let topts = TransformOptions::default();
+    let sopts = SynthesisOptions::default();
+    for (source, factors, cycles) in [(one, vec![1], 3), (two, vec![1, 2, 4], 13)] {
+        let kernel = defacto_ir::parse_kernel(source).expect("parses");
+        let prepared = Arc::new(PreparedKernel::prepare(&kernel).expect("prepares"));
+        let model = AnalyticModel::new(
+            prepared.clone(),
+            mem.clone(),
+            dev.clone(),
+            topts.clone(),
+            sopts.clone(),
+        )
+        .expect("unconstrained");
+        for f in factors {
+            let unroll = UnrollVector(vec![f]);
+            let band = model.evaluate(&unroll).expect("prices");
+            let design = prepared.transform(&unroll, &topts).expect("transforms");
+            let estimate = estimate_opts(&design, &mem, &dev, &sopts);
+            if f == 1 {
+                assert_eq!(estimate.cycles, cycles, "{source}");
+            }
+            assert!(
+                band.contains(&estimate),
+                "{source} at [{f}]: {band:?} misses {estimate:?}"
+            );
+        }
+    }
+}
