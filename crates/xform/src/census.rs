@@ -42,7 +42,7 @@ use crate::scalar::{plan_loads, plan_reuse, Reuse};
 use crate::unroll::offset_tuples;
 use defacto_analysis::{jammed_uniform_sets, UniformSet};
 use defacto_ir::{BinOp, Expr, Name, Stmt};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// When one memory-traffic class executes, relative to the steady nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -413,60 +413,38 @@ impl PreparedKernel {
                 conditional: self.cond_flag(set.members[0]),
             });
         }
-        let sites = self.load_sites();
-        let mut in_place: HashMap<(&str, bool), Vec<i64>> = HashMap::new();
+        // Load classes per array, in array order: in place (0) and in
+        // place under an `if` (1), then hoisted (2).
+        let mut raw: BTreeMap<(&str, u8), Vec<i64>> = BTreeMap::new();
         for run in loads.in_place.chunk_by(|a, b| a.0 == b.0) {
-            let site = &sites[run[0].0];
-            let array = sets[site.set].array.as_str();
+            let site = &self.load_sites()[run[0].0];
             let strides = set_strides[site.set];
-            in_place
-                .entry((array, site.conditional))
+            raw.entry((&sets[site.set].array, u8::from(site.conditional)))
                 .or_default()
                 .extend(run.iter().map(|&(_, o)| flat(strides, o)));
         }
-        let mut hoisted: HashMap<&str, Vec<i64>> = HashMap::new();
         for run in loads.hoisted.chunk_by(|a, b| a.set == b.set) {
             let strides = set_strides[run[0].set];
-            hoisted
-                .entry(sets[run[0].set].array.as_str())
+            raw.entry((&sets[run[0].set].array, 2))
                 .or_default()
                 .extend(run.iter().map(|h| flat(strides, h.offsets)));
         }
-        let mut raw_arrays: Vec<&str> = in_place
-            .keys()
-            .map(|&(a, _)| a)
-            .chain(hoisted.keys().copied())
-            .collect();
-        raw_arrays.sort_unstable();
-        raw_arrays.dedup();
-        for array in raw_arrays {
+        for ((array, class), offs) in raw {
             let bits = elem_bits(array);
-            for cond in [false, true] {
-                if let Some(offs) = in_place.remove(&(array, cond)) {
-                    c.traffic.push(Traffic {
-                        array: array.to_string(),
-                        is_write: false,
-                        elem_bits: bits,
-                        kind: TrafficKind::Body,
-                        flat_offsets: offs,
-                        conditional: cond,
-                    });
-                }
-            }
-            if let Some(offs) = hoisted.remove(array) {
+            if class == 2 {
                 c.temp_registers += offs.len();
                 *reg_classes.entry((bits, true)).or_insert(0) += offs.len();
-                // Hoisting fills the temps in an unconditional prefix, so
-                // these loads survive any branch folding.
-                c.traffic.push(Traffic {
-                    array: array.to_string(),
-                    is_write: false,
-                    elem_bits: bits,
-                    kind: TrafficKind::Body,
-                    flat_offsets: offs,
-                    conditional: false,
-                });
             }
+            // Hoisting fills the temps in an unconditional prefix, so
+            // hoisted loads survive any branch folding.
+            c.traffic.push(Traffic {
+                array: array.to_string(),
+                is_write: false,
+                elem_bits: bits,
+                kind: TrafficKind::Body,
+                flat_offsets: offs,
+                conditional: class == 1,
+            });
         }
 
         // Peeling also splits levels whose variable a *user* guard tests
