@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use crate::grammar::generate_kernel;
 use crate::oracle::{check_case, CaseOutcome, Oracle, OracleConfig, Profile, Violation};
@@ -129,16 +130,23 @@ impl FuzzReport {
 /// oracle's guards; the default panic hook is silenced for the duration
 /// so expected probe panics don't spam stderr.
 pub fn run_campaign(cfg: &CampaignConfig) -> FuzzReport {
+    run_kernels(cfg, 0..cfg.count as u64)
+}
+
+/// Run only the campaign's kernels `indices`, each exactly as the whole
+/// campaign runs it, so the reports of disjoint ranges add up to the
+/// campaign's report. `cfg.count` is not consulted.
+pub fn run_kernels(cfg: &CampaignConfig, indices: Range<u64>) -> FuzzReport {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let report = run_campaign_inner(cfg);
+    let report = run_kernels_inner(cfg, indices);
     std::panic::set_hook(prev_hook);
     report
 }
 
-fn run_campaign_inner(cfg: &CampaignConfig) -> FuzzReport {
+fn run_kernels_inner(cfg: &CampaignConfig, indices: Range<u64>) -> FuzzReport {
     let mut report = FuzzReport::default();
-    for index in 0..cfg.count as u64 {
+    for index in indices {
         let source = generate_kernel(cfg.seed, index);
         report.generated += 1;
         for profile in &cfg.profiles {

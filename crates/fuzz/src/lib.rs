@@ -30,7 +30,9 @@ pub mod oracle;
 pub mod rng;
 pub mod shrink;
 
-pub use campaign::{replay_source, run_campaign, CampaignConfig, FoundBug, FuzzReport};
+pub use campaign::{
+    replay_source, run_campaign, run_kernels, CampaignConfig, FoundBug, FuzzReport,
+};
 pub use grammar::{generate_kernel, Shape};
 pub use oracle::{check_case, CaseOutcome, Oracle, OracleConfig, Profile, Violation};
 pub use rng::SplitMix64;

@@ -34,8 +34,8 @@ use defacto::{
 };
 use defacto_ir::{canonicalize, parse_kernel, run_with_inputs, ArrayKind, Kernel};
 use defacto_synth::{
-    estimate_opts, AnalyticBand, AnalyticModel, EstimatePlan, FpgaDevice, MemoryModel,
-    SynthesisOptions,
+    estimate_opts, AnalyticBand, AnalyticModel, EstimatePlan, FpgaDevice, ListPriority,
+    MemoryModel, SynthesisOptions,
 };
 use defacto_xform::{PreparedKernel, UnrollVector, XformError};
 
@@ -386,10 +386,11 @@ fn check_case_inner(
     }
 
     // Oracle 3b: the tier-0 analytic band must contain the exact tier-1
-    // estimate at every sampled point, under every narrowing/packing
-    // flag pair.
+    // estimate at every sampled point, under both list priorities and
+    // every narrowing/packing flag pair.
     let mut topts = explorer.transform_options().clone();
     topts.verify_each_pass = false;
+    const PRIORITIES: [ListPriority; 2] = [ListPriority::Asap, ListPriority::Slack];
     const FLAGS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
     let prepared = match guarded("prepare", || PreparedKernel::prepare(&kernel))? {
         Ok(p) => Arc::new(p),
@@ -400,11 +401,16 @@ fn check_case_inner(
             })
         }
     };
-    let mut models = Vec::with_capacity(FLAGS.len());
-    for (narrow, pack) in FLAGS {
+    let configs: Vec<(ListPriority, (bool, bool))> = PRIORITIES
+        .iter()
+        .flat_map(|&priority| FLAGS.iter().map(move |&flags| (priority, flags)))
+        .collect();
+    let mut models = Vec::with_capacity(configs.len());
+    for &(priority, (narrow, pack)) in &configs {
         let sopts = SynthesisOptions {
             bitwidth_narrowing: narrow,
             pack_small_types: pack,
+            priority,
             ..SynthesisOptions::default()
         };
         let model = guarded("analytic-model", || {
@@ -418,11 +424,11 @@ fn check_case_inner(
         })?;
         models.extend(model);
     }
-    if models.len() == FLAGS.len() {
+    if models.len() == configs.len() {
         for &u in &points {
-            let mut bands = Vec::with_capacity(FLAGS.len());
-            for (flags, model) in FLAGS.iter().zip(&models) {
-                let stage = format!("band{flags:?}@{:?}", u.factors());
+            let mut bands = Vec::with_capacity(configs.len());
+            for ((priority, flags), model) in configs.iter().zip(&models) {
+                let stage = format!("band{priority:?}{flags:?}@{:?}", u.factors());
                 match guarded(&stage, || model.evaluate(u))? {
                     Ok(b) => bands.push((stage, b)),
                     Err(e) => {
@@ -445,14 +451,22 @@ fn check_case_inner(
                 }
             };
             let estimates = guarded(&format!("estimate@{:?}", u.factors()), || {
-                EstimatePlan::new(
-                    &design,
-                    &profile.memory,
-                    &profile.device,
-                    &SynthesisOptions::default(),
-                    true,
-                )
-                .estimates(&FLAGS)
+                PRIORITIES
+                    .iter()
+                    .flat_map(|&priority| {
+                        EstimatePlan::new(
+                            &design,
+                            &profile.memory,
+                            &profile.device,
+                            &SynthesisOptions {
+                                priority,
+                                ..SynthesisOptions::default()
+                            },
+                            true,
+                        )
+                        .estimates(&FLAGS)
+                    })
+                    .collect::<Vec<_>>()
             })?;
             for ((stage, band), estimate) in bands.into_iter().zip(&estimates) {
                 if !band.contains(estimate) {
