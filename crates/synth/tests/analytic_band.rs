@@ -116,7 +116,11 @@ fn template_kernel(
         // traffic or operator slack hides what the rotates cost.
         _ => {
             let n = pick(&[1i64, 2, 4, 8], p0);
-            let second = if p1 % 2 == 0 { "" } else { " rotate(r1, r0);" };
+            let second = if p1.is_multiple_of(2) {
+                ""
+            } else {
+                " rotate(r1, r0);"
+            };
             (
                 format!(
                     "kernel rc {{ var r0: {ty}; var r1: {ty};

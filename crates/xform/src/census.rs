@@ -238,7 +238,7 @@ impl PreparedKernel {
             dropped_by_budget: 0,
             registers: Vec::new(),
             traffic: Vec::new(),
-            rotates_per_body: self.user_rotates() * factors.iter().product::<i64>(),
+            rotates_per_body: self.user_rotates() * copies as i64,
             guard_eqs_per_body: 0,
             guard_ands_per_body: 0,
             accumulators: Vec::new(),

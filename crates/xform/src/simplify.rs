@@ -174,7 +174,7 @@ pub fn unary_rule(op: UnOp, inner: &impl Literal) -> Option<i64> {
 }
 
 /// Outcome of the binary fold rules for one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum Fold {
     /// The node folds to this literal.
     Const(i64),
@@ -188,8 +188,8 @@ pub enum Fold {
 
 /// The binary fold rules — constants and algebraic identities — decided
 /// by reference over already-simplified operands. This is the only place
-/// the rules live: [`fold_binary`] (by value) and [`refold_in_place`]
-/// (in place) both apply it, and so does the tier-0 estimator.
+/// the rules live: `fold_binary` (by value) and `refold_in_place` (in
+/// place) both apply it, and so does the tier-0 estimator.
 pub fn fold_rule<T: Literal>(op: BinOp, a: &T, b: &T) -> Fold {
     match (a.literal(), b.literal()) {
         (Some(x), Some(y)) => Fold::Const(op.apply(x, y)),

@@ -136,7 +136,10 @@ fn shards_add_up_to_the_campaign_lines() -> Result<(), String> {
     let mut total = FuzzReport::default();
     for shard in &SHARDS {
         if shard.kernels.start != next {
-            return Err(format!("shard {:?} does not start at {next}", shard.kernels));
+            return Err(format!(
+                "shard {:?} does not start at {next}",
+                shard.kernels
+            ));
         }
         next = shard.kernels.end;
         let kernels = (shard.kernels.end - shard.kernels.start) as usize;
