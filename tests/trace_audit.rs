@@ -6,7 +6,8 @@
 //! scheduling one), and (c) agrees with the un-traced run. The plain
 //! [`run_search`] entry point and [`Explorer::explore`] must also agree
 //! on cache accounting for the same serial run, since both sit on a
-//! single cache layer.
+//! single cache layer. The same audit runs on every example kernel file
+//! at both fidelities, as `defacto audit` does.
 
 use defacto::prelude::*;
 use defacto::{run_search, to_jsonl, SearchConfig};
@@ -39,6 +40,59 @@ fn audit_is_clean_on_every_paper_kernel_at_every_worker_count() {
                     assert_eq!(selected, &r.selected.unroll, "{name}");
                 }
                 other => panic!("{name}: trace does not end in Terminate: {other:?}"),
+            }
+        }
+    }
+}
+
+/// The kernel files under `examples/kernels`, by file name.
+fn example_kernels() -> Vec<(String, defacto_ir::Kernel)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/kernels");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples/kernels is readable")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "kernel"))
+        .collect();
+    files.sort();
+    files
+        .into_iter()
+        .map(|path| {
+            let source = std::fs::read_to_string(&path).expect("kernel file is readable");
+            let kernel = defacto_ir::parse_kernel(&source)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (path.display().to_string(), kernel)
+        })
+        .collect()
+}
+
+/// `defacto audit FILE --threads W --fidelity F` on every example kernel
+/// file: the trace audits clean and ends by selecting the result.
+#[test]
+fn audit_is_clean_on_every_example_kernel_file_at_both_fidelities() {
+    let kernels = example_kernels();
+    let files: Vec<&str> = kernels.iter().map(|(file, _)| file.as_str()).collect();
+    assert_eq!(files.len(), 5, "example kernels: {files:?}");
+    for (file, kernel) in &kernels {
+        for workers in WORKER_COUNTS {
+            for fidelity in [Fidelity::Full, Fidelity::Analytic] {
+                let sink = Arc::new(MemorySink::new());
+                let ex = Explorer::new(kernel)
+                    .threads(workers)
+                    .fidelity(fidelity)
+                    .trace(sink.clone());
+                let r = ex.explore().expect("search succeeds");
+                let (sat, space) = ex.analyze().expect("analysis succeeds");
+                let events = sink.events();
+                let report = audit_search_trace(&events, &space, &sat);
+                let at = format!("{file} at {workers} workers, {fidelity:?}");
+                assert!(report.is_clean(), "{at}: {report}");
+                assert!(report.checks > 0, "{at}");
+                match events.last() {
+                    Some(TraceEvent::Terminate { selected, .. }) => {
+                        assert_eq!(selected, &r.selected.unroll, "{at}");
+                    }
+                    other => panic!("{at}: trace does not end in Terminate: {other:?}"),
+                }
             }
         }
     }
