@@ -16,9 +16,10 @@
 //!    point × device profile: interpreter semantics of original vs. fully
 //!    transformed designs, per-pass verification, full sweep vs. pruned
 //!    branch-and-bound agreement plus tier-0 band containment of the exact
-//!    estimate, and
-//!    clean deterministic search traces at 1 and 8 workers. Every stage
-//!    runs under a panic guard: a panic is always a violation.
+//!    estimate, clean deterministic search traces at 1 and 8 workers, and
+//!    every value the interpreter writes inside its inferred range and
+//!    narrowed width. Every stage runs under a panic guard: a panic is
+//!    always a violation.
 //! 3. [`shrink`](mod@shrink) — greedy minimization of failures into small, parseable
 //!    reproducers for `tests/fuzz_corpus/`.
 //! 4. [`campaign`] — the driver tying it together, exposed on the CLI as
