@@ -512,6 +512,30 @@ fn gen_statement(b: &mut Builder<'_>, out: &str) -> Vec<String> {
                 format!("{dst} = {t} * 2;"),
             ]
         }
+        // A four-register delay line: each value reaches `dst` four
+        // iterations after it is loaded, so range inference needs more
+        // passes than its cap and must widen to stay sound.
+        96..=99 => {
+            let regs: Vec<String> = ["d0", "d1", "d2", "d3"]
+                .iter()
+                .map(|r| b.scalar(r))
+                .collect();
+            let a0 = {
+                let subs = b.dense_subs(&zero_offs);
+                b.access("A", "in", &subs)
+            };
+            let dst = {
+                let subs = b.dense_subs(&zero_offs);
+                b.access(out, "out", &subs)
+            };
+            vec![
+                format!("{dst} = {};", regs[3]),
+                format!("{} = {};", regs[3], regs[2]),
+                format!("{} = {};", regs[2], regs[1]),
+                format!("{} = {};", regs[1], regs[0]),
+                format!("{} = {a0};", regs[0]),
+            ]
+        }
         // Rotating register pair.
         _ => {
             let r0 = b.scalar("r0");

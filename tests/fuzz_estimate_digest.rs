@@ -13,7 +13,8 @@
 //! most two adders and least-slack-first priority. The `Debug` text of
 //! every estimate feeds one FNV-1a digest, recorded before the estimator's
 //! allocation sweep, fetch sharing, range fixpoint and DFG builder were
-//! reworked.
+//! reworked, and re-recorded when the grammar gained a delay-line
+//! statement group, which changed 17 of the 300 generated kernels.
 
 use defacto::{lint_source, Explorer};
 use defacto_fuzz::generate_kernel;
@@ -100,7 +101,7 @@ fn generated_kernel_estimates_are_pinned() {
     }
     assert_eq!(
         (estimates, kernels_with_if, hash),
-        (5760, 62, 0xe677_86e0_8e0c_89a4),
+        (5760, 62, 0xe23a_11ab_38d6_5b12),
         "generated-kernel estimates moved: {estimates} estimates, \
          {kernels_with_if} kernels with `if`, digest {hash:#018x}"
     );

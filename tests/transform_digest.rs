@@ -12,7 +12,9 @@
 //! estimate stays the same.
 //!
 //! Each digest is FNV-1a over the text of the results in enumeration
-//! order, errors included.
+//! order, errors included. The generated digest was re-recorded when the
+//! grammar gained a delay-line statement group, which changed 17 of the
+//! 300 generated kernels.
 
 use defacto::{lint_source, Axis, Explorer, JointPoint};
 use defacto_fuzz::generate_kernel;
@@ -140,7 +142,7 @@ fn generated_joint_space_designs_are_pinned() {
     }
     assert_eq!(
         (digest.count, digest.hash),
-        (31496, 0x3a11_983e_7314_f8db),
+        (31496, 0x1cfe_1a61_de4b_938c),
         "generated designs moved: {} designs, digest {:#018x}",
         digest.count,
         digest.hash
