@@ -69,7 +69,7 @@ pub use decl::{ArrayDecl, ArrayKind, ScalarDecl};
 pub use diag::{Diagnostic, Severity};
 pub use error::{IrError, Result};
 pub use expr::{ArrayAccess, BinOp, Expr, UnOp};
-pub use interp::{run_with_inputs, ExecStats, Interpreter, Workspace};
+pub use interp::{run_with_inputs, ExecStats, Interpreter, Workspace, Written};
 pub use kernel::{DeclIndex, Kernel, NestView};
 pub use name::Name;
 pub use parser::{parse_kernel, parse_kernel_with_spans};
