@@ -9,8 +9,10 @@
 //! - **rules** — checks over a successfully parsed kernel
 //!   ([`rules::all`]): out-of-bounds constant accesses (`DF005`), unused
 //!   declarations (`DF006`), dependence structure that blocks every jam
-//!   (`DF007`) and write-write conflicts that defeat scalar replacement's
-//!   redundant-write elimination (`DF008`).
+//!   (`DF007`), write-write conflicts that defeat scalar replacement's
+//!   redundant-write elimination (`DF008`), degenerate loops (`DF010`),
+//!   pinned interchange (`DF011`), inert packing (`DF012`) and rotate
+//!   chains of mixed register types (`DF013`).
 //!
 //! The capacity rule `DF009` needs synthesis estimates and therefore
 //! lives upstack in the `defacto` core crate, which composes it with this

@@ -1,4 +1,4 @@
-//! The kernel-level lint rules (`DF005`–`DF008`, `DF010`–`DF012`).
+//! The kernel-level lint rules (`DF005`–`DF008`, `DF010`–`DF013`).
 
 use super::{LintContext, LintRule};
 use crate::access::AccessTable;
@@ -7,8 +7,8 @@ use crate::legality::LegalitySummary;
 use crate::range::Interval;
 use crate::uniform::uniform_sets;
 use defacto_ir::diag::{codes, Diagnostic};
-use defacto_ir::stmt::collect_accesses;
-use defacto_ir::{ArrayAccess, Expr, LValue, Name, Stmt};
+use defacto_ir::stmt::{collect_accesses, walk_stmts};
+use defacto_ir::{ArrayAccess, Expr, LValue, Name, ScalarType, Stmt};
 use std::collections::{HashMap, HashSet};
 
 /// All kernel-level rules, in reporting order.
@@ -21,6 +21,7 @@ pub fn all() -> Vec<Box<dyn LintRule>> {
         Box::new(DegenerateLoop),
         Box::new(InterchangePinned),
         Box::new(PackingInert),
+        Box::new(RotateMixedTypes),
     ]
 }
 
@@ -542,10 +543,82 @@ impl LintRule for PackingInert {
     }
 }
 
+/// `DF013`: a user `rotate` moves values between registers of different
+/// declared types. Each move would wrap at its target's width, so the
+/// chain no longer rotates the values it holds; the IR verifier rejects
+/// such a chain (`DF103`) only after loop normalization, and this rule
+/// reports it at the front end, at the first register whose type
+/// differs from the chain's first.
+pub struct RotateMixedTypes;
+
+impl LintRule for RotateMixedTypes {
+    fn code(&self) -> &'static str {
+        codes::ROTATE_MIXED_TYPES
+    }
+
+    fn name(&self) -> &'static str {
+        "rotate-mixed-types"
+    }
+
+    fn check(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+        let mut diags = Vec::new();
+        walk_stmts(ctx.kernel.body(), &mut |s| {
+            let Stmt::Rotate(regs) = s else {
+                return;
+            };
+            let typed: Vec<(&Name, ScalarType)> = regs
+                .iter()
+                .filter_map(|r| ctx.kernel.scalar(r).map(|d| (r, d.ty)))
+                .collect();
+            let Some(&(first, ty)) = typed.first() else {
+                return;
+            };
+            let Some(&(other, other_ty)) = typed.iter().find(|(_, t)| *t != ty) else {
+                return;
+            };
+            diags.push(
+                Diagnostic::error(
+                    codes::ROTATE_MIXED_TYPES,
+                    format!(
+                        "rotate chain ({}) mixes element types: `{first}` is {ty} but \
+                         `{other}` is {other_ty}",
+                        regs.join(", ")
+                    ),
+                )
+                .with_span_opt(ctx.spans.and_then(|sp| sp.decl(other)))
+                .with_help("declare every register of a rotate chain with one type"),
+            );
+        });
+        diags
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lint::lint_source;
+
+    #[test]
+    fn mixed_type_rotate_is_an_error_at_the_differing_register() {
+        let src = "kernel m { in A: u16[8]; out B: u16[8]; var r0: u16; var r1: i8;
+               for i in 0..8 { r0 = A[i]; B[i] = r1; rotate(r0, r1); } }";
+        let report = lint_source(src);
+        let d = report
+            .diagnostics
+            .iter()
+            .find(|d| d.code == codes::ROTATE_MIXED_TYPES)
+            .expect("DF013 reported");
+        assert!(d.is_error());
+        assert!(d.message.contains("`r1` is i8"), "{}", d.message);
+        let span = d.primary.expect("points at a declaration");
+        assert!(src[span.start..span.end].contains("r1"));
+        // One type throughout: nothing to report.
+        let same = lint_source(&src.replace("var r1: i8", "var r1: u16"));
+        assert!(!same
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::ROTATE_MIXED_TYPES));
+    }
 
     #[test]
     fn out_of_bounds_constant_access_is_reported() {

@@ -48,21 +48,19 @@
 //! the end with exactly the keys the walk inserted, so every result is
 //! the walk's; a property test keeps the walk as the reference.
 //!
-//! Names resolve by the address of their shared allocation first and by
-//! their text on a miss. Clones of a [`Name`] share one allocation, and
-//! a transformed body is mostly clones, so nearly every reference costs
-//! one integer hash. Two allocations of one identifier (a parsed body
-//! has one per reference) meet in the text map. An address identifies
-//! its text only while the allocation lives, so only names borrowed from
-//! the kernel are keyed by address: the kernel outlives the lowering,
-//! and no key's allocation can be freed and reused for another name
-//! while the map holds it.
+//! Body names resolve through a [`NameResolver`]: by the address of
+//! their shared allocation first and by their text on a miss. Clones of
+//! a [`Name`] share one allocation, and a transformed body is mostly
+//! clones, so nearly every reference costs one integer hash. Two
+//! allocations of one identifier (a parsed body has one per reference)
+//! meet in the text map.
 
+use defacto_ir::name::Found;
 use defacto_ir::{
-    ArrayDecl, ArrayKind, BinOp, DeclIndex, Expr, Kernel, LValue, Name, ScalarType, Stmt, UnOp,
+    ArrayDecl, ArrayKind, BinOp, DeclIndex, Expr, Kernel, LValue, Name, NameResolver, ScalarType,
+    Stmt, UnOp,
 };
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// An inclusive integer interval.
 ///
@@ -483,19 +481,10 @@ enum Op {
     Union,
 }
 
-/// The dense slots of one namespace.
-///
-/// A body name resolves by the address of its shared allocation first,
-/// which every clone of the name shares, and by its text on a miss, so
-/// two allocations of one identifier still share a slot. Only names
-/// borrowed from the kernel are keyed by address: the kernel outlives
-/// the lowering, so no address is freed and reused for another name
-/// while the map holds it.
+/// The dense slots of one namespace. Body names resolve through one
+/// [`NameResolver`], by address and then by text; declarations by text.
 struct Slots<'k> {
-    by_addr: HashMap<usize, u32, BuildHasherDefault<AddrHasher>>,
-    /// Identifiers come from kernel sources, so they keep the default
-    /// hasher.
-    by_text: HashMap<&'k str, u32>,
+    names: NameResolver<'k>,
     slots: Vec<Slot<'k>>,
 }
 
@@ -520,30 +509,18 @@ enum SlotName<'k> {
 impl<'k> Slots<'k> {
     fn with_capacity(declared: usize) -> Self {
         Slots {
-            by_addr: HashMap::default(),
-            by_text: HashMap::with_capacity(declared),
+            names: NameResolver::with_capacity(declared),
             slots: Vec::with_capacity(declared),
         }
     }
 
-    /// The slot of `text`, made with `name` and the type `ty` resolves
-    /// when the text is new.
-    fn slot(
-        &mut self,
-        text: &'k str,
-        name: SlotName<'k>,
-        ty: impl FnOnce() -> Option<ScalarType>,
-    ) -> u32 {
-        let next = self.slots.len() as u32;
-        let slot = *self.by_text.entry(text).or_insert(next);
-        if slot == next {
-            self.slots.push(Slot {
-                name,
-                full: ty().map_or(I32_RANGE, Interval::of_type),
-                initial: None,
-            });
-        }
-        slot
+    /// A new slot reporting under `name`, of the type `ty` resolves.
+    fn push(&mut self, name: SlotName<'k>, ty: Option<ScalarType>) {
+        self.slots.push(Slot {
+            name,
+            full: ty.map_or(I32_RANGE, Interval::of_type),
+            initial: None,
+        });
     }
 
     /// Declare `text` with the entry it starts at; a later declaration
@@ -554,26 +531,22 @@ impl<'k> Slots<'k> {
         initial: Interval,
         ty: impl FnOnce() -> Option<ScalarType>,
     ) {
-        let slot = self.slot(text, SlotName::Decl(text), ty);
+        let (slot, new) = self.names.text(text);
+        if new {
+            self.push(SlotName::Decl(text), ty());
+        }
         self.slots[slot as usize].initial = Some(initial);
     }
 
-    /// The slot of a body name.
+    /// The slot of a body name. The slot reports under the body name
+    /// from then on, which clones without allocating.
     fn resolve(&mut self, name: &'k Name, ty: impl FnOnce() -> Option<ScalarType>) -> u32 {
-        let addr = name.as_str().as_ptr() as usize;
-        if let Some(&slot) = self.by_addr.get(&addr) {
-            return slot;
+        let (slot, found) = self.names.resolve(name);
+        match found {
+            Found::Address => {}
+            Found::Text => self.slots[slot as usize].name = SlotName::Body(name),
+            Found::New => self.push(SlotName::Body(name), ty()),
         }
-        let slot = self.body_slot(name, ty);
-        self.by_addr.insert(addr, slot);
-        slot
-    }
-
-    /// The slot of a body name by its text; the slot reports under the
-    /// name from then on, which clones without allocating.
-    fn body_slot(&mut self, name: &'k Name, ty: impl FnOnce() -> Option<ScalarType>) -> u32 {
-        let slot = self.slot(name.as_str(), SlotName::Body(name), ty);
-        self.slots[slot as usize].name = SlotName::Body(name);
         slot
     }
 
@@ -594,28 +567,6 @@ impl<'k> Slots<'k> {
             SlotName::Body(name) => name.clone(),
             SlotName::Decl(text) => Name::from(text),
         })
-    }
-}
-
-/// Hashes an allocation's address with one multiply. An address is no
-/// input anyone chooses, so nothing can craft keys that collide.
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        // The table indexes by the low bits, which a multiply mixes least.
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_usize(usize::from(b));
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 

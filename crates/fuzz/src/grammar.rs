@@ -560,6 +560,7 @@ fn gen_statement(b: &mut Builder<'_>, out: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use defacto_ir::diag::codes;
 
     #[test]
     fn generation_is_deterministic() {
@@ -577,11 +578,28 @@ mod tests {
             let k = defacto_ir::parse_kernel(&src)
                 .unwrap_or_else(|e| panic!("clean kernel must parse: {e}\n{src}"));
             let report = defacto_analysis::lint_kernel(&k);
+            // The rotate body draws each register's type on its own, so a
+            // clean shape can rotate mixed types. Lint rejects exactly
+            // those (DF013), and so does the IR verifier (DF103).
+            let codes: Vec<&str> = report
+                .diagnostics
+                .iter()
+                .filter(|d| d.is_error())
+                .map(|d| d.code)
+                .collect();
             assert!(
-                !report.has_errors(),
+                codes.iter().all(|&c| c == codes::ROTATE_MIXED_TYPES),
                 "clean kernel must lint clean:\n{src}\n{:?}",
                 report.diagnostics
             );
+            if !codes.is_empty() {
+                assert!(
+                    defacto_ir::verify(&k)
+                        .iter()
+                        .any(|d| d.code == codes::V_TYPE_WIDTH),
+                    "the verifier accepts a rotate lint rejects:\n{src}"
+                );
+            }
             parsed += 1;
         }
         assert_eq!(parsed, 60);

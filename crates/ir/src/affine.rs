@@ -148,6 +148,13 @@ impl AffineExpr {
         vars.iter().map(|v| self.coeff(v)).collect()
     }
 
+    /// Whether `self` and `other` have equal [`Self::coeff_vector`]s over
+    /// `vars`, without building either. Equal term lists settle it at
+    /// once; copies of one subscript share theirs.
+    pub(crate) fn same_coeffs(&self, other: &AffineExpr, vars: &[&str]) -> bool {
+        self.same_terms(other) || vars.iter().all(|v| self.coeff(v) == other.coeff(v))
+    }
+
     /// Add `c * var` in place.
     pub fn add_term(&mut self, var: impl Into<Name>, c: i64) {
         if c == 0 {

@@ -47,6 +47,9 @@ pub mod codes {
     /// width already fills the memory word, or its access stride defeats
     /// word-packing alignment.
     pub const PACKING_INERT: &str = "DF012";
+    /// A `rotate` chain names registers of different declared types: the
+    /// front-end form of the verifier's `DF103`.
+    pub const ROTATE_MIXED_TYPES: &str = "DF013";
     /// Verifier: use of an undeclared or never-written name.
     pub const V_UNDECLARED: &str = "DF101";
     /// Verifier: subscript arity differs from the declared dimensions.

@@ -177,6 +177,17 @@ impl ArrayAccess {
         self.indices.iter().map(|e| e.coeff_vector(vars)).collect()
     }
 
+    /// Whether `self` and `other` have equal [`Self::coeff_signature`]s
+    /// over `vars`, without building either.
+    pub fn same_signature(&self, other: &ArrayAccess, vars: &[&str]) -> bool {
+        self.indices.len() == other.indices.len()
+            && self
+                .indices
+                .iter()
+                .zip(&other.indices)
+                .all(|(a, b)| a.same_coeffs(b, vars))
+    }
+
     /// The per-dimension constant terms.
     pub fn constant_offsets(&self) -> Vec<i64> {
         self.indices.iter().map(|e| e.constant_term()).collect()
@@ -261,7 +272,9 @@ impl Expr {
         out
     }
 
-    fn visit_loads<'a>(&'a self, f: &mut impl FnMut(&'a ArrayAccess)) {
+    /// Visit every array load in the expression by reference, in the
+    /// order of [`Self::loads`].
+    pub(crate) fn visit_loads<'a>(&'a self, f: &mut impl FnMut(&'a ArrayAccess)) {
         match self {
             Expr::Int(_) | Expr::Scalar(_) => {}
             Expr::Load(a) => f(a),

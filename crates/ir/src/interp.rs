@@ -272,12 +272,7 @@ impl<'k> Interpreter<'k> {
                 let v = self.eval(rhs, env, ws, stats)?;
                 match lhs {
                     LValue::Scalar(name) => {
-                        let ty = self
-                            .kernel
-                            .scalar(name)
-                            .map(|d| d.ty)
-                            .unwrap_or(ScalarType::I32);
-                        let v = ty.wrap(v);
+                        let v = self.scalar_type(name).wrap(v);
                         obs.scalar(name, v);
                         env.scalars.insert(name.clone(), v);
                     }
@@ -339,20 +334,32 @@ impl<'k> Interpreter<'k> {
             }
             Stmt::Rotate(regs) => {
                 stats.stmts += 1;
-                // Left rotation: r0 <- r1 <- ... <- rk <- (old r0).
+                // Left rotation: r0 <- r1 <- ... <- rk <- (old r0). Each
+                // moved value wraps at its target's declared type, as an
+                // assignment's does.
                 if regs.len() >= 2 {
                     let first = *env.scalars.get(&regs[0]).unwrap_or(&0);
-                    for w in 0..regs.len() - 1 {
-                        let next = *env.scalars.get(&regs[w + 1]).unwrap_or(&0);
-                        obs.scalar(&regs[w], next);
-                        env.scalars.insert(regs[w].clone(), next);
+                    for w in 0..regs.len() {
+                        let v = match regs.get(w + 1) {
+                            Some(next) => *env.scalars.get(next).unwrap_or(&0),
+                            None => first,
+                        };
+                        let v = self.scalar_type(&regs[w]).wrap(v);
+                        obs.scalar(&regs[w], v);
+                        env.scalars.insert(regs[w].clone(), v);
                     }
-                    obs.scalar(&regs[regs.len() - 1], first);
-                    env.scalars.insert(regs[regs.len() - 1].clone(), first);
                 }
             }
         }
         Ok(())
+    }
+
+    /// The declared type of scalar `name`, `i32` when undeclared.
+    fn scalar_type(&self, name: &str) -> ScalarType {
+        self.kernel
+            .scalar(name)
+            .map(|d| d.ty)
+            .unwrap_or(ScalarType::I32)
     }
 
     fn resolve(&self, a: &ArrayAccess, env: &Env, ws: &Workspace) -> Result<(i64, ScalarType)> {
@@ -520,6 +527,23 @@ mod tests {
         assert!(!arrays.contains_key("A"), "loads are not writes");
         let (plain, plain_stats) = run_with_inputs(&k, &[("A", input.to_vec())]).unwrap();
         assert_eq!((ws, stats), (plain, plain_stats));
+    }
+
+    #[test]
+    fn rotated_values_wrap_to_each_register_type() {
+        let k = parse_kernel(
+            "kernel r { in A: u16[3]; out B: i32[3]; var r0: u16; var r1: i8;
+               for i in 0..3 { r0 = A[i]; rotate(r0, r1); B[i] = r1; } }",
+        )
+        .unwrap();
+        let mut ws = Workspace::for_kernel(&k);
+        ws.set_array("A", &[300, 65535, 7]).unwrap();
+        let (_, [scalars, _]) = Interpreter::new(&k).run_observed(&mut ws).unwrap();
+        // 300 and 65535 land in the i8 register as 44 and -1.
+        assert_eq!(ws.array("B").unwrap(), &[44, -1, 7]);
+        assert_eq!(scalars["r1"], (-1, 44));
+        // The -1 rotates back into the u16 register as 65535.
+        assert_eq!(scalars["r0"], (0, 65535));
     }
 
     #[test]

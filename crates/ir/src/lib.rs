@@ -71,7 +71,7 @@ pub use error::{IrError, Result};
 pub use expr::{ArrayAccess, BinOp, Expr, UnOp};
 pub use interp::{run_with_inputs, ExecStats, Interpreter, Workspace, Written};
 pub use kernel::{DeclIndex, Kernel, NestView};
-pub use name::Name;
+pub use name::{Name, NameResolver};
 pub use parser::{parse_kernel, parse_kernel_with_spans};
 pub use span::{Span, SpanMap};
 pub use stmt::{LValue, Loop, Stmt};

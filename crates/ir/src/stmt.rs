@@ -173,26 +173,28 @@ pub fn walk_stmts<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
     }
 }
 
+/// Visit every array access in `stmts` (reads and writes, recursively)
+/// by reference, with whether it is a write, in program order: an
+/// assignment's loads before its store, a condition's loads before its
+/// branches.
+pub fn visit_accesses<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a ArrayAccess, bool)) {
+    walk_stmts(stmts, &mut |s| match s {
+        Stmt::Assign { lhs, rhs } => {
+            rhs.visit_loads(&mut |a| f(a, false));
+            if let Some(a) = lhs.as_array() {
+                f(a, true);
+            }
+        }
+        Stmt::If { cond, .. } => cond.visit_loads(&mut |a| f(a, false)),
+        _ => {}
+    });
+}
+
 /// Collect every array access in `stmts` (reads and writes, recursively),
 /// as `(access, is_write)` pairs in program order.
 pub fn collect_accesses(stmts: &[Stmt]) -> Vec<(ArrayAccess, bool)> {
     let mut out = Vec::new();
-    walk_stmts(stmts, &mut |s| match s {
-        Stmt::Assign { lhs, rhs } => {
-            for a in rhs.loads() {
-                out.push((a.clone(), false));
-            }
-            if let Some(a) = lhs.as_array() {
-                out.push((a.clone(), true));
-            }
-        }
-        Stmt::If { cond, .. } => {
-            for a in cond.loads() {
-                out.push((a.clone(), false));
-            }
-        }
-        _ => {}
-    });
+    visit_accesses(stmts, &mut |a, is_write| out.push((a.clone(), is_write)));
     out
 }
 

@@ -21,10 +21,12 @@
 use crate::oplib::{op_spec, HwOp};
 use crate::schedule::Step;
 use defacto_analysis::{narrowed_bits, Interval, RangeInfo};
-use defacto_ir::{ArrayAccess, BinOp, DeclIndex, Expr, Kernel, LValue, Name, ScalarType, Stmt};
-use defacto_xform::layout::ArrayLayout;
+use defacto_ir::name::Found;
+use defacto_ir::{
+    ArrayAccess, BinOp, DeclIndex, Expr, Kernel, LValue, Name, NameResolver, ScalarType, Stmt,
+};
+use defacto_xform::layout::{ArrayLayout, BoundArray};
 use defacto_xform::MemoryBinding;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Scalar names assigned (or rotated) in `stmts`, in program order with
@@ -342,13 +344,17 @@ impl FlagDfg {
         ranges: Option<&RangeInfo>,
         pack_word_bits: Option<u32>,
     ) -> FlagDfg {
+        let stmts = stmts.into_iter();
         let mut b = Builder {
             dfg: FlagDfg::default(),
             decls,
             binding,
             ranges,
             pack_word_bits,
-            scalar_numbers: HashMap::new(),
+            // Room for about one scalar per statement: growing both maps
+            // from empty cost the many-register segments of matrix
+            // multiply more than sizing them up front.
+            scalar_names: NameResolver::with_capacity(stmts.size_hint().0),
             scalars: Vec::new(),
             defs: Vec::new(),
             arrays: Vec::new(),
@@ -543,9 +549,12 @@ impl FlagDfg {
 }
 
 /// Lowers one segment into a [`FlagDfg`]. Names are borrowed from the
-/// statements (`'s`). Scalars are numbered on first reference and arrays
-/// on first access, so each name is looked up once per reference and
-/// its declaration and whole-kernel range once per segment.
+/// statements (`'s`), which outlive the builder. Scalars are numbered on
+/// first reference through a [`NameResolver`], so a reference to a clone
+/// of a name seen before costs one hash of its address, and a scalar's
+/// declaration and whole-kernel range are looked up once per segment.
+/// Arrays are numbered on first access by a scan of the few arrays
+/// seen so far.
 struct Builder<'s, 'a> {
     dfg: FlagDfg,
     decls: &'a DeclIndex<'a>,
@@ -554,15 +563,15 @@ struct Builder<'s, 'a> {
     ranges: Option<&'a RangeInfo>,
     /// Memory word width for the packed annotation.
     pack_word_bits: Option<u32>,
-    /// Scalar numbers by name.
-    scalar_numbers: HashMap<&'s str, usize>,
+    /// Scalar numbers, by address and then by text.
+    scalar_names: NameResolver<'s>,
     /// Scalars, indexed by their number.
     scalars: Vec<ScalarSlot>,
     /// Current producer of each scalar, by number. The only state an
     /// `if` saves and restores.
     defs: Vec<Option<NodeId>>,
     /// Arrays, indexed by their number.
-    arrays: Vec<ArraySlot<'s>>,
+    arrays: Vec<ArraySlot<'s, 'a>>,
     /// Lazily created shared source node.
     source: Option<NodeId>,
 }
@@ -588,21 +597,21 @@ impl ScalarSlot {
 }
 
 /// What the builder knows about one array of the segment.
-struct ArraySlot<'s> {
+struct ArraySlot<'s, 'a> {
     name: &'s Name,
     /// Element width.
     bits: u32,
     /// Element interval (narrowing only).
     interval: Option<Interval>,
-    /// Layout across the memories (packed placement).
-    layout: Option<ArrayLayout>,
+    /// Layout and strides across the memories.
+    bound: BoundArray<'a>,
     /// Last store (for load→store ordering).
     last_store: Option<NodeId>,
     /// Loads since the last store (for store→load ordering).
     loads_since_store: Vec<NodeId>,
 }
 
-impl<'s> Builder<'s, '_> {
+impl<'s, 'a> Builder<'s, 'a> {
     fn source(&mut self) -> NodeId {
         match self.source {
             Some(s) => s,
@@ -616,26 +625,24 @@ impl<'s> Builder<'s, '_> {
 
     /// The number of scalar `name`, assigned on first reference.
     fn scalar(&mut self, name: &'s Name) -> usize {
-        match self.scalar_numbers.entry(name.as_str()) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let decl = self.decls.scalar(name).map(|d| d.ty);
-                // Loop index variables: 16-bit counters.
-                let declared = decl.map(ScalarType::bits).unwrap_or(16);
-                let whole = self.ranges.map(|info| info.var(name));
-                self.scalars.push(ScalarSlot {
-                    bits: Widths {
-                        wide: declared,
-                        narrow: whole.map_or(declared, |i| narrowed_bits(i, declared)),
-                    },
-                    ty: decl.unwrap_or(ScalarType::I32),
-                    whole,
-                    def_range: None,
-                });
-                self.defs.push(None);
-                *e.insert(self.scalars.len() - 1)
-            }
+        let (number, found) = self.scalar_names.resolve(name);
+        if found == Found::New {
+            let decl = self.decls.scalar(name).map(|d| d.ty);
+            // Loop index variables: 16-bit counters.
+            let declared = decl.map(ScalarType::bits).unwrap_or(16);
+            let whole = self.ranges.map(|info| info.var(name));
+            self.scalars.push(ScalarSlot {
+                bits: Widths {
+                    wide: declared,
+                    narrow: whole.map_or(declared, |i| narrowed_bits(i, declared)),
+                },
+                ty: decl.unwrap_or(ScalarType::I32),
+                whole,
+                def_range: None,
+            });
+            self.defs.push(None);
         }
+        number as usize
     }
 
     /// The number of `array`, assigned on first access.
@@ -647,7 +654,7 @@ impl<'s> Builder<'s, '_> {
                     name: array,
                     bits: self.decls.array(array).map(|a| a.ty.bits()).unwrap_or(32),
                     interval: self.ranges.map(|info| info.array(array)),
-                    layout: self.binding.layout(array),
+                    bound: self.binding.array(array),
                     last_store: None,
                     loads_since_store: Vec::new(),
                 });
@@ -777,9 +784,9 @@ impl<'s> Builder<'s, '_> {
     }
 
     fn store(&mut self, a: &'s ArrayAccess, value: NodeId) {
-        let bank = self.binding.bank_of(a);
         let array = self.array(&a.array);
         let slot = &mut self.arrays[array as usize];
+        let bank = slot.bound.bank_of(a);
         let bits = slot.bits;
         let mut preds = vec![value];
         if let Some(prev) = slot.last_store {
@@ -837,15 +844,16 @@ impl<'s> Builder<'s, '_> {
                 // layout — packed arrays distribute cyclically by *word*
                 // (phaseless), so the elements of one word actually live
                 // together.
+                let bound = self.arrays[n].bound;
                 let unpacked = Place {
-                    bank: self.binding.bank_of(a),
+                    bank: bound.bank_of(a),
                     word: None,
                 };
                 let packed = match self.pack_word_bits {
                     Some(word_bits) if mem_bits < word_bits => {
                         let epw = (word_bits / mem_bits).max(1) as i64;
-                        let word = self.binding.flat_offset(a).div_euclid(epw);
-                        let bank = match self.arrays[n].layout {
+                        let word = bound.flat_offset(a).div_euclid(epw);
+                        let bank = match bound.layout() {
                             Some(ArrayLayout::Single { bank }) => bank,
                             _ => {
                                 word.rem_euclid(self.binding.num_memories().max(1) as i64) as usize
@@ -997,7 +1005,7 @@ impl<'s> Builder<'s, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use defacto_ir::parse_kernel;
+    use defacto_ir::{parse_kernel, AffineExpr};
     use defacto_xform::assign_memories;
 
     fn dfg_for(src: &str) -> (Dfg, Kernel) {
@@ -1192,6 +1200,47 @@ mod tests {
             .find(|n| matches!(n.kind, NodeKind::Store { .. }))
             .unwrap();
         assert!(store.preds.contains(&rot.id));
+    }
+
+    #[test]
+    fn one_scalar_through_two_allocations_lowers_like_one() {
+        let k = parse_kernel(
+            "kernel a { in A: i16[8] range 0..100; out B: i32[8]; var t: i32;
+               for i in 0..8 { t = A[i]; B[i] = t * t + t; } }",
+        )
+        .unwrap();
+        let binding = assign_memories(&k, 2);
+        let info = defacto_analysis::infer_ranges(&k);
+        let a_i = || Expr::load1("A", AffineExpr::var("i"));
+        let body = |write: Name, reads: [Name; 3]| {
+            let [r0, r1, r2] = reads;
+            vec![
+                Stmt::assign(LValue::Scalar(write), a_i()),
+                Stmt::assign(
+                    LValue::Array(ArrayAccess::new("B", vec![AffineExpr::var("i")])),
+                    Expr::add(
+                        Expr::mul(Expr::scalar(r0), Expr::scalar(r1)),
+                        Expr::scalar(r2),
+                    ),
+                ),
+            ]
+        };
+        let t = Name::from("t");
+        let shared = body(t.clone(), [t.clone(), t.clone(), t]);
+        // The write and the reads split over two allocations of `t`.
+        let (t1, t2) = (Name::from("t"), Name::from("t"));
+        assert!(!std::ptr::eq(t1.as_str(), t2.as_str()));
+        let split = body(t1.clone(), [t2.clone(), t1, t2]);
+        for ranges in [None, Some(&info)] {
+            let opts = DfgOptions {
+                ranges,
+                pack_word_bits: Some(32),
+            };
+            assert_eq!(
+                build_dfg_opts(&split, &k, &binding, &opts),
+                build_dfg_opts(&shared, &k, &binding, &opts),
+            );
+        }
     }
 
     #[test]

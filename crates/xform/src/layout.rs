@@ -18,7 +18,7 @@
 //! contends for. A one-memory binding models the "no custom layout"
 //! ablation.
 
-use defacto_ir::stmt::collect_accesses;
+use defacto_ir::stmt::visit_accesses;
 use defacto_ir::{ArrayAccess, Kernel};
 use std::collections::HashMap;
 
@@ -57,30 +57,64 @@ impl MemoryBinding {
         self.layouts.get(array).copied()
     }
 
+    /// The binding of one array, looked up once, for placing many of
+    /// its accesses.
+    pub fn array(&self, array: &str) -> BoundArray<'_> {
+        BoundArray {
+            num_memories: self.num_memories,
+            layout: self.layout(array),
+            strides: self.strides.get(array).map(Vec::as_slice),
+        }
+    }
+
     /// The memory bank an access contends for, evaluated at the
     /// representative iteration (all loop indices zero). For cyclic
     /// arrays the *relative* bank pattern of a loop body is
     /// iteration-invariant, which is what port scheduling needs.
     pub fn bank_of(&self, access: &ArrayAccess) -> usize {
-        if self.num_memories <= 1 {
-            return 0;
-        }
-        match self.layouts.get(access.array.as_str()) {
-            Some(&layout) => bank_under(layout, self.flat_offset(access), self.num_memories),
-            // Unbound arrays (e.g. introduced after binding) default to
-            // bank 0.
-            None => 0,
-        }
+        self.array(&access.array).bank_of(access)
     }
 
     /// Row-major flattened constant offset of an access (the varying
     /// part of the subscripts contributes nothing — this is the same
     /// representative-iteration view `bank_of` uses).
     pub fn flat_offset(&self, access: &ArrayAccess) -> i64 {
-        match self.strides.get(access.array.as_str()) {
-            Some(strides) => flat_offset(access, strides),
+        self.array(&access.array).flat_offset(access)
+    }
+}
+
+/// One array's part of a [`MemoryBinding`]: its layout and row-major
+/// strides, found once by name.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundArray<'b> {
+    num_memories: usize,
+    layout: Option<ArrayLayout>,
+    strides: Option<&'b [i64]>,
+}
+
+impl BoundArray<'_> {
+    /// The array's layout, if it was bound.
+    pub fn layout(&self) -> Option<ArrayLayout> {
+        self.layout
+    }
+
+    /// [`MemoryBinding::bank_of`] for an access to this array.
+    pub fn bank_of(&self, access: &ArrayAccess) -> usize {
+        if self.num_memories <= 1 {
+            return 0;
+        }
+        match self.layout {
+            Some(layout) => bank_under(layout, self.flat_offset(access), self.num_memories),
+            // Unbound arrays (e.g. introduced after binding) default to
+            // bank 0.
             None => 0,
         }
+    }
+
+    /// [`MemoryBinding::flat_offset`] for an access to this array.
+    pub fn flat_offset(&self, access: &ArrayAccess) -> i64 {
+        self.strides
+            .map_or(0, |strides| flat_offset(access, strides))
     }
 }
 
@@ -104,6 +138,23 @@ fn bank_under(layout: ArrayLayout, flat: i64, num_memories: usize) -> usize {
     }
 }
 
+/// The accesses of one array, grouped in one walk of the body.
+struct Accessed<'k> {
+    /// The array's first access: every other one is compared with its
+    /// signature.
+    first: &'k ArrayAccess,
+    /// The array's row-major strides (none for an undeclared array).
+    strides: &'k [i64],
+    /// Positions among all accesses of the array's first read and first
+    /// write.
+    first_read: Option<usize>,
+    first_write: Option<usize>,
+    /// All accesses share the first one's coefficient signature.
+    uniform: bool,
+    /// Row-major flat constant offset of every access.
+    offsets: Vec<i64>,
+}
+
 /// Compute the memory binding for a (transformed) kernel.
 ///
 /// Call this *before* peeling: peeled copies change coefficient
@@ -112,7 +163,6 @@ fn bank_under(layout: ArrayLayout, flat: i64, num_memories: usize) -> usize {
 /// accesses because it only reads constant offsets.
 pub fn assign_memories(kernel: &Kernel, num_memories: usize) -> MemoryBinding {
     let m = num_memories.max(1);
-    let accesses = collect_accesses(kernel.body());
     let vars: Vec<String> = kernel.loop_vars();
     let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
 
@@ -126,61 +176,74 @@ pub fn assign_memories(kernel: &Kernel, num_memories: usize) -> MemoryBinding {
         strides.insert(a.name.clone(), s);
     }
 
-    // Renamability: all accesses of the array share one signature.
-    let mut signatures: HashMap<&str, Vec<Vec<Vec<i64>>>> = HashMap::new();
-    for (acc, _) in &accesses {
-        let sig = acc.coeff_signature(&var_refs);
-        let sigs = signatures.entry(acc.array.as_str()).or_default();
-        if !sigs.contains(&sig) {
-            sigs.push(sig);
-        }
-    }
+    // Group the accesses by array in order of first access. An array is
+    // renamable when all its accesses share one signature.
+    let mut arrays: Vec<Accessed<'_>> = Vec::new();
+    let mut position = 0;
+    visit_accesses(kernel.body(), &mut |acc, is_write| {
+        let at = match arrays.iter().position(|g| g.first.array == acc.array) {
+            Some(at) => at,
+            None => {
+                arrays.push(Accessed {
+                    first: acc,
+                    strides: strides
+                        .get(acc.array.as_str())
+                        .map_or(&[][..], Vec::as_slice),
+                    first_read: None,
+                    first_write: None,
+                    uniform: true,
+                    offsets: Vec::new(),
+                });
+                arrays.len() - 1
+            }
+        };
+        let g = &mut arrays[at];
+        let first = if is_write {
+            &mut g.first_write
+        } else {
+            &mut g.first_read
+        };
+        first.get_or_insert(position);
+        g.uniform = g.uniform && acc.same_signature(g.first, &var_refs);
+        g.offsets.push(flat_offset(acc, g.strides));
+        position += 1;
+    });
 
     // Greedy phase/bank selection, reads before writes, in program order
-    // of first appearance.
-    let mut order: Vec<&str> = Vec::new();
-    for (acc, is_write) in accesses.iter().filter(|(_, w)| !w) {
-        let _ = is_write;
-        if !order.contains(&acc.array.as_str()) {
-            order.push(&acc.array);
-        }
-    }
-    for (acc, _) in accesses.iter().filter(|(_, w)| *w) {
-        if !order.contains(&acc.array.as_str()) {
-            order.push(&acc.array);
-        }
-    }
+    // of first appearance: read arrays by first read, then write-only
+    // arrays by first write.
+    arrays.sort_by_key(|g| (g.first_read.is_none(), g.first_read.or(g.first_write)));
 
     let mut bank_load = vec![0usize; m];
+    let mut load = vec![0usize; m];
+    let mut profile = vec![0usize; m];
     let mut layouts: HashMap<String, ArrayLayout> = HashMap::new();
 
-    for array in order {
-        let renamable = signatures.get(array).map(|s| s.len() == 1).unwrap_or(true);
-        let candidates: Vec<ArrayLayout> = if renamable && m > 1 {
-            (0..m).map(|phase| ArrayLayout::Cyclic { phase }).collect()
-        } else {
-            (0..m).map(|bank| ArrayLayout::Single { bank }).collect()
-        };
+    for g in &arrays {
         // Pick the candidate minimizing the per-bank load profile
         // (compared as the descending-sorted load vector, so a spread of
         // [2,1,1,0] beats a pile-up of [2,2,0,0]); ties keep the first
         // candidate, so the outcome is deterministic.
         let mut best: Option<(Vec<usize>, ArrayLayout, Vec<usize>)> = None;
-        let array_strides = strides.get(array).map(Vec::as_slice).unwrap_or(&[]);
-        for cand in candidates {
-            let mut load = bank_load.clone();
-            for (acc, _) in accesses.iter().filter(|(a, _)| a.array == array) {
-                load[bank_under(cand, flat_offset(acc, array_strides), m)] += 1;
+        for c in 0..m {
+            let cand = if g.uniform && m > 1 {
+                ArrayLayout::Cyclic { phase: c }
+            } else {
+                ArrayLayout::Single { bank: c }
+            };
+            load.copy_from_slice(&bank_load);
+            for &flat in &g.offsets {
+                load[bank_under(cand, flat, m)] += 1;
             }
-            let mut profile = load.clone();
+            profile.copy_from_slice(&load);
             profile.sort_unstable_by(|a, b| b.cmp(a));
-            if best.as_ref().map(|(b, _, _)| profile < *b).unwrap_or(true) {
-                best = Some((profile, cand, load));
+            if best.as_ref().is_none_or(|(b, _, _)| profile < *b) {
+                best = Some((profile.clone(), cand, load.clone()));
             }
         }
-        let (_, chosen, load) = best.expect("at least one candidate");
-        layouts.insert(array.to_string(), chosen);
-        bank_load = load;
+        let (_, chosen, chosen_load) = best.expect("at least one candidate");
+        layouts.insert(g.first.array.to_string(), chosen);
+        bank_load = chosen_load;
     }
 
     MemoryBinding {

@@ -42,7 +42,7 @@ use crate::normalize::normalize_loops;
 use crate::peel::peel_first_iterations_lite;
 use crate::pipeline::{TransformOptions, TransformedDesign, UnrollVector};
 use crate::scalar::{
-    load_sites, materialize, plan_reuse, LoadSite, ScalarInput, ScalarReplacementInfo,
+    access_sites, materialize, plan_reuse, LoadSite, ScalarInput, ScalarReplacementInfo, StoreSite,
 };
 use crate::simplify::simplify_stmts;
 use crate::unroll::offset_tuples;
@@ -79,6 +79,8 @@ pub struct PreparedKernel {
     cond_flags: HashMap<AccessId, bool>,
     /// The loads of `base_body` with their sets, for load planning.
     load_sites: Vec<LoadSite>,
+    /// The stores of `base_body` with their sets.
+    store_sites: Vec<StoreSite>,
     /// User `rotate` statements of `base_body`, for the census.
     user_rotates: i64,
     /// Dependences with the nest's bounds, input of jam legality.
@@ -142,7 +144,7 @@ impl PreparedKernel {
                 (s.members[0], any)
             })
             .collect();
-        let load_sites = load_sites(&base_body, &base_table, &base_sets);
+        let (load_sites, store_sites) = access_sites(&base_body, &base_table, &base_sets);
         let user_rotates = count_rotates(&base_body);
         let carried = crate::unroll::carried_scalars(&base_body, &var_refs);
         let trips: Vec<i64> = loops.iter().map(Loop::trip_count).collect();
@@ -163,6 +165,7 @@ impl PreparedKernel {
             base_sets,
             cond_flags,
             load_sites,
+            store_sites,
             user_rotates,
             deps,
             carried,
@@ -178,7 +181,7 @@ impl PreparedKernel {
     /// normalized nest is unchanged where it matters:
     ///
     /// - same innermost body and induction variables: the access table,
-    ///   uniform sets, conditional flags, load sites, user rotates,
+    ///   uniform sets, conditional flags, load and store sites, user rotates,
     ///   carried scalars and every cached offset copy carry over (copies
     ///   offset the base body only, so they are bounds-independent);
     /// - same loop bounds on top of that: the dependence graph carries
@@ -257,6 +260,7 @@ impl PreparedKernel {
             base_sets: prev.base_sets.clone(),
             cond_flags: prev.cond_flags.clone(),
             load_sites: prev.load_sites.clone(),
+            store_sites: prev.store_sites.clone(),
             user_rotates: prev.user_rotates,
             deps,
             carried: prev.carried.clone(),
@@ -498,6 +502,7 @@ impl PreparedKernel {
                     body: &body_refs,
                     sets: &sets,
                     sites: &self.load_sites,
+                    stores: &self.store_sites,
                     copies: copies.len(),
                 },
                 &plan,

@@ -120,6 +120,8 @@ pub(crate) struct ScalarInput<'a> {
     pub sets: &'a [UniformSet],
     /// The loads of one base-body copy, in program order.
     pub sites: &'a [LoadSite],
+    /// The stores of one base-body copy, in program order.
+    pub stores: &'a [StoreSite],
     /// Base-body copies `body` is made of (`sets` are copy-major).
     pub copies: usize,
 }
@@ -162,6 +164,7 @@ pub fn scalar_replace(
         opts,
     );
     let body_refs: Vec<&Stmt> = body.iter().collect();
+    let (sites, stores) = access_sites(body, &table, &sets);
     let (final_body, decls, info) = materialize(
         kernel,
         &ScalarInput {
@@ -169,7 +172,8 @@ pub fn scalar_replace(
             vars: &vars,
             body: &body_refs,
             sets: &sets,
-            sites: &load_sites(body, &table, &sets),
+            sites: &sites,
+            stores: &stores,
             copies: 1,
         },
         &plan,
@@ -603,10 +607,23 @@ pub(crate) struct LoadSite {
     pub conditional: bool,
 }
 
-/// The load sites of a base body, in program order. The `k`-th load
-/// occurrence is the `k`-th read of the body's access table: both walk
-/// the statements, a condition before its branches, in the same order.
-pub(crate) fn load_sites(body: &[Stmt], table: &AccessTable, sets: &[UniformSet]) -> Vec<LoadSite> {
+/// The store of a base body: its write set and its position among that
+/// set's base members, like [`LoadSite::member`].
+#[derive(Debug, Clone)]
+pub(crate) struct StoreSite {
+    set: usize,
+    member: usize,
+}
+
+/// The load and store sites of a base body, each in program order. The
+/// `k`-th load occurrence is the `k`-th read of the body's access table:
+/// both walk the statements, a condition before its branches, in the
+/// same order. The stores are the table's writes.
+pub(crate) fn access_sites(
+    body: &[Stmt],
+    table: &AccessTable,
+    sets: &[UniformSet],
+) -> (Vec<LoadSite>, Vec<StoreSite>) {
     // `(set, member)` of every access.
     let mut place = vec![None; table.len()];
     for (set, s) in sets.iter().enumerate() {
@@ -616,7 +633,7 @@ pub(crate) fn load_sites(body: &[Stmt], table: &AccessTable, sets: &[UniformSet]
     }
     let mut occurrences = Vec::new();
     collect_load_occurrences(body, false, &mut occurrences);
-    occurrences
+    let loads = occurrences
         .iter()
         .zip(table.reads())
         .filter_map(|(&(access, sole, conditional), read)| {
@@ -629,7 +646,15 @@ pub(crate) fn load_sites(body: &[Stmt], table: &AccessTable, sets: &[UniformSet]
                 conditional,
             })
         })
-        .collect()
+        .collect();
+    let stores = table
+        .writes()
+        .filter_map(|write| {
+            let (set, member) = place[write.id.0]?;
+            Some(StoreSite { set, member })
+        })
+        .collect();
+    (loads, stores)
 }
 
 /// Collect every load occurrence of a body with its context: whether it
@@ -829,12 +854,13 @@ pub(crate) fn materialize(
         body,
         sets,
         sites,
+        stores,
         copies,
     } = *input;
     let depth = loops.len();
     let mut names = NameGen::new(kernel, vars);
     let mut info = plan.info();
-    let mut edits = Edits::new(depth);
+    let mut edits = Edits::new(depth, sets.len());
     for reuse in &plan.decisions {
         edits.add(reuse, &sets[reuse.set()], vars, kernel, &mut names);
     }
@@ -856,18 +882,38 @@ pub(crate) fn materialize(
         let access = access_of(&set.array, &set.signature, vars, hoist.offsets);
         new_body.push(Stmt::assign(
             LValue::scalar(reg.clone()),
-            Expr::Load(access.clone()),
+            Expr::Load(access),
         ));
-        edits
-            .load_rewrites
-            .insert(access, (Expr::scalar(reg), true));
+        edits.rewrite(hoist.set, hoist.offsets, reg, true);
+    }
+    for registers in &mut edits.rewrites {
+        registers.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        debug_assert!(registers.windows(2).all(|w| w[0].0 != w[1].0));
     }
 
     // Rewrite the innermost body: the one copy of the (shared) jammed
-    // statements, which every later stage rewrites in place.
+    // statements, which every later stage rewrites in place. Copy `t`
+    // is the `t`-th run of base-body statements.
     new_body.append(&mut edits.body_prefix);
-    for &s in body {
-        rewrite_stmt(s, &edits, &mut new_body);
+    let per_copy = body.len() / copies;
+    for (copy, stmts) in body.chunks(per_copy.max(1)).enumerate() {
+        let mut rewriter = Rewriter {
+            edits: &edits,
+            sets,
+            sites,
+            stores,
+            copies,
+            copy,
+            next_load: 0,
+            next_store: 0,
+        };
+        for &s in stmts {
+            rewriter.stmt(s, &mut new_body);
+        }
+        debug_assert_eq!(
+            (rewriter.next_load, rewriter.next_store),
+            (sites.len(), stores.len())
+        );
     }
     new_body.append(&mut edits.body_suffix);
 
@@ -904,7 +950,7 @@ fn wrap_loop(template: &Loop, body: Vec<Stmt>) -> Stmt {
 
 /// The statements a plan adds around and inside the nest, and the
 /// load/store rewrites it applies to the body.
-struct Edits {
+struct Edits<'a> {
     /// Per level: statements at the top of that loop's body (hoisted
     /// loads), only used for levels shallower than the innermost.
     pre: Vec<Vec<Stmt>>,
@@ -919,16 +965,16 @@ struct Edits {
     top: Vec<Stmt>,
     /// After the whole nest.
     bottom: Vec<Stmt>,
-    /// Load rewrites: exact access → replacement register read, and
-    /// whether the register is a hoisted temporary (a load that already
-    /// fills a register keeps its address).
-    load_rewrites: HashMap<ArrayAccess, (Expr, bool)>,
-    /// Store rewrites: exact access → register name.
-    store_rewrites: HashMap<ArrayAccess, Name>,
+    /// Per set: the register that replaces the set's accesses at each
+    /// rewritten offset row, sorted by row once every rewrite is in, and
+    /// whether it is a hoisted temporary (a load that already fills a
+    /// register keeps its address). Read sets rewrite loads and write
+    /// sets stores, so one table serves both.
+    rewrites: Vec<Vec<(&'a [i64], Name, bool)>>,
 }
 
-impl Edits {
-    fn new(depth: usize) -> Self {
+impl<'a> Edits<'a> {
+    fn new(depth: usize, sets: usize) -> Self {
         Edits {
             pre: vec![Vec::new(); depth],
             post: vec![Vec::new(); depth],
@@ -936,16 +982,27 @@ impl Edits {
             body_suffix: Vec::new(),
             top: Vec::new(),
             bottom: Vec::new(),
-            load_rewrites: HashMap::new(),
-            store_rewrites: HashMap::new(),
+            rewrites: vec![Vec::new(); sets],
         }
+    }
+
+    /// Replace the accesses of `set` at `offsets` by `reg`.
+    fn rewrite(&mut self, set: usize, offsets: &'a [i64], reg: Name, hoisted: bool) {
+        self.rewrites[set].push((offsets, reg, hoisted));
+    }
+
+    /// The register replacing the accesses of `set` at `offsets`, if any.
+    fn register(&self, set: usize, offsets: &[i64]) -> Option<&(&'a [i64], Name, bool)> {
+        let registers = &self.rewrites[set];
+        let at = registers.binary_search_by(|r| r.0.cmp(offsets)).ok()?;
+        Some(&registers[at])
     }
 
     /// Add one decision's registers, statements and rewrites. `set` is
     /// the decision's [`Reuse::set`].
     fn add(
         &mut self,
-        reuse: &Reuse<'_>,
+        reuse: &Reuse<'a>,
         set: &UniformSet,
         vars: &[Name],
         kernel: &Kernel,
@@ -960,41 +1017,48 @@ impl Edits {
         let first_iteration =
             |level: usize| Expr::bin(BinOp::Eq, Expr::scalar(&vars[level]), Expr::Int(0));
         match reuse {
-            Reuse::Accumulator { level, slots, .. } => {
+            Reuse::Accumulator {
+                read,
+                write,
+                level,
+                slots,
+            } => {
                 for slot in slots {
                     let reg = names.fresh(format!("{base}_{}", join_offsets(slot.offset)), ty);
                     let access = access(slot.offset);
-                    if slot.read {
+                    if let Some(read) = read.filter(|_| slot.read) {
                         // Hoisted initializing load.
                         self.pre[*level].push(fill(&reg, access.clone()));
-                        self.load_rewrites
-                            .insert(access.clone(), (Expr::scalar(reg.clone()), false));
+                        self.rewrite(read, slot.offset, reg.clone(), false);
                     }
                     if slot.written {
                         // Sunk final store; intermediate stores are
                         // eliminated.
                         self.post[*level].push(Stmt::assign(
-                            LValue::Array(access.clone()),
+                            LValue::Array(access),
                             Expr::scalar(reg.clone()),
                         ));
-                        self.store_rewrites.insert(access, reg);
+                        self.rewrite(*write, slot.offset, reg, false);
                     }
                 }
             }
-            Reuse::Hoisted { level, offsets, .. } => {
-                for off in offsets {
+            Reuse::Hoisted {
+                read,
+                level,
+                offsets,
+            } => {
+                for &off in offsets {
                     let reg = names.fresh(format!("{base}_{}", join_offsets(off)), ty);
-                    let access = access(off);
                     let at = match level {
                         Some(l) => &mut self.pre[*l],
                         None => &mut self.top,
                     };
-                    at.push(fill(&reg, access.clone()));
-                    self.load_rewrites
-                        .insert(access, (Expr::scalar(reg), false));
+                    at.push(fill(&reg, access(off)));
+                    self.rewrite(*read, off, reg, false);
                 }
             }
             Reuse::Chain {
+                read,
                 level,
                 invariant_levels,
                 lanes,
@@ -1008,24 +1072,23 @@ impl Edits {
                     .fold(first_iteration(*level), |c, &l| {
                         Expr::bin(BinOp::And, c, first_iteration(l))
                     });
-                for (lane_idx, lane_off) in lanes.iter().enumerate() {
+                for (lane_idx, &lane_off) in lanes.iter().enumerate() {
                     let regs: Vec<Name> = (0..*length)
                         .map(|p| names.fresh(format!("{base}_{lane_idx}_{p}"), ty))
                         .collect();
-                    let access = access(lane_off);
                     self.body_prefix.push(Stmt::If {
                         cond: cond.clone(),
-                        then_body: vec![fill(&regs[0], access.clone())],
+                        then_body: vec![fill(&regs[0], access(lane_off))],
                         else_body: vec![],
                     });
-                    self.load_rewrites
-                        .insert(access, (Expr::scalar(regs[0].clone()), false));
+                    self.rewrite(*read, lane_off, regs[0].clone(), false);
                     if regs.len() >= 2 {
                         self.body_suffix.push(Stmt::Rotate(regs));
                     }
                 }
             }
             Reuse::Window {
+                read,
                 level,
                 window_dim,
                 step,
@@ -1058,8 +1121,7 @@ impl Edits {
                     // Body reads come from window positions.
                     for &off in &lane.offsets {
                         let p = (off[*window_dim] - lane.lo) as usize;
-                        self.load_rewrites
-                            .insert(access(off), (Expr::scalar(regs[p].clone()), false));
+                        self.rewrite(*read, off, regs[p].clone(), false);
                     }
                     // Shift by `step` at the end of the body.
                     if carried > 0 && regs.len() >= 2 {
@@ -1144,54 +1206,95 @@ fn element_type(kernel: &Kernel, array: &str) -> ScalarType {
     kernel.array(array).map(|a| a.ty).unwrap_or(ScalarType::I32)
 }
 
-/// Rewrite one body statement through the load/store maps, pushing the
-/// rewritten copy onto `out`.
-fn rewrite_stmt(s: &Stmt, edits: &Edits, out: &mut Vec<Stmt>) {
-    // `fill`: the expression is the whole right-hand side of an
-    // assignment. A load there already fills a register and is never
-    // hoisted.
-    let rewrite_loads = |e: &Expr, fill: bool| {
-        let fill = fill && matches!(e, Expr::Load(_));
-        e.replace_loads(&mut |a| match edits.load_rewrites.get(a) {
-            Some((reg, hoisted)) if !(fill && *hoisted) => Some(reg.clone()),
+/// Rewrites the statements of one body copy through a plan's registers.
+/// Each access is found by its place in the jammed sets, not by its
+/// text: the `k`-th load of a copy is the copy's member of load site
+/// `k`, and the same holds for stores.
+struct Rewriter<'r, 'a> {
+    edits: &'r Edits<'a>,
+    sets: &'r [UniformSet],
+    sites: &'r [LoadSite],
+    stores: &'r [StoreSite],
+    copies: usize,
+    /// The copy being rewritten.
+    copy: usize,
+    /// Sites of the next load and store in walk order.
+    next_load: usize,
+    next_store: usize,
+}
+
+impl Rewriter<'_, '_> {
+    /// The register replacing the copy's member `member` of `set`.
+    /// Jammed members are copy-major.
+    fn register(&self, set: usize, member: usize) -> Option<&(&[i64], Name, bool)> {
+        let set_members = &self.sets[set];
+        let row = self.copy * (set_members.len() / self.copies) + member;
+        self.edits.register(set, set_members.offset_row(row))
+    }
+
+    /// The register replacing the next load, if any. `fill`: the load is
+    /// the whole right-hand side of an assignment, so it already fills a
+    /// register and is never hoisted.
+    fn load(&mut self, access: &ArrayAccess, fill: bool) -> Option<Expr> {
+        let site = &self.sites[self.next_load];
+        self.next_load += 1;
+        debug_assert_eq!(access.array, self.sets[site.set].array);
+        match self.register(site.set, site.member) {
+            Some((_, reg, hoisted)) if !(fill && *hoisted) => Some(Expr::scalar(reg.clone())),
             _ => None,
-        })
-    };
-    match s {
-        Stmt::Assign { lhs, rhs } => {
-            let lhs = match lhs {
-                // Redundant-write elimination: the store becomes a
-                // register assignment; the final store was sunk.
-                LValue::Array(a) => match edits.store_rewrites.get(a) {
-                    Some(reg) => LValue::scalar(reg.clone()),
-                    None => lhs.clone(),
-                },
-                LValue::Scalar(_) => lhs.clone(),
-            };
-            out.push(Stmt::Assign {
-                lhs,
-                rhs: rewrite_loads(rhs, true),
-            });
         }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            let rewrite_all = |stmts: &[Stmt]| {
-                let mut v = Vec::with_capacity(stmts.len());
-                for s in stmts {
-                    rewrite_stmt(s, edits, &mut v);
-                }
-                v
-            };
-            out.push(Stmt::If {
-                cond: rewrite_loads(cond, false),
-                then_body: rewrite_all(then_body),
-                else_body: rewrite_all(else_body),
-            });
+    }
+
+    fn loads(&mut self, e: &Expr, fill: bool) -> Expr {
+        let fill = fill && matches!(e, Expr::Load(_));
+        e.replace_loads(&mut |a| self.load(a, fill))
+    }
+
+    /// Rewrite one body statement, pushing the rewritten copy onto `out`.
+    fn stmt(&mut self, s: &Stmt, out: &mut Vec<Stmt>) {
+        match s {
+            Stmt::Assign { lhs, rhs } => {
+                // The table lists an assignment's loads before its store.
+                let rhs = self.loads(rhs, true);
+                let lhs = match lhs {
+                    // Redundant-write elimination: the store becomes a
+                    // register assignment; the final store was sunk.
+                    LValue::Array(a) => {
+                        let site = &self.stores[self.next_store];
+                        self.next_store += 1;
+                        debug_assert_eq!(a.array, self.sets[site.set].array);
+                        match self.register(site.set, site.member) {
+                            Some((_, reg, _)) => LValue::scalar(reg.clone()),
+                            None => lhs.clone(),
+                        }
+                    }
+                    LValue::Scalar(_) => lhs.clone(),
+                };
+                out.push(Stmt::Assign { lhs, rhs });
+            }
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                let cond = self.loads(cond, false);
+                let mut branch = |stmts: &[Stmt]| {
+                    let mut v = Vec::with_capacity(stmts.len());
+                    for s in stmts {
+                        self.stmt(s, &mut v);
+                    }
+                    v
+                };
+                let then_body = branch(then_body);
+                let else_body = branch(else_body);
+                out.push(Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                });
+            }
+            other => out.push(other.clone()),
         }
-        other => out.push(other.clone()),
     }
 }
 

@@ -13,9 +13,10 @@
 //!   row-major matrix per set and the count after, so a change that
 //!   brings back a heap block per jammed offset fails here;
 //! - a full-fidelity sweep of SOBEL. Its ceiling sits halfway between
-//!   the count before list scheduling dropped its ready heap, per-view
-//!   successor lists and node copies and per-class sorts, and the count
-//!   after.
+//!   the count before scalar replacement found its rewrites by plan
+//!   coordinates and the layout stopped cloning every access, and the
+//!   count after, so a change that brings back a cloned access per
+//!   reference fails here.
 //!
 //! The counter is global, so the tests take turns.
 
@@ -129,11 +130,13 @@ fn sobel_analytic_joint_sweep_allocation_budget() {
 }
 
 /// Blocks allocated by a full-fidelity SOBEL sweep before and after
-/// list scheduling dropped its ready heap, per-schedule successor
-/// lists, per-view node copies and per-class sorts, counted as for the
-/// FIR sweep.
-const SOBEL_FULL_BEFORE: u64 = 1_260_880;
-const SOBEL_FULL_AFTER: u64 = 1_227_604;
+/// scalar replacement found its rewrites by plan coordinates and the
+/// layout stopped cloning accesses, counted as for the FIR sweep. (The
+/// ceiling before sat halfway between 1,260,880 and 1,227,604, around
+/// list scheduling dropping its ready heap, per-schedule successor
+/// lists, per-view node copies and per-class sorts.)
+const SOBEL_FULL_BEFORE: u64 = 1_218_247;
+const SOBEL_FULL_AFTER: u64 = 1_095_764;
 const SOBEL_FULL_CEILING: u64 = (SOBEL_FULL_BEFORE + SOBEL_FULL_AFTER) / 2;
 
 #[test]
@@ -149,7 +152,7 @@ fn sobel_full_joint_sweep_allocation_budget() {
     assert!(
         blocks <= SOBEL_FULL_CEILING,
         "one cold full-fidelity SOBEL joint sweep allocated {blocks} blocks, \
-         over the ceiling of {SOBEL_FULL_CEILING} (before one-sweep scheduling: \
+         over the ceiling of {SOBEL_FULL_CEILING} (before plan-indexed rewrites: \
          {SOBEL_FULL_BEFORE}, after: {SOBEL_FULL_AFTER})"
     );
 }

@@ -40,6 +40,7 @@ fn bad_corpus_kernels_report_their_pinned_codes() {
         ("df010_degenerate_loop.kernel", "DF010"),
         ("df011_interchange_pinned.kernel", "DF011"),
         ("df012_packing_inert.kernel", "DF012"),
+        ("df013_rotate_mixed_types.kernel", "DF013"),
     ];
     for (file, code) in pinned {
         let report = lint_source(&read_corpus(file));
@@ -81,6 +82,7 @@ fn corpus_has_no_stray_kernels() {
             "df010_degenerate_loop.kernel",
             "df011_interchange_pinned.kernel",
             "df012_packing_inert.kernel",
+            "df013_rotate_mixed_types.kernel",
         ]
     );
 }

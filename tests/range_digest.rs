@@ -21,6 +21,7 @@
 use defacto::{lint_source, Axis, Explorer, JointPoint};
 use defacto_analysis::{infer_ranges, RangeInfo};
 use defacto_fuzz::generate_kernel;
+use defacto_ir::diag::codes;
 use defacto_ir::{parse_kernel, Kernel};
 use defacto_xform::{transform, TransformOptions, UnrollVector, VariantCache};
 use std::fmt::Write as _;
@@ -126,7 +127,13 @@ fn generated_kernel_ranges_are_pinned() {
         let Ok(kernel) = parse_kernel(&source) else {
             continue;
         };
-        if lint_source(&source).has_errors() {
+        // Mixed-type rotates became a lint error (DF013) after this
+        // digest was recorded; they still transform, so they stay in.
+        if lint_source(&source)
+            .diagnostics
+            .iter()
+            .any(|d| d.is_error() && d.code != codes::ROTATE_MIXED_TYPES)
+        {
             continue;
         }
         let Ok((_, space)) = Explorer::new(&kernel).analyze() else {

@@ -22,6 +22,7 @@
 
 use defacto::{lint_source, Axis, Explorer, JointPoint};
 use defacto_fuzz::generate_kernel;
+use defacto_ir::diag::codes;
 use defacto_ir::{parse_kernel, Kernel};
 use defacto_synth::{AnalyticModel, FpgaDevice, ListPriority, MemoryModel, SynthesisOptions};
 use defacto_xform::{PreparedKernel, TransformOptions, UnrollVector, VariantCache};
@@ -119,7 +120,13 @@ fn joint_space_censuses_are_pinned() {
         let Ok(kernel) = parse_kernel(&source) else {
             continue;
         };
-        if lint_source(&source).has_errors() {
+        // Mixed-type rotates became a lint error (DF013) after this
+        // digest was recorded; they still transform, so they stay in.
+        if lint_source(&source)
+            .diagnostics
+            .iter()
+            .any(|d| d.is_error() && d.code != codes::ROTATE_MIXED_TYPES)
+        {
             continue;
         }
         add_joint_censuses(&mut digest, &kernel, &options);
