@@ -6,8 +6,9 @@
 //!    pipeline ([`defacto_xform::transform`]) plus the behavioral
 //!    estimator, with no shared state between points;
 //! 2. **prepared** — the [`Explorer`] path, where a `PreparedKernel`
-//!    hoists point-invariant analysis and the doubling-chain copy cache
-//!    reuses unrolled bodies across points.
+//!    hoists point-invariant analysis. `unroll_reuse_rate` is kept in
+//!    the schema but reads 0: the prepared path no longer caches
+//!    unrolled bodies across points.
 //!
 //! Both paths see the identical point list (the space's iteration
 //! order) and the identical platform model, so the wall-clock ratio is
@@ -165,12 +166,6 @@ fn main() {
             }
         }
 
-        let (hits, misses) = ex.prepared_stats().unwrap_or((0, 0));
-        let reuse = if hits + misses > 0 {
-            hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
         let speedup = scratch_wall.as_secs_f64() / prepared_wall.as_secs_f64().max(1e-12);
         rows.push(KernelRow {
             name: bk.name.to_string(),
@@ -180,7 +175,8 @@ fn main() {
             memoized_ms: ms(memoized_wall),
             points_per_sec: points.len() as f64 / prepared_wall.as_secs_f64().max(1e-12),
             eval_cache_hit_rate: warm_stats.cache_hit_rate(),
-            unroll_reuse_rate: reuse,
+            // No unrolled body is cached across points any more.
+            unroll_reuse_rate: 0.0,
             speedup,
         });
     }

@@ -427,15 +427,6 @@ impl<'k> Explorer<'k> {
         self.prepared.get().and_then(Clone::clone)
     }
 
-    /// Offset-copy cache statistics `(hits, misses)` of the prepared
-    /// evaluation path, if any design has been evaluated yet.
-    pub fn prepared_stats(&self) -> Option<(u64, u64)> {
-        self.prepared
-            .get()
-            .and_then(Option::as_ref)
-            .map(|p| p.copy_cache_stats())
-    }
-
     /// Hash of everything besides the unroll vector that determines an
     /// estimate: the kernel, the transform and synthesis options, the
     /// memory model, and the device's capacity and clock. The device

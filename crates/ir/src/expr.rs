@@ -347,31 +347,6 @@ impl Expr {
         }
     }
 
-    /// Replace loads for which `f` returns `Some(replacement)`; other loads
-    /// are kept. Used by scalar replacement to swap memory reads for
-    /// register reads.
-    pub fn replace_loads(&self, f: &mut impl FnMut(&ArrayAccess) -> Option<Expr>) -> Expr {
-        match self {
-            Expr::Int(v) => Expr::Int(*v),
-            Expr::Scalar(s) => Expr::Scalar(s.clone()),
-            Expr::Load(a) => match f(a) {
-                Some(e) => e,
-                None => Expr::Load(a.clone()),
-            },
-            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(e.replace_loads(f))),
-            Expr::Binary(op, a, b) => Expr::Binary(
-                *op,
-                Box::new(a.replace_loads(f)),
-                Box::new(b.replace_loads(f)),
-            ),
-            Expr::Select(c, t, e) => Expr::Select(
-                Box::new(c.replace_loads(f)),
-                Box::new(t.replace_loads(f)),
-                Box::new(e.replace_loads(f)),
-            ),
-        }
-    }
-
     /// Number of arithmetic/logic operation nodes in the expression tree
     /// (loads, scalars and literals excluded).
     pub fn op_count(&self) -> usize {
@@ -473,28 +448,6 @@ mod tests {
             Expr::add(Expr::scalar("x"), Expr::load1("A", AffineExpr::var("i"))),
         );
         assert_eq!(e.scalar_reads(), vec!["x", "i"]);
-    }
-
-    #[test]
-    fn replace_loads_substitutes_registers() {
-        let e = Expr::add(
-            Expr::load1("A", AffineExpr::var("i")),
-            Expr::load1("B", AffineExpr::var("i")),
-        );
-        let out = e.replace_loads(&mut |a| {
-            if a.array == "A" {
-                Some(Expr::scalar("a_reg"))
-            } else {
-                None
-            }
-        });
-        assert_eq!(
-            out,
-            Expr::add(
-                Expr::scalar("a_reg"),
-                Expr::load1("B", AffineExpr::var("i"))
-            )
-        );
     }
 
     #[test]

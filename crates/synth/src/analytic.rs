@@ -45,8 +45,8 @@ use crate::oplib::{
 };
 use crate::schedule::ListPriority;
 use defacto_analysis::{array_seed, narrowed_bits, Interval};
-use defacto_ir::stmt::collect_accesses;
 use defacto_ir::{BinOp, Expr, Kernel, LValue, Name, Stmt};
+use defacto_xform::layout::group_accesses;
 use defacto_xform::simplify::{fold_rule, unary_rule, Fold, Literal};
 use defacto_xform::{PointCensus, PreparedKernel, TrafficKind, TransformOptions, UnrollVector};
 use std::collections::{HashMap, HashSet};
@@ -280,30 +280,34 @@ impl AnalyticModel {
         let norm = prepared.normalized();
         let vars = norm.loop_vars();
         let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
-        let accesses = collect_accesses(norm.body());
-        let mut signatures: HashMap<&str, Vec<Vec<Vec<i64>>>> = HashMap::new();
-        for (acc, _) in &accesses {
-            let sig = acc.coeff_signature(&var_refs);
-            let sigs = signatures.entry(acc.array.as_str()).or_default();
-            if !sigs.contains(&sig) {
-                sigs.push(sig);
-            }
-        }
+        // One walk: the load-width floor of every array of each element
+        // width the body loads, and layout's renamability rule.
         let mut load_floors: Vec<(u32, u32)> = Vec::new();
-        for (acc, is_write) in &accesses {
-            let Some(decl) = norm.array(&acc.array).filter(|_| !is_write) else {
-                continue;
+        let mut floored: Vec<bool> = Vec::new();
+        let groups = group_accesses(norm.body(), &var_refs, |at, acc, is_write| {
+            if at == floored.len() {
+                floored.push(false);
+            }
+            if is_write || std::mem::replace(&mut floored[at], true) {
+                return;
+            }
+            let Some(decl) = norm.array(&acc.array) else {
+                return;
             };
             let (bits, floor) = (decl.ty.bits(), load_width_lo(norm, &acc.array, true));
             match load_floors.iter_mut().find(|(b, _)| *b == bits) {
                 Some((_, least)) => *least = (*least).min(floor),
                 None => load_floors.push((bits, floor)),
             }
-        }
+        });
         let renamable: HashSet<String> = norm
             .arrays()
             .iter()
-            .filter(|a| signatures.get(a.name.as_str()).map(Vec::len).unwrap_or(0) <= 1)
+            .filter(|a| {
+                !groups
+                    .iter()
+                    .any(|(g, uniform)| !uniform && g.array == a.name)
+            })
             .map(|a| a.name.clone())
             .collect();
         Some(AnalyticModel {

@@ -207,14 +207,9 @@ pub fn build_dfg_opts(
         narrow: opts.ranges.is_some(),
         pack: opts.pack_word_bits.is_some(),
     };
-    FlagDfg::build(
-        stmts,
-        &DeclIndex::new(kernel),
-        binding,
-        opts.ranges,
-        opts.pack_word_bits,
-    )
-    .project(view)
+    let decls = DeclIndex::new(kernel);
+    let mut table = ScalarTable::new(&decls, opts.ranges, kernel.scalars().len());
+    FlagDfg::build(stmts, &mut table, binding, opts.pack_word_bits).project(view)
 }
 
 /// Which synthesis flags a [`FlagDfg`] is read under: bit-width
@@ -329,32 +324,27 @@ pub(crate) struct FlagDfg {
 }
 
 impl FlagDfg {
-    /// Lower a straight-line segment. Declared types come from `decls`,
-    /// narrowed widths from `ranges` and packed placements from
+    /// Lower a straight-line segment of the design `table` resolves
+    /// scalars for. Declared types come from the table's declarations,
+    /// narrowed widths from its ranges and packed placements from
     /// `pack_word_bits`; without them the narrowed (packed) annotation
     /// equals the wide (unpacked) one.
     ///
     /// # Panics
     ///
     /// Panics if `stmts` contains a `For` statement.
-    pub(crate) fn build<'s>(
+    pub(crate) fn build<'s, 'a>(
         stmts: impl IntoIterator<Item = &'s Stmt>,
-        decls: &DeclIndex<'_>,
-        binding: &MemoryBinding,
-        ranges: Option<&RangeInfo>,
+        table: &mut ScalarTable<'s, 'a>,
+        binding: &'a MemoryBinding,
         pack_word_bits: Option<u32>,
     ) -> FlagDfg {
-        let stmts = stmts.into_iter();
+        table.generation += 1;
         let mut b = Builder {
             dfg: FlagDfg::default(),
-            decls,
             binding,
-            ranges,
             pack_word_bits,
-            // Room for about one scalar per statement: growing both maps
-            // from empty cost the many-register segments of matrix
-            // multiply more than sizing them up front.
-            scalar_names: NameResolver::with_capacity(stmts.size_hint().0),
+            table,
             scalars: Vec::new(),
             defs: Vec::new(),
             arrays: Vec::new(),
@@ -548,26 +538,94 @@ impl FlagDfg {
     }
 }
 
-/// Lowers one segment into a [`FlagDfg`]. Names are borrowed from the
-/// statements (`'s`), which outlive the builder. Scalars are numbered on
-/// first reference through a [`NameResolver`], so a reference to a clone
-/// of a name seen before costs one hash of its address, and a scalar's
-/// declaration and whole-kernel range are looked up once per segment.
-/// Arrays are numbered on first access by a scan of the few arrays
-/// seen so far.
-struct Builder<'s, 'a> {
-    dfg: FlagDfg,
+/// The scalars of one design, each resolved once for all its segments.
+/// One [`NameResolver`] numbers them across the design, so a reference
+/// to a clone of a name seen before costs one hash of its address, and
+/// each number carries the scalar's declared type, widths and
+/// whole-kernel interval, looked up when the name is first seen. A
+/// segment maps design numbers to its own slots through `slot_of`, whose
+/// entries are stamped with the segment's generation: an entry from an
+/// earlier segment reads as unmapped, so no segment clears it, and a
+/// segment's slots keep the order of their first sighting in it.
+pub(crate) struct ScalarTable<'s, 'a> {
     decls: &'a DeclIndex<'a>,
-    binding: &'a MemoryBinding,
-    /// Value-range information for the narrowed annotation.
     ranges: Option<&'a RangeInfo>,
+    names: NameResolver<'s>,
+    /// What every segment starts from, by design number.
+    facts: Vec<ScalarFacts>,
+    /// By design number: the generation that mapped it and its slot.
+    slot_of: Vec<(u32, u32)>,
+    /// The segment being built; starts at 1, so a fresh entry is unmapped.
+    generation: u32,
+}
+
+/// The segment-independent facts of one scalar.
+#[derive(Clone, Copy)]
+struct ScalarFacts {
+    /// Register width, declared and narrowed.
+    bits: Widths,
+    /// Declared type: assigned values wrap at its width.
+    ty: ScalarType,
+    /// Whole-kernel interval (narrowing only).
+    whole: Option<Interval>,
+}
+
+impl<'s, 'a> ScalarTable<'s, 'a> {
+    /// A table over the declarations `decls` and, under narrowing, the
+    /// design's `ranges`, with room for `scalars` identifiers.
+    pub(crate) fn new(
+        decls: &'a DeclIndex<'a>,
+        ranges: Option<&'a RangeInfo>,
+        scalars: usize,
+    ) -> Self {
+        ScalarTable {
+            decls,
+            ranges,
+            names: NameResolver::with_capacity(scalars),
+            facts: Vec::with_capacity(scalars),
+            slot_of: Vec::with_capacity(scalars),
+            generation: 0,
+        }
+    }
+
+    /// The design number of `name`, with its facts looked up the first
+    /// time the design sees it.
+    fn number(&mut self, name: &'s Name) -> usize {
+        let (number, found) = self.names.resolve(name);
+        if found == Found::New {
+            let decl = self.decls.scalar(name).map(|d| d.ty);
+            // Loop index variables: 16-bit counters.
+            let declared = decl.map(ScalarType::bits).unwrap_or(16);
+            let whole = self.ranges.map(|info| info.var(name));
+            self.facts.push(ScalarFacts {
+                bits: Widths {
+                    wide: declared,
+                    narrow: whole.map_or(declared, |i| narrowed_bits(i, declared)),
+                },
+                ty: decl.unwrap_or(ScalarType::I32),
+                whole,
+            });
+            self.slot_of.push((0, 0));
+        }
+        number as usize
+    }
+}
+
+/// Lowers one segment into a [`FlagDfg`]. Names are borrowed from the
+/// statements (`'s`), which outlive the builder. Scalars are numbered
+/// through the design's [`ScalarTable`] and get segment slots on first
+/// reference. Arrays are numbered on first access by a scan of the few
+/// arrays seen so far.
+struct Builder<'s, 'a, 't> {
+    dfg: FlagDfg,
+    binding: &'a MemoryBinding,
     /// Memory word width for the packed annotation.
     pack_word_bits: Option<u32>,
-    /// Scalar numbers, by address and then by text.
-    scalar_names: NameResolver<'s>,
-    /// Scalars, indexed by their number.
+    /// The design's scalars, declarations and value ranges.
+    table: &'t mut ScalarTable<'s, 'a>,
+    /// The segment's scalars, indexed by their slot.
     scalars: Vec<ScalarSlot>,
-    /// Current producer of each scalar, by number. The only state an
+    /// Current producer of each scalar, by slot. The only state an
     /// `if` saves and restores.
     defs: Vec<Option<NodeId>>,
     /// Arrays, indexed by their number.
@@ -578,12 +636,8 @@ struct Builder<'s, 'a> {
 
 /// What the builder knows about one scalar of the segment.
 struct ScalarSlot {
-    /// Register width, declared and narrowed.
-    bits: Widths,
-    /// Declared type: assigned values wrap at its width.
-    ty: ScalarType,
-    /// Whole-kernel interval (narrowing only).
-    whole: Option<Interval>,
+    /// Its design-wide facts, from the [`ScalarTable`].
+    facts: ScalarFacts,
     /// Value interval of the current definition (narrowing). Persists
     /// across both branches of an `if`.
     def_range: Option<Interval>,
@@ -592,7 +646,7 @@ struct ScalarSlot {
 impl ScalarSlot {
     /// Value interval of a read under narrowing.
     fn interval(&self) -> Option<Interval> {
-        self.def_range.or(self.whole)
+        self.def_range.or(self.facts.whole)
     }
 }
 
@@ -611,7 +665,7 @@ struct ArraySlot<'s, 'a> {
     loads_since_store: Vec<NodeId>,
 }
 
-impl<'s, 'a> Builder<'s, 'a> {
+impl<'s, 'a> Builder<'s, 'a, '_> {
     fn source(&mut self) -> NodeId {
         match self.source {
             Some(s) => s,
@@ -623,26 +677,23 @@ impl<'s, 'a> Builder<'s, 'a> {
         }
     }
 
-    /// The number of scalar `name`, assigned on first reference.
+    /// The segment slot of scalar `name`, assigned on first reference.
     fn scalar(&mut self, name: &'s Name) -> usize {
-        let (number, found) = self.scalar_names.resolve(name);
-        if found == Found::New {
-            let decl = self.decls.scalar(name).map(|d| d.ty);
-            // Loop index variables: 16-bit counters.
-            let declared = decl.map(ScalarType::bits).unwrap_or(16);
-            let whole = self.ranges.map(|info| info.var(name));
-            self.scalars.push(ScalarSlot {
-                bits: Widths {
-                    wide: declared,
-                    narrow: whole.map_or(declared, |i| narrowed_bits(i, declared)),
-                },
-                ty: decl.unwrap_or(ScalarType::I32),
-                whole,
-                def_range: None,
-            });
-            self.defs.push(None);
+        let number = self.table.number(name);
+        let generation = self.table.generation;
+        match self.table.slot_of[number] {
+            (stamp, slot) if stamp == generation => slot as usize,
+            _ => {
+                let slot = self.scalars.len();
+                self.scalars.push(ScalarSlot {
+                    facts: self.table.facts[number],
+                    def_range: None,
+                });
+                self.defs.push(None);
+                self.table.slot_of[number] = (generation, slot as u32);
+                slot
+            }
         }
-        number as usize
     }
 
     /// The number of `array`, assigned on first access.
@@ -652,8 +703,13 @@ impl<'s, 'a> Builder<'s, 'a> {
             None => {
                 self.arrays.push(ArraySlot {
                     name: array,
-                    bits: self.decls.array(array).map(|a| a.ty.bits()).unwrap_or(32),
-                    interval: self.ranges.map(|info| info.array(array)),
+                    bits: self
+                        .table
+                        .decls
+                        .array(array)
+                        .map(|a| a.ty.bits())
+                        .unwrap_or(32),
+                    interval: self.table.ranges.map(|info| info.array(array)),
                     bound: self.binding.array(array),
                     last_store: None,
                     loads_since_store: Vec::new(),
@@ -674,7 +730,7 @@ impl<'s, 'a> Builder<'s, 'a> {
                         if let Some(iv) = iv {
                             // Values wrap at the declared register width.
                             let slot = &mut self.scalars[id];
-                            slot.def_range = Some(iv.clamp_to(slot.ty));
+                            slot.def_range = Some(iv.clamp_to(slot.facts.ty));
                         }
                     }
                     LValue::Array(a) => {
@@ -732,7 +788,7 @@ impl<'s, 'a> Builder<'s, 'a> {
                             self.defs[id] = Some(tv);
                         }
                         (Some(tv), Some(ev)) => {
-                            let bits = self.scalars[id].bits;
+                            let bits = self.scalars[id].facts.bits;
                             let mux = self.dfg.push(
                                 FlagKind::Op {
                                     op: HwOp::Mux,
@@ -755,7 +811,7 @@ impl<'s, 'a> Builder<'s, 'a> {
                 let ids: Vec<usize> = regs.iter().map(|r| self.scalar(r)).collect();
                 let bits = ids
                     .first()
-                    .map(|&r| self.scalars[r].bits)
+                    .map(|&r| self.scalars[r].facts.bits)
                     .unwrap_or(Widths::same(32));
                 let mut preds: Vec<NodeId> = ids.iter().filter_map(|&r| self.defs[r]).collect();
                 preds.sort();
@@ -804,7 +860,7 @@ impl<'s, 'a> Builder<'s, 'a> {
     fn expr(&mut self, e: &'s Expr) -> (NodeId, Widths, Option<Interval>) {
         match e {
             Expr::Int(v) => {
-                let iv = self.ranges.map(|_| Interval::point(*v));
+                let iv = self.table.ranges.map(|_| Interval::point(*v));
                 let bits = Widths {
                     wide: 32,
                     narrow: iv.map(Interval::bits).unwrap_or(32),
@@ -814,7 +870,7 @@ impl<'s, 'a> Builder<'s, 'a> {
             Expr::Scalar(n) => {
                 let id = self.scalar(n);
                 let iv = self.scalars[id].interval();
-                let declared = self.scalars[id].bits;
+                let declared = self.scalars[id].facts.bits;
                 let bits = Widths {
                     wide: declared.wide,
                     narrow: match iv {

@@ -22,13 +22,13 @@
 
 use crate::constraints::ResourceConstraints;
 use crate::device::FpgaDevice;
-use crate::dfg::{FlagDfg, View};
+use crate::dfg::{FlagDfg, ScalarTable, View};
 use crate::memory::MemoryModel;
 use crate::oplib::{
     fsm_state_slices, op_spec, register_slices, HwOp, FSM_BASE_SLICES, MEMORY_INTERFACE_SLICES,
 };
 use crate::schedule::{allocate, schedule_view, ListPriority, OpUsage, Schedule};
-use defacto_analysis::{infer_ranges_indexed, narrowed_bits, RangeInfo};
+use defacto_analysis::{infer_ranges_indexed, narrowed_bits};
 use defacto_ir::{DeclIndex, Stmt};
 use defacto_xform::TransformedDesign;
 use std::cell::Cell;
@@ -275,8 +275,7 @@ impl EstimatePlan {
         });
         let mut lower = Lower {
             design,
-            decls: &decls,
-            ranges: ranges.as_ref(),
+            scalars: ScalarTable::new(&decls, ranges.as_ref(), design.kernel.scalars().len()),
             pack_word_bits: mem.width_bits,
             segments: Vec::new(),
             loops: 0,
@@ -464,18 +463,19 @@ fn fold(blocks: &[Block], times: &[Times]) -> Times {
 }
 
 /// The loop walk of [`EstimatePlan::new`]: lowers each straight-line
-/// segment into a [`FlagDfg`] and records the loops around them.
+/// segment into a [`FlagDfg`] and records the loops around them. The
+/// segments share one scalar table, so each scalar of the design is
+/// resolved and looked up once.
 struct Lower<'a> {
     design: &'a TransformedDesign,
-    decls: &'a DeclIndex<'a>,
-    ranges: Option<&'a RangeInfo>,
+    scalars: ScalarTable<'a, 'a>,
     pack_word_bits: u32,
     segments: Vec<FlagDfg>,
     loops: u32,
 }
 
-impl Lower<'_> {
-    fn blocks(&mut self, stmts: &[Stmt]) -> Vec<Block> {
+impl<'a> Lower<'a> {
+    fn blocks(&mut self, stmts: &'a [Stmt]) -> Vec<Block> {
         let mut blocks = Vec::new();
         // Straight-line statements are borrowed from the body, not cloned:
         // segments only feed the DFG builder, which reads them.
@@ -499,15 +499,14 @@ impl Lower<'_> {
         blocks
     }
 
-    fn flush(&mut self, segment: &mut Vec<&Stmt>, blocks: &mut Vec<Block>) {
+    fn flush(&mut self, segment: &mut Vec<&'a Stmt>, blocks: &mut Vec<Block>) {
         if segment.is_empty() {
             return;
         }
         let dfg = FlagDfg::build(
             segment.drain(..),
-            self.decls,
+            &mut self.scalars,
             &self.design.binding,
-            self.ranges,
             Some(self.pack_word_bits),
         );
         blocks.push(Block::Segment(self.segments.len()));

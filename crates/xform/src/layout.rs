@@ -19,7 +19,7 @@
 //! ablation.
 
 use defacto_ir::stmt::visit_accesses;
-use defacto_ir::{ArrayAccess, Kernel};
+use defacto_ir::{ArrayAccess, Kernel, Stmt};
 use std::collections::HashMap;
 
 /// How one array is laid out across the external memories.
@@ -140,9 +140,8 @@ fn bank_under(layout: ArrayLayout, flat: i64, num_memories: usize) -> usize {
 
 /// The accesses of one array, grouped in one walk of the body.
 struct Accessed<'k> {
-    /// The array's first access: every other one is compared with its
-    /// signature.
-    first: &'k ArrayAccess,
+    /// The array's name.
+    array: &'k str,
     /// The array's row-major strides (none for an undeclared array).
     strides: &'k [i64],
     /// Positions among all accesses of the array's first read and first
@@ -153,6 +152,36 @@ struct Accessed<'k> {
     uniform: bool,
     /// Row-major flat constant offset of every access.
     offsets: Vec<i64>,
+}
+
+/// Group the array accesses of `body` by array, in order of first
+/// access, and apply the renamability rule: an array is renamable when
+/// all its accesses share its first access's coefficient signature over
+/// `vars` (they are uniformly generated). Returns each array's first
+/// access and whether it is renamable. `each` sees every access in
+/// program order with the index of its array's group and whether it is
+/// a write.
+pub fn group_accesses<'k>(
+    body: &'k [Stmt],
+    vars: &[&str],
+    mut each: impl FnMut(usize, &'k ArrayAccess, bool),
+) -> Vec<(&'k ArrayAccess, bool)> {
+    let mut groups: Vec<(&'k ArrayAccess, bool)> = Vec::new();
+    visit_accesses(body, &mut |acc, is_write| {
+        let at = match groups.iter().position(|g| g.0.array == acc.array) {
+            Some(at) => {
+                let g = &mut groups[at];
+                g.1 = g.1 && acc.same_signature(g.0, vars);
+                at
+            }
+            None => {
+                groups.push((acc, true));
+                groups.len() - 1
+            }
+        };
+        each(at, acc, is_write);
+    });
+    groups
 }
 
 /// Compute the memory binding for a (transformed) kernel.
@@ -176,27 +205,22 @@ pub fn assign_memories(kernel: &Kernel, num_memories: usize) -> MemoryBinding {
         strides.insert(a.name.clone(), s);
     }
 
-    // Group the accesses by array in order of first access. An array is
-    // renamable when all its accesses share one signature.
+    // Group the accesses by array in order of first access.
     let mut arrays: Vec<Accessed<'_>> = Vec::new();
     let mut position = 0;
-    visit_accesses(kernel.body(), &mut |acc, is_write| {
-        let at = match arrays.iter().position(|g| g.first.array == acc.array) {
-            Some(at) => at,
-            None => {
-                arrays.push(Accessed {
-                    first: acc,
-                    strides: strides
-                        .get(acc.array.as_str())
-                        .map_or(&[][..], Vec::as_slice),
-                    first_read: None,
-                    first_write: None,
-                    uniform: true,
-                    offsets: Vec::new(),
-                });
-                arrays.len() - 1
-            }
-        };
+    let groups = group_accesses(kernel.body(), &var_refs, |at, acc, is_write| {
+        if at == arrays.len() {
+            arrays.push(Accessed {
+                array: acc.array.as_str(),
+                strides: strides
+                    .get(acc.array.as_str())
+                    .map_or(&[][..], Vec::as_slice),
+                first_read: None,
+                first_write: None,
+                uniform: true,
+                offsets: Vec::new(),
+            });
+        }
         let g = &mut arrays[at];
         let first = if is_write {
             &mut g.first_write
@@ -204,10 +228,12 @@ pub fn assign_memories(kernel: &Kernel, num_memories: usize) -> MemoryBinding {
             &mut g.first_read
         };
         first.get_or_insert(position);
-        g.uniform = g.uniform && acc.same_signature(g.first, &var_refs);
         g.offsets.push(flat_offset(acc, g.strides));
         position += 1;
     });
+    for (g, (_, renamable)) in arrays.iter_mut().zip(groups) {
+        g.uniform = renamable;
+    }
 
     // Greedy phase/bank selection, reads before writes, in program order
     // of first appearance: read arrays by first read, then write-only
@@ -242,7 +268,7 @@ pub fn assign_memories(kernel: &Kernel, num_memories: usize) -> MemoryBinding {
             }
         }
         let (_, chosen, chosen_load) = best.expect("at least one candidate");
-        layouts.insert(g.first.array.to_string(), chosen);
+        layouts.insert(g.array.to_string(), chosen);
         bank_load = chosen_load;
     }
 

@@ -8,18 +8,18 @@
 //! up-front `prepare` call and then evaluates each unroll vector with
 //! only the point-*variant* work:
 //!
-//! - unrolled bodies are assembled from a cache of offset copies of the
-//!   base innermost body, keyed by offset tuple. The offset tuples of
-//!   factor vector `U` are a subset of those of any component-wise larger
-//!   vector, so the doubling chains and bisections of the paper's Figure 2
-//!   search (and the exhaustive sweeps) reuse every copy built for a
-//!   smaller factor — a design at `2u` is derived from the cached copies
-//!   of the design at `u` plus only the new offsets;
 //! - on the default path (scalar replacement on, per-pass verification
-//!   off) the jammed body is never even concatenated: scalar replacement
-//!   reads the cached copies through statement references and rebuilds
-//!   the nest itself, so the `P(U)`-statement intermediate kernel is
-//!   skipped entirely;
+//!   off) the jammed body is never built: scalar replacement walks the
+//!   base innermost body once per offset tuple and makes each copy while
+//!   it rewrites it — an access left in memory is offset as it is cloned,
+//!   a replaced one becomes its register — so each copy is cloned exactly
+//!   once, and the `P(U)`-statement intermediate kernel is skipped
+//!   entirely. No copy is cached between points: a cached copy would be
+//!   cloned again by the rewrite, so caching cost more than it saved;
+//! - with per-pass verification on, or scalar replacement off, the jammed
+//!   body is built by offsetting the base body per tuple
+//!   ([`defacto_ir::visit::offset_vars_stmts`]), exactly as the scratch
+//!   pipeline's unroll-and-jam offsets it;
 //! - the unrolled body's uniformly generated sets are derived
 //!   analytically from the base analyses ([`defacto_analysis::jam`])
 //!   instead of re-walking the `P(U)`-times larger body, and each set's
@@ -53,12 +53,10 @@ use defacto_analysis::{
 use defacto_ir::visit::offset_vars_stmts;
 use defacto_ir::{Kernel, Loop, Name, Stmt};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// All point-invariant artifacts of one kernel's design-space walk; see
-/// the module docs. Shared across evaluation workers behind an `Arc` —
-/// the copy cache is internally synchronized.
+/// the module docs. Immutable once prepared, so evaluation workers share
+/// it behind an `Arc` without locking.
 #[derive(Debug)]
 pub struct PreparedKernel {
     /// The normalized kernel every design point starts from.
@@ -92,15 +90,6 @@ pub struct PreparedKernel {
     /// tilability, jam safety, packing/narrowing applicability. Computed
     /// once here; every per-point check delegates to it.
     legality: LegalitySummary,
-    /// Offset copies of `base_body`, keyed by full offset tuple. Copies
-    /// are made directly from the base body (never from another copy:
-    /// offsetting an already-offset copy would nest scalar-read rewrites
-    /// differently than the scratch pipeline). Entries are pure values
-    /// inserted whole, so a poisoned lock still guards valid data and is
-    /// recovered.
-    copies: Mutex<HashMap<Vec<i64>, Arc<Vec<Stmt>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl PreparedKernel {
@@ -170,20 +159,16 @@ impl PreparedKernel {
             deps,
             carried,
             legality,
-            copies: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         })
     }
 
-    /// Like [`Self::prepare`], reusing the point-invariant analyses — and
-    /// the offset-copy cache — of a previously prepared kernel when the
-    /// normalized nest is unchanged where it matters:
+    /// Like [`Self::prepare`], reusing the point-invariant analyses of a
+    /// previously prepared kernel when the normalized nest is unchanged
+    /// where it matters:
     ///
     /// - same innermost body and induction variables: the access table,
-    ///   uniform sets, conditional flags, load and store sites, user rotates,
-    ///   carried scalars and every cached offset copy carry over (copies
-    ///   offset the base body only, so they are bounds-independent);
+    ///   uniform sets, conditional flags, load and store sites, user
+    ///   rotates and carried scalars carry over;
     /// - same loop bounds on top of that: the dependence graph carries
     ///   over too, making the reuse total.
     ///
@@ -229,11 +214,6 @@ impl PreparedKernel {
             let bounds: Vec<(i64, i64)> = loops.iter().map(|l| (l.lower, l.upper - 1)).collect();
             analyze_dependences_with_bounds(&prev.base_table, &var_refs, &bounds)
         };
-        let copies = prev
-            .copies
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
         // The summary's packing/narrowing facts read the array decls
         // (types, range annotations), which the body/vars gate above does
         // not cover — require decl equality too before reusing it.
@@ -265,19 +245,16 @@ impl PreparedKernel {
             deps,
             carried: prev.carried.clone(),
             legality,
-            copies: Mutex::new(copies),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         })
     }
 
-    /// Offset-copy cache statistics: `(hits, misses)` over all
-    /// [`PreparedKernel::transform`] calls so far.
+    /// Offset-copy cache statistics `(hits, misses)`: always `(0, 0)`.
+    /// There is no copy cache any more — scalar replacement makes each
+    /// copy straight from the base body while it rewrites it, which is
+    /// cheaper than looking a copy up and cloning it again. Kept because
+    /// the benchmark's replay still reports the ratio.
     pub fn copy_cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        (0, 0)
     }
 
     /// The normalized kernel every design point starts from.
@@ -415,42 +392,24 @@ impl PreparedKernel {
         let factors = unroll.factors();
         self.validate_factors(factors)?;
 
-        // Fetch (building on miss) the cached offset copies of this
-        // point's tuples.
+        // The offsets of the jammed body's copies, copy-major.
         let depth = factors.len();
         let tuples = offset_tuples(factors);
-        let copies: Vec<Arc<Vec<Stmt>>> = {
-            let mut cache = self.copies.lock().unwrap_or_else(PoisonError::into_inner);
-            tuples
-                .chunks_exact(depth)
-                .map(|t| {
-                    if let Some(copy) = cache.get(t) {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        Arc::clone(copy)
-                    } else {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        let deltas: Vec<(&str, i64)> = self
-                            .var_names
-                            .iter()
-                            .map(Name::as_str)
-                            .zip(t.iter().copied())
-                            .collect();
-                        let copy = Arc::new(offset_vars_stmts(&self.base_body, &deltas));
-                        cache.insert(t.to_vec(), Arc::clone(&copy));
-                        copy
-                    }
-                })
-                .collect()
-        };
 
         // Materialize the unrolled kernel only when something observes
         // it: per-pass verification, or the no-scalar-replacement result.
-        // On the default path it is skipped — scalar replacement reads
-        // the copies through references and rebuilds the nest itself.
+        // On the default path it is skipped — scalar replacement makes
+        // each copy from the base body while it rewrites it.
         let unrolled: Option<Kernel> = if opts.verify_each_pass || !opts.scalar_replacement {
-            let mut body: Vec<Stmt> = Vec::with_capacity(self.base_body.len() * copies.len());
-            for copy in &copies {
-                body.extend_from_slice(copy);
+            let mut body: Vec<Stmt> = Vec::with_capacity(self.base_body.len() * tuples.len());
+            for t in tuples.chunks_exact(depth) {
+                let deltas: Vec<(&str, i64)> = self
+                    .var_names
+                    .iter()
+                    .map(Name::as_str)
+                    .zip(t.iter().copied())
+                    .collect();
+                body.extend(offset_vars_stmts(&self.base_body, &deltas));
             }
             let mut stmts = body;
             for (l, loop_) in self.loops.iter().enumerate().rev() {
@@ -493,17 +452,16 @@ impl PreparedKernel {
                 &|s: &UniformSet| self.cond_flag(s.members[0]),
                 &opts.scalar_options(),
             );
-            let body_refs: Vec<&Stmt> = copies.iter().flat_map(|c| c.iter()).collect();
             let (final_body, decls, info) = materialize(
                 &self.normalized,
                 &ScalarInput {
                     loops: &widened,
                     vars: &self.var_names,
-                    body: &body_refs,
+                    body: &self.base_body,
+                    tuples: &tuples,
                     sets: &sets,
                     sites: &self.load_sites,
                     stores: &self.store_sites,
-                    copies: copies.len(),
                 },
                 &plan,
             );

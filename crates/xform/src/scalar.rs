@@ -52,6 +52,7 @@ use defacto_ir::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 
 /// Statistics and bookkeeping produced by [`scalar_replace`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -111,19 +112,20 @@ pub(crate) struct ScalarInput<'a> {
     pub loops: &'a [Loop],
     /// Induction variables, outermost first.
     pub vars: &'a [Name],
-    /// The innermost (jammed) body, as statement references — the
-    /// prepared path feeds cached copies without concatenating them into
-    /// one owned body.
-    pub body: &'a [&'a Stmt],
-    /// Uniformly generated sets of `body` over `vars`: the sets the plan's
-    /// indices name.
+    /// The base body every copy of the innermost (jammed) body offsets.
+    pub body: &'a [Stmt],
+    /// The copies' offsets, copy-major: copy `t` is `body` with
+    /// `vars[l] := vars[l] + tuples[t * vars.len() + l]`. The jammed body
+    /// is never built; [`materialize`] applies each copy's offsets while
+    /// it rewrites the base body.
+    pub tuples: &'a [i64],
+    /// Uniformly generated sets of the jammed body over `vars`: the sets
+    /// the plan's indices name.
     pub sets: &'a [UniformSet],
     /// The loads of one base-body copy, in program order.
     pub sites: &'a [LoadSite],
     /// The stores of one base-body copy, in program order.
     pub stores: &'a [StoreSite],
-    /// Base-body copies `body` is made of (`sets` are copy-major).
-    pub copies: usize,
 }
 
 /// Apply scalar replacement to a normalized (possibly unrolled) perfect
@@ -163,18 +165,17 @@ pub fn scalar_replace(
         &|s: &UniformSet| s.members.iter().any(|&id| table.get(id).conditional),
         opts,
     );
-    let body_refs: Vec<&Stmt> = body.iter().collect();
     let (sites, stores) = access_sites(body, &table, &sets);
     let (final_body, decls, info) = materialize(
         kernel,
         &ScalarInput {
             loops: &loops,
             vars: &vars,
-            body: &body_refs,
+            body,
+            tuples: &vec![0; vars.len()],
             sets: &sets,
             sites: &sites,
             stores: &stores,
-            copies: 1,
         },
         &plan,
     );
@@ -852,12 +853,13 @@ pub(crate) fn materialize(
         loops,
         vars,
         body,
+        tuples,
         sets,
         sites,
         stores,
-        copies,
     } = *input;
     let depth = loops.len();
+    let copies = tuples.len() / depth;
     let mut names = NameGen::new(kernel, vars);
     let mut info = plan.info();
     let mut edits = Edits::new(depth, sets.len());
@@ -876,7 +878,7 @@ pub(crate) fn materialize(
     for (t, hoist) in temps.into_iter().enumerate() {
         let set = &sets[hoist.set];
         let reg = names.fresh(
-            format!("{}_t{t}", set.array.to_lowercase()),
+            format_args!("{}_t{t}", set.array.to_lowercase()),
             element_type(kernel, &set.array),
         );
         let access = access_of(&set.array, &set.signature, vars, hoist.offsets);
@@ -891,23 +893,32 @@ pub(crate) fn materialize(
         debug_assert!(registers.windows(2).all(|w| w[0].0 != w[1].0));
     }
 
-    // Rewrite the innermost body: the one copy of the (shared) jammed
-    // statements, which every later stage rewrites in place. Copy `t`
-    // is the `t`-th run of base-body statements.
+    // Rewrite the innermost body, copy by copy: copy `t` is the base
+    // body offset by the `t`-th tuple, made and rewritten in one walk.
+    // Every later stage rewrites the result in place.
     new_body.append(&mut edits.body_prefix);
-    let per_copy = body.len() / copies;
-    for (copy, stmts) in body.chunks(per_copy.max(1)).enumerate() {
-        let mut rewriter = Rewriter {
-            edits: &edits,
-            sets,
-            sites,
-            stores,
-            copies,
-            copy,
-            next_load: 0,
-            next_store: 0,
-        };
-        for &s in stmts {
+    let mut rewriter = Rewriter {
+        edits: &edits,
+        sets,
+        sites,
+        stores,
+        copies,
+        copy: 0,
+        deltas: Vec::with_capacity(depth),
+        next_load: 0,
+        next_store: 0,
+    };
+    for (copy, offsets) in tuples.chunks_exact(depth).enumerate() {
+        rewriter.copy = copy;
+        rewriter.deltas.clear();
+        rewriter.deltas.extend(
+            vars.iter()
+                .map(Name::as_str)
+                .zip(offsets.iter().copied())
+                .filter(|&(_, d)| d != 0),
+        );
+        (rewriter.next_load, rewriter.next_store) = (0, 0);
+        for s in body {
             rewriter.stmt(s, &mut new_body);
         }
         debug_assert_eq!(
@@ -1006,7 +1017,7 @@ impl<'a> Edits<'a> {
         set: &UniformSet,
         vars: &[Name],
         kernel: &Kernel,
-        names: &mut NameGen<'_>,
+        names: &mut NameGen,
     ) {
         let ty = element_type(kernel, &set.array);
         let base = set.array.to_lowercase();
@@ -1024,7 +1035,7 @@ impl<'a> Edits<'a> {
                 slots,
             } => {
                 for slot in slots {
-                    let reg = names.fresh(format!("{base}_{}", join_offsets(slot.offset)), ty);
+                    let reg = names.fresh(format_args!("{base}_{}", Offsets(slot.offset)), ty);
                     let access = access(slot.offset);
                     if let Some(read) = read.filter(|_| slot.read) {
                         // Hoisted initializing load.
@@ -1048,7 +1059,7 @@ impl<'a> Edits<'a> {
                 offsets,
             } => {
                 for &off in offsets {
-                    let reg = names.fresh(format!("{base}_{}", join_offsets(off)), ty);
+                    let reg = names.fresh(format_args!("{base}_{}", Offsets(off)), ty);
                     let at = match level {
                         Some(l) => &mut self.pre[*l],
                         None => &mut self.top,
@@ -1074,7 +1085,7 @@ impl<'a> Edits<'a> {
                     });
                 for (lane_idx, &lane_off) in lanes.iter().enumerate() {
                     let regs: Vec<Name> = (0..*length)
-                        .map(|p| names.fresh(format!("{base}_{lane_idx}_{p}"), ty))
+                        .map(|p| names.fresh(format_args!("{base}_{lane_idx}_{p}"), ty))
                         .collect();
                     self.body_prefix.push(Stmt::If {
                         cond: cond.clone(),
@@ -1099,7 +1110,7 @@ impl<'a> Edits<'a> {
                     let span = lane.span();
                     let carried = span.saturating_sub(*step as usize);
                     let regs: Vec<Name> = (0..span)
-                        .map(|p| names.fresh(format!("{base}_w{lane_idx}_{p}"), ty))
+                        .map(|p| names.fresh(format_args!("{base}_w{lane_idx}_{p}"), ty))
                         .collect();
                     let position = |p: usize| access(&lane.at(*window_dim, p));
                     // First-iteration fill of the carried positions.
@@ -1138,50 +1149,49 @@ impl<'a> Edits<'a> {
 /// Fresh register names, clear of every declared name, loop variable
 /// and register made so far. The only place scalar replacement
 /// allocates a name.
-struct NameGen<'a> {
-    /// Declared arrays and scalars and the loop variables, borrowed.
-    taken: HashSet<&'a str>,
-    /// Registers made so far.
-    made: HashSet<Name>,
+struct NameGen {
+    /// Declared arrays and scalars, the loop variables and every
+    /// register made so far.
+    used: HashSet<Name>,
+    /// The candidate name being written, reused across names.
+    text: String,
     decls: Vec<ScalarDecl>,
 }
 
-impl<'a> NameGen<'a> {
-    fn new(kernel: &'a Kernel, loop_vars: &'a [Name]) -> Self {
-        let taken = kernel
+impl NameGen {
+    fn new(kernel: &Kernel, loop_vars: &[Name]) -> Self {
+        let used = kernel
             .arrays()
             .iter()
-            .map(|a| a.name.as_str())
-            .chain(kernel.scalars().iter().map(|s| s.name.as_str()))
-            .chain(loop_vars.iter().map(Name::as_str))
+            .map(|a| Name::from(a.name.as_str()))
+            .chain(kernel.scalars().iter().map(|s| Name::from(s.name.as_str())))
+            .chain(loop_vars.iter().cloned())
             .collect();
         NameGen {
-            taken,
-            made: HashSet::new(),
+            used,
+            text: String::new(),
             decls: Vec::new(),
         }
     }
 
-    fn is_used(&self, name: &str) -> bool {
-        self.taken.contains(name) || self.made.contains(name)
-    }
-
-    /// `base`, or `base_N` with the smallest free `N`.
-    fn fresh(&mut self, base: String, ty: ScalarType) -> Name {
-        let mut text = base;
-        if self.is_used(&text) {
-            let base = text;
-            let mut n = 1;
-            text = format!("{base}_{n}");
-            while self.is_used(&text) {
-                n += 1;
-                text = format!("{base}_{n}");
+    /// `base`, or `base_N` with the smallest free `N`. Each candidate is
+    /// written once and hashed once.
+    fn fresh(&mut self, base: fmt::Arguments<'_>, ty: ScalarType) -> Name {
+        self.text.clear();
+        // Writing into a `String` cannot fail.
+        let _ = self.text.write_fmt(base);
+        let len = self.text.len();
+        let mut n = 0;
+        loop {
+            let name = Name::from(self.text.as_str());
+            if self.used.insert(name.clone()) {
+                self.decls.push(ScalarDecl::temp(self.text.as_str(), ty));
+                return name;
             }
+            n += 1;
+            self.text.truncate(len);
+            let _ = write!(self.text, "_{n}");
         }
-        let name = Name::from(text.as_str());
-        self.made.insert(name.clone());
-        self.decls.push(ScalarDecl::temp(text, ty));
-        name
     }
 }
 
@@ -1209,7 +1219,11 @@ fn element_type(kernel: &Kernel, array: &str) -> ScalarType {
 /// Rewrites the statements of one body copy through a plan's registers.
 /// Each access is found by its place in the jammed sets, not by its
 /// text: the `k`-th load of a copy is the copy's member of load site
-/// `k`, and the same holds for stores.
+/// `k`, and the same holds for stores. The copy is made from the base
+/// body in the same walk: what stays of it is offset by the copy's
+/// deltas exactly as [`defacto_ir::visit::offset_vars_stmts`] offsets
+/// it, so the base body is cloned once per copy and the jammed body is
+/// never built.
 struct Rewriter<'r, 'a> {
     edits: &'r Edits<'a>,
     sets: &'r [UniformSet],
@@ -1218,6 +1232,8 @@ struct Rewriter<'r, 'a> {
     copies: usize,
     /// The copy being rewritten.
     copy: usize,
+    /// The copy's non-zero offsets, `var := var + delta`.
+    deltas: Vec<(&'r str, i64)>,
     /// Sites of the next load and store in walk order.
     next_load: usize,
     next_store: usize,
@@ -1232,30 +1248,60 @@ impl Rewriter<'_, '_> {
         self.edits.register(set, set_members.offset_row(row))
     }
 
+    /// The copy's version of a base-body access that stays in memory.
+    fn offset(&self, access: &ArrayAccess) -> ArrayAccess {
+        if self.deltas.is_empty() {
+            access.clone()
+        } else {
+            access.map_indices(|e| e.offset_vars(&self.deltas))
+        }
+    }
+
     /// The register replacing the next load, if any. `fill`: the load is
     /// the whole right-hand side of an assignment, so it already fills a
     /// register and is never hoisted.
-    fn load(&mut self, access: &ArrayAccess, fill: bool) -> Option<Expr> {
+    fn load(&mut self, access: &ArrayAccess, fill: bool) -> Expr {
         let site = &self.sites[self.next_load];
         self.next_load += 1;
         debug_assert_eq!(access.array, self.sets[site.set].array);
         match self.register(site.set, site.member) {
-            Some((_, reg, hoisted)) if !(fill && *hoisted) => Some(Expr::scalar(reg.clone())),
-            _ => None,
+            Some((_, reg, hoisted)) if !(fill && *hoisted) => Expr::scalar(reg.clone()),
+            _ => Expr::Load(self.offset(access)),
         }
     }
 
-    fn loads(&mut self, e: &Expr, fill: bool) -> Expr {
-        let fill = fill && matches!(e, Expr::Load(_));
-        e.replace_loads(&mut |a| self.load(a, fill))
+    /// Rewrite one base-body expression: loads through the registers,
+    /// the rest offset. A read of an offset loop variable `v` becomes
+    /// `v + delta`. `fill`: `e` is the whole right-hand side of an
+    /// assignment.
+    fn expr(&mut self, e: &Expr, fill: bool) -> Expr {
+        match e {
+            Expr::Int(v) => Expr::Int(*v),
+            Expr::Scalar(n) => match self.deltas.iter().find(|&&(v, _)| *n == *v) {
+                Some(&(_, d)) => Expr::add(Expr::Scalar(n.clone()), Expr::Int(d)),
+                None => Expr::Scalar(n.clone()),
+            },
+            Expr::Load(a) => self.load(a, fill),
+            Expr::Unary(op, inner) => Expr::Unary(*op, Box::new(self.expr(inner, false))),
+            Expr::Binary(op, a, b) => {
+                let a = self.expr(a, false);
+                Expr::Binary(*op, Box::new(a), Box::new(self.expr(b, false)))
+            }
+            Expr::Select(c, t, el) => {
+                let c = self.expr(c, false);
+                let t = self.expr(t, false);
+                Expr::Select(Box::new(c), Box::new(t), Box::new(self.expr(el, false)))
+            }
+        }
     }
 
-    /// Rewrite one body statement, pushing the rewritten copy onto `out`.
+    /// Rewrite one base-body statement, pushing the copy's rewritten
+    /// statement onto `out`.
     fn stmt(&mut self, s: &Stmt, out: &mut Vec<Stmt>) {
         match s {
             Stmt::Assign { lhs, rhs } => {
                 // The table lists an assignment's loads before its store.
-                let rhs = self.loads(rhs, true);
+                let rhs = self.expr(rhs, true);
                 let lhs = match lhs {
                     // Redundant-write elimination: the store becomes a
                     // register assignment; the final store was sunk.
@@ -1265,7 +1311,7 @@ impl Rewriter<'_, '_> {
                         debug_assert_eq!(a.array, self.sets[site.set].array);
                         match self.register(site.set, site.member) {
                             Some((_, reg, _)) => LValue::scalar(reg.clone()),
-                            None => lhs.clone(),
+                            None => LValue::Array(self.offset(a)),
                         }
                     }
                     LValue::Scalar(_) => lhs.clone(),
@@ -1277,7 +1323,7 @@ impl Rewriter<'_, '_> {
                 then_body,
                 else_body,
             } => {
-                let cond = self.loads(cond, false);
+                let cond = self.expr(cond, false);
                 let mut branch = |stmts: &[Stmt]| {
                     let mut v = Vec::with_capacity(stmts.len());
                     for s in stmts {
@@ -1293,22 +1339,31 @@ impl Rewriter<'_, '_> {
                     else_body,
                 });
             }
-            other => out.push(other.clone()),
+            // A rotate names registers only, and a perfect nest's
+            // innermost body holds no loop: nothing to offset.
+            Stmt::Rotate(_) | Stmt::For(_) => out.push(s.clone()),
         }
     }
 }
 
-fn join_offsets(off: &[i64]) -> String {
-    off.iter()
-        .map(|v| {
-            if *v < 0 {
-                format!("m{}", -v)
-            } else {
-                v.to_string()
+/// An offset tuple as a register-name suffix: the offsets joined by `_`,
+/// a negative one written `m` and its magnitude.
+struct Offsets<'a>(&'a [i64]);
+
+impl fmt::Display for Offsets<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, &v) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str("_")?;
             }
-        })
-        .collect::<Vec<_>>()
-        .join("_")
+            if v < 0 {
+                write!(f, "m{}", v.unsigned_abs())?;
+            } else {
+                write!(f, "{v}")?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1548,5 +1603,42 @@ mod tests {
         // Loads: rows i-1 and i+1 load 1 each per iteration; row i loads 1
         // per iteration plus 2 fills per row start (8 rows).
         assert_eq!(s1.loads_by_array["A"], 64 + 64 + 64 + 2 * 8);
+    }
+
+    /// The prepared path makes each unrolled copy while it rewrites the
+    /// base body. At unroll (2, 3) every copy but the first offsets both
+    /// loop variables, read here in an `if` condition, a `select` and a
+    /// stored value, and the stores of `C` and `D` stay in memory. The
+    /// design must equal the scratch pipeline's, which offsets whole
+    /// copies before it rewrites them.
+    #[test]
+    fn prepared_copies_offset_while_rewriting_like_scratch() {
+        let k = parse_kernel(
+            "kernel mix { in A: i32[5][8]; out C: i32[4][6]; out D: i32[4][6];
+               for i in 0..4 { for j in 0..6 {
+                 if (j > i) { D[i][j] = A[i][j] + A[i + 1][j + 2]; }
+                 C[i][j] = (j > 2 ? A[i][j] : i) + j;
+               } } }",
+        )
+        .unwrap();
+        let u = crate::UnrollVector(vec![2, 3]);
+        let opts = crate::TransformOptions::default();
+        let scratch = crate::transform(&k, &u, &opts).unwrap();
+        let prepared = crate::PreparedKernel::prepare(&k)
+            .unwrap()
+            .transform(&u, &opts)
+            .unwrap();
+        assert_eq!(prepared, scratch);
+        // The last copy reads `j + 2` in its condition, select and stored
+        // value, and `i + 1` in its condition and select.
+        let text = prepared.kernel.to_string();
+        assert!(text.contains("if (j + 2 > i + 1)"), "{text}");
+        assert!(
+            text.contains("(j + 2 > 2 ? a_t1 : i + 1) + (j + 2);"),
+            "{text}"
+        );
+        // Both stores stay in memory, at every copy's offsets.
+        assert!(text.contains("C[i + 1][j + 2] ="), "{text}");
+        assert!(text.contains("D[i + 1][j + 2] ="), "{text}");
     }
 }

@@ -4,19 +4,20 @@
 //! cold, single-worker joint sweep (paper size, all axes) runs:
 //!
 //! - a full-fidelity sweep of FIR. Its ceiling sits halfway between the
-//!   count before the transform tail took the scalar-replaced body over
-//!   by value and the count after, so a change that brings back a
-//!   per-point copy of the statement trees (or a heap copy per copied
-//!   name) fails here instead of only showing up as lost throughput;
+//!   count before scalar replacement made each unrolled copy straight
+//!   from the base body (and the DFG builder resolved scalars once per
+//!   design) and the count after, so a change that brings back a
+//!   per-point offset copy of the statement trees, or a heap copy per
+//!   copied name, fails here instead of only showing up as lost
+//!   throughput;
 //! - a tier-0-only (analytic) sweep of SOBEL. Its ceiling sits halfway
 //!   between the count before the census stored jammed offsets as one
 //!   row-major matrix per set and the count after, so a change that
 //!   brings back a heap block per jammed offset fails here;
 //! - a full-fidelity sweep of SOBEL. Its ceiling sits halfway between
-//!   the count before scalar replacement found its rewrites by plan
-//!   coordinates and the layout stopped cloning every access, and the
-//!   count after, so a change that brings back a cloned access per
-//!   reference fails here.
+//!   the count before unrolled copies were made straight from the base
+//!   body and the count after, so a change that brings back an offset
+//!   copy per point, or a cloned access per reference, fails here.
 //!
 //! The counter is global, so the tests take turns.
 
@@ -83,9 +84,11 @@ fn blocks_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Blocks allocated by the sweep before and after the change, counted
 /// by this test in the profile `cargo test` builds (rustc 1.95.0,
-/// x86_64 Linux); a release build counts the same.
-const BEFORE: u64 = 870_722;
-const AFTER: u64 = 664_103;
+/// x86_64 Linux); a release build counts the same. (The ceiling before
+/// sat halfway between 870,722 and 664,103, around the transform tail
+/// taking the scalar-replaced body over by value.)
+const BEFORE: u64 = 342_370;
+const AFTER: u64 = 247_944;
 const CEILING: u64 = (BEFORE + AFTER) / 2;
 
 #[test]
@@ -101,7 +104,7 @@ fn fir_joint_sweep_allocation_budget() {
     assert!(
         blocks <= CEILING,
         "one cold FIR joint sweep allocated {blocks} blocks, over the ceiling of {CEILING} \
-         (before the owned transform tail: {BEFORE}, after: {AFTER})"
+         (before copies made from the base body: {BEFORE}, after: {AFTER})"
     );
 }
 
@@ -130,13 +133,16 @@ fn sobel_analytic_joint_sweep_allocation_budget() {
 }
 
 /// Blocks allocated by a full-fidelity SOBEL sweep before and after
-/// scalar replacement found its rewrites by plan coordinates and the
-/// layout stopped cloning accesses, counted as for the FIR sweep. (The
-/// ceiling before sat halfway between 1,260,880 and 1,227,604, around
-/// list scheduling dropping its ready heap, per-schedule successor
-/// lists, per-view node copies and per-class sorts.)
-const SOBEL_FULL_BEFORE: u64 = 1_218_247;
-const SOBEL_FULL_AFTER: u64 = 1_095_764;
+/// unrolled copies were made straight from the base body and the DFG
+/// builder resolved scalars once per design, counted as for the FIR
+/// sweep. (The ceiling before sat halfway between 1,218,247 and
+/// 1,095,764, around scalar replacement finding its rewrites by plan
+/// coordinates and the layout no longer cloning accesses; before that,
+/// halfway between 1,260,880 and 1,227,604, around list scheduling
+/// dropping its ready heap, per-schedule successor lists, per-view node
+/// copies and per-class sorts.)
+const SOBEL_FULL_BEFORE: u64 = 1_093_981;
+const SOBEL_FULL_AFTER: u64 = 876_668;
 const SOBEL_FULL_CEILING: u64 = (SOBEL_FULL_BEFORE + SOBEL_FULL_AFTER) / 2;
 
 #[test]
@@ -152,7 +158,7 @@ fn sobel_full_joint_sweep_allocation_budget() {
     assert!(
         blocks <= SOBEL_FULL_CEILING,
         "one cold full-fidelity SOBEL joint sweep allocated {blocks} blocks, \
-         over the ceiling of {SOBEL_FULL_CEILING} (before plan-indexed rewrites: \
+         over the ceiling of {SOBEL_FULL_CEILING} (before copies made from the base body: \
          {SOBEL_FULL_BEFORE}, after: {SOBEL_FULL_AFTER})"
     );
 }

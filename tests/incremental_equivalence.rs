@@ -121,8 +121,7 @@ fn assert_census_matches(
 }
 
 /// Every point of every paper kernel's full space: prepared and scratch
-/// designs are equal as IR and produce the identical estimate, and the
-/// doubling-chain walk actually reuses cached unrolled bodies.
+/// designs are equal as IR and produce the identical estimate.
 #[test]
 fn full_space_designs_and_estimates_are_bit_identical() {
     let opts = TransformOptions::default();
@@ -145,21 +144,6 @@ fn full_space_designs_and_estimates_are_bit_identical() {
                 case.name
             );
         }
-        // The space walk is ordered so that factor tuples repeat across
-        // points (u shares copies with 2u); the copy cache must see a
-        // substantial hit rate, not just occasional luck.
-        let (hits, misses) = prep.copy_cache_stats();
-        assert!(
-            hits + misses > 0,
-            "{}: copy cache never consulted",
-            case.name
-        );
-        let rate = hits as f64 / (hits + misses) as f64;
-        assert!(
-            rate >= 0.5,
-            "{}: doubling-chain reuse rate {rate:.3} below 0.5 ({hits} hits / {misses} misses)",
-            case.name
-        );
     }
 }
 

@@ -5,11 +5,14 @@
 //! order, and the Figure-2 search visits the same sequence, selects the
 //! same design and terminates for the same reason at any thread count.
 //! These tests pin that contract on FIR and MM at 1, 2 and 8 workers,
-//! comparing against an explicitly single-threaded reference run.
+//! comparing against an explicitly single-threaded reference run, and
+//! pin the joint sweep the same way on all five paper kernels.
 
 use defacto::prelude::*;
+use defacto::to_jsonl;
 use defacto_ir::Kernel;
-use defacto_kernels::{fir, matmul};
+use defacto_kernels::{fir, jacobi, matmul, pattern, sobel};
+use std::sync::Arc;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -32,6 +35,61 @@ fn parallel_sweep_is_byte_identical_to_serial() {
                 format!("{parallel:?}"),
                 serial_bytes,
                 "{name} sweep bytes differ at {workers} workers"
+            );
+        }
+    }
+}
+
+/// The joint sweep over all axes, with its `AxisVisit` trace as JSON
+/// lines.
+fn joint_sweep_traced(k: &Kernel, workers: usize) -> (Vec<EvaluatedJointDesign>, String) {
+    let sink = Arc::new(MemorySink::new());
+    let sweep = Explorer::new(k)
+        .threads(workers)
+        .axes(&Axis::ALL)
+        .fidelity(Fidelity::Full)
+        .trace(sink.clone())
+        .joint_sweep()
+        .unwrap();
+    let visits: Vec<TraceEvent> = sink
+        .events()
+        .into_iter()
+        .filter(|e| matches!(e, TraceEvent::AxisVisit { .. }))
+        .collect();
+    assert_eq!(visits.len(), sweep.len());
+    (sweep, to_jsonl(&visits))
+}
+
+/// Workers claim the joint sweep's sibling groups from a shared counter
+/// and finish them in any order; that order must never reach the
+/// points, their estimates or the trace.
+#[test]
+fn parallel_joint_sweep_is_byte_identical_to_serial() {
+    let kernels = [
+        ("FIR", fir::kernel()),
+        ("MM", matmul::kernel()),
+        ("PAT", pattern::kernel()),
+        ("JAC", jacobi::kernel()),
+        ("SOBEL", sobel::kernel()),
+    ];
+    for (name, k) in &kernels {
+        // The reference run is the one-worker run.
+        let (serial, serial_trace) = joint_sweep_traced(k, 1);
+        let serial_bytes = format!("{serial:?}");
+        for workers in WORKER_COUNTS.into_iter().filter(|&w| w > 1) {
+            let (parallel, trace) = joint_sweep_traced(k, workers);
+            assert_eq!(
+                parallel, serial,
+                "{name} joint sweep differs at {workers} workers"
+            );
+            assert_eq!(
+                format!("{parallel:?}"),
+                serial_bytes,
+                "{name} joint sweep bytes differ at {workers} workers"
+            );
+            assert!(
+                trace == serial_trace,
+                "{name} AxisVisit trace differs at {workers} workers"
             );
         }
     }
