@@ -70,7 +70,7 @@ pub fn jammed_access_table(base: &AccessTable, vars: &[&str], tuples: &[i64]) ->
 /// member `m` is member `t * base_set.len() + m` of the jammed set.
 ///
 /// Each set's offsets are filled in place, one row per member, with no
-/// allocation per member.
+/// allocation per member, and keyed once the set is whole.
 pub fn jammed_uniform_sets(
     base_sets: &[UniformSet],
     base_len: usize,
@@ -82,8 +82,8 @@ pub fn jammed_uniform_sets(
     base_sets
         .iter()
         .map(|s| {
-            let mut members = Vec::with_capacity(s.members.len() * copies);
-            let mut offsets = Vec::with_capacity(s.offsets.len() * copies);
+            let mut members = Vec::with_capacity(s.len() * copies);
+            let mut offsets = Vec::with_capacity(s.len() * s.dims() * copies);
             for (rank, tuple) in tuples.chunks_exact(depth).enumerate() {
                 shift.clear();
                 shift.extend(
@@ -96,13 +96,13 @@ pub fn jammed_uniform_sets(
                     offsets.extend(off.iter().zip(&shift).map(|(o, sh)| o + sh));
                 }
             }
-            UniformSet {
-                array: s.array.clone(),
-                is_write: s.is_write,
-                signature: s.signature.clone(),
+            UniformSet::new(
+                s.array.clone(),
+                s.is_write,
+                s.signature.clone(),
                 members,
                 offsets,
-            }
+            )
         })
         .collect()
 }

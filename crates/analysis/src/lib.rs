@@ -74,7 +74,7 @@ pub use range::{
     array_seed, infer_ranges, infer_ranges_indexed, narrowed_bits, Interval, RangeInfo,
 };
 pub use reuse::{classify_set, classify_set_bounded, ReuseStrategy};
-pub use uniform::{uniform_sets, UniformSet};
+pub use uniform::{uniform_sets, OffsetRow, UniformSet};
 
 /// Convenient glob-import surface.
 pub mod prelude {

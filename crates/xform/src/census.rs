@@ -9,18 +9,26 @@
 //! memory-traffic classes remain (and when each executes), which
 //! guard/rotate statements the body carries, and which loop levels
 //! peeling will split. It never copies the body, never rewrites a
-//! statement and never builds a DFG. Measured in a release build on one
-//! core of an Intel Xeon, one census of a paper kernel's joint point
-//! takes about 15 µs (MM), 20 µs (PAT), 40 µs (FIR), 100 µs (JAC) and
-//! 150 µs (SOBEL), 60 µs on average over the five joint spaces. Most of
-//! what remains for JAC and SOBEL is sorting the offsets of their large
-//! jammed window sets. A tier-1 estimate of the same point takes
+//! statement and never builds a DFG. Measured in a release build on a
+//! shared two-vCPU Intel Xeon VM, one census of a paper kernel's joint
+//! point takes about 8 µs (MM), 12 µs (PAT), 22 µs (FIR), 36 µs (JAC)
+//! and 38 µs (SOBEL), 21 µs on average over the five joint spaces (the
+//! mean of 50 passes over each space's sibling groups, with cold
+//! variants). About half of a FIR or SOBEL census is filling and keying
+//! the jammed sets. A tier-1 estimate of the same point takes
 //! milliseconds.
 //!
 //! Jammed offsets are rows of one matrix per set
-//! ([`UniformSet::offsets`](defacto_analysis::UniformSet)), and the plans
+//! ([`UniformSet::offset_row`](defacto_analysis::UniformSet::offset_row)), and the plans
 //! borrow those rows, so a census allocates per set, not per jammed
-//! offset.
+//! offset. Every row also has an order-preserving integer key
+//! ([`UniformSet::key`](defacto_analysis::UniformSet::key)), and the
+//! planners sort, deduplicate and look rows up by key. They compare rows
+//! as slices only to merge an accumulator's two sets, and to rank and
+//! group the rows of a set whose keys would overflow a `u64`. The
+//! per-kernel facts a census reads (each set's strides and element
+//! width, each level's user first-iteration guard, the user rotates) are
+//! found once when the kernel is prepared.
 //!
 //! The counts are exact, not approximations: the tier-0 analytic
 //! estimator (`defacto_synth::analytic`) prices them into a cost band
@@ -41,7 +49,7 @@ use crate::prepared::PreparedKernel;
 use crate::scalar::{plan_loads, plan_reuse, Reuse};
 use crate::unroll::offset_tuples;
 use defacto_analysis::{jammed_uniform_sets, UniformSet};
-use defacto_ir::{BinOp, Expr, Name, Stmt};
+use defacto_ir::{BinOp, Expr, Kernel, Loop, Name, Stmt};
 use std::collections::{BTreeMap, HashMap};
 
 /// When one memory-traffic class executes, relative to the steady nest.
@@ -208,24 +216,9 @@ impl PreparedKernel {
         let copies = tuples.len() / depth;
         let sets = jammed_uniform_sets(self.base_sets(), self.base_table_len(), &tuples, depth);
         let var_refs: Vec<&str> = self.var_names().iter().map(Name::as_str).collect();
-
-        // Row-major strides per array, as the memory binding computes
-        // them.
-        let mut strides: HashMap<&str, Vec<i64>> = HashMap::new();
-        for a in self.normalized().arrays() {
-            let mut s = vec![1i64; a.dims.len()];
-            for d in (0..a.dims.len().saturating_sub(1)).rev() {
-                s[d] = s[d + 1] * a.dims[d + 1] as i64;
-            }
-            strides.insert(a.name.as_str(), s);
-        }
-        let strides_of = |array: &str| strides.get(array).map_or(&[][..], Vec::as_slice);
-        let elem_bits = |array: &str| {
-            self.normalized()
-                .array(array)
-                .map(|a| a.ty.bits())
-                .unwrap_or(32)
-        };
+        // Jamming keeps set indices, so base set `i`'s layout is set `i`'s.
+        let facts = self.census_facts();
+        let layout = |set: usize| &facts.layouts[set];
 
         let mut c = PointCensus {
             factors: factors.to_vec(),
@@ -238,7 +231,7 @@ impl PreparedKernel {
             dropped_by_budget: 0,
             registers: Vec::new(),
             traffic: Vec::new(),
-            rotates_per_body: self.user_rotates() * copies as i64,
+            rotates_per_body: facts.user_rotates * copies as i64,
             guard_eqs_per_body: 0,
             guard_ands_per_body: 0,
             accumulators: Vec::new(),
@@ -266,8 +259,8 @@ impl PreparedKernel {
             c.dropped_by_budget = info.dropped_by_budget;
             for reuse in &plan.decisions {
                 let array = sets[reuse.set()].array.as_str();
-                let bits = elem_bits(array);
-                let strides = strides_of(array);
+                let SetLayout { strides, bits } = layout(reuse.set());
+                let (strides, bits) = (strides.as_slice(), *bits);
                 let traffic = |is_write: bool, kind: TrafficKind, flat_offsets: Vec<i64>| Traffic {
                     array: array.to_string(),
                     is_write,
@@ -284,7 +277,7 @@ impl PreparedKernel {
                         slots,
                     } => {
                         for slot in slots {
-                            *reg_classes.entry((bits, slot.read)).or_insert(0) += 1;
+                            *reg_classes.entry((bits, slot.read.is_some())).or_insert(0) += 1;
                         }
                         if read.is_some() {
                             // The read slots are the read set's distinct
@@ -294,7 +287,7 @@ impl PreparedKernel {
                                 TrafficKind::AtLevel(*level),
                                 slots
                                     .iter()
-                                    .filter(|s| s.read)
+                                    .filter(|s| s.read.is_some())
                                     .map(|s| flat(strides, s.offset))
                                     .collect(),
                             ));
@@ -304,7 +297,7 @@ impl PreparedKernel {
                             TrafficKind::AtLevel(*level),
                             slots
                                 .iter()
-                                .filter(|s| s.written)
+                                .filter(|s| s.written.is_some())
                                 .map(|s| flat(strides, s.offset))
                                 .collect(),
                         ));
@@ -320,7 +313,7 @@ impl PreparedKernel {
                         c.traffic.push(traffic(
                             false,
                             kind,
-                            offsets.iter().map(|o| flat(strides, o)).collect(),
+                            offsets.iter().map(|o| flat(strides, o.offsets)).collect(),
                         ));
                     }
                     Reuse::Chain {
@@ -338,7 +331,7 @@ impl PreparedKernel {
                             c.traffic.push(traffic(
                                 false,
                                 TrafficKind::Guarded(guard_levels.clone()),
-                                vec![flat(strides, lane_off)],
+                                vec![flat(strides, lane_off.offsets)],
                             ));
                             if *length >= 2 {
                                 c.rotates_per_body += 1;
@@ -363,7 +356,7 @@ impl PreparedKernel {
                             let carried = span.saturating_sub(*step as usize);
                             *reg_classes.entry((bits, true)).or_insert(0) += span;
                             position.clear();
-                            position.extend_from_slice(lane.offsets[0]);
+                            position.extend_from_slice(lane.rows[0].offsets);
                             let mut positions = |ps: std::ops::Range<usize>| -> Vec<i64> {
                                 ps.map(|p| {
                                     position[*window_dim] = lane.lo + p as i64;
@@ -401,36 +394,38 @@ impl PreparedKernel {
         // context (conditional loads may be folded away with their
         // branch, so they form separate classes); hoisted loads, one temp
         // register per distinct address.
-        let set_strides: Vec<&[i64]> = sets.iter().map(|s| strides_of(&s.array)).collect();
         for &w in &loads.kept_stores {
             let set = &sets[w];
+            let SetLayout { strides, bits } = layout(w);
             c.traffic.push(Traffic {
                 array: set.array.to_string(),
                 is_write: true,
-                elem_bits: elem_bits(&set.array),
+                elem_bits: *bits,
                 kind: TrafficKind::Body,
-                flat_offsets: set.offset_rows().map(|o| flat(set_strides[w], o)).collect(),
+                flat_offsets: set.offset_rows().map(|o| flat(strides, o)).collect(),
                 conditional: self.cond_flag(set.members[0]),
             });
         }
         // Load classes per array, in array order: in place (0) and in
-        // place under an `if` (1), then hoisted (2).
-        let mut raw: BTreeMap<(&str, u8), Vec<i64>> = BTreeMap::new();
+        // place under an `if` (1), then hoisted (2). Sets of one array
+        // share its width.
+        let mut raw: BTreeMap<(&str, u8), (u32, Vec<i64>)> = BTreeMap::new();
         for run in loads.in_place.chunk_by(|a, b| a.0 == b.0) {
             let site = &self.load_sites()[run[0].0];
-            let strides = set_strides[site.set];
+            let SetLayout { strides, bits } = layout(site.set);
             raw.entry((&sets[site.set].array, u8::from(site.conditional)))
-                .or_default()
+                .or_insert_with(|| (*bits, Vec::new()))
+                .1
                 .extend(run.iter().map(|&(_, o)| flat(strides, o)));
         }
         for run in loads.hoisted.chunk_by(|a, b| a.set == b.set) {
-            let strides = set_strides[run[0].set];
+            let SetLayout { strides, bits } = layout(run[0].set);
             raw.entry((&sets[run[0].set].array, 2))
-                .or_default()
+                .or_insert_with(|| (*bits, Vec::new()))
+                .1
                 .extend(run.iter().map(|h| flat(strides, h.offsets)));
         }
-        for ((array, class), offs) in raw {
-            let bits = elem_bits(array);
+        for ((array, class), (bits, offs)) in raw {
             if class == 2 {
                 c.temp_registers += offs.len();
                 *reg_classes.entry((bits, true)).or_insert(0) += offs.len();
@@ -450,12 +445,8 @@ impl PreparedKernel {
         // Peeling also splits levels whose variable a *user* guard tests
         // against zero.
         if opts.peel {
-            for (l, loop_) in self.loops().iter().enumerate() {
-                if !c.peelable[l]
-                    && tests_first_iteration(self.base_body(), &loop_.var, loop_.lower)
-                {
-                    c.peelable[l] = true;
-                }
+            for (peelable, &guard) in c.peelable.iter_mut().zip(&facts.user_guards) {
+                *peelable |= guard;
             }
         } else {
             c.peelable = vec![false; depth];
@@ -480,13 +471,6 @@ impl PreparedKernel {
     /// `write`: jammed write members sharing one offset update the same
     /// register in sequence.
     fn accumulator_census(&self, write: &UniformSet, var_refs: &[&str]) -> AccumulatorCensus {
-        let mut rows: Vec<&[i64]> = write.offset_rows().collect();
-        rows.sort_unstable();
-        let max_writes = rows
-            .chunk_by(|a, b| a == b)
-            .map(|run| run.len() as i64)
-            .max()
-            .unwrap_or(0);
         let mut serial_ops: Option<Vec<(BinOp, bool)>> = Some(Vec::new());
         collect_update_tops(
             self.base_body(),
@@ -497,8 +481,67 @@ impl PreparedKernel {
         );
         AccumulatorCensus {
             array: write.array.to_string(),
-            max_writes_per_offset: max_writes,
+            max_writes_per_offset: write.max_multiplicity() as i64,
             serial_ops: serial_ops.filter(|v| !v.is_empty()),
+        }
+    }
+}
+
+/// What the census reads of one set's array: its row-major strides, as
+/// the memory binding computes them (none for an undeclared array), and
+/// its declared element width (32 bits for an undeclared array).
+#[derive(Debug)]
+struct SetLayout {
+    strides: Vec<i64>,
+    bits: u32,
+}
+
+/// The per-kernel facts every census reads, found once by
+/// [`PreparedKernel::prepare`].
+#[derive(Debug)]
+pub(crate) struct CensusFacts {
+    /// Per base set, in set order.
+    layouts: Vec<SetLayout>,
+    /// Per loop level: does a user guard test the level's first
+    /// iteration?
+    user_guards: Vec<bool>,
+    /// User `rotate` statements of the base body.
+    user_rotates: i64,
+}
+
+impl CensusFacts {
+    pub(crate) fn new(
+        kernel: &Kernel,
+        base_sets: &[UniformSet],
+        base_body: &[Stmt],
+        loops: &[Loop],
+    ) -> CensusFacts {
+        let layouts = base_sets
+            .iter()
+            .map(|set| match kernel.array(&set.array) {
+                Some(a) => {
+                    let mut strides = vec![1i64; a.dims.len()];
+                    for d in (0..a.dims.len().saturating_sub(1)).rev() {
+                        strides[d] = strides[d + 1] * a.dims[d + 1] as i64;
+                    }
+                    SetLayout {
+                        strides,
+                        bits: a.ty.bits(),
+                    }
+                }
+                None => SetLayout {
+                    strides: Vec::new(),
+                    bits: 32,
+                },
+            })
+            .collect();
+        CensusFacts {
+            layouts,
+            user_guards: loops
+                .iter()
+                .map(|l| tests_first_iteration(base_body, &l.var, l.lower))
+                .collect(),
+            user_rotates: count_rotates(base_body),
         }
     }
 }
@@ -512,7 +555,7 @@ fn flat(strides: &[i64], off: &[i64]) -> i64 {
 /// User `rotate` statements of a body, branches included: predicated
 /// execution runs both branches of an `if`, so every copy of the body
 /// executes each one.
-pub(crate) fn count_rotates(body: &[Stmt]) -> i64 {
+fn count_rotates(body: &[Stmt]) -> i64 {
     body.iter()
         .map(|s| match s {
             Stmt::Rotate(_) => 1,

@@ -35,7 +35,7 @@
 //! same binding, same errors. `tests/incremental_equivalence.rs`
 //! enforces this across the paper kernels' full design spaces.
 
-use crate::census::count_rotates;
+use crate::census::CensusFacts;
 use crate::error::{Result, VectorError, XformError};
 use crate::layout::assign_memories;
 use crate::normalize::normalize_loops;
@@ -79,8 +79,9 @@ pub struct PreparedKernel {
     load_sites: Vec<LoadSite>,
     /// The stores of `base_body` with their sets.
     store_sites: Vec<StoreSite>,
-    /// User `rotate` statements of `base_body`, for the census.
-    user_rotates: i64,
+    /// What every census reads of the kernel: set layouts, user guards
+    /// and rotates.
+    census_facts: CensusFacts,
     /// Dependences with the nest's bounds, input of jam legality.
     deps: DependenceGraph,
     /// Scalars carrying state across body iterations (rotate chains,
@@ -134,7 +135,7 @@ impl PreparedKernel {
             })
             .collect();
         let (load_sites, store_sites) = access_sites(&base_body, &base_table, &base_sets);
-        let user_rotates = count_rotates(&base_body);
+        let census_facts = CensusFacts::new(&normalized, &base_sets, &base_body, &loops);
         let carried = crate::unroll::carried_scalars(&base_body, &var_refs);
         let trips: Vec<i64> = loops.iter().map(Loop::trip_count).collect();
         let legality = LegalitySummary::from_parts(
@@ -155,7 +156,7 @@ impl PreparedKernel {
             cond_flags,
             load_sites,
             store_sites,
-            user_rotates,
+            census_facts,
             deps,
             carried,
             legality,
@@ -167,8 +168,8 @@ impl PreparedKernel {
     /// where it matters:
     ///
     /// - same innermost body and induction variables: the access table,
-    ///   uniform sets, conditional flags, load and store sites, user
-    ///   rotates and carried scalars carry over;
+    ///   uniform sets, conditional flags, load and store sites and
+    ///   carried scalars carry over;
     /// - same loop bounds on top of that: the dependence graph carries
     ///   over too, making the reuse total.
     ///
@@ -231,6 +232,8 @@ impl PreparedKernel {
                 prev.carried.clone(),
             )
         };
+        // Array decls and loop bounds may differ from `prev`'s.
+        let census_facts = CensusFacts::new(&normalized, &prev.base_sets, &base_body, &loops);
         Ok(PreparedKernel {
             normalized,
             loops,
@@ -241,7 +244,7 @@ impl PreparedKernel {
             cond_flags: prev.cond_flags.clone(),
             load_sites: prev.load_sites.clone(),
             store_sites: prev.store_sites.clone(),
-            user_rotates: prev.user_rotates,
+            census_facts,
             deps,
             carried: prev.carried.clone(),
             legality,
@@ -300,8 +303,8 @@ impl PreparedKernel {
         &self.load_sites
     }
 
-    pub(crate) fn user_rotates(&self) -> i64 {
-        self.user_rotates
+    pub(crate) fn census_facts(&self) -> &CensusFacts {
+        &self.census_facts
     }
 
     /// Validate an unroll vector exactly the way [`Self::transform`]

@@ -44,7 +44,7 @@
 
 use crate::error::{Result, XformError};
 use defacto_analysis::{
-    classify_set_bounded, uniform_sets, AccessTable, ReuseStrategy, UniformSet,
+    classify_set_bounded, uniform_sets, AccessTable, OffsetRow, ReuseStrategy, UniformSet,
 };
 use defacto_ir::decl::ScalarDecl;
 use defacto_ir::{
@@ -183,22 +183,23 @@ pub fn scalar_replace(
     Ok((kernel2, info))
 }
 
-/// One accumulator register: its constant offset, and whether the group
-/// reads and writes that address.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// One accumulator register: its constant offset, and the offset's key
+/// in the read set and in the write set when the group reads and writes
+/// that address.
+#[derive(Debug)]
 pub(crate) struct Slot<'a> {
     pub offset: &'a [i64],
-    pub read: bool,
-    pub written: bool,
+    pub read: Option<u64>,
+    pub written: Option<u64>,
 }
 
 /// One lane of a rolling window: the range `lo..=hi` it spans along the
-/// window dimension, and the set's distinct offsets in that lane, sorted.
+/// window dimension, and the set's distinct rows in that lane, sorted.
 #[derive(Debug)]
 pub(crate) struct WindowLane<'a> {
     pub lo: i64,
     pub hi: i64,
-    pub offsets: Vec<&'a [i64]>,
+    pub rows: Vec<OffsetRow<'a>>,
 }
 
 impl WindowLane<'_> {
@@ -209,7 +210,7 @@ impl WindowLane<'_> {
 
     /// The lane's offset at window position `p` (element `lo + p`).
     pub fn at(&self, window_dim: usize, p: usize) -> Vec<i64> {
-        let mut off = self.offsets[0].to_vec();
+        let mut off = self.rows[0].offsets.to_vec();
         off[window_dim] = self.lo + p as i64;
         off
     }
@@ -217,8 +218,8 @@ impl WindowLane<'_> {
 
 /// One kept scalar-replacement decision. Sets are named by their index in
 /// the planner's input and registers by their constant offsets, rows
-/// borrowed from those sets, so a decision holds no name, statement or
-/// access, and no offset of its own.
+/// borrowed from those sets with their keys, so a decision holds no
+/// name, statement or access, and no offset of its own.
 #[derive(Debug)]
 pub(crate) enum Reuse<'a> {
     /// A written set invariant in the loops deeper than `level`, with its
@@ -239,7 +240,7 @@ pub(crate) enum Reuse<'a> {
     Hoisted {
         read: usize,
         level: Option<usize>,
-        offsets: Vec<&'a [i64]>,
+        offsets: Vec<OffsetRow<'a>>,
     },
     /// A read set whose values recur across loop `level`: one chain of
     /// `length` rotating registers per lane, filled on the first
@@ -249,7 +250,7 @@ pub(crate) enum Reuse<'a> {
         read: usize,
         level: usize,
         invariant_levels: Vec<usize>,
-        lanes: Vec<&'a [i64]>,
+        lanes: Vec<OffsetRow<'a>>,
         length: usize,
     },
     /// A read set with consistent distances along loop `level`, the
@@ -415,26 +416,10 @@ pub(crate) fn plan_reuse<'a>(
                     plan.unexploited_sets += members;
                     continue;
                 }
-                let mut slots: Vec<Slot<'a>> = sets[write]
-                    .distinct_offsets()
-                    .into_iter()
-                    .map(|offset| Slot {
-                        offset,
-                        read: false,
-                        written: true,
-                    })
-                    .collect();
-                for offset in read.map(|r| sets[r].distinct_offsets()).unwrap_or_default() {
-                    match slots.iter_mut().find(|s| s.offset == offset) {
-                        Some(s) => s.read = true,
-                        None => slots.push(Slot {
-                            offset,
-                            read: true,
-                            written: false,
-                        }),
-                    }
-                }
-                slots.sort();
+                let slots = merge_slots(
+                    &sets[write].distinct_offsets(),
+                    &read.map(|r| sets[r].distinct_offsets()).unwrap_or_default(),
+                );
                 plan.decisions.push(Reuse::Accumulator {
                     read,
                     write,
@@ -508,6 +493,28 @@ pub(crate) fn plan_reuse<'a>(
     plan
 }
 
+/// One slot per offset of the sorted distinct rows `written` and `read`
+/// (of a group's write and read sets), in offset order: one merge.
+fn merge_slots<'a>(written: &[OffsetRow<'a>], read: &[OffsetRow<'a>]) -> Vec<Slot<'a>> {
+    let mut slots = Vec::with_capacity(written.len() + read.len());
+    let (mut w, mut r) = (written.iter().peekable(), read.iter().peekable());
+    loop {
+        let (written, read) = match (w.peek(), r.peek()) {
+            (Some(a), Some(b)) if a.offsets < b.offsets => (w.next(), None),
+            (Some(a), Some(b)) if a.offsets > b.offsets => (None, r.next()),
+            _ => (w.next(), r.next()),
+        };
+        let Some(row) = written.or(read) else {
+            return slots;
+        };
+        slots.push(Slot {
+            offset: row.offsets,
+            read: read.map(|row| row.key),
+            written: written.map(|row| row.key),
+        });
+    }
+}
+
 fn plan_chain<'a>(
     set: &'a UniformSet,
     read: usize,
@@ -559,23 +566,21 @@ fn plan_window<'a>(
         return None; // non-unit stride windows are left to plain loads
     }
     let step = steps[deepest_varying];
-    // Group the offsets into lanes by the offsets of all other dimensions.
-    // The distinct rows are sorted, so a stable sort by lane makes each
-    // lane one run that stays in row order (by window position). Lanes
-    // then go in the order of their first rows, which is the order the
-    // lanes first appear among the sorted distinct rows.
-    let lane = |row: &'a [i64]| (&row[..window_dim], &row[window_dim + 1..]);
-    let mut rows = set.distinct_offsets();
-    rows.sort_by_key(|&row| lane(row));
-    let mut lanes: Vec<WindowLane<'a>> = rows
-        .chunk_by(|&a, &b| lane(a) == lane(b))
-        .map(|run| WindowLane {
-            lo: run[0][window_dim],
-            hi: run[run.len() - 1][window_dim],
-            offsets: run.to_vec(),
+    // Group the offsets into lanes by the offsets of all other dimensions,
+    // each lane in window order.
+    let mut distinct = 0;
+    let mut lanes: Vec<WindowLane<'a>> = set
+        .lanes(window_dim)
+        .into_iter()
+        .map(|rows| {
+            distinct += rows.len();
+            WindowLane {
+                lo: rows[0].offsets[window_dim],
+                hi: rows[rows.len() - 1].offsets[window_dim],
+                rows,
+            }
         })
         .collect();
-    lanes.sort_unstable_by_key(|lane| lane.offsets[0]);
     // Keep only lanes with carried reuse; others stay as plain loads.
     lanes.retain(|lane| lane.span() as i64 > step);
     if lanes.is_empty() {
@@ -587,7 +592,7 @@ fn plan_window<'a>(
         window_dim,
         step,
         lanes,
-        distinct: rows.len(),
+        distinct,
     })
 }
 
@@ -695,8 +700,8 @@ fn collect_load_occurrences<'a>(
 }
 
 /// Where the loads and stores a [`ReusePlan`] leaves in the body go, made
-/// by [`plan_loads`]. Like the reuse plan it holds set indices and
-/// borrowed offset rows only. [`materialize`] builds the hoisted
+/// by [`plan_loads`]. Like the reuse plan it holds set indices, borrowed
+/// offset rows and their keys only. [`materialize`] builds the hoisted
 /// temporaries from it; the tier-0 census ([`crate::census`]) folds it
 /// into memory traffic.
 #[derive(Debug)]
@@ -719,6 +724,8 @@ pub(crate) struct Hoist<'a> {
     pub set: usize,
     /// Its constant offsets.
     pub offsets: &'a [i64],
+    /// The offsets' key in the set.
+    key: u64,
     /// `(copy, site)` of its first load in body order, which is
     /// copy-major: temporaries are named in this order.
     first: (usize, usize),
@@ -726,11 +733,11 @@ pub(crate) struct Hoist<'a> {
 
 /// The loads of one read set that a reuse plan rewrites to register
 /// reads.
-enum Replaced<'a> {
+enum Replaced {
     /// None: every load of the set stays.
     None,
-    /// These distinct offsets, sorted.
-    Some(Vec<&'a [i64]>),
+    /// The distinct offsets of these keys, sorted.
+    Some(Vec<u64>),
     /// Every distinct offset of the set.
     All,
 }
@@ -753,7 +760,7 @@ pub(crate) fn plan_loads<'a>(
     sites: &[LoadSite],
     copies: usize,
 ) -> LoadPlan<'a> {
-    let mut replaced: Vec<Replaced<'a>> = sets.iter().map(|_| Replaced::None).collect();
+    let mut replaced: Vec<Replaced> = sets.iter().map(|_| Replaced::None).collect();
     let mut sunk = vec![false; sets.len()];
     for decision in reuse.map_or(&[][..], |p| &p.decisions) {
         match decision {
@@ -776,16 +783,16 @@ pub(crate) fn plan_loads<'a>(
             } => {
                 // The lanes hold distinct offsets of the set, so they
                 // cover it exactly when the counts agree.
-                let covered: usize = lanes.iter().map(|l| l.offsets.len()).sum();
+                let covered: usize = lanes.iter().map(|l| l.rows.len()).sum();
                 replaced[*read] = if covered == *distinct {
                     Replaced::All
                 } else {
-                    let mut rows: Vec<&'a [i64]> = lanes
+                    let mut keys: Vec<u64> = lanes
                         .iter()
-                        .flat_map(|l| l.offsets.iter().copied())
+                        .flat_map(|l| l.rows.iter().map(|r| r.key))
                         .collect();
-                    rows.sort_unstable();
-                    Replaced::Some(rows)
+                    keys.sort_unstable();
+                    Replaced::Some(keys)
                 };
             }
         }
@@ -800,7 +807,7 @@ pub(crate) fn plan_loads<'a>(
         hoisted: Vec::new(),
     };
     // Index into `plan.hoisted` of each distinct address.
-    let mut seen: HashMap<(usize, &'a [i64]), usize> = HashMap::new();
+    let mut seen: HashMap<(usize, u64), usize> = HashMap::new();
     for (s, site) in sites.iter().enumerate() {
         let replaced = &replaced[site.set];
         if matches!(replaced, Replaced::All) {
@@ -812,17 +819,19 @@ pub(crate) fn plan_loads<'a>(
             || plan.kept_stores.iter().any(|&w| sets[w].array == set.array);
         let base_members = set.len() / copies;
         for copy in 0..copies {
-            let offsets = set.offset_row(copy * base_members + site.member);
-            if let Replaced::Some(rows) = replaced {
-                if rows.binary_search(&offsets).is_ok() {
+            let member = copy * base_members + site.member;
+            let key = set.key(member);
+            if let Replaced::Some(keys) = replaced {
+                if keys.binary_search(&key).is_ok() {
                     continue;
                 }
             }
+            let offsets = set.offset_row(member);
             if stays {
                 plan.in_place.push((s, offsets));
                 continue;
             }
-            match seen.entry((site.set, offsets)) {
+            match seen.entry((site.set, key)) {
                 Entry::Occupied(e) => {
                     let h = &mut plan.hoisted[*e.get()];
                     h.first = h.first.min((copy, s));
@@ -832,6 +841,7 @@ pub(crate) fn plan_loads<'a>(
                     plan.hoisted.push(Hoist {
                         set: site.set,
                         offsets,
+                        key,
                         first: (copy, s),
                     });
                 }
@@ -886,10 +896,10 @@ pub(crate) fn materialize(
             LValue::scalar(reg.clone()),
             Expr::Load(access),
         ));
-        edits.rewrite(hoist.set, hoist.offsets, reg, true);
+        edits.rewrite(hoist.set, hoist.key, reg, true);
     }
     for registers in &mut edits.rewrites {
-        registers.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        registers.sort_unstable_by_key(|r| r.0);
         debug_assert!(registers.windows(2).all(|w| w[0].0 != w[1].0));
     }
 
@@ -961,7 +971,7 @@ fn wrap_loop(template: &Loop, body: Vec<Stmt>) -> Stmt {
 
 /// The statements a plan adds around and inside the nest, and the
 /// load/store rewrites it applies to the body.
-struct Edits<'a> {
+struct Edits {
     /// Per level: statements at the top of that loop's body (hoisted
     /// loads), only used for levels shallower than the innermost.
     pre: Vec<Vec<Stmt>>,
@@ -977,14 +987,14 @@ struct Edits<'a> {
     /// After the whole nest.
     bottom: Vec<Stmt>,
     /// Per set: the register that replaces the set's accesses at each
-    /// rewritten offset row, sorted by row once every rewrite is in, and
-    /// whether it is a hoisted temporary (a load that already fills a
-    /// register keeps its address). Read sets rewrite loads and write
-    /// sets stores, so one table serves both.
-    rewrites: Vec<Vec<(&'a [i64], Name, bool)>>,
+    /// rewritten offset row, by the row's key, sorted by key once every
+    /// rewrite is in, and whether it is a hoisted temporary (a load that
+    /// already fills a register keeps its address). Read sets rewrite
+    /// loads and write sets stores, so one table serves both.
+    rewrites: Vec<Vec<(u64, Name, bool)>>,
 }
 
-impl<'a> Edits<'a> {
+impl Edits {
     fn new(depth: usize, sets: usize) -> Self {
         Edits {
             pre: vec![Vec::new(); depth],
@@ -997,15 +1007,16 @@ impl<'a> Edits<'a> {
         }
     }
 
-    /// Replace the accesses of `set` at `offsets` by `reg`.
-    fn rewrite(&mut self, set: usize, offsets: &'a [i64], reg: Name, hoisted: bool) {
-        self.rewrites[set].push((offsets, reg, hoisted));
+    /// Replace the accesses of `set` at the row of `key` by `reg`.
+    fn rewrite(&mut self, set: usize, key: u64, reg: Name, hoisted: bool) {
+        self.rewrites[set].push((key, reg, hoisted));
     }
 
-    /// The register replacing the accesses of `set` at `offsets`, if any.
-    fn register(&self, set: usize, offsets: &[i64]) -> Option<&(&'a [i64], Name, bool)> {
+    /// The register replacing the accesses of `set` at the row of `key`,
+    /// if any.
+    fn register(&self, set: usize, key: u64) -> Option<&(u64, Name, bool)> {
         let registers = &self.rewrites[set];
-        let at = registers.binary_search_by(|r| r.0.cmp(offsets)).ok()?;
+        let at = registers.binary_search_by_key(&key, |r| r.0).ok()?;
         Some(&registers[at])
     }
 
@@ -1013,7 +1024,7 @@ impl<'a> Edits<'a> {
     /// the decision's [`Reuse::set`].
     fn add(
         &mut self,
-        reuse: &Reuse<'a>,
+        reuse: &Reuse<'_>,
         set: &UniformSet,
         vars: &[Name],
         kernel: &Kernel,
@@ -1037,19 +1048,19 @@ impl<'a> Edits<'a> {
                 for slot in slots {
                     let reg = names.fresh(format_args!("{base}_{}", Offsets(slot.offset)), ty);
                     let access = access(slot.offset);
-                    if let Some(read) = read.filter(|_| slot.read) {
+                    if let (Some(read), Some(key)) = (read, slot.read) {
                         // Hoisted initializing load.
                         self.pre[*level].push(fill(&reg, access.clone()));
-                        self.rewrite(read, slot.offset, reg.clone(), false);
+                        self.rewrite(*read, key, reg.clone(), false);
                     }
-                    if slot.written {
+                    if let Some(key) = slot.written {
                         // Sunk final store; intermediate stores are
                         // eliminated.
                         self.post[*level].push(Stmt::assign(
                             LValue::Array(access),
                             Expr::scalar(reg.clone()),
                         ));
-                        self.rewrite(*write, slot.offset, reg, false);
+                        self.rewrite(*write, key, reg, false);
                     }
                 }
             }
@@ -1058,14 +1069,14 @@ impl<'a> Edits<'a> {
                 level,
                 offsets,
             } => {
-                for &off in offsets {
-                    let reg = names.fresh(format_args!("{base}_{}", Offsets(off)), ty);
+                for off in offsets {
+                    let reg = names.fresh(format_args!("{base}_{}", Offsets(off.offsets)), ty);
                     let at = match level {
                         Some(l) => &mut self.pre[*l],
                         None => &mut self.top,
                     };
-                    at.push(fill(&reg, access(off)));
-                    self.rewrite(*read, off, reg, false);
+                    at.push(fill(&reg, access(off.offsets)));
+                    self.rewrite(*read, off.key, reg, false);
                 }
             }
             Reuse::Chain {
@@ -1083,16 +1094,16 @@ impl<'a> Edits<'a> {
                     .fold(first_iteration(*level), |c, &l| {
                         Expr::bin(BinOp::And, c, first_iteration(l))
                     });
-                for (lane_idx, &lane_off) in lanes.iter().enumerate() {
+                for (lane_idx, lane) in lanes.iter().enumerate() {
                     let regs: Vec<Name> = (0..*length)
                         .map(|p| names.fresh(format_args!("{base}_{lane_idx}_{p}"), ty))
                         .collect();
                     self.body_prefix.push(Stmt::If {
                         cond: cond.clone(),
-                        then_body: vec![fill(&regs[0], access(lane_off))],
+                        then_body: vec![fill(&regs[0], access(lane.offsets))],
                         else_body: vec![],
                     });
-                    self.rewrite(*read, lane_off, regs[0].clone(), false);
+                    self.rewrite(*read, lane.key, regs[0].clone(), false);
                     if regs.len() >= 2 {
                         self.body_suffix.push(Stmt::Rotate(regs));
                     }
@@ -1130,9 +1141,9 @@ impl<'a> Edits<'a> {
                         self.body_prefix.push(fill(reg, position(p)));
                     }
                     // Body reads come from window positions.
-                    for &off in &lane.offsets {
-                        let p = (off[*window_dim] - lane.lo) as usize;
-                        self.rewrite(*read, off, regs[p].clone(), false);
+                    for row in &lane.rows {
+                        let p = (row.offsets[*window_dim] - lane.lo) as usize;
+                        self.rewrite(*read, row.key, regs[p].clone(), false);
                     }
                     // Shift by `step` at the end of the body.
                     if carried > 0 && regs.len() >= 2 {
@@ -1224,8 +1235,8 @@ fn element_type(kernel: &Kernel, array: &str) -> ScalarType {
 /// deltas exactly as [`defacto_ir::visit::offset_vars_stmts`] offsets
 /// it, so the base body is cloned once per copy and the jammed body is
 /// never built.
-struct Rewriter<'r, 'a> {
-    edits: &'r Edits<'a>,
+struct Rewriter<'r> {
+    edits: &'r Edits,
     sets: &'r [UniformSet],
     sites: &'r [LoadSite],
     stores: &'r [StoreSite],
@@ -1239,13 +1250,13 @@ struct Rewriter<'r, 'a> {
     next_store: usize,
 }
 
-impl Rewriter<'_, '_> {
+impl Rewriter<'_> {
     /// The register replacing the copy's member `member` of `set`.
     /// Jammed members are copy-major.
-    fn register(&self, set: usize, member: usize) -> Option<&(&[i64], Name, bool)> {
+    fn register(&self, set: usize, member: usize) -> Option<&(u64, Name, bool)> {
         let set_members = &self.sets[set];
         let row = self.copy * (set_members.len() / self.copies) + member;
-        self.edits.register(set, set_members.offset_row(row))
+        self.edits.register(set, set_members.key(row))
     }
 
     /// The copy's version of a base-body access that stays in memory.
