@@ -258,11 +258,11 @@ fn scan_carried<'a>(
             }
             Stmt::For(l) => scan_carried(&l.body, loop_vars, true, written, carried),
             Stmt::Rotate(regs) => {
-                for r in regs {
+                for r in regs.iter() {
                     read(r, written, carried);
                 }
                 if !conditional {
-                    for r in regs {
+                    for r in regs.iter() {
                         written.insert(r.as_str());
                     }
                 }

@@ -836,7 +836,7 @@ impl<'k> Lower<'k, '_> {
                 }
                 Stmt::Rotate(regs) => {
                     let start = self.program.regs.len() as u32;
-                    for r in regs {
+                    for r in regs.iter() {
                         let slot = self.var(r);
                         self.program.regs.push(slot);
                     }
@@ -1245,7 +1245,7 @@ mod tests {
                         .map(|r| info.var(r))
                         .reduce(Interval::union)
                         .unwrap_or(Interval::point(0));
-                    for r in regs {
+                    for r in regs.iter() {
                         set_entry(&mut info.vars, r, all, changed);
                     }
                 }

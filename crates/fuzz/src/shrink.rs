@@ -127,7 +127,7 @@ fn collect_stmts(stmts: &[Stmt], used: &mut BTreeSet<Name>) {
             }
             Stmt::For(l) => collect_stmts(&l.body, used),
             Stmt::Rotate(regs) => {
-                for r in regs {
+                for r in regs.iter() {
                     used.insert(r.clone());
                 }
             }
@@ -225,10 +225,7 @@ fn body_variants(stmts: &[Stmt]) -> Vec<Vec<Stmt>> {
             Stmt::Assign { lhs, rhs } => {
                 for r in expr_variants(rhs) {
                     let mut v = stmts.to_vec();
-                    v[i] = Stmt::Assign {
-                        lhs: lhs.clone(),
-                        rhs: r,
-                    };
+                    v[i] = Stmt::assign(lhs.clone(), r);
                     out.push(v);
                 }
             }

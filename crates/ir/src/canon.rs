@@ -273,7 +273,7 @@ impl<'k> Canonicalizer<'k> {
                     LValue::Scalar(n) => LValue::Scalar(self.value_name(n)),
                     LValue::Array(a) => LValue::Array(self.rename_access(a)),
                 },
-                rhs: self.rename_expr(rhs),
+                rhs: self.rename_expr(rhs).into(),
             },
             Stmt::If {
                 cond,
@@ -417,7 +417,7 @@ fn normalize_var_stmt(stmt: &Stmt, var: &str, step: i64, lower: i64) -> Stmt {
                 LValue::Scalar(n) => LValue::Scalar(n.clone()),
                 LValue::Array(a) => LValue::Array(normalize_var_access(a, var, step, lower)),
             },
-            rhs: normalize_var_expr(rhs, var, step, lower),
+            rhs: normalize_var_expr(rhs, var, step, lower).into(),
         },
         Stmt::If {
             cond,
@@ -626,7 +626,7 @@ fn hash_stmt(h: &mut Hasher128, stmt: &Stmt) {
         Stmt::Rotate(regs) => {
             h.byte(4);
             h.u64(regs.len() as u64);
-            for r in regs {
+            for r in regs.iter() {
                 h.str(r);
             }
         }

@@ -261,7 +261,7 @@ impl Kernel {
                     loop_vars.pop();
                 }
                 Stmt::Rotate(regs) => {
-                    for r in regs {
+                    for r in regs.iter() {
                         if self.scalar(r).is_none() {
                             return Err(IrError::Undeclared(r.to_string()));
                         }

@@ -360,7 +360,7 @@ impl Parser {
         }
         self.expect(TokenKind::RParen, "`)`")?;
         self.expect(TokenKind::Semi, "`;`")?;
-        Ok(Stmt::Rotate(regs))
+        Ok(Stmt::Rotate(regs.into()))
     }
 
     fn parse_assign(&mut self) -> Result<Stmt> {
@@ -374,7 +374,7 @@ impl Parser {
         self.expect(TokenKind::Assign, "`=`")?;
         let rhs = self.parse_expr()?;
         self.expect(TokenKind::Semi, "`;`")?;
-        Ok(Stmt::Assign { lhs, rhs })
+        Ok(Stmt::assign(lhs, rhs))
     }
 
     fn parse_subscripts(&mut self, array: Name, name_span: Span) -> Result<ArrayAccess> {

@@ -3,6 +3,7 @@
 use crate::expr::{ArrayAccess, Expr};
 use crate::name::Name;
 use std::fmt;
+use std::sync::Arc;
 
 /// The target of an assignment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -106,8 +107,11 @@ pub enum Stmt {
     Assign {
         /// Assignment target.
         lhs: LValue,
-        /// Assigned expression.
-        rhs: Expr,
+        /// Assigned expression. Shared so that a transformed design can
+        /// repeat an unchanged right-hand side (a peeled first iteration
+        /// and its steady-state loop) without copying it; rewrite one in
+        /// place through [`Arc::make_mut`].
+        rhs: Arc<Expr>,
     },
     /// `if (cond) { then } else { otherwise }` — `otherwise` may be empty.
     If {
@@ -124,14 +128,18 @@ pub enum Stmt {
     /// `rotate(r0, r1, ..., rk);` — shift each register left by one and
     /// rotate the first value into the last position. In hardware all moves
     /// happen in parallel in a single cycle; the interpreter emulates the
-    /// same permutation sequentially.
-    Rotate(Vec<Name>),
+    /// same permutation sequentially. Shared so that repeated rotates of
+    /// one chain hold one list.
+    Rotate(Arc<[Name]>),
 }
 
 impl Stmt {
     /// Shorthand for an assignment statement.
     pub fn assign(lhs: LValue, rhs: Expr) -> Stmt {
-        Stmt::Assign { lhs, rhs }
+        Stmt::Assign {
+            lhs,
+            rhs: Arc::new(rhs),
+        }
     }
 
     /// All array accesses *read* by this statement (not descending into

@@ -138,7 +138,7 @@ impl Verifier<'_> {
                 }
                 Stmt::Rotate(regs) => {
                     let mut tys = Vec::new();
-                    for r in regs {
+                    for r in regs.iter() {
                         // Rotation both reads and redefines every register
                         // of the chain.
                         self.reads.insert(r.clone());

@@ -23,7 +23,7 @@ fn map_accesses_stmt(s: &Stmt, f: &mut impl FnMut(&ArrayAccess) -> ArrayAccess) 
                 LValue::Scalar(n) => LValue::Scalar(n.clone()),
                 LValue::Array(a) => LValue::Array(f(a)),
             },
-            rhs: rhs.map_accesses(f),
+            rhs: rhs.map_accesses(f).into(),
         },
         Stmt::If {
             cond,
@@ -41,7 +41,7 @@ fn map_accesses_stmt(s: &Stmt, f: &mut impl FnMut(&ArrayAccess) -> ArrayAccess) 
             step: l.step,
             body: map_accesses_stmts(&l.body, f),
         }),
-        Stmt::Rotate(r) => Stmt::Rotate(r.clone()),
+        Stmt::Rotate(r) => Stmt::Rotate(r.iter().cloned().collect()),
     }
 }
 
@@ -73,11 +73,13 @@ pub fn offset_var_stmts(stmts: &[Stmt], var: &str, delta: i64) -> Vec<Stmt> {
 /// instead of one pair per variable. Zero deltas are skipped, so the
 /// result is bit-identical to chaining `offset_var_stmts` over the
 /// non-zero pairs in any order (subscript offsets commute on the constant
-/// term; scalar-read rewrites touch disjoint leaves).
+/// term; scalar-read rewrites touch disjoint leaves). The result never
+/// shares a right-hand side or rotate list with `stmts`, even when every
+/// delta is zero.
 pub fn offset_vars_stmts(stmts: &[Stmt], deltas: &[(&str, i64)]) -> Vec<Stmt> {
     let active: Vec<(&str, i64)> = deltas.iter().filter(|&&(_, d)| d != 0).copied().collect();
     if active.is_empty() {
-        return stmts.to_vec();
+        return map_accesses_stmts(stmts, &mut |a| a.clone());
     }
     let rewritten = map_accesses_stmts(stmts, &mut |a| a.map_indices(|e| e.offset_vars(&active)));
     rewritten
@@ -117,7 +119,7 @@ pub fn map_scalar_reads_stmt(s: &Stmt, f: &mut impl FnMut(&Name) -> Option<Expr>
     match s {
         Stmt::Assign { lhs, rhs } => Stmt::Assign {
             lhs: lhs.clone(),
-            rhs: map_scalar_reads_expr(rhs, f),
+            rhs: map_scalar_reads_expr(rhs, f).into(),
         },
         Stmt::If {
             cond,
@@ -141,7 +143,7 @@ pub fn map_scalar_reads_stmt(s: &Stmt, f: &mut impl FnMut(&Name) -> Option<Expr>
             step: l.step,
             body: l.body.iter().map(|s| map_scalar_reads_stmt(s, f)).collect(),
         }),
-        Stmt::Rotate(r) => Stmt::Rotate(r.clone()),
+        Stmt::Rotate(r) => Stmt::Rotate(r.iter().cloned().collect()),
     }
 }
 
@@ -194,7 +196,7 @@ mod tests {
                     AffineExpr::var("i") + AffineExpr::var("j") + AffineExpr::constant(2)
                 );
                 // scalar read `i` -> `i + 2`
-                match rhs {
+                match &**rhs {
                     Expr::Binary(BinOp::Add, _, b) => {
                         assert_eq!(**b, Expr::add(Expr::scalar("i"), Expr::Int(2)));
                     }

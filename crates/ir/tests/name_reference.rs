@@ -64,7 +64,7 @@ fn tree() -> (Expr, Stmt, AffineExpr) {
                 LValue::Array(ArrayAccess::new("D", vec![AffineExpr::var("i")])),
                 Expr::scalar("acc"),
             ),
-            Stmt::Rotate(vec!["r0".into(), "r1".into()]),
+            Stmt::Rotate(vec!["r0".into(), "r1".into()].into()),
         ],
     ));
     let a = AffineExpr::from_terms([("j", 2), ("i", -1)], 3);

@@ -587,7 +587,7 @@ fn collect_update_tops(
                 rhs,
             } if a.array == array && a.coeff_signature(vars).as_slice() == signature => {
                 let self_read = rhs.loads().contains(&a);
-                let top = match rhs {
+                let top = match &**rhs {
                     Expr::Binary(op, x, y) => {
                         let has_const =
                             matches!(&**x, Expr::Int(_)) || matches!(&**y, Expr::Int(_));

@@ -12,10 +12,14 @@
 //! There are two entry points with identical output.
 //! [`peel_first_iterations`] is the eager reference: separate peel,
 //! substitute, guard-kill and simplify passes over borrowed trees, used by
-//! the scratch pipeline ([`crate::transform`]). The prepared path calls
+//! the scratch pipeline ([`crate::transform`]); its output shares no
+//! right-hand side with its input. The prepared path calls
 //! `peel_first_iterations_lite`, which takes the scalar-replaced kernel
-//! by value and rewrites its body in place in one fused walk; the only
-//! trees it builds are the peeled first iterations.
+//! by value and rewrites its body in place in one fused walk. The only
+//! right-hand sides it builds are the peeled first iteration's that read
+//! the peeled variable: one that does not read it is shared with the
+//! steady-state loop (`Arc::clone`), and an assignment target is rebuilt
+//! only when a subscript mentions the variable.
 
 use crate::error::Result;
 use crate::simplify::{
@@ -23,6 +27,7 @@ use crate::simplify::{
 };
 use defacto_ir::visit::{map_accesses_stmts, map_scalar_reads_stmt};
 use defacto_ir::{AffineExpr, BinOp, Expr, Kernel, LValue, Loop, Stmt};
+use std::sync::Arc;
 
 /// Peel the first iteration of every loop that guards statements with
 /// `if (var == lower)`, recursively.
@@ -49,14 +54,20 @@ pub fn peel_first_iterations(kernel: &Kernel) -> Result<Kernel> {
 ///
 /// - every expression is folded in place
 ///   ([`crate::simplify::simplify_expr_in_place`]): only the nodes a rule
-///   rewrites change, and unchanged boxes and accesses are kept;
+///   rewrites change, and unchanged boxes and accesses are kept. A
+///   right-hand side is reached through `Arc::make_mut`, which copies
+///   nothing: the body the walk takes over shares no right-hand side
+///   with anything outside the design;
 /// - guard detection runs on the simplified peeled body, where constant
 ///   `if`s cannot occur, so the plain [`tests_first_iteration`] applies;
 /// - the peeled first copy is produced by `substitute_fold_stmts`, which
 ///   substitutes `var := lower` and folds in one pass (folding is
 ///   bottom-up, so substituting at the leaves and folding on the way up
-///   yields exactly `simplify(substitute(x))`). It is the only new tree
-///   the walk builds;
+///   yields exactly `simplify(substitute(x))`). A right-hand side that
+///   does not read `var` would fold to itself, so the copy shares it
+///   with the steady body. The right-hand sides that read `var`, the
+///   branch conditions and the statement shells around them are the
+///   only new trees the walk builds;
 /// - the steady-state loop keeps the body it already owns: `kill_guards`
 ///   rewrites dead guards to constant false in place and splices the
 ///   resulting constant branches by moving their statements.
@@ -83,7 +94,7 @@ fn peel_simplify_into(stmts: Vec<Stmt>, out: &mut Vec<Stmt>) {
     for s in stmts {
         match s {
             Stmt::Assign { lhs, mut rhs } => {
-                simplify_expr_in_place(&mut rhs);
+                simplify_expr_in_place(Arc::make_mut(&mut rhs));
                 out.push(Stmt::Assign { lhs, rhs });
             }
             Stmt::If {
@@ -137,14 +148,21 @@ fn substitute_fold_stmts(stmts: &[Stmt], var: &str, value: i64) -> Vec<Stmt> {
 fn substitute_fold_into(stmts: &[Stmt], var: &str, value: i64, out: &mut Vec<Stmt>) {
     for s in stmts {
         match s {
+            // A right-hand side that does not read `var` is already in
+            // normal form, so substituting and folding would rebuild it
+            // node for node: the peeled copy shares it instead.
             Stmt::Assign { lhs, rhs } => out.push(Stmt::Assign {
                 lhs: match lhs {
-                    LValue::Array(a) => LValue::Array(
+                    LValue::Array(a) if !a.is_invariant_in(var) => LValue::Array(
                         a.map_indices(|e| e.substitute(var, &AffineExpr::constant(value))),
                     ),
-                    scalar => scalar.clone(),
+                    lhs => lhs.clone(),
                 },
-                rhs: substitute_fold_expr(rhs, var, value),
+                rhs: if reads_var(rhs, var) {
+                    Arc::new(substitute_fold_expr(rhs, var, value))
+                } else {
+                    Arc::clone(rhs)
+                },
             }),
             Stmt::If {
                 cond,
@@ -170,6 +188,18 @@ fn substitute_fold_into(stmts: &[Stmt], var: &str, value: i64, out: &mut Vec<Stm
             })),
             Stmt::Rotate(r) => out.push(Stmt::Rotate(r.clone())),
         }
+    }
+}
+
+/// Does `e` read `var`, as a scalar or in a subscript?
+fn reads_var(e: &Expr, var: &str) -> bool {
+    match e {
+        Expr::Int(_) => false,
+        Expr::Scalar(n) => n == var,
+        Expr::Load(a) => !a.is_invariant_in(var),
+        Expr::Unary(_, x) => reads_var(x, var),
+        Expr::Binary(_, a, b) => reads_var(a, var) || reads_var(b, var),
+        Expr::Select(c, t, f) => reads_var(c, var) || reads_var(t, var) || reads_var(f, var),
     }
 }
 
@@ -492,6 +522,53 @@ mod tests {
         )
         .unwrap();
         assert_eq!(peel_first_iterations(&k).unwrap(), k);
+    }
+
+    #[test]
+    fn peeled_copy_shares_what_it_does_not_change() {
+        let prepared = crate::PreparedKernel::prepare(&defacto_kernels::sobel::kernel()).unwrap();
+        let design = prepared
+            .transform(
+                &crate::UnrollVector(vec![1, 2]),
+                &crate::TransformOptions::default(),
+            )
+            .unwrap();
+        // for i { <peeled j = 0 copy> for j in 2..32 step 2 { <steady> } }
+        let Stmt::For(outer) = &design.kernel.body()[0] else {
+            panic!("{}", design.kernel)
+        };
+        let Some((Stmt::For(steady), peeled)) = outer.body.split_last() else {
+            panic!("{}", design.kernel)
+        };
+        let var = steady.var.as_str();
+        let lower = steady.lower - steady.step;
+        // Each steady statement's first-iteration image appears among the
+        // peeled statements, in order; the others are the spliced
+        // first-iteration fills, which have no twin.
+        let mut rest = peeled.iter();
+        let (mut shared, mut rebuilt) = (0, 0);
+        for s in &steady.body {
+            let image = simplify_stmts(&substitute_const(std::slice::from_ref(s), var, lower));
+            let twin = rest
+                .find(|p| std::slice::from_ref(*p) == image.as_slice())
+                .unwrap_or_else(|| panic!("no peeled twin of {s:?}"));
+            match (s, twin) {
+                (Stmt::Assign { rhs, .. }, Stmt::Assign { rhs: first, .. }) => {
+                    if rhs.scalar_reads().contains(&var) {
+                        assert!(!Arc::ptr_eq(rhs, first), "{s:?}");
+                        rebuilt += 1;
+                    } else {
+                        assert!(Arc::ptr_eq(rhs, first), "{s:?}");
+                        shared += 1;
+                    }
+                }
+                (Stmt::Rotate(r), Stmt::Rotate(first)) => assert!(Arc::ptr_eq(r, first)),
+                _ => panic!("unexpected twin {twin:?} of {s:?}"),
+            }
+        }
+        // Six new-column loads read `j`; two copies of gx, gy, mag and
+        // the clamped store value do not.
+        assert_eq!((shared, rebuilt), (8, 6), "{}", design.kernel);
     }
 
     #[test]

@@ -53,6 +53,7 @@ use defacto_ir::{
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Statistics and bookkeeping produced by [`scalar_replace`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -675,7 +676,7 @@ fn collect_load_occurrences<'a>(
     for s in body {
         match s {
             Stmt::Assign { rhs, .. } => {
-                if let Expr::Load(a) = rhs {
+                if let Expr::Load(a) = &**rhs {
                     out.push((a, true, conditional));
                 } else {
                     for a in rhs.loads() {
@@ -1095,7 +1096,7 @@ impl Edits {
                         Expr::bin(BinOp::And, c, first_iteration(l))
                     });
                 for (lane_idx, lane) in lanes.iter().enumerate() {
-                    let regs: Vec<Name> = (0..*length)
+                    let regs: Arc<[Name]> = (0..*length)
                         .map(|p| names.fresh(format_args!("{base}_{lane_idx}_{p}"), ty))
                         .collect();
                     self.body_prefix.push(Stmt::If {
@@ -1120,7 +1121,7 @@ impl Edits {
                 for (lane_idx, lane) in lanes.iter().enumerate() {
                     let span = lane.span();
                     let carried = span.saturating_sub(*step as usize);
-                    let regs: Vec<Name> = (0..span)
+                    let regs: Arc<[Name]> = (0..span)
                         .map(|p| names.fresh(format_args!("{base}_w{lane_idx}_{p}"), ty))
                         .collect();
                     let position = |p: usize| access(&lane.at(*window_dim, p));
@@ -1327,7 +1328,7 @@ impl Rewriter<'_> {
                     }
                     LValue::Scalar(_) => lhs.clone(),
                 };
-                out.push(Stmt::Assign { lhs, rhs });
+                out.push(Stmt::assign(lhs, rhs));
             }
             Stmt::If {
                 cond,
@@ -1351,8 +1352,11 @@ impl Rewriter<'_> {
                 });
             }
             // A rotate names registers only, and a perfect nest's
-            // innermost body holds no loop: nothing to offset.
-            Stmt::Rotate(_) | Stmt::For(_) => out.push(s.clone()),
+            // innermost body holds no loop: nothing to offset. The
+            // rotate gets its own list, so no design shares one with
+            // the base body.
+            Stmt::Rotate(r) => out.push(Stmt::Rotate(r.iter().cloned().collect())),
+            Stmt::For(_) => out.push(s.clone()),
         }
     }
 }
@@ -1543,12 +1547,10 @@ mod tests {
         let Stmt::For(l) = &r.body()[0] else {
             panic!("{r}")
         };
-        let Stmt::Assign {
-            rhs: Expr::Load(_), ..
-        } = &l.body[0]
-        else {
+        let Stmt::Assign { rhs, .. } = &l.body[0] else {
             panic!("{r}")
         };
+        assert!(matches!(**rhs, Expr::Load(_)), "{r}");
         let Stmt::If { then_body, .. } = &l.body[1] else {
             panic!("{r}")
         };
@@ -1651,5 +1653,31 @@ mod tests {
         // Both stores stay in memory, at every copy's offsets.
         assert!(text.contains("C[i + 1][j + 2] ="), "{text}");
         assert!(text.contains("D[i + 1][j + 2] ="), "{text}");
+    }
+
+    /// A window shifted by `step` rotates its chain `step` times; the
+    /// rotates share one register list.
+    #[test]
+    fn window_step_rotates_share_one_chain() {
+        let prepared = crate::PreparedKernel::prepare(&defacto_kernels::sobel::kernel()).unwrap();
+        let opts = crate::TransformOptions {
+            peel: false,
+            ..crate::TransformOptions::default()
+        };
+        let design = prepared
+            .transform(&crate::UnrollVector(vec![1, 2]), &opts)
+            .unwrap();
+        let mut rotates: Vec<&Arc<[Name]>> = Vec::new();
+        defacto_ir::stmt::walk_stmts(design.kernel.body(), &mut |s| {
+            if let Stmt::Rotate(r) = s {
+                rotates.push(r);
+            }
+        });
+        // Three window lanes, each rotated twice.
+        assert_eq!(rotates.len(), 6, "{}", design.kernel);
+        for pair in rotates.chunks(2) {
+            assert!(Arc::ptr_eq(pair[0], pair[1]), "{}", design.kernel);
+        }
+        assert!(!Arc::ptr_eq(rotates[0], rotates[2]));
     }
 }

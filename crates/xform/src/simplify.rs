@@ -31,10 +31,7 @@ pub fn simplify_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
     let mut out = Vec::new();
     for s in stmts {
         match s {
-            Stmt::Assign { lhs, rhs } => out.push(Stmt::Assign {
-                lhs: lhs.clone(),
-                rhs: simplify_expr(rhs),
-            }),
+            Stmt::Assign { lhs, rhs } => out.push(Stmt::assign(lhs.clone(), simplify_expr(rhs))),
             Stmt::If {
                 cond,
                 then_body,
@@ -267,7 +264,7 @@ mod tests {
         let out = simplify_stmts(std::slice::from_ref(&taken));
         assert_eq!(out.len(), 1);
         match &out[0] {
-            Stmt::Assign { rhs, .. } => assert_eq!(*rhs, Expr::Int(1)),
+            Stmt::Assign { rhs, .. } => assert_eq!(**rhs, Expr::Int(1)),
             _ => panic!(),
         }
     }

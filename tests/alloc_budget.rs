@@ -4,9 +4,9 @@
 //! cold, single-worker joint sweep (paper size, all axes) runs:
 //!
 //! - a full-fidelity sweep of FIR. Its ceiling sits halfway between the
-//!   count before scalar replacement made each unrolled copy straight
-//!   from the base body (and the DFG builder resolved scalars once per
-//!   design) and the count after, so a change that brings back a
+//!   count before peeling shared the right-hand sides it does not change
+//!   with the steady-state loop and the count after, so a change that
+//!   brings back a deep copy of each peeled first iteration, a
 //!   per-point offset copy of the statement trees, or a heap copy per
 //!   copied name, fails here instead of only showing up as lost
 //!   throughput;
@@ -15,9 +15,11 @@
 //!   row-major matrix per set and the count after, so a change that
 //!   brings back a heap block per jammed offset fails here;
 //! - a full-fidelity sweep of SOBEL. Its ceiling sits halfway between
-//!   the count before unrolled copies were made straight from the base
-//!   body and the count after, so a change that brings back an offset
-//!   copy per point, or a cloned access per reference, fails here.
+//!   the count before peeling shared unchanged right-hand sides (and a
+//!   window's rotates shared one register list) and the count after, so
+//!   a change that brings back a deep copy of each peeled first
+//!   iteration, a rotate list per shift, an offset copy per point, or a
+//!   cloned access per reference, fails here.
 //!
 //! The counter is global, so the tests take turns.
 
@@ -82,13 +84,17 @@ fn blocks_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, BLOCKS.load(Ordering::SeqCst))
 }
 
-/// Blocks allocated by the sweep before and after the change, counted
-/// by this test in the profile `cargo test` builds (rustc 1.95.0,
-/// x86_64 Linux); a release build counts the same. (The ceiling before
-/// sat halfway between 870,722 and 664,103, around the transform tail
-/// taking the scalar-replaced body over by value.)
-const BEFORE: u64 = 342_370;
-const AFTER: u64 = 247_944;
+/// Blocks allocated by the sweep before and after peeling shared the
+/// right-hand sides it does not change, counted by this test in the
+/// profile `cargo test` builds (rustc 1.95.0, x86_64 Linux); a release
+/// build counts the same. (The ceiling before sat halfway between
+/// 342,370 and 247,944, around scalar replacement making each unrolled
+/// copy straight from the base body and the DFG builder resolving
+/// scalars once per design; before that, halfway between 870,722 and
+/// 664,103, around the transform tail taking the scalar-replaced body
+/// over by value.)
+const BEFORE: u64 = 249_736;
+const AFTER: u64 = 226_890;
 const CEILING: u64 = (BEFORE + AFTER) / 2;
 
 #[test]
@@ -104,7 +110,7 @@ fn fir_joint_sweep_allocation_budget() {
     assert!(
         blocks <= CEILING,
         "one cold FIR joint sweep allocated {blocks} blocks, over the ceiling of {CEILING} \
-         (before copies made from the base body: {BEFORE}, after: {AFTER})"
+         (before peeling shared right-hand sides: {BEFORE}, after: {AFTER})"
     );
 }
 
@@ -133,16 +139,19 @@ fn sobel_analytic_joint_sweep_allocation_budget() {
 }
 
 /// Blocks allocated by a full-fidelity SOBEL sweep before and after
-/// unrolled copies were made straight from the base body and the DFG
-/// builder resolved scalars once per design, counted as for the FIR
-/// sweep. (The ceiling before sat halfway between 1,218,247 and
-/// 1,095,764, around scalar replacement finding its rewrites by plan
-/// coordinates and the layout no longer cloning accesses; before that,
-/// halfway between 1,260,880 and 1,227,604, around list scheduling
-/// dropping its ready heap, per-schedule successor lists, per-view node
-/// copies and per-class sorts.)
-const SOBEL_FULL_BEFORE: u64 = 1_093_981;
-const SOBEL_FULL_AFTER: u64 = 876_668;
+/// peeling shared the right-hand sides it does not change and a
+/// window's rotates shared one register list, counted as for the FIR
+/// sweep. (The ceiling before sat halfway between 1,093,981 and
+/// 876,668, around unrolled copies made straight from the base body and
+/// the DFG builder resolving scalars once per design; before that,
+/// halfway between 1,218,247 and 1,095,764, around scalar replacement
+/// finding its rewrites by plan coordinates and the layout no longer
+/// cloning accesses; before that, halfway between 1,260,880 and
+/// 1,227,604, around list scheduling dropping its ready heap,
+/// per-schedule successor lists, per-view node copies and per-class
+/// sorts.)
+const SOBEL_FULL_BEFORE: u64 = 877_527;
+const SOBEL_FULL_AFTER: u64 = 616_932;
 const SOBEL_FULL_CEILING: u64 = (SOBEL_FULL_BEFORE + SOBEL_FULL_AFTER) / 2;
 
 #[test]
@@ -158,7 +167,7 @@ fn sobel_full_joint_sweep_allocation_budget() {
     assert!(
         blocks <= SOBEL_FULL_CEILING,
         "one cold full-fidelity SOBEL joint sweep allocated {blocks} blocks, \
-         over the ceiling of {SOBEL_FULL_CEILING} (before copies made from the base body: \
+         over the ceiling of {SOBEL_FULL_CEILING} (before peeling shared right-hand sides: \
          {SOBEL_FULL_BEFORE}, after: {SOBEL_FULL_AFTER})"
     );
 }

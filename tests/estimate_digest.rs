@@ -8,16 +8,10 @@
 //! was reworked. A change that moves any estimate of any point — cycles,
 //! slices, busy times, balance, provenance — changes the digest.
 
-use defacto::prelude::*;
+mod common;
 
-/// 64-bit FNV-1a over `bytes`, continuing from `hash`.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use common::Digest;
+use defacto::prelude::*;
 
 /// Digest of the sweep, point by point, plus its length.
 fn sweep_digest(kernel: &Kernel) -> (usize, u64) {
@@ -26,10 +20,11 @@ fn sweep_digest(kernel: &Kernel) -> (usize, u64) {
         .fidelity(Fidelity::Full)
         .joint_sweep()
         .expect("joint sweep succeeds");
-    let hash = sweep.iter().fold(0xcbf2_9ce4_8422_2325, |h, d| {
-        fnv1a(fnv1a(h, format!("{d:?}").as_bytes()), b"\n")
-    });
-    (sweep.len(), hash)
+    let mut digest = Digest::new();
+    for d in &sweep {
+        digest.add(&format!("{d:?}"));
+    }
+    (digest.count, digest.hash)
 }
 
 fn check(kernel: &Kernel, expected: (usize, u64)) {

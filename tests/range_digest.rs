@@ -18,48 +18,18 @@
 //! delay-line statement group, which changed 17 of the 300 generated
 //! kernels.
 
-use defacto::{lint_source, Axis, Explorer, JointPoint};
+mod common;
+
+use common::{design, generated_kernels, sample_points, sibling_groups, Digest};
 use defacto_analysis::{infer_ranges, RangeInfo};
 use defacto_fuzz::generate_kernel;
-use defacto_ir::diag::codes;
-use defacto_ir::{parse_kernel, Kernel};
-use defacto_xform::{transform, TransformOptions, UnrollVector, VariantCache};
+use defacto_ir::Kernel;
+use defacto_xform::{transform, TransformOptions};
 use std::fmt::Write as _;
 
-/// Campaign seed and kernel indices: the same kernels the fuzz smoke
-/// starts from.
-const SEED: u64 = 7;
-const KERNELS: std::ops::Range<u64> = 0..300;
-
-/// 64-bit FNV-1a over `bytes`, continuing from `hash`.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// A running digest: kernel count and hash.
-struct Digest {
-    count: usize,
-    hash: u64,
-}
-
-impl Digest {
-    fn new() -> Self {
-        Digest {
-            count: 0,
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    /// Add the ranges inferred for `kernel`.
-    fn add(&mut self, kernel: &Kernel) {
-        let text = ranges_text(&infer_ranges(kernel));
-        self.hash = fnv1a(fnv1a(self.hash, text.as_bytes()), b"\n");
-        self.count += 1;
-    }
+/// Add the ranges inferred for `kernel`.
+fn add_ranges(digest: &mut Digest, kernel: &Kernel) {
+    digest.add(&ranges_text(&infer_ranges(kernel)));
 }
 
 /// One line per table, `name=lo..hi` entries in name order.
@@ -83,30 +53,11 @@ fn paper_kernel_ranges_are_pinned() {
     let mut digest = Digest::new();
     let opts = TransformOptions::default();
     for (_, kernel) in defacto_kernels::paper_kernels() {
-        digest.add(&kernel);
-        let space = Explorer::new(&kernel)
-            .axes(&Axis::ALL)
-            .joint_space()
-            .expect("paper joint space builds");
-        let variants = VariantCache::new(&kernel).expect("paper variants build");
-        let same_code = |a: &JointPoint, b: &JointPoint| {
-            a.unroll == b.unroll && a.permutation == b.permutation && a.tile == b.tile
-        };
-        for group in space.joint_points().chunk_by(same_code) {
-            let p = &group[0];
-            // Tiling deepens the nest by one; tiled points sit at all-ones.
-            let unroll = match p.tile {
-                Some(_) => UnrollVector::ones(p.unroll.len() + 1),
-                None => p.unroll_vector(),
-            };
-            let design = variants
-                .get(&p.permutation, p.tile)
-                .and_then(|v| match &v.prepared {
-                    Some(prepared) => prepared.transform(&unroll, &opts),
-                    None => transform(&v.kernel, &unroll, &opts),
-                })
-                .expect("paper design transforms");
-            digest.add(&design.kernel);
+        add_ranges(&mut digest, &kernel);
+        let (variants, groups) = sibling_groups(&kernel).expect("paper joint space builds");
+        for (p, unroll) in &groups {
+            let d = design(&variants, p, unroll, &opts).expect("paper design transforms");
+            add_ranges(&mut digest, &d.kernel);
         }
     }
     assert_eq!(
@@ -122,35 +73,14 @@ fn paper_kernel_ranges_are_pinned() {
 fn generated_kernel_ranges_are_pinned() {
     let mut digest = Digest::new();
     let opts = TransformOptions::default();
-    for index in KERNELS {
-        let source = generate_kernel(SEED, index);
-        let Ok(kernel) = parse_kernel(&source) else {
+    for (_, kernel) in generated_kernels(generate_kernel) {
+        let Some(points) = sample_points(&kernel) else {
             continue;
         };
-        // Mixed-type rotates became a lint error (DF013) after this
-        // digest was recorded; they still transform, so they stay in.
-        if lint_source(&source)
-            .diagnostics
-            .iter()
-            .any(|d| d.is_error() && d.code != codes::ROTATE_MIXED_TYPES)
-        {
-            continue;
-        }
-        let Ok((_, space)) = Explorer::new(&kernel).analyze() else {
-            continue;
-        };
-        let size = space.size();
-        if size == 0 {
-            continue;
-        }
-        digest.add(&kernel);
-        let middle = space.iter().nth((size / 2) as usize);
-        for u in [Some(space.base_vector()), middle, Some(space.max_vector())]
-            .into_iter()
-            .flatten()
-        {
-            if let Ok(design) = transform(&kernel, &u, &opts) {
-                digest.add(&design.kernel);
+        add_ranges(&mut digest, &kernel);
+        for u in &points {
+            if let Ok(design) = transform(&kernel, u, &opts) {
+                add_ranges(&mut digest, &design.kernel);
             }
         }
     }

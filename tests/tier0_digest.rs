@@ -20,115 +20,39 @@
 //! 300 generated kernels. A change that moves any count
 //! of any census, or any bound of any band, changes a digest.
 
-use defacto::{lint_source, Axis, Explorer, JointPoint};
+mod common;
+
+use common::{generated_kernels, option_sets, sibling_groups, Digest};
+use defacto::Explorer;
 use defacto_fuzz::generate_kernel;
-use defacto_ir::diag::codes;
-use defacto_ir::{parse_kernel, Kernel};
+use defacto_ir::Kernel;
 use defacto_synth::{AnalyticModel, FpgaDevice, ListPriority, MemoryModel, SynthesisOptions};
-use defacto_xform::{PreparedKernel, TransformOptions, UnrollVector, VariantCache};
+use defacto_xform::{PreparedKernel, TransformOptions};
 use std::sync::Arc;
-
-/// Campaign seed and kernel indices: the same kernels the CI fuzz smoke
-/// run starts from.
-const SEED: u64 = 7;
-const KERNELS: std::ops::Range<u64> = 0..300;
-
-/// 64-bit FNV-1a over `bytes`, continuing from `hash`.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// A running digest: result count and hash.
-struct Digest {
-    count: usize,
-    hash: u64,
-}
-
-impl Digest {
-    fn new() -> Self {
-        Digest {
-            count: 0,
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn add(&mut self, value: &impl std::fmt::Debug) {
-        self.hash = fnv1a(fnv1a(self.hash, format!("{value:?}").as_bytes()), b"\n");
-        self.count += 1;
-    }
-}
-
-/// Default options, peeling off, an eight-register budget, and scalar
-/// replacement off.
-fn census_options() -> [TransformOptions; 4] {
-    [
-        TransformOptions::default(),
-        TransformOptions {
-            peel: false,
-            ..TransformOptions::default()
-        },
-        TransformOptions {
-            register_budget: Some(8),
-            ..TransformOptions::default()
-        },
-        TransformOptions {
-            scalar_replacement: false,
-            ..TransformOptions::default()
-        },
-    ]
-}
 
 /// Add the census of every sibling group of `kernel`'s joint space under
 /// each option set. Kernels whose joint space does not build add nothing.
 fn add_joint_censuses(digest: &mut Digest, kernel: &Kernel, options: &[TransformOptions]) {
-    let Ok(space) = Explorer::new(kernel).axes(&Axis::ALL).joint_space() else {
+    let Some((variants, groups)) = sibling_groups(kernel) else {
         return;
     };
-    let Ok(variants) = VariantCache::new(kernel) else {
-        return;
-    };
-    let same_code = |a: &JointPoint, b: &JointPoint| {
-        a.unroll == b.unroll && a.permutation == b.permutation && a.tile == b.tile
-    };
-    for group in space.joint_points().chunk_by(same_code) {
-        let p = &group[0];
-        // Tiling deepens the nest by one; tiled points sit at all-ones.
-        let unroll = match p.tile {
-            Some(_) => UnrollVector::ones(p.unroll.len() + 1),
-            None => p.unroll_vector(),
-        };
+    for (p, unroll) in &groups {
         for opts in options {
-            digest.add(&variants.census(&p.permutation, p.tile, &unroll, opts));
+            let census = variants.census(&p.permutation, p.tile, unroll, opts);
+            digest.add(&format!("{census:?}"));
         }
     }
 }
 
 #[test]
 fn joint_space_censuses_are_pinned() {
-    let options = census_options();
+    let options = option_sets();
     let mut digest = Digest::new();
     for (_, kernel) in defacto_kernels::paper_kernels() {
         add_joint_censuses(&mut digest, &kernel, &options);
     }
     let paper = digest.count;
-    for index in KERNELS {
-        let source = generate_kernel(SEED, index);
-        let Ok(kernel) = parse_kernel(&source) else {
-            continue;
-        };
-        // Mixed-type rotates became a lint error (DF013) after this
-        // digest was recorded; they still transform, so they stay in.
-        if lint_source(&source)
-            .diagnostics
-            .iter()
-            .any(|d| d.is_error() && d.code != codes::ROTATE_MIXED_TYPES)
-        {
-            continue;
-        }
+    for (_, kernel) in generated_kernels(generate_kernel) {
         add_joint_censuses(&mut digest, &kernel, &options);
     }
     assert_eq!(
@@ -180,7 +104,7 @@ fn paper_kernel_bands_are_pinned() {
                 )
                 .expect("no operator limits, so the model builds");
                 for u in space.iter() {
-                    digest.add(&model.evaluate(&u));
+                    digest.add(&format!("{:?}", model.evaluate(&u)));
                 }
             }
         }
