@@ -6,6 +6,9 @@
 //! and (2) report byte-identical selections and search traces — the
 //! cache is a pure accelerator, never an input to the answer. Runs over
 //! all five paper kernels at 1 and 8 workers.
+//!
+//! A kernel that is no perfect loop nest makes every design command exit
+//! non-zero with one line: the preparation error.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -84,6 +87,48 @@ fn second_process_hits_warm_cache_with_identical_answers() {
                 "{name}@{workers}: trace changed across processes"
             );
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_imperfect_nest_fails_every_design_command_with_one_message() {
+    let dir = scratch("imperfect");
+    let file = dir.join("sib.kernel");
+    std::fs::write(
+        &file,
+        "kernel sib { in A: i32[8]; out B: i32[8]; out C: i32[8];
+           for i in 0..8 { B[i] = A[i] + 1; }
+           for j in 0..8 { C[j] = A[j] * 2; } }",
+    )
+    .unwrap();
+    let cache = dir.join("cache").to_string_lossy().into_owned();
+    let commands: [&[&str]; 10] = [
+        &["explore"],
+        &["explore", "--axes", "all"],
+        &["explore", "--axes", "all", "--fidelity", "analytic"],
+        &["sweep"],
+        &["analyze"],
+        &["audit"],
+        &["vhdl"],
+        &["vhdl", "--unroll", "1"],
+        &["schedule"],
+        &["watch", "--cache-dir", &cache, "--max-runs", "1"],
+    ];
+    for args in commands {
+        let out = Command::new(env!("CARGO_BIN_EXE_defacto"))
+            .arg(args[0])
+            .arg(&file)
+            .args(&args[1..])
+            .output()
+            .expect("spawn defacto");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: transformation failed: kernel body is not a perfect loop nest\n",
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -590,7 +590,7 @@ mod tests {
     fn failed_evaluations_are_not_cached() {
         let engine = EvalEngine::new(1);
         let k = key(&[1], 0);
-        let err = engine.evaluate_cached(&k, || Err(DseError::NoLoops));
+        let err = engine.evaluate_cached(&k, || Err(DseError::EmptySpace));
         assert!(err.is_err());
         assert!(engine.cache().is_empty());
         let counters = engine.counters();
@@ -631,7 +631,7 @@ mod tests {
         let items: Vec<u64> = (0..32).collect();
         let out = engine.parallel_map(&items, |&x| {
             if x == 13 {
-                Err(DseError::NoLoops)
+                Err(DseError::EmptySpace)
             } else {
                 Ok(x)
             }

@@ -8,10 +8,6 @@ pub type Result<T> = std::result::Result<T, DseError>;
 /// Errors raised while exploring a design space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DseError {
-    /// The kernel body is not a perfect loop nest.
-    NotPerfectNest,
-    /// The kernel has no loops to unroll.
-    NoLoops,
     /// A transformation failed while evaluating a design point.
     Xform(defacto_xform::XformError),
     /// A search had no design to choose from: an empty space or a zero
@@ -22,8 +18,6 @@ pub enum DseError {
 impl fmt::Display for DseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DseError::NotPerfectNest => write!(f, "kernel body is not a perfect loop nest"),
-            DseError::NoLoops => write!(f, "kernel has no loops to explore"),
             DseError::Xform(e) => write!(f, "transformation failed: {e}"),
             DseError::EmptySpace => write!(f, "no design to search: empty space or zero budget"),
         }
@@ -51,7 +45,7 @@ mod tests {
 
     #[test]
     fn display() {
-        assert!(!DseError::NoLoops.to_string().is_empty());
+        assert!(!DseError::EmptySpace.to_string().is_empty());
         assert!(DseError::Xform(defacto_xform::XformError::NotPerfectNest)
             .to_string()
             .contains("transformation"));

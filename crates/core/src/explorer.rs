@@ -3,7 +3,7 @@
 
 use crate::engine::{CacheKey, EvalEngine, EvalStats};
 use crate::error::Result;
-use crate::saturation::{saturation_analysis, SaturationInfo};
+use crate::saturation::{saturation_of, SaturationInfo};
 use crate::search::{
     doubling_frontier, run_search_instrumented, SearchConfig, SearchResult, VisitOutcome,
 };
@@ -11,13 +11,13 @@ use crate::space::{sibling_groups, Axis, DesignSpace, JointPoint};
 use crate::strategy::{strategy_for, StrategyContext, StrategyKind};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use defacto_cache::{AnalysisSummary, ContextKey, PersistentCache, SelectionRecord};
-use defacto_ir::{ContentHash, Kernel};
+use defacto_ir::{ContentHash, Kernel, Loop};
 use defacto_synth::{
     estimate_opts, AnalyticBand, AnalyticModel, Estimate, EstimatePlan, FpgaDevice,
     JointAnalyticModel, MemoryModel, SynthesisOptions,
 };
 use defacto_xform::{
-    transform, PreparedKernel, TransformOptions, TransformedDesign, UnrollVector, VariantCache,
+    PreparedKernel, TransformOptions, TransformedDesign, UnrollVector, VariantCache,
 };
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -143,9 +143,10 @@ pub struct Explorer<'k> {
     /// Optional persistent content-addressed store consulted between the
     /// engine's memo cache and a full evaluation.
     store: Option<Arc<PersistentCache>>,
-    /// Point-invariant pipeline artifacts, prepared lazily on the first
-    /// evaluation and shared (clones included) across workers.
-    prepared: OnceLock<Option<Arc<PreparedKernel>>>,
+    /// Point-invariant pipeline artifacts, prepared lazily on first use
+    /// and shared (clones included) across workers, or the preparation
+    /// error every design question then returns.
+    prepared: OnceLock<defacto_xform::Result<Arc<PreparedKernel>>>,
     /// Evaluation fidelity policy.
     fidelity: Fidelity,
     /// Joint-space axes, when multi-axis exploration was requested with
@@ -159,8 +160,8 @@ pub struct Explorer<'k> {
     analytic: OnceLock<Option<Arc<AnalyticModel>>>,
     /// Prepared kernel variants keyed by `(permutation, tile)`, built
     /// lazily on the first joint evaluation. Like `prepared`, a pure
-    /// function of the kernel — never invalidated.
-    variants: OnceLock<Option<Arc<VariantCache>>>,
+    /// function of the kernel (or its error) — never invalidated.
+    variants: OnceLock<defacto_xform::Result<Arc<VariantCache>>>,
     /// The tier-0 model family over joint points, built lazily and
     /// invalidated with the evaluation context like `analytic`.
     joint_model: OnceLock<Option<Arc<JointAnalyticModel>>>,
@@ -339,14 +340,15 @@ impl<'k> Explorer<'k> {
         self.axes.as_deref()
     }
 
-    /// The tier-0 analytic model for the current context, if the kernel
-    /// prepares and the model admits the configuration.
-    fn analytic_model(&self) -> Option<&Arc<AnalyticModel>> {
-        self.analytic
+    /// The tier-0 analytic model for the current context; `None` when
+    /// the model declines the configuration.
+    fn analytic_model(&self) -> Result<Option<&Arc<AnalyticModel>>> {
+        let prepared = self.prepared()?;
+        Ok(self
+            .analytic
             .get_or_init(|| {
-                let prepared = self.prepared()?.clone();
                 AnalyticModel::new(
-                    prepared,
+                    Arc::clone(prepared),
                     self.mem.clone(),
                     self.device.clone(),
                     self.opts.clone(),
@@ -354,25 +356,27 @@ impl<'k> Explorer<'k> {
                 )
                 .map(Arc::new)
             })
-            .as_ref()
+            .as_ref())
     }
 
-    /// The shared prepared-variant cache for joint evaluation, if the
-    /// kernel normalizes into a perfect nest.
-    fn variant_cache(&self) -> Option<&Arc<VariantCache>> {
+    /// The shared prepared-variant cache for joint evaluation, or the
+    /// kernel's preparation error.
+    fn variant_cache(&self) -> Result<&Arc<VariantCache>> {
         self.variants
-            .get_or_init(|| VariantCache::new(self.kernel).ok().map(Arc::new))
+            .get_or_init(|| VariantCache::new(self.kernel).map(Arc::new))
             .as_ref()
+            .map_err(|e| e.clone().into())
     }
 
-    /// The tier-0 joint model family for the current context, if the
-    /// kernel's variants prepare and the model admits the configuration.
-    fn joint_analytic_model(&self) -> Option<&Arc<JointAnalyticModel>> {
-        self.joint_model
+    /// The tier-0 joint model family for the current context; `None`
+    /// when the model declines the configuration.
+    fn joint_analytic_model(&self) -> Result<Option<&Arc<JointAnalyticModel>>> {
+        let variants = self.variant_cache()?;
+        Ok(self
+            .joint_model
             .get_or_init(|| {
-                let variants = self.variant_cache()?.clone();
                 JointAnalyticModel::new(
-                    variants,
+                    Arc::clone(variants),
                     self.mem.clone(),
                     self.device.clone(),
                     self.opts.clone(),
@@ -380,7 +384,7 @@ impl<'k> Explorer<'k> {
                 )
                 .map(Arc::new)
             })
-            .as_ref()
+            .as_ref())
     }
 
     /// The transformation options in effect.
@@ -392,23 +396,18 @@ impl<'k> Explorer<'k> {
     ///
     /// # Errors
     ///
-    /// Propagates transformation failures (e.g. non-dividing factors).
+    /// The kernel's preparation error, or the point's transformation
+    /// failure (e.g. non-dividing factors).
     pub fn design(&self, unroll: &UnrollVector) -> Result<TransformedDesign> {
-        match self.prepared() {
-            // Bit-identical to the scratch pipeline (enforced by the
-            // incremental-equivalence property test) but skips the
-            // point-invariant work.
-            Some(p) => Ok(p.transform(unroll, &self.opts)?),
-            // Preparation fails exactly when every point would fail;
-            // running the scratch pipeline reproduces the per-point error.
-            None => Ok(transform(self.kernel, unroll, &self.opts)?),
-        }
+        Ok(self.prepared()?.transform(unroll, &self.opts)?)
     }
 
-    fn prepared(&self) -> Option<&Arc<PreparedKernel>> {
+    /// The kernel's preparation, made on first use, or its error.
+    fn prepared(&self) -> Result<&Arc<PreparedKernel>> {
         self.prepared
-            .get_or_init(|| PreparedKernel::prepare(self.kernel).ok().map(Arc::new))
+            .get_or_init(|| PreparedKernel::prepare(self.kernel).map(Arc::new))
             .as_ref()
+            .map_err(|e| e.clone().into())
     }
 
     /// Seed the point-invariant pipeline artifacts — e.g. from
@@ -417,14 +416,17 @@ impl<'k> Explorer<'k> {
     /// seeding a foreign preparation is unsound. No-op if an evaluation
     /// already prepared lazily.
     pub fn with_prepared(self, prepared: Arc<PreparedKernel>) -> Self {
-        let _ = self.prepared.set(Some(prepared));
+        let _ = self.prepared.set(Ok(prepared));
         self
     }
 
     /// The shared point-invariant artifacts, if any evaluation (or
     /// [`Explorer::with_prepared`]) has produced them.
     pub fn prepared_arc(&self) -> Option<Arc<PreparedKernel>> {
-        self.prepared.get().and_then(Clone::clone)
+        match self.prepared.get()? {
+            Ok(prepared) => Some(Arc::clone(prepared)),
+            Err(_) => None,
+        }
     }
 
     /// Hash of everything besides the unroll vector that determines an
@@ -514,7 +516,7 @@ impl<'k> Explorer<'k> {
     /// Propagates transformation failures.
     pub fn evaluate(&self, unroll: &UnrollVector) -> Result<EvaluatedDesign> {
         if self.fidelity == Fidelity::Analytic {
-            if let Some(model) = self.analytic_model() {
+            if let Some(model) = self.analytic_model()? {
                 let band = model.evaluate(unroll)?;
                 return Ok(EvaluatedDesign {
                     unroll: unroll.clone(),
@@ -577,9 +579,14 @@ impl<'k> Explorer<'k> {
     ///
     /// # Errors
     ///
-    /// Fails when the kernel is not a perfect loop nest.
+    /// The kernel's preparation error (it does not normalize or is not
+    /// a perfect loop nest), or the baseline transformation's failure.
     pub fn analyze(&self) -> Result<(SaturationInfo, DesignSpace)> {
-        saturation_analysis(self.kernel, &self.opts, self.explore_override.as_deref())
+        saturation_of(
+            self.prepared()?,
+            &self.opts,
+            self.explore_override.as_deref(),
+        )
     }
 
     /// Run the paper's Figure-2 search.
@@ -606,7 +613,7 @@ impl<'k> Explorer<'k> {
         let before = self.engine.counters();
         let (sat, space) = self.analyze()?;
         if self.fidelity == Fidelity::Analytic {
-            if let Some(model) = self.analytic_model() {
+            if let Some(model) = self.analytic_model()? {
                 let model = model.clone();
                 return self.explore_analytic(started, &sat, &space, &model);
             }
@@ -639,7 +646,7 @@ impl<'k> Explorer<'k> {
             self.sink.as_ref(),
         )?;
         result.stats = self.engine.stats_since(before, started.elapsed());
-        self.persist_result(&mut result);
+        self.persist_result(&mut result, self.prepared()?);
         Ok(result)
     }
 
@@ -647,7 +654,7 @@ impl<'k> Explorer<'k> {
     /// analyses) into the persistent store, then flush it. Best-effort:
     /// persistence failures never fail a search, but a failed flush is
     /// counted in `result.stats.persist_flush_failed`.
-    fn persist_result(&self, result: &mut SearchResult) {
+    fn persist_result(&self, result: &mut SearchResult, prepared: &PreparedKernel) {
         let Some(store) = &self.store else { return };
         let key = self.persist_key();
         store.record_selection(
@@ -659,22 +666,20 @@ impl<'k> Explorer<'k> {
                 space: result.space_size,
             },
         );
-        if let Some(prepared) = self.prepared() {
-            let canonical = defacto_ir::canonicalize(self.kernel);
-            if let Some(innermost) = canonical.subtree("innermost") {
-                let sets = prepared.base_sets();
-                store.record_analysis(
-                    key.kernel,
-                    innermost,
-                    &AnalysisSummary {
-                        depth: prepared.depth(),
-                        accesses: sets.iter().map(|s| s.members.len()).sum(),
-                        read_sets: sets.iter().filter(|s| !s.is_write).count(),
-                        write_sets: sets.iter().filter(|s| s.is_write).count(),
-                        carried: prepared.carried_scalars().len(),
-                    },
-                );
-            }
+        let canonical = defacto_ir::canonicalize(self.kernel);
+        if let Some(innermost) = canonical.subtree("innermost") {
+            let sets = prepared.base_sets();
+            store.record_analysis(
+                key.kernel,
+                innermost,
+                &AnalysisSummary {
+                    depth: prepared.depth(),
+                    accesses: sets.iter().map(|s| s.members.len()).sum(),
+                    read_sets: sets.iter().filter(|s| !s.is_write).count(),
+                    write_sets: sets.iter().filter(|s| s.is_write).count(),
+                    carried: prepared.carried_scalars().len(),
+                },
+            );
         }
         if store.flush().is_err() {
             result.stats.persist_flush_failed += 1;
@@ -741,28 +746,22 @@ impl<'k> Explorer<'k> {
     ///
     /// # Errors
     ///
-    /// Fails when the kernel is not a perfect loop nest or does not
-    /// prepare.
+    /// The errors of [`Explorer::analyze`].
     pub fn joint_space(&self) -> Result<DesignSpace> {
+        let (info, _) = self.analyze()?;
+        self.joint_space_of(&info)
+    }
+
+    /// [`Explorer::joint_space`] over the saturation analysis `info`.
+    fn joint_space_of(&self, info: &SaturationInfo) -> Result<DesignSpace> {
         let axes = match &self.axes {
             Some(a) => a.clone(),
             None => vec![Axis::Unroll],
         };
-        let (info, _) = self.analyze()?;
-        let prepared = match self.prepared() {
-            Some(p) => p.clone(),
-            // Preparation fails deterministically; reproduce its error.
-            None => match PreparedKernel::prepare(self.kernel) {
-                Err(e) => return Err(e.into()),
-                Ok(p) => Arc::new(p),
-            },
-        };
-        let nest = self
-            .kernel
-            .perfect_nest()
-            .expect("saturation analysis accepted the nest");
+        let prepared = self.prepared()?;
+        let trips: Vec<i64> = prepared.loops().iter().map(Loop::trip_count).collect();
         Ok(DesignSpace::with_axes(
-            &nest.trip_counts(),
+            &trips,
             &info.unrollable,
             prepared.legality(),
             &axes,
@@ -823,14 +822,15 @@ impl<'k> Explorer<'k> {
     pub fn joint_explore(&self, kind: StrategyKind) -> Result<JointSearchResult> {
         let started = Instant::now();
         let before = self.engine.counters();
-        let space = self.joint_space()?;
+        let (info, _) = self.analyze()?;
+        let space = self.joint_space_of(&info)?;
         let points = space.joint_points().to_vec();
         let cx = ExplorerStrategyCx {
             ex: self,
             memo: DesignMemo::new(&points),
             points,
-            seed: self.joint_seed(&space),
-            model: self.joint_analytic_model().cloned(),
+            seed: joint_seed(&info, &space),
+            model: self.joint_analytic_model()?.cloned(),
             bands_priced: Cell::new(0),
         };
         let outcome = strategy_for(kind).run(&cx)?;
@@ -848,23 +848,6 @@ impl<'k> Explorer<'k> {
             space_points: space.joint_size(),
             stats,
         })
-    }
-
-    /// The Figure-2 saturation point as a joint coordinate (unroll at
-    /// `u_init`, identity order, untiled, flags off), when it is a
-    /// member of the joint space — the guided strategies' starting
-    /// incumbent.
-    fn joint_seed(&self, space: &DesignSpace) -> Option<JointPoint> {
-        let (info, _) = self.analyze().ok()?;
-        let factors = info.u_init.factors();
-        let candidate = JointPoint {
-            unroll: factors.to_vec(),
-            permutation: (0..factors.len()).collect(),
-            tile: None,
-            narrow: false,
-            pack: false,
-        };
-        space.contains_joint(&candidate).then_some(candidate)
     }
 
     /// Evaluate joint points in order, fanning their sibling groups (see
@@ -904,7 +887,7 @@ impl<'k> Explorer<'k> {
         let first = &group[0];
         let mut tier0: Vec<Option<Estimate>> = vec![None; group.len()];
         if self.fidelity == Fidelity::Analytic {
-            if let Some(m) = self.joint_analytic_model() {
+            if let Some(m) = self.joint_analytic_model()? {
                 for ((slot, band), p) in tier0.iter_mut().zip(group_bands(m, group)).zip(group) {
                     *slot = band.and_then(|b| {
                         m.synthetic_estimate(&p.permutation, p.tile, p.narrow, p.pack, &b)
@@ -959,23 +942,8 @@ impl<'k> Explorer<'k> {
             Some((None, narrow)) => narrow,
             None => flags.iter().any(|&(narrow, _)| narrow),
         };
-        let unroll = joint_unroll(p);
-        let fresh;
-        let cache = match self.variant_cache() {
-            Some(cache) => cache.as_ref(),
-            // Building the cache fails deterministically; reproduce its error.
-            None => {
-                fresh = VariantCache::new(self.kernel)?;
-                &fresh
-            }
-        };
-        let variant = cache.get(&p.permutation, p.tile)?;
-        let design = match &variant.prepared {
-            Some(prepared) => prepared.transform(&unroll, &self.opts)?,
-            // A variant that does not prepare falls back to the scratch
-            // pipeline (same result, reproduced error).
-            None => transform(&variant.kernel, &unroll, &self.opts)?,
-        };
+        let prepared = self.variant_cache()?.prepared(&p.permutation, p.tile)?;
+        let design = prepared.transform(&joint_unroll(p), &self.opts)?;
         Ok(Arc::new(EstimatePlan::new(
             &design,
             &self.mem,
@@ -1029,7 +997,7 @@ impl<'k> Explorer<'k> {
         let (_, space) = self.analyze()?;
         let model = match self.fidelity {
             Fidelity::Full => None,
-            Fidelity::Analytic => self.analytic_model().cloned(),
+            Fidelity::Analytic => self.analytic_model()?.cloned(),
         };
         let (sweep, tier0_evaluated) = match model {
             Some(model) => self.analytic_sweep(&space, &model)?,
@@ -1077,6 +1045,21 @@ fn joint_unroll(p: &JointPoint) -> UnrollVector {
         Some(_) => UnrollVector::ones(p.unroll.len() + 1),
         None => UnrollVector(p.unroll.clone()),
     }
+}
+
+/// The Figure-2 saturation point as a joint coordinate (unroll at
+/// `u_init`, identity order, untiled, flags off), when it is a member of
+/// the joint space — the guided strategies' starting incumbent.
+fn joint_seed(info: &SaturationInfo, space: &DesignSpace) -> Option<JointPoint> {
+    let factors = info.u_init.factors();
+    let candidate = JointPoint {
+        unroll: factors.to_vec(),
+        permutation: (0..factors.len()).collect(),
+        tile: None,
+        narrow: false,
+        pack: false,
+    };
+    space.contains_joint(&candidate).then_some(candidate)
 }
 
 /// Tier-0 bands of one sibling group, one per point: a single census
@@ -1310,6 +1293,40 @@ mod tests {
     const FIR: &str = "kernel fir { in S: i32[96]; in C: i32[32]; inout D: i32[64];
        for j in 0..64 { for i in 0..32 {
          D[j] = D[j] + S[i + j] * C[i]; } } }";
+
+    #[test]
+    fn an_imperfect_nest_returns_its_preparation_error_everywhere() {
+        let k = parse_kernel(
+            "kernel sib { in A: i32[8]; out B: i32[8]; out C: i32[8];
+               for i in 0..8 { B[i] = A[i] + 1; }
+               for j in 0..8 { C[j] = A[j] * 2; } }",
+        )
+        .unwrap();
+        use defacto_xform::XformError;
+        let nest = crate::DseError::Xform(XformError::NotPerfectNest);
+        assert_eq!(
+            VariantCache::new(&k).unwrap_err(),
+            XformError::NotPerfectNest
+        );
+        for fidelity in [Fidelity::Full, Fidelity::Analytic] {
+            let ex = Explorer::new(&k).axes(&Axis::ALL).fidelity(fidelity);
+            assert_eq!(ex.analyze().unwrap_err(), nest);
+            assert_eq!(ex.design(&UnrollVector(vec![1])).unwrap_err(), nest);
+            assert_eq!(ex.evaluate(&UnrollVector(vec![1])).unwrap_err(), nest);
+            assert_eq!(ex.joint_space().unwrap_err(), nest);
+            assert_eq!(ex.explore().unwrap_err(), nest);
+            assert_eq!(ex.sweep().unwrap_err(), nest);
+            assert_eq!(ex.joint_sweep().unwrap_err(), nest);
+            for kind in [
+                StrategyKind::Exhaustive,
+                StrategyKind::CoordinateDescent,
+                StrategyKind::BranchAndBound,
+            ] {
+                assert_eq!(ex.joint_explore(kind).unwrap_err(), nest);
+            }
+            assert!(ex.prepared_arc().is_none());
+        }
+    }
 
     #[test]
     fn evaluate_baseline() {

@@ -170,11 +170,10 @@ impl IncrementalSession {
         // analysis).
         let mut reused_analyses = false;
         if let Some(prev_prepared) = self.previous.as_ref().and_then(|p| p.prepared.clone()) {
-            if let Ok(prepared) = PreparedKernel::prepare_reusing(kernel, &prev_prepared) {
-                reused_analyses = prepared.base_body() == prev_prepared.base_body()
-                    && prepared.var_names() == prev_prepared.var_names();
-                explorer = explorer.with_prepared(Arc::new(prepared));
-            }
+            let prepared = PreparedKernel::prepare_reusing(kernel, &prev_prepared)?;
+            reused_analyses = prepared.base_body() == prev_prepared.base_body()
+                && prepared.var_names() == prev_prepared.var_names();
+            explorer = explorer.with_prepared(Arc::new(prepared));
         }
 
         // Warm start: a previous selection for this exact canonical

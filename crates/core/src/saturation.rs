@@ -13,9 +13,9 @@
 
 use crate::error::Result;
 use crate::space::DesignSpace;
-use defacto_analysis::{analyze_dependences_with_bounds, AccessTable};
-use defacto_ir::{Kernel, Name};
-use defacto_xform::{normalize_loops, transform, TransformOptions, UnrollVector};
+use defacto_analysis::AccessTable;
+use defacto_ir::{Kernel, Loop, Name};
+use defacto_xform::{PreparedKernel, TransformOptions, UnrollVector};
 use std::collections::HashMap;
 
 /// The result of saturation analysis for one kernel.
@@ -135,33 +135,27 @@ impl SaturationInfo {
 ///
 /// # Errors
 ///
-/// Fails when the kernel is not a perfect loop nest or baseline
-/// transformation fails.
+/// Fails when the kernel does not prepare (it does not normalize or is
+/// not a perfect loop nest) or the baseline transformation fails.
 pub fn saturation_analysis(
     kernel: &Kernel,
     opts: &TransformOptions,
     explore_override: Option<&[bool]>,
 ) -> Result<(SaturationInfo, DesignSpace)> {
-    let normalized = normalize_loops(kernel)?;
-    let nest = normalized
-        .perfect_nest()
-        .ok_or(crate::error::DseError::NotPerfectNest)?;
-    let depth = nest.depth();
-    if depth == 0 {
-        return Err(crate::error::DseError::NoLoops);
-    }
-    let trips = nest.trip_counts();
-    let vars: Vec<Name> = nest.loops().iter().map(|l| l.var.clone()).collect();
-    let var_refs: Vec<&str> = vars.iter().map(Name::as_str).collect();
+    saturation_of(&PreparedKernel::prepare(kernel)?, opts, explore_override)
+}
 
-    // Dependence structure of the source nest, for U_init preferences.
-    let table = AccessTable::from_stmts(nest.innermost_body());
-    let bounds: Vec<(i64, i64)> = nest
-        .loops()
-        .iter()
-        .map(|l| (l.lower, l.upper - 1))
-        .collect();
-    let deps = analyze_dependences_with_bounds(&table, &var_refs, &bounds);
+/// [`saturation_analysis`] of a prepared kernel: the nest, its
+/// dependences and carried scalars, and the peel-free baseline all come
+/// from the one preparation.
+pub(crate) fn saturation_of(
+    prepared: &PreparedKernel,
+    opts: &TransformOptions,
+    explore_override: Option<&[bool]>,
+) -> Result<(SaturationInfo, DesignSpace)> {
+    let depth = prepared.depth();
+    let trips: Vec<i64> = prepared.loops().iter().map(Loop::trip_count).collect();
+    let var_refs: Vec<&str> = prepared.var_names().iter().map(Name::as_str).collect();
 
     // Baseline transformation *without peeling*: first-iteration register
     // loads stay guarded, so guarded accesses (one-time chain fills) are
@@ -170,7 +164,7 @@ pub fn saturation_analysis(
         peel: false,
         ..opts.clone()
     };
-    let baseline = transform(&normalized, &UnrollVector::ones(depth), &baseline_opts)?;
+    let baseline = prepared.transform(&UnrollVector::ones(depth), &baseline_opts)?;
     let all = AccessTable::from_stmts(baseline.kernel.body());
 
     // Uniformly generated sets over the steady (non-guarded) accesses,
@@ -218,12 +212,10 @@ pub fn saturation_analysis(
     // factors: jamming any outer level would interleave iterations and
     // reorder the chain. Pin those levels so the space holds only legal
     // points and the search never trips the jam legality check mid-sweep.
-    // The predicate is the legality analysis's — the same one
-    // `unroll_and_jam` and `PreparedKernel::validate_factors` enforce, so
-    // the space and the transform gate can never disagree.
-    if depth >= 2
-        && !defacto_analysis::legality::carried_scalars(nest.innermost_body(), &var_refs).is_empty()
-    {
+    // The scalars are the preparation's — the ones its
+    // `validate_factors` gate enforces, so the space and the transform
+    // gate can never disagree.
+    if depth >= 2 && !prepared.carried_scalars().is_empty() {
         for flag in explore.iter_mut().take(depth - 1) {
             *flag = false;
         }
@@ -231,6 +223,7 @@ pub fn saturation_analysis(
     let space = DesignSpace::new(&trips, &explore);
 
     // Preference order.
+    let deps = prepared.dependences();
     let mut levels: Vec<usize> = (0..depth).collect();
     levels.sort_by_key(|&l| {
         let carries = deps.loop_carries_dependence(l);

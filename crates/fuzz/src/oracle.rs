@@ -967,11 +967,10 @@ impl StrategyContext for PerPoint<'_> {
         points
             .iter()
             .map(|p| {
-                let variant = self.variants.get(&p.permutation, p.tile)?;
-                let design = match &variant.prepared {
-                    Some(prepared) => prepared.transform(&Self::unroll(p), topts)?,
-                    None => defacto_xform::transform(&variant.kernel, &Self::unroll(p), topts)?,
-                };
+                let design = self
+                    .variants
+                    .prepared(&p.permutation, p.tile)?
+                    .transform(&Self::unroll(p), topts)?;
                 Ok(EvaluatedJointDesign {
                     point: p.clone(),
                     estimate: estimate_opts(
@@ -991,11 +990,7 @@ impl StrategyContext for PerPoint<'_> {
             .iter()
             .map(|p| {
                 let model = AnalyticModel::new(
-                    self.variants
-                        .get(&p.permutation, p.tile)
-                        .ok()?
-                        .prepared
-                        .clone()?,
+                    self.variants.prepared(&p.permutation, p.tile).ok()?,
                     self.mem.clone(),
                     self.explorer.device_ref().clone(),
                     topts.clone(),

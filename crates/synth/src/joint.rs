@@ -105,9 +105,8 @@ impl JointAnalyticModel {
         }
         let built = self
             .variants
-            .get(permutation, tile)
+            .prepared(permutation, tile)
             .ok()
-            .and_then(|v| v.prepared.clone())
             .and_then(|prepared| {
                 AnalyticModel::new(
                     prepared,

@@ -20,9 +20,10 @@
 //!   (paper §5.4);
 //! - [`layout`] — custom data layout: array renaming onto virtual
 //!   memories and virtual→physical memory binding;
-//! - [`pipeline`] — the driver that applies the whole sequence for a given
-//!   unroll-factor vector and packages the result for behavioral-synthesis
-//!   estimation.
+//! - [`prepared`] and [`variants`] — the library's one way to a design:
+//!   one preparation per kernel or variant, then per-point work only;
+//! - [`pipeline`] — the reference: the whole sequence from scratch, with
+//!   its eager passes, which the prepared path must match bit for bit.
 //!
 //! Every transformation preserves kernel semantics; the test suites verify
 //! this by executing original and transformed kernels on identical inputs
@@ -47,11 +48,8 @@ pub use error::{JamViolation, Result, TileError, VectorError, XformError};
 pub use interchange::{interchange, interchange_is_legal};
 pub use layout::{assign_memories, MemoryBinding};
 pub use normalize::normalize_loops;
-pub use peel::peel_first_iterations;
 pub use pipeline::{transform, TransformOptions, TransformedDesign, UnrollVector};
 pub use prepared::PreparedKernel;
-pub use scalar::{scalar_replace, ScalarReplacementInfo};
-pub use simplify::simplify_kernel;
-pub use tiling::strip_mine;
-pub use unroll::{carried_scalars, unroll_and_jam, unroll_is_legal};
+pub use scalar::ScalarReplacementInfo;
+pub use unroll::{unroll_and_jam, unroll_is_legal};
 pub use variants::{PreparedVariant, VariantCache, VariantKey};

@@ -1,5 +1,7 @@
-//! The transformation pipeline: one call takes a source kernel and an
-//! unroll-factor vector to a synthesis-ready design.
+//! The reference transformation pipeline: one call takes a source kernel
+//! and an unroll-factor vector to a synthesis-ready design, every pass
+//! from scratch. The library goes through [`crate::PreparedKernel`],
+//! which must match it bit for bit, errors included.
 //!
 //! Order of application (paper Figure 3):
 //!
@@ -124,7 +126,7 @@ pub struct TransformedDesign {
     pub binding: MemoryBinding,
 }
 
-/// Run the full transformation pipeline.
+/// Run the full reference pipeline (see the module docs).
 ///
 /// # Errors
 ///

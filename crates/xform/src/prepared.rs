@@ -93,35 +93,40 @@ pub struct PreparedKernel {
     legality: LegalitySummary,
 }
 
+/// The normalized kernel with its perfect nest taken apart: empty-bodied
+/// loop templates and the innermost body.
+fn normalized_nest(kernel: &Kernel) -> Result<(Kernel, Vec<Loop>, Vec<Stmt>)> {
+    let normalized = normalize_loops(kernel)?;
+    let nest = normalized
+        .perfect_nest()
+        .ok_or(XformError::NotPerfectNest)?;
+    let loops: Vec<Loop> = nest
+        .loops()
+        .iter()
+        .map(|l| Loop {
+            var: l.var.clone(),
+            lower: l.lower,
+            upper: l.upper,
+            step: l.step,
+            body: Vec::new(),
+        })
+        .collect();
+    let base_body = nest.innermost_body().to_vec();
+    Ok((normalized, loops, base_body))
+}
+
 impl PreparedKernel {
     /// Run every point-invariant pipeline stage once.
     ///
     /// # Errors
     ///
-    /// Fails exactly when the scratch pipeline would fail for *every*
-    /// unroll vector: the kernel does not normalize or is not a perfect
-    /// nest. Callers fall back to [`crate::transform`] in that case so
-    /// per-point errors stay identical.
+    /// Fails when the kernel does not normalize or is not a perfect nest,
+    /// as the reference pipeline ([`crate::transform`]) then fails with
+    /// the same error at every unroll vector (with per-pass verification
+    /// on, the reference may report a verifier error first).
     pub fn prepare(kernel: &Kernel) -> Result<PreparedKernel> {
-        let normalized = normalize_loops(kernel)?;
-        let (loops, var_names, base_body) = {
-            let nest = normalized
-                .perfect_nest()
-                .ok_or(XformError::NotPerfectNest)?;
-            let loops: Vec<Loop> = nest
-                .loops()
-                .iter()
-                .map(|l| Loop {
-                    var: l.var.clone(),
-                    lower: l.lower,
-                    upper: l.upper,
-                    step: l.step,
-                    body: Vec::new(),
-                })
-                .collect();
-            let var_names: Vec<Name> = loops.iter().map(|l| l.var.clone()).collect();
-            (loops, var_names, nest.innermost_body().to_vec())
-        };
+        let (normalized, loops, base_body) = normalized_nest(kernel)?;
+        let var_names: Vec<Name> = loops.iter().map(|l| l.var.clone()).collect();
         let base_table = AccessTable::from_stmts(&base_body);
         let var_refs: Vec<&str> = var_names.iter().map(Name::as_str).collect();
         let bounds: Vec<(i64, i64)> = loops.iter().map(|l| (l.lower, l.upper - 1)).collect();
@@ -181,25 +186,8 @@ impl PreparedKernel {
     ///
     /// Same contract as [`Self::prepare`].
     pub fn prepare_reusing(kernel: &Kernel, prev: &PreparedKernel) -> Result<PreparedKernel> {
-        let normalized = normalize_loops(kernel)?;
-        let (loops, var_names, base_body) = {
-            let nest = normalized
-                .perfect_nest()
-                .ok_or(XformError::NotPerfectNest)?;
-            let loops: Vec<Loop> = nest
-                .loops()
-                .iter()
-                .map(|l| Loop {
-                    var: l.var.clone(),
-                    lower: l.lower,
-                    upper: l.upper,
-                    step: l.step,
-                    body: Vec::new(),
-                })
-                .collect();
-            let var_names: Vec<Name> = loops.iter().map(|l| l.var.clone()).collect();
-            (loops, var_names, nest.innermost_body().to_vec())
-        };
+        let (normalized, loops, base_body) = normalized_nest(kernel)?;
+        let var_names: Vec<Name> = loops.iter().map(|l| l.var.clone()).collect();
         if base_body != prev.base_body || var_names != prev.var_names {
             return Self::prepare(kernel);
         }
@@ -356,6 +344,11 @@ impl PreparedKernel {
     /// scalars, packing/narrowing applicability.
     pub fn legality(&self) -> &LegalitySummary {
         &self.legality
+    }
+
+    /// Dependences of the base body under the nest's bounds.
+    pub fn dependences(&self) -> &DependenceGraph {
+        &self.deps
     }
 
     /// Scalars carrying state across iterations of the base body (rotate

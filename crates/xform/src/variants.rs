@@ -11,11 +11,12 @@
 //!
 //! [`VariantCache`] hoists that work: each `(permutation, tile)` key is
 //! materialized once into a [`PreparedVariant`] — the transformed kernel
-//! plus its [`PreparedKernel`] when it prepares — and shared across
-//! evaluation workers. [`VariantCache::census`] then prices any joint
-//! point's structural counts ([`PointCensus`]) without copying a body or
-//! building a DFG: this is the joint-point census the tier-0 joint
-//! analytic bands are built on (see `defacto-synth`).
+//! plus its [`PreparedKernel`] — and shared across evaluation workers; a
+//! variant that does not prepare is an error. [`VariantCache::census`]
+//! then prices any joint point's structural counts ([`PointCensus`])
+//! without copying a body or building a DFG: this is the joint-point
+//! census the tier-0 joint analytic bands are built on (see
+//! `defacto-synth`).
 
 use crate::census::PointCensus;
 use crate::error::Result;
@@ -38,9 +39,9 @@ pub struct PreparedVariant {
     /// The interchanged/tiled kernel the variant's unroll pipeline runs
     /// on.
     pub kernel: Kernel,
-    /// Its point-invariant preparation, when the variant prepares
-    /// (a variant that does not — e.g. an imperfect nest after a
-    /// transform — falls back to the scratch pipeline per point).
+    /// Its point-invariant preparation, always `Some` (read it through
+    /// [`VariantCache::prepared`]). It becomes `Arc<PreparedKernel>`
+    /// when the benchmark's replay, which matches on it, is retired.
     pub prepared: Option<Arc<PreparedKernel>>,
 }
 
@@ -89,7 +90,8 @@ impl VariantCache {
     ///
     /// # Errors
     ///
-    /// Propagates interchange/tiling failures (illegal order, bad tile).
+    /// Propagates interchange/tiling failures (illegal order, bad tile)
+    /// and the variant's preparation error.
     pub fn get(
         &self,
         permutation: &[usize],
@@ -115,12 +117,27 @@ impl VariantCache {
         if let Some((level, size)) = tile {
             kernel = tile_for_registers(&kernel, level, size)?;
         }
-        let prepared = PreparedKernel::prepare(&kernel).ok().map(Arc::new);
+        let prepared = Some(Arc::new(PreparedKernel::prepare(&kernel)?));
         let variant = Arc::new(PreparedVariant { kernel, prepared });
         let mut cache = self.variants.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(Arc::clone(
             cache.entry(key).or_insert_with(|| Arc::clone(&variant)),
         ))
+    }
+
+    /// The preparation of the variant [`Self::get`] selects, or its
+    /// error.
+    pub fn prepared(
+        &self,
+        permutation: &[usize],
+        tile: Option<(usize, i64)>,
+    ) -> Result<Arc<PreparedKernel>> {
+        let variant = self.get(permutation, tile)?;
+        let prepared = variant
+            .prepared
+            .as_ref()
+            .expect("`get` returns only prepared variants");
+        Ok(Arc::clone(prepared))
     }
 
     /// The joint-point census: exact structural counts of the
@@ -130,9 +147,8 @@ impl VariantCache {
     ///
     /// # Errors
     ///
-    /// Propagates variant construction failures, the preparation error
-    /// when the variant does not prepare, and the census' own per-point
-    /// errors (illegal factors, broken jam).
+    /// Propagates the errors of [`Self::get`] and the census' own
+    /// per-point errors (illegal factors, broken jam).
     pub fn census(
         &self,
         permutation: &[usize],
@@ -140,15 +156,7 @@ impl VariantCache {
         unroll: &UnrollVector,
         opts: &TransformOptions,
     ) -> Result<PointCensus> {
-        let variant = self.get(permutation, tile)?;
-        match &variant.prepared {
-            Some(p) => p.census(unroll, opts),
-            // Preparation fails deterministically; reproduce its error.
-            None => match PreparedKernel::prepare(&variant.kernel) {
-                Err(e) => Err(e),
-                Ok(p) => p.census(unroll, opts),
-            },
-        }
+        self.prepared(permutation, tile)?.census(unroll, opts)
     }
 }
 

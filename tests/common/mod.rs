@@ -8,9 +8,7 @@
 use defacto::{lint_source, Axis, Explorer, JointPoint};
 use defacto_ir::diag::codes;
 use defacto_ir::{parse_kernel, Kernel};
-use defacto_xform::{
-    transform, Result, TransformOptions, TransformedDesign, UnrollVector, VariantCache,
-};
+use defacto_xform::{Result, TransformOptions, TransformedDesign, UnrollVector, VariantCache};
 
 /// Campaign seed and kernel indices: the same kernels the fuzz smoke
 /// starts from.
@@ -111,8 +109,7 @@ pub fn sibling_groups(kernel: &Kernel) -> Option<(VariantCache, Vec<(JointPoint,
     Some((variants, groups))
 }
 
-/// The design of `p`'s variant at `unroll`. A variant that does not
-/// prepare takes the scratch pipeline, as the explorer does.
+/// The design of `p`'s variant at `unroll`, as the explorer builds it.
 pub fn design(
     variants: &VariantCache,
     p: &JointPoint,
@@ -120,11 +117,8 @@ pub fn design(
     opts: &TransformOptions,
 ) -> Result<TransformedDesign> {
     variants
-        .get(&p.permutation, p.tile)
-        .and_then(|v| match &v.prepared {
-            Some(prepared) => prepared.transform(unroll, opts),
-            None => transform(&v.kernel, unroll, opts),
-        })
+        .prepared(&p.permutation, p.tile)
+        .and_then(|prepared| prepared.transform(unroll, opts))
 }
 
 /// The smallest, a middle and the largest point of `kernel`'s unroll

@@ -12,7 +12,7 @@
 use defacto::exhaustive::best_joint_performance;
 use defacto::prelude::*;
 use defacto::synth::{estimate_opts, AnalyticBand, AnalyticModel, SynthesisOptions};
-use defacto::xform::{transform, VariantCache};
+use defacto::xform::VariantCache;
 use defacto::{strategy_for, StrategyContext};
 
 const WORKER_COUNTS: [usize; 2] = [1, 8];
@@ -202,12 +202,12 @@ impl<'a> PerPoint<'a> {
 
     fn estimate(&self, p: &JointPoint) -> EvaluatedJointDesign {
         let topts = self.explorer.transform_options();
-        let variant = self.variants.get(&p.permutation, p.tile).expect("variant");
-        let design = match &variant.prepared {
-            Some(prepared) => prepared.transform(&Self::unroll(p), topts),
-            None => transform(&variant.kernel, &Self::unroll(p), topts),
-        }
-        .expect("members transform");
+        let design = self
+            .variants
+            .prepared(&p.permutation, p.tile)
+            .expect("variant")
+            .transform(&Self::unroll(p), topts)
+            .expect("members transform");
         EvaluatedJointDesign {
             point: p.clone(),
             estimate: estimate_opts(
@@ -221,12 +221,7 @@ impl<'a> PerPoint<'a> {
 
     /// The point's own member model and its band.
     fn band(&self, p: &JointPoint) -> Option<(AnalyticModel, AnalyticBand)> {
-        let prepared = self
-            .variants
-            .get(&p.permutation, p.tile)
-            .ok()?
-            .prepared
-            .clone()?;
+        let prepared = self.variants.prepared(&p.permutation, p.tile).ok()?;
         let topts = self.explorer.transform_options();
         let model = AnalyticModel::new(
             prepared,
