@@ -6,7 +6,6 @@
 #![allow(dead_code)]
 
 use defacto::{lint_source, Axis, Explorer, JointPoint};
-use defacto_ir::diag::codes;
 use defacto_ir::{parse_kernel, Kernel};
 use defacto_xform::{Result, TransformOptions, TransformedDesign, UnrollVector, VariantCache};
 
@@ -47,19 +46,14 @@ impl Digest {
 
 /// The generated kernels the pins digest, with their sources: every
 /// kernel `generate(SEED, index)` makes that parses and lints with no
-/// error. Mixed-type rotates became a lint error (`DF013`) after the
-/// digests were recorded; they still transform, so they stay in.
+/// error.
 pub fn generated_kernels(
     generate: fn(u64, u64) -> String,
 ) -> impl Iterator<Item = (String, Kernel)> {
     KERNELS.filter_map(move |index| {
         let source = generate(SEED, index);
         let kernel = parse_kernel(&source).ok()?;
-        let rejected = lint_source(&source)
-            .diagnostics
-            .iter()
-            .any(|d| d.is_error() && d.code != codes::ROTATE_MIXED_TYPES);
-        (!rejected).then_some((source, kernel))
+        (!lint_source(&source).has_errors()).then_some((source, kernel))
     })
 }
 

@@ -71,7 +71,7 @@ fn generated_kernel_estimates_are_pinned() {
     }
     assert_eq!(
         (digest.count, kernels_with_if, digest.hash),
-        (5760, 62, 0xe23a_11ab_38d6_5b12),
+        (5760, 62, 0x937b_eef0_4b3f_f574),
         "generated-kernel estimates moved: {} estimates, \
          {kernels_with_if} kernels with `if`, digest {:#018x}",
         digest.count,
