@@ -247,8 +247,8 @@ impl Builder<'_> {
     }
 
     /// Register `name` with the type of the registered scalar `like`: a
-    /// rotate chain holds one type. It still draws a type of its own, so
-    /// the random stream stays what it was when each drew its own.
+    /// rotate chain holds one type. It draws a type as [`Self::scalar`]
+    /// does and discards it, so both consume the same random stream.
     fn scalar_like(&mut self, name: &str, like: &str) -> String {
         let name = self.scalar(name);
         let ty = self

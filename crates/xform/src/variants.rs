@@ -132,12 +132,8 @@ impl VariantCache {
         permutation: &[usize],
         tile: Option<(usize, i64)>,
     ) -> Result<Arc<PreparedKernel>> {
-        let variant = self.get(permutation, tile)?;
-        let prepared = variant
-            .prepared
-            .as_ref()
-            .expect("`get` returns only prepared variants");
-        Ok(Arc::clone(prepared))
+        let prepared = self.get(permutation, tile)?.prepared.clone();
+        Ok(prepared.expect("`get` returns only prepared variants"))
     }
 
     /// The joint-point census: exact structural counts of the
